@@ -153,12 +153,10 @@ class GeneratedGroup:
     """Finite group closure of named generators.
 
     Elements are ordered by word length then lexicographically, with the
-    identity word "e" first.  table[i][j] is the index of
-    elements[i] composed with elements[j].
+    identity word "e" first.
     """
 
     elements: tuple[GroupElement, ...]
-    table: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
@@ -172,9 +170,6 @@ class GeneratedGroup:
 
     def nonidentity(self) -> tuple[GroupElement, ...]:
         return tuple(e for e in self.elements if e.word != "e")
-
-    def word_table(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(self.elements[k].word for k in row) for row in self.table)
 
 
 def generate_group(gens: Mapping[str, AffineAut], cap: int = 64) -> GeneratedGroup:
@@ -210,12 +205,7 @@ def generate_group(gens: Mapping[str, AffineAut], cap: int = 64) -> GeneratedGro
                     nxt.append(new_word)
         frontier = nxt
     words = sorted(auts, key=lambda w: (0 if w == "e" else len(w), w))
-    elements = tuple(GroupElement(w, auts[w]) for w in words)
-    index = {e.aut.key(): i for i, e in enumerate(elements)}
-    table = tuple(
-        tuple(index[compose(ei.aut, ej.aut).key()] for ej in elements) for ei in elements
-    )
-    return GeneratedGroup(elements, table)
+    return GeneratedGroup(tuple(GroupElement(w, auts[w]) for w in words))
 
 
 def evaluate_word(gens: Mapping[str, AffineAut], word: str) -> AffineAut:
@@ -258,64 +248,27 @@ class FixedPointFailure:
 @dataclass(frozen=True)
 class FreenessCertificate:
     free: bool
-    method: str
     witnesses: tuple[FreenessWitness, ...]
     failure: FixedPointFailure | None = None
 
 
-def _element_order(g: GeneratedGroup, idx: int) -> int:
-    order = 1
-    cur = idx
-    identity_idx = 0
-    while cur != identity_idx:
-        cur = g.table[cur][idx]
-        order += 1
-        if order > g.order:
-            raise RuntimeError("internal error: element order exceeds group order")
-    return order
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def is_free_action(g: GeneratedGroup, method: str = "all") -> FreenessCertificate:
+def is_free_action(g: GeneratedGroup) -> FreenessCertificate:
     """Fixed-point freeness of every nonidentity element.
 
-    method "all" checks all nonidentity elements and returns one
-    obstruction witness per element.  method "prime_order" checks only
-    the elements of prime order, which decides freeness of the whole
-    action: a fixed point of any element is a fixed point of the prime
-    order power of that element.
+    Returns one obstruction witness per nonidentity element, or stops at
+    the first element with a fixed point.
     """
-    if method not in ("all", "prime_order"):
-        raise ValueError(f"unknown method {method!r}")
-    targets: list[GroupElement] = []
-    for i, e in enumerate(g.elements):
-        if e.word == "e":
-            continue
-        if method == "prime_order" and not _is_prime(_element_order(g, i)):
-            continue
-        targets.append(e)
     witnesses: list[FreenessWitness] = []
-    for e in targets:
+    for e in g.nonidentity():
         res = has_fixed_point(e.aut)
         if res.exists:
             return FreenessCertificate(
                 free=False,
-                method=method,
                 witnesses=tuple(witnesses),
                 failure=FixedPointFailure(e.word, res.point),
             )
         witnesses.append(FreenessWitness(e.word, e.aut.a, e.aut.t, res.obstruction))
-    return FreenessCertificate(free=True, method=method, witnesses=tuple(witnesses))
+    return FreenessCertificate(free=True, witnesses=tuple(witnesses))
 
 
 @dataclass(frozen=True)

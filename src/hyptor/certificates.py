@@ -22,19 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .affine_actions import (
-    check_relations,
-    contains_no_translations,
-    evaluate_word,
-    generate_group,
-    is_free_action,
-)
+from .affine_actions import GeneratedGroup, evaluate_word
 from .d4_family import (
+    GROUP_WORDS,
+    RELATION_WORDS,
     BuildRejection,
     CaseTag,
     D4Action,
     D4Parameters,
     build_general,
+    check_action,
     check_freeness_conditions,
     lattice_inclusion_check,
 )
@@ -42,9 +39,6 @@ from .exact_linear import IntegerMatrix, RationalMatrix
 from .torus import EllipticCurveParam, TorsionPoint
 
 SCHEMA_VERSION = "1.0"
-
-RELATION_WORDS = ("rrrr", "ss", "rsrs")
-WITNESS_WORDS = ("r", "s", "rr", "rs", "sr", "rrr", "rrs")
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)/(\d+)$")
 _COMPLEX_RE = re.compile(r"^(-?\d+/\d+)\+(-?\d+/\d+)i$")
@@ -162,24 +156,17 @@ def parse_parameters(data) -> D4Parameters:
 def build_certificate(action: D4Action) -> dict:
     """Assemble the certificate document for a built, free action.
 
-    Raises ValueError when the action fails the relations, contains a
-    translation, or has an element with a fixed point: those cannot be
-    certified, only reported.
+    Raises ValueError when the group cannot be generated, or the action
+    fails the relations, contains a translation, or has an element with
+    a fixed point: those cannot be certified, only reported.
     """
-    gens = {"r": action.r, "s": action.s}
-    grp = generate_group(gens)
-    relations = check_relations(gens, list(RELATION_WORDS))
-    if grp.order != 8 or not all(relations.values()):
-        raise ValueError("action does not satisfy the dihedral relations of order 8")
-    cert = is_free_action(grp, method="all")
-    if not cert.free:
-        raise ValueError(f"element {cert.failure.word} has a fixed point")
-    trans = contains_no_translations(grp)
-    if not trans.ok:
-        raise ValueError(f"element {trans.offending_word} acts as a translation")
+    report = check_action(action)
+    if not report.ok:
+        raise ValueError(report.failure)
+    grp = report.group
 
     witnesses = []
-    for w in cert.witnesses:
+    for w in report.freeness.witnesses:
         witnesses.append(
             {
                 "word": w.word,
@@ -217,7 +204,7 @@ def build_certificate(action: D4Action) -> dict:
                 }
                 for g in grp.elements
             ],
-            "relations": {w: bool(v) for w, v in relations.items()},
+            "relations": {w: bool(v) for w, v in report.relations.items()},
         },
         "fixed_point_witnesses": witnesses,
         "no_translations": True,
@@ -244,10 +231,16 @@ def _inclusion_json(action: D4Action) -> dict:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Outcome of checking a certificate against a fresh rebuild."""
+    """Outcome of checking a certificate against a fresh rebuild.
+
+    action and group are the rebuilt, certified objects when the
+    certificate verifies, and None otherwise.
+    """
 
     ok: bool
     failures: tuple[str, ...]
+    action: D4Action | None = None
+    group: GeneratedGroup | None = None
 
 
 def _schema_supported(doc) -> str | None:
@@ -288,6 +281,10 @@ def verify_certificate(doc) -> VerificationResult:
         return VerificationResult(False, (f"parameters: {exc}",))
     if isinstance(built, BuildRejection):
         return VerificationResult(False, (f"build rejected: {built.reason}",))
+    report = check_action(built)
+    if report.group is None:
+        return VerificationResult(False, (f"group: {report.failure}",))
+    grp = report.group
 
     # Stored presentation must match the rebuild exactly.
     torus_doc = doc.get("torus")
@@ -325,8 +322,6 @@ def verify_certificate(doc) -> VerificationResult:
             if trans != rebuilt[name].t:
                 failures.append(f"generators: {name}: translation mismatch")
 
-    grp = generate_group(rebuilt)
-    relations = check_relations(rebuilt, list(RELATION_WORDS))
     group_doc = doc.get("group")
     if not isinstance(group_doc, dict):
         failures.append("group: missing")
@@ -351,20 +346,20 @@ def verify_certificate(doc) -> VerificationResult:
                 if lin != rebuilt_elem.aut.a or trans != rebuilt_elem.aut.t:
                     failures.append(f"group: element {word} does not match the rebuild")
         rel_doc = group_doc.get("relations")
-        if rel_doc != {w: True for w in RELATION_WORDS}:
+        if rel_doc != {w: True for _, w in RELATION_WORDS}:
             failures.append("group: relations not all satisfied")
-        if not all(relations.values()) or grp.order != 8:
+        if not report.relations_ok:
             failures.append("group: rebuilt action violates the relations")
 
     if doc.get("no_translations") is not True:
         failures.append("no_translations: not asserted")
-    elif not contains_no_translations(grp).ok:
+    elif not report.translations.ok:
         failures.append("no_translations: rebuilt action contains a translation")
 
     # Independent freeness recomputation.  The canonical rows also pin
     # the stored witnesses exactly: swapping a row for a different but
     # still valid obstruction must not go unnoticed.
-    freeness = is_free_action(grp, method="all")
+    freeness = report.freeness
     if not freeness.free:
         failures.append(f"rebuilt element {freeness.failure.word} has a fixed point")
     canonical = {
@@ -382,7 +377,7 @@ def verify_certificate(doc) -> VerificationResult:
             failures.append("witness: malformed entry")
             continue
         word = entry.get("word")
-        if word not in WITNESS_WORDS:
+        if word not in GROUP_WORDS:
             failures.append(f"witness: unknown word {word!r}")
             continue
         words_seen.append(word)
@@ -416,7 +411,7 @@ def verify_certificate(doc) -> VerificationResult:
             failures.append(f"witness {word}: obstruction value is integral, proves nothing")
         if word in canonical and (tuple(row), value) != canonical[word]:
             failures.append(f"witness {word}: does not match the recomputed obstruction")
-    if sorted(words_seen) != sorted(WITNESS_WORDS):
+    if sorted(words_seen) != sorted(GROUP_WORDS):
         failures.append("witnesses: words do not cover the seven nonidentity elements")
 
     if doc.get("lattice_inclusion") != _inclusion_json(built):
@@ -431,4 +426,6 @@ def verify_certificate(doc) -> VerificationResult:
         elif not all(expected_flags.values()):
             failures.append("freeness_conditions: a condition fails on the rebuilt action")
 
-    return VerificationResult(not failures, tuple(failures))
+    if failures:
+        return VerificationResult(False, tuple(failures))
+    return VerificationResult(True, (), built, grp)

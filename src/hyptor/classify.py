@@ -7,15 +7,16 @@ through the same pipeline the one-off constructor uses: lattice
 stability of the linear parts, the three group relations, absence of
 translations, and fixed-point freeness of the seven nonidentity
 elements.  The first failing stage, in a fixed canonical order, is the
-recorded failure reason, so reports do not depend on evaluation
-strategy or worker count.
+recorded failure reason, so reports do not depend on the worker count.
 
 Two independent decision routes exist for the freeness stages: the
 closed-form exclusion conditions on H (check_freeness_conditions) and
 the generic engine route that reads obstruction rows off the Smith
-form of (A_w - I) per group element.  cross_validate runs both on
-every grid tuple and reports disagreements; the sweeps use one route
-to prune and re-verify every survivor object-level from scratch.
+form of (A_w - I) per group element.  The sweeps prune with the engine
+route and re-verify every survivor object-level from scratch, with the
+closed-form conditions as an independent check in Case 1;
+cross_validate runs both routes on every grid tuple and reports
+disagreements.
 
 All per-tuple arithmetic is done on integers: with D the lcm of the
 denominator bounds (and 2, for H), a parameter point p becomes D*p and
@@ -25,35 +26,26 @@ every decision becomes a dot product modulo D.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .affine_actions import (
-    GroupGenerationError,
-    check_relations,
-    contains_no_translations,
-    generate_group,
-    is_free_action,
-)
+from .certificates import complex_str, point_json
 from .d4_family import (
+    GROUP_WORDS,
+    RELATION_WORDS,
     BuildRejection,
     CaseTag,
     D4Parameters,
     build_general,
     case_matrices,
+    check_action,
     check_freeness_conditions,
 )
 from .exact_linear import IntegerMatrix, snf
 from .torus import EllipticCurveParam, TorsionPoint, coordinate_change
-
-RELATION_WORDS = (("r4", "rrrr"), ("s2", "ss"), ("rsrs", "rsrs"))
-
-# Nonidentity elements by their shortest generator words ("sr" is the
-# reflection times the inverse rotation, "rrs" the half-turn times the
-# reflection), in the order the group closure discovers them.
-GROUP_WORDS = ("r", "s", "rr", "rs", "sr", "rrr", "rrs")
 
 # Canonical failure stages.  A tuple failing several stages is counted
 # under the earliest.  "translation" and the lattice stages for the
@@ -96,6 +88,8 @@ CASE2_REASONS = (
     "fixed_point:r2s",
     "fixed_point:r3s",
 )
+
+_REASONS = {CaseTag.CASE1: CASE1_REASONS, CaseTag.CASE2: CASE2_REASONS}
 
 _BLOCK_MASKS = (0b000011, 0b001100, 0b110000)
 
@@ -295,8 +289,8 @@ class CensusReport:
                 "shift_denominator": self.space.shift_denominator,
                 "third_denominator": self.space.third_denominator,
                 "h_generators_max": self.space.h_generators_max,
-                "tau": _complex_str(self.space.tau),
-                "tau_prime": _complex_str(self.space.tau_prime),
+                "tau": complex_str(self.space.tau),
+                "tau_prime": complex_str(self.space.tau_prime),
             },
             "total": self.total,
             "survivor_count": len(self.survivors),
@@ -307,27 +301,15 @@ class CensusReport:
         }
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _complex_str(p: EllipticCurveParam) -> str:
-    return f"{_frac_str(p.tau_re)}+{_frac_str(p.tau_im)}i"
-
-
-def _point_strs(p: TorsionPoint) -> list[str]:
-    return [_frac_str(c) for c in p.coords]
-
-
 def _survivor_dict(s: Survivor) -> dict:
     out = {
-        "a1": _point_strs(s.a1),
-        "a2": _point_strs(s.a2),
-        "c3": _point_strs(s.c3),
-        "h_generators": [_point_strs(g) for g in s.h_generators],
+        "a1": point_json(s.a1),
+        "a2": point_json(s.a2),
+        "c3": point_json(s.c3),
+        "h_generators": [point_json(g) for g in s.h_generators],
     }
     if s.a3 is not None:
-        out["a3"] = _point_strs(s.a3)
+        out["a3"] = point_json(s.a3)
     return out
 
 
@@ -455,6 +437,9 @@ def _require_zero_coefs(forms, slots: tuple[int, ...], label: str) -> None:
 
 
 def _forms_hold(forms, a1, a2, a3, c3, scale) -> bool:
+    """Every form is integral on the tuple: for relation forms, the
+    relation holds; for a word's obstruction forms, it has a fixed
+    point."""
     return all(_eval_form(f, a1, a2, a3, c3, scale) for f in forms)
 
 
@@ -464,11 +449,6 @@ def _rejection_stage(reason: str | None) -> str:
     if reason == "lattice_not_preserved:s":
         return "lattice:s"
     raise RuntimeError(f"internal error: unexpected build rejection {reason!r}")
-
-
-def _word_fixed(forms, a1, a2, a3, c3, scale) -> bool:
-    """A word has a fixed point iff every obstruction form is integral."""
-    return _forms_hold(forms, a1, a2, a3, c3, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +462,6 @@ class _ConditionSets:
     h1: frozenset[tuple[int, int]]
     h3: frozenset[tuple[int, int]]
     diff21: frozenset[tuple[int, int]]
-    neg2: frozenset[tuple[int, int]]
-    sum12: frozenset[tuple[int, int]]
 
 
 def _condition_sets(span_key: tuple[int, ...], scale: int) -> _ConditionSets:
@@ -494,31 +472,19 @@ def _condition_sets(span_key: tuple[int, ...], scale: int) -> _ConditionSets:
     h1 = frozenset((e[0], e[1]) for e in elems)
     h3 = frozenset((e[4], e[5]) for e in elems)
     diff21 = frozenset(((e[2] - e[0]) % scale, (e[3] - e[1]) % scale) for e in elems)
-    neg2 = frozenset(((-e[2]) % scale, (-e[3]) % scale) for e in elems)
-    sum12 = frozenset(((e[0] + e[2]) % scale, (e[1] + e[3]) % scale) for e in elems)
-    return _ConditionSets(frozenset(elems), h1, h3, diff21, neg2, sum12)
+    return _ConditionSets(frozenset(elems), h1, h3, diff21)
 
 
-def _condition_flags(sets: _ConditionSets, a1, a2, a3, c3, scale: int, case: CaseTag) -> dict[str, bool]:
-    """The membership/exclusion flags on scaled integer coordinates.
-
-    Case 1 flags mirror check_freeness_conditions exactly; the Case-2
-    variants adjust the relation memberships for the third-factor
-    reflection shift.
-    """
+def _condition_flags(sets: _ConditionSets, a1, a2, c3, scale: int) -> dict[str, bool]:
+    """The Case-1 membership/exclusion flags on scaled integer
+    coordinates; they mirror check_freeness_conditions exactly."""
     c4 = ((4 * c3[0]) % scale, (4 * c3[1]) % scale)
     mem_r4 = (0, 0, 0, 0, c4[0], c4[1]) in sets.elements
     d1 = ((2 * a1[0]) % scale, (2 * a1[1]) % scale)
     om = ((a1[0] + a2[0]) % scale, (a1[1] + a2[1]) % scale)
     nom = ((-om[0]) % scale, (-om[1]) % scale)
-    if case is CaseTag.CASE1:
-        mem_s2 = (d1[0], d1[1], 0, 0, 0, 0) in sets.elements
-        mem_rs2 = (om[0], om[1], nom[0], nom[1], 0, 0) in sets.elements
-    else:
-        d3 = ((2 * a3[0]) % scale, (2 * a3[1]) % scale)
-        u2 = ((2 * (a3[0] + c3[0])) % scale, (2 * (a3[1] + c3[1])) % scale)
-        mem_s2 = (d1[0], d1[1], 0, 0, d3[0], d3[1]) in sets.elements
-        mem_rs2 = (om[0], om[1], nom[0], nom[1], u2[0], u2[1]) in sets.elements
+    mem_s2 = (d1[0], d1[1], 0, 0, 0, 0) in sets.elements
+    mem_rs2 = (om[0], om[1], nom[0], nom[1], 0, 0) in sets.elements
     c2 = ((2 * c3[0]) % scale, (2 * c3[1]) % scale)
     return {
         "rel_r4_member": mem_r4,
@@ -531,146 +497,28 @@ def _condition_flags(sets: _ConditionSets, a1, a2, a3, c3, scale: int, case: Cas
     }
 
 
-def _extra_exclusions(sets: _ConditionSets, a1, a2, scale: int) -> tuple[bool, bool]:
-    """Fixed points of the two remaining reflections, Case-1 shape.
+# ---------------------------------------------------------------------------
+# The sweep.
+# ---------------------------------------------------------------------------
 
-    The half-turn-reflection has one iff some H element's middle
-    component is -a2; the other composite iff some element satisfies
-    d1 + d2 = a1 - a2.  Both follow from the four exclusions plus the
-    swap stability of H, and are evaluated here only so the sweep can
-    attribute failures honestly if that derivation were ever wrong.
+
+def _sweep_h(engine: _HEngine, space: SearchSpace):
+    """One subgroup's slice of the grid, decided by the engine's forms.
+
+    Returns the failure count of every stage and the surviving scaled
+    tuples (a1, a2, a3, c3) in grid order.  Case 1 has no reflection
+    shift on the third factor, so its a3 grid is the origin alone.
     """
-    na2 = (a2[0] % scale, a2[1] % scale)
-    r2s_free = na2 not in sets.neg2
-    dif = ((a1[0] - a2[0]) % scale, (a1[1] - a2[1]) % scale)
-    r3s_free = dif not in sets.sum12
-    return r2s_free, r3s_free
-
-
-# ---------------------------------------------------------------------------
-# The sweeps.
-# ---------------------------------------------------------------------------
-
-
-def _sweep_case1_h(engine: _HEngine, sets: _ConditionSets, space: SearchSpace, strategy: str):
     scale = space.scale
     a_grid = space.shift_grid()
     c_grid = space.third_grid()
+    a3_grid = c_grid if space.case is CaseTag.CASE2 else [_ZERO2]
+    reasons = _REASONS[space.case]
     na = len(a_grid)
-    counts = {r: 0 for r in CASE1_REASONS}
+    counts = {r: 0 for r in reasons}
     survivors: list[tuple] = []
     if not engine.built:
-        counts[_rejection_stage(engine.reject_reason)] = na * na * len(c_grid)
-        return counts, survivors
-
-    rel_r4 = engine.relation_forms["r4"]
-    rel_s2 = engine.relation_forms["s2"]
-    rel_rs2 = engine.relation_forms["rsrs"]
-    zero = _ZERO2
-
-    # Hoist guards: the r4 forms carry no shift coefficients, the s2
-    # forms only the first shift's, and in Case 1 the rotation
-    # contribution to the rsrs translation cancels.
-    _require_zero_coefs(rel_r4, _SLOTS_A1 + _SLOTS_A2 + _SLOTS_A3, "r4 relation")
-    _require_zero_coefs(rel_s2, _SLOTS_A2 + _SLOTS_A3 + _SLOTS_C3, "s2 relation")
-    _require_zero_coefs(rel_rs2, _SLOTS_A3 + _SLOTS_C3, "rsrs relation")
-
-    r4_ok = [_forms_hold(rel_r4, zero, zero, zero, c3, scale) for c3 in c_grid]
-    s2_ok = [_forms_hold(rel_s2, a1, zero, zero, zero, scale) for a1 in a_grid]
-    rs2_ok = [
-        [_forms_hold(rel_rs2, a1, a2, zero, zero, scale) for a2 in a_grid] for a1 in a_grid
-    ]
-
-    if strategy == "closed_form":
-        r_ok = [(c3[0], c3[1]) not in sets.h3 for c3 in c_grid]
-        r2_ok = [((2 * c3[0]) % scale, (2 * c3[1]) % scale) not in sets.h3 for c3 in c_grid]
-        s_ok = [(a1[0], a1[1]) not in sets.h1 for a1 in a_grid]
-        rs_ok = [
-            [((a1[0] + a2[0]) % scale, (a1[1] + a2[1]) % scale) not in sets.diff21 for a2 in a_grid]
-            for a1 in a_grid
-        ]
-        extra = [[_extra_exclusions(sets, a1, a2, scale) for a2 in a_grid] for a1 in a_grid]
-    else:
-        fw = engine.word_forms
-        _require_zero_coefs(
-            fw["r"] + fw["rr"] + fw["rrr"], _SLOTS_A1 + _SLOTS_A2 + _SLOTS_A3, "rotation power"
-        )
-        _require_zero_coefs(fw["s"], _SLOTS_C3, "reflection obstruction")
-        r_ok = [
-            not (
-                _word_fixed(fw["r"], zero, zero, zero, c3, scale)
-                or _word_fixed(fw["rrr"], zero, zero, zero, c3, scale)
-            )
-            for c3 in c_grid
-        ]
-        r2_ok = [not _word_fixed(fw["rr"], zero, zero, zero, c3, scale) for c3 in c_grid]
-        s_ok2 = [
-            [not _word_fixed(fw["s"], a1, a2, zero, zero, scale) for a2 in a_grid] for a1 in a_grid
-        ]
-
-    for ic, c3 in enumerate(c_grid):
-        if not r4_ok[ic]:
-            counts["relation:r4"] += na * na
-            continue
-        rok = r_ok[ic]
-        r2ok = r2_ok[ic]
-        for ia1, a1 in enumerate(a_grid):
-            if not s2_ok[ia1]:
-                counts["relation:s2"] += na
-                continue
-            row_rs2 = rs2_ok[ia1]
-            for ia2, a2 in enumerate(a_grid):
-                if not row_rs2[ia2]:
-                    counts["relation:rsrs"] += 1
-                    continue
-                if not rok:
-                    counts["fixed_point:r"] += 1
-                    continue
-                if not r2ok:
-                    counts["fixed_point:r2"] += 1
-                    continue
-                if strategy == "closed_form":
-                    if not s_ok[ia1]:
-                        counts["fixed_point:s"] += 1
-                        continue
-                    if not rs_ok[ia1][ia2]:
-                        counts["fixed_point:rs"] += 1
-                        continue
-                    r2s_free, r3s_free = extra[ia1][ia2]
-                    if not r2s_free:
-                        counts["fixed_point:r2s"] += 1
-                        continue
-                    if not r3s_free:
-                        counts["fixed_point:r3s"] += 1
-                        continue
-                else:
-                    if not s_ok2[ia1][ia2]:
-                        counts["fixed_point:s"] += 1
-                        continue
-                    fw = engine.word_forms
-                    if _word_fixed(fw["rs"], a1, a2, zero, c3, scale):
-                        counts["fixed_point:rs"] += 1
-                        continue
-                    if _word_fixed(fw["rrs"], a1, a2, zero, c3, scale):
-                        counts["fixed_point:r2s"] += 1
-                        continue
-                    if _word_fixed(fw["sr"], a1, a2, zero, c3, scale):
-                        counts["fixed_point:r3s"] += 1
-                        continue
-                survivors.append((a1, a2, c3))
-    return counts, survivors
-
-
-def _sweep_case2_h(engine: _HEngine, sets: _ConditionSets, space: SearchSpace):
-    scale = space.scale
-    a_grid = space.shift_grid()
-    t_grid = space.third_grid()
-    na = len(a_grid)
-    nt = len(t_grid)
-    counts = {r: 0 for r in CASE2_REASONS}
-    survivors: list[tuple] = []
-    if not engine.built:
-        counts[_rejection_stage(engine.reject_reason)] = na * na * nt * nt
+        counts[_rejection_stage(engine.reject_reason)] = na * na * len(a3_grid) * len(c_grid)
         return counts, survivors
 
     rel_r4 = engine.relation_forms["r4"]
@@ -678,27 +526,31 @@ def _sweep_case2_h(engine: _HEngine, sets: _ConditionSets, space: SearchSpace):
     rel_rs2 = engine.relation_forms["rsrs"]
     fw = engine.word_forms
     zero = _ZERO2
+    # In Case 1 the half-turn stage names the element; in Case 2 the
+    # conflict that hands it a fixed point.
+    r2_stage = reasons[7]
 
+    # Hoist guards: the r4 forms and the odd rotation powers carry no
+    # shift coefficients, the s2 forms no rotation shift.
     _require_zero_coefs(rel_r4, _SLOTS_A1 + _SLOTS_A2 + _SLOTS_A3, "r4 relation")
     _require_zero_coefs(rel_s2, _SLOTS_A2 + _SLOTS_C3, "s2 relation")
     _require_zero_coefs(
         fw["r"] + fw["rrr"], _SLOTS_A1 + _SLOTS_A2 + _SLOTS_A3, "rotation power"
     )
 
-    r4_ok = [_forms_hold(rel_r4, zero, zero, zero, c3, scale) for c3 in t_grid]
-    s2_ok = [[_forms_hold(rel_s2, a1, zero, a3, zero, scale) for a3 in t_grid] for a1 in a_grid]
+    r4_ok = [_forms_hold(rel_r4, zero, zero, zero, c3, scale) for c3 in c_grid]
+    s2_ok = [[_forms_hold(rel_s2, a1, zero, a3, zero, scale) for a3 in a3_grid] for a1 in a_grid]
 
-    for ic, c3 in enumerate(t_grid):
+    for ic, c3 in enumerate(c_grid):
         if not r4_ok[ic]:
-            counts["relation:r4"] += na * na * nt
+            counts["relation:r4"] += na * na * len(a3_grid)
             continue
-        r_fixed = _word_fixed(fw["r"], zero, zero, zero, c3, scale) or _word_fixed(
+        r_fixed = _forms_hold(fw["r"], zero, zero, zero, c3, scale) or _forms_hold(
             fw["rrr"], zero, zero, zero, c3, scale
         )
-        r2_fixed_base = fw["rr"]
         for ia1, a1 in enumerate(a_grid):
             s2_row = s2_ok[ia1]
-            for ia3, a3 in enumerate(t_grid):
+            for ia3, a3 in enumerate(a3_grid):
                 if not s2_row[ia3]:
                     counts["relation:s2"] += na
                     continue
@@ -709,19 +561,19 @@ def _sweep_case2_h(engine: _HEngine, sets: _ConditionSets, space: SearchSpace):
                     if r_fixed:
                         counts["fixed_point:r"] += 1
                         continue
-                    if _word_fixed(r2_fixed_base, a1, a2, a3, c3, scale):
-                        counts[RS_R2_CONFLICT] += 1
+                    if _forms_hold(fw["rr"], a1, a2, a3, c3, scale):
+                        counts[r2_stage] += 1
                         continue
-                    if _word_fixed(fw["s"], a1, a2, a3, c3, scale):
+                    if _forms_hold(fw["s"], a1, a2, a3, c3, scale):
                         counts["fixed_point:s"] += 1
                         continue
-                    if _word_fixed(fw["rs"], a1, a2, a3, c3, scale):
+                    if _forms_hold(fw["rs"], a1, a2, a3, c3, scale):
                         counts["fixed_point:rs"] += 1
                         continue
-                    if _word_fixed(fw["rrs"], a1, a2, a3, c3, scale):
+                    if _forms_hold(fw["rrs"], a1, a2, a3, c3, scale):
                         counts["fixed_point:r2s"] += 1
                         continue
-                    if _word_fixed(fw["sr"], a1, a2, a3, c3, scale):
+                    if _forms_hold(fw["sr"], a1, a2, a3, c3, scale):
                         counts["fixed_point:r3s"] += 1
                         continue
                     survivors.append((a1, a2, a3, c3))
@@ -732,7 +584,7 @@ def _scaled_point(pair: tuple[int, int], scale: int) -> TorsionPoint:
     return TorsionPoint((Fraction(pair[0], scale), Fraction(pair[1], scale)))
 
 
-def _task_payload(space: SearchSpace, span_key: tuple[int, ...], strategy: str) -> tuple:
+def _task_payload(space: SearchSpace, span_key: tuple[int, ...]) -> tuple:
     return (
         space.case.value,
         space.shift_denominator,
@@ -741,12 +593,11 @@ def _task_payload(space: SearchSpace, span_key: tuple[int, ...], strategy: str) 
         (space.tau.tau_re, space.tau.tau_im),
         (space.tau_prime.tau_re, space.tau_prime.tau_im),
         span_key,
-        strategy,
     )
 
 
-def _space_from_payload(payload) -> tuple[SearchSpace, tuple[int, ...], str]:
-    case_v, q_a, q_t, gmax, tau_t, taup_t, span_key, strategy = payload
+def _space_from_payload(payload) -> tuple[SearchSpace, tuple[int, ...]]:
+    case_v, q_a, q_t, gmax, tau_t, taup_t, span_key = payload
     space = SearchSpace(
         case=CaseTag(case_v),
         shift_denominator=q_a,
@@ -755,28 +606,29 @@ def _space_from_payload(payload) -> tuple[SearchSpace, tuple[int, ...], str]:
         tau=EllipticCurveParam(*tau_t),
         tau_prime=EllipticCurveParam(*taup_t),
     )
-    return space, span_key, strategy
+    return space, span_key
 
 
 def _sweep_task(payload):
     """Worker entry point: one subgroup's slice of the sweep."""
-    space, span_key, strategy = _space_from_payload(payload)
+    space, span_key = _space_from_payload(payload)
     engine = _build_h_engine(space.case, span_key, space.tau, space.tau_prime)
-    sets = _condition_sets(span_key, space.scale)
-    if space.case is CaseTag.CASE1:
-        counts, raw = _sweep_case1_h(engine, sets, space, strategy)
-    else:
-        counts, raw = _sweep_case2_h(engine, sets, space)
-    return counts, raw
+    return _sweep_h(engine, space)
 
 
 def _xval_task(payload):
     base_payload, base_index, sample_step = payload
-    space, span_key, _ = _space_from_payload(base_payload)
+    space, span_key = _space_from_payload(base_payload)
     return _cross_validate_h(space, span_key, base_index, sample_step)
 
 
+def _worker_count(requested: int, tasks: int) -> int:
+    """Processes worth starting: no more than the tasks or the cores."""
+    return min(requested, tasks, os.cpu_count() or 1)
+
+
 def _run_tasks(task_fn, payloads, workers: int):
+    workers = _worker_count(workers, len(payloads))
     if workers <= 1:
         return [task_fn(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -785,71 +637,35 @@ def _run_tasks(task_fn, payloads, workers: int):
 
 def _reverify_survivor(space: SearchSpace, s: Survivor) -> bool:
     """Object-level rebuild of a survivor, from its parameters alone."""
-    built = build_general(space.case, s.parameters(space.tau, space.tau_prime))
-    if isinstance(built, BuildRejection):
-        return False
-    gens = {"r": built.r, "s": built.s}
-    try:
-        grp = generate_group(gens)
-    except GroupGenerationError:
-        return False
-    relations = check_relations(gens, [w for _, w in RELATION_WORDS])
-    if grp.order != 8 or not all(relations.values()):
-        return False
-    if not is_free_action(grp, method="all").free:
-        return False
-    if not contains_no_translations(grp).ok:
+    params = s.parameters(space.tau, space.tau_prime)
+    built = build_general(space.case, params)
+    if isinstance(built, BuildRejection) or not check_action(built).ok:
         return False
     if space.case is CaseTag.CASE1:
-        report = check_freeness_conditions(s.parameters(space.tau, space.tau_prime))
-        if not report.all_pass:
-            return False
+        return check_freeness_conditions(params).all_pass
     return True
 
 
-def _engine_confirms_survivor(engine: _HEngine, scaled: tuple, scale: int, case: CaseTag) -> bool:
-    """Every nonidentity element carries an obstruction form that fails."""
-    if case is CaseTag.CASE1:
-        a1, a2, c3 = scaled
-        a3 = _ZERO2
-    else:
-        a1, a2, a3, c3 = scaled
-    return all(
-        not _word_fixed(engine.word_forms[w], a1, a2, a3, c3, scale) for w in GROUP_WORDS
-    )
-
-
-def _run_sweep(space: SearchSpace, workers: int, strategy: str) -> CensusReport:
+def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
     family, excluded = subgroup_family(space.h_generators_max)
-    reasons = CASE1_REASONS if space.case is CaseTag.CASE1 else CASE2_REASONS
-    payloads = [_task_payload(space, key, strategy) for key in family]
+    payloads = [_task_payload(space, key) for key in family]
     results = _run_tasks(_sweep_task, payloads, workers)
 
-    counts = {r: 0 for r in reasons}
+    counts = {r: 0 for r in _REASONS[space.case]}
     survivors: list[Survivor] = []
     scale = space.scale
     for key, (h_counts, raw) in zip(family, results):
         for r, n in h_counts.items():
             counts[r] += n
         gens = _subgroup_generator_points(key)
-        engine = None
-        for scaled in raw:
-            if engine is None:
-                engine = _build_h_engine(space.case, key, space.tau, space.tau_prime)
-            if not _engine_confirms_survivor(engine, scaled, scale, space.case):
-                raise RuntimeError("internal error: survivor rejected by the obstruction forms")
-            if space.case is CaseTag.CASE1:
-                a1, a2, c3 = scaled
-                a3 = None
-            else:
-                a1, a2, a3, c3 = scaled
+        for a1, a2, a3, c3 in raw:
             survivors.append(
                 Survivor(
                     case=space.case,
                     a1=_scaled_point(a1, scale),
                     a2=_scaled_point(a2, scale),
                     c3=_scaled_point(c3, scale),
-                    a3=None if a3 is None else _scaled_point(a3, scale),
+                    a3=None if space.case is CaseTag.CASE1 else _scaled_point(a3, scale),
                     h_generators=gens,
                 )
             )
@@ -875,26 +691,18 @@ def _run_sweep(space: SearchSpace, workers: int, strategy: str) -> CensusReport:
     )
 
 
-def enumerate_case1(space: SearchSpace, workers: int = 1, strategy: str = "closed_form") -> CensusReport:
-    """Sweep the Case-1 grid; survivors are the classified family.
-
-    strategy selects which route prunes the freeness stages
-    ("closed_form" for the closed-form exclusions, "engine" for the
-    Smith-form obstructions); reports are identical either way, which
-    the test suite asserts.
-    """
+def enumerate_case1(space: SearchSpace, workers: int = 1) -> CensusReport:
+    """Sweep the Case-1 grid; survivors are the classified family."""
     if space.case is not CaseTag.CASE1:
         raise ValueError("space is not a Case-1 search space")
-    if strategy not in ("closed_form", "engine"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return _run_sweep(space, workers, strategy)
+    return _run_sweep(space, workers)
 
 
 def enumerate_case2(space: SearchSpace, workers: int = 1) -> CensusReport:
     """Sweep the Case-2 grid; the classification predicts no survivors."""
     if space.case is not CaseTag.CASE2:
         raise ValueError("space is not a Case-2 search space")
-    return _run_sweep(space, workers, "engine")
+    return _run_sweep(space, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -962,16 +770,16 @@ def _cross_validate_h(space: SearchSpace, span_key: tuple[int, ...], base_index:
     idx = base_index
     for c3 in c_grid:
         eng_r4 = _forms_hold(rel["r4"], zero, zero, zero, c3, scale)
-        eng_r_fixed = _word_fixed(fw["r"], zero, zero, zero, c3, scale)
-        eng_r3_fixed = _word_fixed(fw["rrr"], zero, zero, zero, c3, scale)
-        eng_r2_fixed = _word_fixed(fw["rr"], zero, zero, zero, c3, scale)
+        eng_r_fixed = _forms_hold(fw["r"], zero, zero, zero, c3, scale)
+        eng_r3_fixed = _forms_hold(fw["rrr"], zero, zero, zero, c3, scale)
+        eng_r2_fixed = _forms_hold(fw["rr"], zero, zero, zero, c3, scale)
         for a1 in a_grid:
             eng_s2 = _forms_hold(rel["s2"], a1, zero, zero, zero, scale)
             for a2 in a_grid:
-                flags = _condition_flags(sets, a1, a2, zero, c3, scale, CaseTag.CASE1)
+                flags = _condition_flags(sets, a1, a2, c3, scale)
                 eng_rs2 = _forms_hold(rel["rsrs"], a1, a2, zero, zero, scale)
-                eng_s_fixed = _word_fixed(fw["s"], a1, a2, zero, c3, scale)
-                eng_rs_fixed = _word_fixed(fw["rs"], a1, a2, zero, c3, scale)
+                eng_s_fixed = _forms_hold(fw["s"], a1, a2, zero, c3, scale)
+                eng_rs_fixed = _forms_hold(fw["rs"], a1, a2, zero, c3, scale)
                 pairs = (
                     ("rel_r4_member", flags["rel_r4_member"], eng_r4),
                     ("rel_s2_member", flags["rel_s2_member"], eng_s2),
@@ -986,9 +794,9 @@ def _cross_validate_h(space: SearchSpace, span_key: tuple[int, ...], base_index:
                 closed_form_pass = all(flags.values())
                 if closed_form_pass:
                     # The remaining two reflections must then be free too.
-                    if _word_fixed(fw["rrs"], a1, a2, zero, c3, scale):
+                    if _forms_hold(fw["rrs"], a1, a2, zero, c3, scale):
                         bad.append("r2s_free_implied")
-                    if _word_fixed(fw["sr"], a1, a2, zero, c3, scale):
+                    if _forms_hold(fw["sr"], a1, a2, zero, c3, scale):
                         bad.append("r3s_free_implied")
                 if bad:
                     disagreements += 1
@@ -1019,17 +827,7 @@ def _object_sample_agrees(space, gens_points, a1, a2, c3, scale, flags, engine) 
     built = build_general(CaseTag.CASE1, params)
     if isinstance(built, BuildRejection):
         return False
-    gens = {"r": built.r, "s": built.s}
-    try:
-        grp = generate_group(gens)
-        obj_ok = (
-            grp.order == 8
-            and all(check_relations(gens, [w for _, w in RELATION_WORDS]).values())
-            and is_free_action(grp, method="all").free
-            and contains_no_translations(grp).ok
-        )
-    except GroupGenerationError:
-        obj_ok = False
+    obj_ok = check_action(built).ok
     report = check_freeness_conditions(params)
     if report.as_dict() != {"factors_embed": True, **flags}:
         return False
@@ -1040,7 +838,7 @@ def _object_sample_agrees(space, gens_points, a1, a2, c3, scale, flags, engine) 
         and _forms_hold(engine.relation_forms["s2"], a1, _ZERO2, a3, _ZERO2, scale)
         and _forms_hold(engine.relation_forms["rsrs"], a1, a2, a3, _ZERO2, scale)
         and all(
-            not _word_fixed(engine.word_forms[w], a1, a2, a3, c3, scale) for w in GROUP_WORDS
+            not _forms_hold(engine.word_forms[w], a1, a2, a3, c3, scale) for w in GROUP_WORDS
         )
     )
     return obj_ok == fast_ok and obj_ok == eng_ok
@@ -1064,7 +862,7 @@ def cross_validate(
     comparable = sum(1 for key in family if _span_rotation_stable(key))
     sample_step = max(1, (comparable * grid) // object_sample_target)
     payloads = [
-        (_task_payload(space, key, "closed_form"), i * grid, sample_step)
+        (_task_payload(space, key), i * grid, sample_step)
         for i, key in enumerate(family)
     ]
     results = _run_tasks(_xval_task, payloads, workers)

@@ -14,16 +14,14 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine_actions import GroupGenerationError, generate_group
 from .certificates import (
     CertificateFormatError,
+    VerificationResult,
     build_certificate,
     complex_str,
     parse_complex,
-    parse_parameters,
     parse_rational,
     verify_certificate,
 )
@@ -40,7 +38,7 @@ from .d4_family import (
     build_general,
     check_freeness_conditions,
 )
-from .exact_linear import IntegerMatrix, RationalMatrix
+from .invariants import hodge_numbers
 from .torus import TorsionPoint
 
 WORKERS_ENV = "HYPTOR_WORKERS"
@@ -149,7 +147,7 @@ def cmd_construct(args) -> int:
 
     try:
         doc = build_certificate(built)
-    except (ValueError, GroupGenerationError) as exc:
+    except ValueError as exc:
         _err(f"construction failed: {exc}")
         report = check_freeness_conditions(params)
         for flag, value in report.as_dict().items():
@@ -170,24 +168,29 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _verify_file(path: str) -> VerificationResult | None:
+    """Verify the certificate stored at path; None, after reporting the
+    problem, when the file cannot be read as a certificate at all."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        _err(f"cannot read certificate: {exc}")
+        return None
+    except (ValueError, RecursionError) as exc:
+        # JSON syntax, invalid UTF-8, oversized integers, deep nesting
+        _err(f"malformed JSON: {exc}")
+        return None
+    try:
+        return verify_certificate(doc)
+    except CertificateFormatError as exc:
+        _err(str(exc))
+        return None
 
 
 def cmd_verify(args) -> int:
-    try:
-        doc = _load_json(args.certificate)
-    except OSError as exc:
-        _err(f"cannot read certificate: {exc}")
-        return 2
-    except json.JSONDecodeError as exc:
-        _err(f"malformed JSON: {exc}")
-        return 2
-    try:
-        result = verify_certificate(doc)
-    except CertificateFormatError as exc:
-        _err(str(exc))
+    result = _verify_file(args.certificate)
+    if result is None:
         return 2
     if result.ok:
         if args.format == "json":
@@ -271,146 +274,9 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Element of Q(i), exact."""
-
-    re: Fraction
-    im: Fraction
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def scaled(self, f: Fraction) -> "GaussianRational":
-        return GaussianRational(self.re * f, self.im * f)
-
-
-_G_ZERO = GaussianRational(Fraction(0), Fraction(0))
-_G_ONE = GaussianRational(Fraction(1), Fraction(0))
-
-
-def _holomorphic_power_sums(a: IntegerMatrix, j: RationalMatrix) -> list[GaussianRational]:
-    """Power sums p_1, p_2, p_3 of the eigenvalues on the holomorphic side.
-
-    The +i eigenspace of J has projector (I - iJ)/2, so the trace of
-    A^k there is (tr A^k - i tr(A^k J)) / 2.
-    """
-    out = []
-    power = a
-    for _ in range(3):
-        tr_a = Fraction(sum(power.at(i, i) for i in range(power.rows)))
-        aj = power.to_rational() @ j
-        tr_aj = sum(aj.at(i, i) for i in range(aj.rows))
-        out.append(GaussianRational(tr_a / 2, -tr_aj / 2))
-        power = power @ a
-    return out
-
-
-def _elementary_symmetric(p: list[GaussianRational]) -> list[GaussianRational]:
-    """e_0..e_3 from p_1..p_3 by Newton's identities."""
-    e1 = p[0]
-    e2 = (e1 * p[0] - p[1]).scaled(Fraction(1, 2))
-    e3 = (p[2] - e1 * p[1] + e2 * p[0]).scaled(Fraction(1, 3))
-    return [_G_ONE, e1, e2, e3]
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """Hodge and Betti numbers of the quotient.
-
-    Validated at construction: integrality, nonnegativity, conjugation
-    and duality symmetries, h^{0,0} = 1.
-    """
-
-    hodge: tuple[tuple[int, ...], ...]
-    betti: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        h = self.hodge
-        if len(h) != 4 or any(len(row) != 4 for row in h):
-            raise RuntimeError("internal error: Hodge table must be 4 x 4")
-        for p in range(4):
-            for q in range(4):
-                if h[p][q] < 0:
-                    raise RuntimeError("internal error: negative Hodge number")
-                if h[p][q] != h[q][p]:
-                    raise RuntimeError("internal error: Hodge conjugation symmetry fails")
-                if h[p][q] != h[3 - p][3 - q]:
-                    raise RuntimeError("internal error: Hodge duality symmetry fails")
-        if h[0][0] != 1:
-            raise RuntimeError("internal error: h^{0,0} must be 1")
-        expected = tuple(
-            sum(h[p][k - p] for p in range(4) if 0 <= k - p <= 3) for k in range(7)
-        )
-        if self.betti != expected:
-            raise RuntimeError("internal error: Betti numbers inconsistent with Hodge table")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "hodge": [list(row) for row in self.hodge],
-            "betti": list(self.betti),
-        }
-
-
-def hodge_numbers(elements: list[tuple[IntegerMatrix, RationalMatrix]]) -> InvariantReport:
-    """Invariants from the lattice linear parts of a finite free group.
-
-    Each entry pairs an element's lattice matrix with the complex
-    structure of the torus it acts on.  h^{p,q} is the average over the
-    group of e_p(eigenvalues) times the conjugate of e_q(eigenvalues),
-    computed exactly; a non-integer anywhere is a hard error.
-    """
-    order = len(elements)
-    sym = []
-    for a, j in elements:
-        p = _holomorphic_power_sums(a, j)
-        sym.append(_elementary_symmetric(p))
-    hodge_rows = []
-    for p in range(4):
-        row = []
-        for q in range(4):
-            total = _G_ZERO
-            for e in sym:
-                total = total + e[p] * e[q].conjugate()
-            total = total.scaled(Fraction(1, order))
-            if total.im != 0 or total.re.denominator != 1:
-                raise RuntimeError(
-                    f"internal error: h^{{{p},{q}}} is not an integer: {total}"
-                )
-            row.append(int(total.re))
-        hodge_rows.append(tuple(row))
-    hodge = tuple(hodge_rows)
-    betti = tuple(
-        sum(hodge[p][k - p] for p in range(4) if 0 <= k - p <= 3) for k in range(7)
-    )
-    return InvariantReport(hodge=hodge, betti=betti)
-
-
 def cmd_invariants(args) -> int:
-    try:
-        doc = _load_json(args.certificate)
-    except OSError as exc:
-        _err(f"cannot read certificate: {exc}")
-        return 2
-    except json.JSONDecodeError as exc:
-        _err(f"malformed JSON: {exc}")
-        return 2
-    try:
-        result = verify_certificate(doc)
-    except CertificateFormatError as exc:
-        _err(str(exc))
+    result = _verify_file(args.certificate)
+    if result is None:
         return 2
     if not result.ok:
         _err("certificate does not verify; refusing to compute invariants")
@@ -418,12 +284,8 @@ def cmd_invariants(args) -> int:
             _err(f"  - {f}")
         return 1
 
-    # Verification already rebuilt the action and compared it against
-    # the document, so the rebuilt group is the certified one.
-    params = parse_parameters(doc["parameters"])
-    built = build_general(CaseTag(doc["case"]), params)
-    grp = generate_group({"r": built.r, "s": built.s})
-    report = hodge_numbers([(g.aut.a, built.torus.j) for g in grp.elements])
+    j = result.action.torus.j
+    report = hodge_numbers([(g.aut.a, j) for g in result.group.elements])
 
     lines = ["Hodge numbers h^{p,q} (rows p = 0..3, columns q = 0..3):"]
     for row in report.hodge:
@@ -438,6 +300,10 @@ def cmd_invariants(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# argparse reads "--tau-prime -1/2+1/5i" as two flags
+_DASH_NOTE = "; a value beginning with - needs the --flag=VALUE form"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyptor",
@@ -450,8 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p_con = sub.add_parser("construct", help="build a free action and emit its certificate")
-    p_con.add_argument("--tau", required=True, help='first curve parameter, "p/q+p/qi"')
-    p_con.add_argument("--tau-prime", required=True, help="third curve parameter")
+    p_con.add_argument("--tau", required=True, help='first curve parameter, "p/q+p/qi"' + _DASH_NOTE)
+    p_con.add_argument("--tau-prime", required=True, help="third curve parameter" + _DASH_NOTE)
     p_con.add_argument("--h", default="1/2,0/1", help='reflection shift on the first factor, "p/q,p/q"')
     p_con.add_argument("--k", default="0/1,1/2", help="reflection shift on the second factor")
     p_con.add_argument("--h-prime", default="1/4,0/1", help="rotation shift on the third factor")
@@ -468,8 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--max-denominator", type=int, default=4)
     p_cls.add_argument("--h-generators-max", type=int, default=2)
     p_cls.add_argument("--workers", type=int, default=None)
-    p_cls.add_argument("--tau", default="0/1+1/1i")
-    p_cls.add_argument("--tau-prime", default="0/1+2/1i")
+    p_cls.add_argument("--tau", default="0/1+1/1i", help="first curve parameter" + _DASH_NOTE)
+    p_cls.add_argument("--tau-prime", default="0/1+2/1i", help="third curve parameter" + _DASH_NOTE)
     common_output(p_cls)
     p_cls.set_defaults(func=cmd_classify)
 

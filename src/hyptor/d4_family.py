@@ -45,7 +45,25 @@ from .torus import (
     product,
     quotient_by_finite_subgroup,
 )
-from .affine_actions import AffineAut
+from .affine_actions import (
+    AffineAut,
+    FreenessCertificate,
+    GeneratedGroup,
+    GroupGenerationError,
+    TranslationCheck,
+    check_relations,
+    contains_no_translations,
+    generate_group,
+    is_free_action,
+)
+
+# The defining relations of the group, by stage name and word.
+RELATION_WORDS = (("r4", "rrrr"), ("s2", "ss"), ("rsrs", "rsrs"))
+
+# Nonidentity elements by their shortest generator words ("sr" is the
+# reflection times the inverse rotation, "rrs" the half-turn times the
+# reflection), in the order the group closure discovers them.
+GROUP_WORDS = ("r", "s", "rr", "rs", "sr", "rrr", "rrs")
 
 
 class CaseTag(enum.Enum):
@@ -221,6 +239,55 @@ def build_normal_form(tau: EllipticCurveParam, tau_prime: EllipticCurveParam) ->
     if isinstance(out, BuildRejection):
         raise RuntimeError(f"internal error: normal form rejected: {out.reason}")
     return out
+
+
+@dataclass(frozen=True)
+class ActionReport:
+    """Object-level checks of a built action.
+
+    group is None when the generators close up to more elements than
+    generate_group allows; the remaining fields are then empty.
+    relations maps each relation word to whether it holds, and
+    relations_ok adds that the group has order 8.  failure names the
+    first failing check, in the order generation, relations, fixed
+    points, translations.
+    """
+
+    group: GeneratedGroup | None
+    relations: dict[str, bool]
+    relations_ok: bool
+    freeness: FreenessCertificate | None
+    translations: TranslationCheck | None
+    failure: str | None
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
+
+
+def check_action(action: D4Action) -> ActionReport:
+    """Generate the group of an action and run every object-level check.
+
+    Every check runs on a group that could be generated, so that a
+    verifier can report each of them.
+    """
+    gens = {"r": action.r, "s": action.s}
+    try:
+        grp = generate_group(gens)
+    except GroupGenerationError as exc:
+        return ActionReport(None, {}, False, None, None, str(exc))
+    relations = check_relations(gens, [w for _, w in RELATION_WORDS])
+    relations_ok = grp.order == 8 and all(relations.values())
+    freeness = is_free_action(grp)
+    translations = contains_no_translations(grp)
+    failure = None
+    if not relations_ok:
+        failure = "action does not satisfy the dihedral relations of order 8"
+    elif not freeness.free:
+        failure = f"element {freeness.failure.word} has a fixed point"
+    elif not translations.ok:
+        failure = f"element {translations.offending_word} acts as a translation"
+    return ActionReport(grp, relations, relations_ok, freeness, translations, failure)
 
 
 @dataclass(frozen=True)

@@ -159,12 +159,6 @@ class IntegerMatrix:
             raise DimensionError("vector length mismatch")
         return tuple(sum(self.at(i, k) * vec[k] for k in range(self.cols)) for i in range(self.rows))
 
-    def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.rows != other.rows:
-            raise DimensionError("row count mismatch")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return IntegerMatrix.from_rows(rows)
-
     def submatrix_columns(self, idx: Sequence[int]) -> "IntegerMatrix":
         return IntegerMatrix(
             self.rows,

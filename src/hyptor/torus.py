@@ -168,25 +168,6 @@ class FiniteSubgroup:
     def contains(self, p: TorsionPoint) -> bool:
         return p in self.elements
 
-    def sorted_elements(self) -> list[TorsionPoint]:
-        return sorted(self.elements, key=lambda e: e.coords)
-
-    def invariants(self) -> tuple[int, ...]:
-        """Elementary divisors > 1 of the subgroup as an abstract group.
-
-        Computed from the Smith form of the lattice extension matrix:
-        the subgroup equals (Z^n + lifts) / Z^n.
-        """
-        n = self.ambient.rank
-        ext = _extended_lattice_basis(n, self.generators)
-        # invariants of ext_lattice / Z^n: Smith form of the matrix of
-        # Z^n written in the extension basis
-        inv = ext.inverse()
-        if not inv.is_integral():
-            raise RuntimeError("internal error: extension basis does not contain Z^n")
-        dec = snf(inv.to_integer())
-        return tuple(d for d in dec.elementary_divisors if d > 1)
-
 
 def elliptic_curve(param: EllipticCurveParam) -> ComplexTorus:
     """Torus of an elliptic curve in the lattice basis (1, tau).
@@ -271,18 +252,6 @@ def coordinate_change(t_from: ComplexTorus, t_to: ComplexTorus) -> RationalMatri
     chain); the change is bc_to^{-1} @ bc_from.
     """
     return t_to.basis_change.inverse() @ t_from.basis_change
-
-
-def transport_point(t_from: ComplexTorus, t_to: ComplexTorus, p: TorsionPoint) -> TorsionPoint:
-    """Rewrite a torsion point in the coordinates of another presentation."""
-    c = coordinate_change(t_from, t_to)
-    return TorsionPoint(c.apply(p.coords))
-
-
-def transport_matrix(t_from: ComplexTorus, t_to: ComplexTorus, a: IntegerMatrix) -> RationalMatrix:
-    """Rewrite a lattice endomorphism in the coordinates of t_to."""
-    c = coordinate_change(t_from, t_to)
-    return c @ a.to_rational() @ c.inverse()
 
 
 def _check_commutes(t: ComplexTorus, a: IntegerMatrix) -> None:

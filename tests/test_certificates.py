@@ -15,7 +15,6 @@ import pytest
 
 from hyptor.certificates import (
     SCHEMA_VERSION,
-    WITNESS_WORDS,
     CertificateFormatError,
     build_certificate,
     complex_str,
@@ -28,6 +27,7 @@ from hyptor.certificates import (
     verify_certificate,
 )
 from hyptor.d4_family import (
+    GROUP_WORDS,
     CaseTag,
     build_general,
     build_normal_form,
@@ -115,6 +115,9 @@ def test_certificate_verifies_clean(cert_doc):
     res = verify_certificate(cert_doc)
     assert res.ok
     assert res.failures == ()
+    # the rebuilt, certified objects come with the verdict
+    assert res.action.params == parse_parameters(cert_doc["parameters"])
+    assert [e.word for e in res.group.elements] == [e["word"] for e in cert_doc["group"]["elements"]]
 
 
 def test_certificate_shape(cert_doc):
@@ -122,7 +125,7 @@ def test_certificate_shape(cert_doc):
     assert cert_doc["case"] == "case1"
     assert cert_doc["group"]["order"] == 8
     assert len(cert_doc["group"]["elements"]) == 8
-    assert sorted(w["word"] for w in cert_doc["fixed_point_witnesses"]) == sorted(WITNESS_WORDS)
+    assert sorted(w["word"] for w in cert_doc["fixed_point_witnesses"]) == sorted(GROUP_WORDS)
     assert cert_doc["no_translations"] is True
     assert all(cert_doc["group"]["relations"].values())
     assert all(cert_doc["freeness_conditions"].values())
@@ -311,6 +314,7 @@ def test_parameter_tamper_detected(cert_doc):
     doc["parameters"]["s_shift1"] = ["0/1", "0/1"]
     res = verify_certificate(doc)
     assert not res.ok
+    assert res.action is None and res.group is None
 
 
 def test_noncanonical_rational_in_document_fails_verification(cert_doc):

@@ -7,10 +7,12 @@ against an independently derived target.
 
 import itertools
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
+from hyptor import classify
 from hyptor.classify import (
     CaseTag,
     SearchSpace,
@@ -153,11 +155,6 @@ def test_case1_survivors_match_oracle(sweep_224_g1):
     assert "fixed_point:r3s" in stages
 
 
-def test_case1_strategies_agree(sweep_224_g1):
-    engine = enumerate_case1(SPACE_224_G1, strategy="engine")
-    assert json.dumps(engine.to_json_dict()) == json.dumps(sweep_224_g1.to_json_dict())
-
-
 def test_case1_worker_invariance(sweep_224_g1):
     two = enumerate_case1(SPACE_224_G1, workers=2)
     assert json.dumps(two.to_json_dict()) == json.dumps(sweep_224_g1.to_json_dict())
@@ -191,13 +188,21 @@ def test_invalid_space_arguments():
     with pytest.raises(ValueError):
         SearchSpace(case=CaseTag.CASE1, h_generators_max=4)
     with pytest.raises(ValueError):
-        enumerate_case1(
-            SearchSpace(case=CaseTag.CASE2, shift_denominator=2), strategy="engine"
-        )
-    with pytest.raises(ValueError):
-        enumerate_case1(SPACE_224_G1, strategy="guess")
+        enumerate_case1(SearchSpace(case=CaseTag.CASE2, shift_denominator=2))
     with pytest.raises(ValueError):
         enumerate_case2(SPACE_224_G1)
+
+
+def test_worker_count_is_bounded(monkeypatch):
+    # never start processes here: the bound is what keeps a huge
+    # request from asking the system for that many
+    cores = os.cpu_count() or 1
+    assert classify._worker_count(10**9, 10**9) == cores
+    assert classify._worker_count(10**9, 1) == 1
+    assert classify._worker_count(1, 10**9) == 1
+    assert classify._worker_count(10**9, 0) == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert classify._worker_count(10**9, 10**9) == 1
 
 
 def test_is_expected_survivor_rejects_wrong_shapes():
@@ -320,7 +325,7 @@ def test_case1_full_grid_g2_counts():
 
 
 @pytest.mark.extended
-def test_case1_denominator4_strategies_agree_at_scale():
+def test_case1_denominator4_routes_agree_at_scale():
     space = SearchSpace(
         case=CaseTag.CASE1,
         shift_denominator=4,
@@ -329,7 +334,7 @@ def test_case1_denominator4_strategies_agree_at_scale():
         tau=TAU_I,
         tau_prime=TAU_2I,
     )
-    closed_form = enumerate_case1(space, strategy="closed_form")
-    engine = enumerate_case1(space, strategy="engine")
-    assert json.dumps(closed_form.to_json_dict()) == json.dumps(engine.to_json_dict())
-    assert len(closed_form.survivors) == 72
+    agreement = cross_validate(space)
+    assert agreement.all_agree, agreement.examples
+    assert agreement.total == 50 * 16 * 16 * 16
+    assert len(enumerate_case1(space).survivors) == 72

@@ -181,6 +181,45 @@ def test_verify_truncated_json(cert_path, capsys):
     assert "malformed JSON" in err
 
 
+# Shifts whose group closes up past the generation cap: r of order 68,
+# s of order 6.
+UNGENERATABLE = [("r_shift", ["1/17", "0/1"]), ("s_shift1", ["1/3", "0/1"])]
+
+
+@pytest.mark.parametrize("field,value", UNGENERATABLE, ids=[f for f, _ in UNGENERATABLE])
+def test_verify_ungeneratable_group_is_checked_failure(cert_path, capsys, field, value):
+    doc = json.loads(cert_path.read_text())
+    doc["parameters"][field] = value
+    cert_path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["verify", str(cert_path)])
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "failures": ["group: generated more than 64 elements"]}
+
+    code, _, err = run(capsys, ["invariants", str(cert_path)])
+    assert code == 1
+    assert "refusing" in err and "generated more than 64 elements" in err
+
+
+MALFORMED_FILES = {
+    "huge_integer": b'{"schema": "1.0", "n": ' + b"9" * 5000 + b"}",
+    "invalid_utf8": b'{"schema": "1.0", "case": "\xff\xfe"}',
+    "deep_nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "invariants"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_file_exits_2_without_traceback(tmp_path, command, name):
+    path = tmp_path / "bad.json"
+    path.write_bytes(MALFORMED_FILES[name])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyptor", command, str(path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "malformed JSON" in proc.stderr
+
+
 def test_verify_not_a_certificate(tmp_path, capsys):
     path = tmp_path / "x.json"
     path.write_text('{"x": 1}')

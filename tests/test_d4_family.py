@@ -21,6 +21,7 @@ from hyptor.d4_family import (
     build_general,
     build_normal_form,
     case_matrices,
+    check_action,
     check_freeness_conditions,
     embed_block,
     lattice_inclusion_check,
@@ -74,11 +75,9 @@ def test_normal_form_free_on_tau_grid():
         assert [e.word for e in grp.elements] == [
             "e", "r", "s", "rr", "rs", "sr", "rrr", "rrs",
         ]
-        cert = is_free_action(grp, method="all")
+        cert = is_free_action(grp)
         assert cert.free and len(cert.witnesses) == 7
         assert contains_no_translations(grp).ok
-        fast = is_free_action(grp, method="prime_order")
-        assert fast.free
 
 
 def test_normal_form_quotient_has_integer_inclusion():
@@ -117,6 +116,42 @@ def test_build_rejections():
     out = build_general(CaseTag.CASE1, skew)
     assert isinstance(out, BuildRejection)
     assert out.reason == "lattice_not_preserved:r"
+
+
+def test_check_action_runs_every_stage():
+    report = check_action(build_normal_form(TAU_I, TAU_2I))
+    assert report.ok and report.failure is None
+    assert report.group.order == 8 and report.relations_ok
+    assert report.freeness.free and len(report.freeness.witnesses) == 7
+    assert report.translations.ok
+
+    # without H, (rs)^2 is a translation: the relations fail first, and
+    # the later stages still run on the generated group
+    params = normal_form_parameters(TAU_I, TAU_2I)
+    no_h = D4Parameters(
+        tau=params.tau,
+        tau_prime=params.tau_prime,
+        s_shift1=params.s_shift1,
+        s_shift2=params.s_shift2,
+        r_shift=params.r_shift,
+    )
+    report = check_action(build_general(CaseTag.CASE1, no_h))
+    assert not report.relations_ok
+    assert report.failure == "action does not satisfy the dihedral relations of order 8"
+    assert report.freeness is not None and report.translations is not None
+
+    # a rotation shift of order 17 gives r order 68, past the cap
+    far = D4Parameters(
+        tau=params.tau,
+        tau_prime=params.tau_prime,
+        s_shift1=params.s_shift1,
+        s_shift2=params.s_shift2,
+        r_shift=point("1/17", 0),
+        subgroup_gens=params.subgroup_gens,
+    )
+    report = check_action(build_general(CaseTag.CASE1, far))
+    assert report.group is None and not report.ok
+    assert "more than 64 elements" in report.failure
 
 
 def test_case_shift3_validation():
