@@ -17,16 +17,15 @@ from typing import Mapping, Sequence
 
 from .exact_linear import (
     DimensionError,
-    IntegerMatrix,
+    Matrix,
     NotUnimodularError,
-    RationalMatrix,
     solve_affine_mod_lattice,
 )
 from .torus import ComplexTorus, HolomorphyError, TorsionPoint
 
 
 @lru_cache(maxsize=64)
-def _scaled_complex_structure(j: RationalMatrix) -> IntegerMatrix:
+def _scaled_complex_structure(j: Matrix) -> Matrix:
     """Denominator-cleared J; commuting with it is the same condition
     and keeps the per-automorphism validation in integer arithmetic."""
     scaled, _ = j.scaled_integer()
@@ -50,13 +49,15 @@ class AffineAut:
     """Affine automorphism z -> A z + t of a torus."""
 
     torus: ComplexTorus
-    a: IntegerMatrix
+    a: Matrix
     t: TorsionPoint
 
     def __post_init__(self) -> None:
         n = self.torus.rank
         if self.a.rows != n or self.a.cols != n:
             raise DimensionError("linear part must be 2g x 2g")
+        if not self.a.is_integral():
+            raise NotUnimodularError("linear part must be an integer matrix")
         if len(self.t) != n:
             raise DimensionError("translation part must have length 2g")
         if abs(self.a.det()) != 1:
@@ -73,7 +74,7 @@ class AffineAut:
 
 
 def identity_aut(t: ComplexTorus) -> AffineAut:
-    return AffineAut(t, IntegerMatrix.identity(t.rank), TorsionPoint.zero(t.rank))
+    return AffineAut(t, Matrix.identity(t.rank), TorsionPoint.zero(t.rank))
 
 
 def compose(f: AffineAut, g: AffineAut) -> AffineAut:
@@ -83,15 +84,6 @@ def compose(f: AffineAut, g: AffineAut) -> AffineAut:
     a = f.a @ g.a
     t = TorsionPoint(f.a.apply(g.t.coords)).add(f.t)
     return AffineAut(f.torus, a, t)
-
-
-def inverse(f: AffineAut) -> AffineAut:
-    ainv_rat = f.a.to_rational().inverse()
-    if not ainv_rat.is_integral():
-        raise NotUnimodularError("linear part inverse is not integral")
-    ainv = ainv_rat.to_integer()
-    t = TorsionPoint(ainv.apply(f.t.coords)).neg()
-    return AffineAut(f.torus, ainv, t)
 
 
 def is_translation(f: AffineAut) -> bool:
@@ -128,7 +120,7 @@ def has_fixed_point(f: AffineAut) -> FixedPointResult:
     negative answer carries the Smith-form obstruction row.
     """
     n = f.torus.rank
-    a_minus_i = (f.a - IntegerMatrix.identity(n)).to_rational()
+    a_minus_i = f.a - Matrix.identity(n)
     b = tuple(-c for c in f.t.coords)
     res = solve_affine_mod_lattice(a_minus_i, b)
     if not res.solvable:
@@ -234,7 +226,7 @@ def check_relations(gens: Mapping[str, AffineAut], relations: Sequence[str]) -> 
 @dataclass(frozen=True)
 class FreenessWitness:
     word: str
-    a: IntegerMatrix
+    a: Matrix
     t: TorsionPoint
     obstruction: Obstruction
 

@@ -17,12 +17,13 @@ coprime entries; non-canonical strings are rejected on parse.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .affine_actions import GeneratedGroup, evaluate_word
+from .affine_actions import GeneratedGroup
 from .d4_family import (
     GROUP_WORDS,
     RELATION_WORDS,
@@ -35,7 +36,7 @@ from .d4_family import (
     check_freeness_conditions,
     lattice_inclusion_check,
 )
-from .exact_linear import IntegerMatrix, RationalMatrix
+from .exact_linear import Matrix
 from .torus import EllipticCurveParam, TorsionPoint
 
 SCHEMA_VERSION = "1.0"
@@ -91,11 +92,11 @@ def parse_point(data, length: int) -> TorsionPoint:
     return TorsionPoint(tuple(parse_rational(c) for c in data))
 
 
-def integer_matrix_json(m: IntegerMatrix) -> dict:
+def integer_matrix_json(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": list(m.entries)}
 
 
-def parse_integer_matrix(data) -> IntegerMatrix:
+def parse_integer_matrix(data) -> Matrix:
     if not isinstance(data, dict):
         raise ValueError("expected matrix object")
     rows, cols, entries = data.get("rows"), data.get("cols"), data.get("entries")
@@ -103,14 +104,14 @@ def parse_integer_matrix(data) -> IntegerMatrix:
         raise ValueError("malformed matrix object")
     if len(entries) != rows * cols or not all(isinstance(e, int) and not isinstance(e, bool) for e in entries):
         raise ValueError("malformed matrix entries")
-    return IntegerMatrix(rows, cols, tuple(entries))
+    return Matrix(rows, cols, tuple(entries))
 
 
-def rational_matrix_json(m: RationalMatrix) -> dict:
+def rational_matrix_json(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": [rational_str(e) for e in m.entries]}
 
 
-def parse_rational_matrix(data) -> RationalMatrix:
+def parse_rational_matrix(data) -> Matrix:
     if not isinstance(data, dict):
         raise ValueError("expected matrix object")
     rows, cols, entries = data.get("rows"), data.get("cols"), data.get("entries")
@@ -118,7 +119,7 @@ def parse_rational_matrix(data) -> RationalMatrix:
         raise ValueError("malformed matrix object")
     if len(entries) != rows * cols:
         raise ValueError("malformed matrix entries")
-    return RationalMatrix(rows, cols, tuple(parse_rational(e) for e in entries))
+    return Matrix(rows, cols, tuple(parse_rational(e) for e in entries))
 
 
 def _parameters_json(params: D4Parameters) -> dict:
@@ -218,7 +219,7 @@ def build_certificate(action: D4Action) -> dict:
 
 
 def _inclusion_json(action: D4Action) -> dict:
-    rep = lattice_inclusion_check(action.torus, action.case)
+    rep = lattice_inclusion_check(action)
     return {
         "splitting_ok": bool(rep.splitting_ok),
         "block_denominators": list(rep.block_denominators),
@@ -241,6 +242,11 @@ class VerificationResult:
     failures: tuple[str, ...]
     action: D4Action | None = None
     group: GeneratedGroup | None = None
+
+
+def _same_json(value, expected) -> bool:
+    """Equality of JSON values that also tells true from 1 and 8.0 from 8."""
+    return json.dumps(value, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def _schema_supported(doc) -> str | None:
@@ -292,7 +298,7 @@ def verify_certificate(doc) -> VerificationResult:
         failures.append("torus: missing")
     else:
         try:
-            if torus_doc.get("rank") != built.torus.rank:
+            if not _same_json(torus_doc.get("rank"), built.torus.rank):
                 failures.append("torus: rank mismatch")
             if parse_rational_matrix(torus_doc.get("complex_structure")) != built.torus.j:
                 failures.append("torus: complex structure mismatch")
@@ -326,7 +332,7 @@ def verify_certificate(doc) -> VerificationResult:
     if not isinstance(group_doc, dict):
         failures.append("group: missing")
     else:
-        if group_doc.get("order") != grp.order:
+        if not _same_json(group_doc.get("order"), grp.order):
             failures.append("group: order mismatch")
         elems_doc = group_doc.get("elements")
         if not isinstance(elems_doc, list) or len(elems_doc) != len(grp.elements):
@@ -346,7 +352,7 @@ def verify_certificate(doc) -> VerificationResult:
                 if lin != rebuilt_elem.aut.a or trans != rebuilt_elem.aut.t:
                     failures.append(f"group: element {word} does not match the rebuild")
         rel_doc = group_doc.get("relations")
-        if rel_doc != {w: True for _, w in RELATION_WORDS}:
+        if not _same_json(rel_doc, {w: True for _, w in RELATION_WORDS}):
             failures.append("group: relations not all satisfied")
         if not report.relations_ok:
             failures.append("group: rebuilt action violates the relations")
@@ -371,7 +377,7 @@ def verify_certificate(doc) -> VerificationResult:
         failures.append("witnesses: missing")
         wit_doc = []
     words_seen = []
-    ident = IntegerMatrix.identity(built.torus.rank)
+    ident = Matrix.identity(built.torus.rank)
     for entry in wit_doc:
         if not isinstance(entry, dict):
             failures.append("witness: malformed entry")
@@ -394,7 +400,7 @@ def verify_certificate(doc) -> VerificationResult:
         except ValueError as exc:
             failures.append(f"witness {word}: {exc}")
             continue
-        elem = evaluate_word(rebuilt, word)
+        elem = grp.element(word)
         a_minus_i = elem.a - ident
         left = tuple(
             sum(row[i] * a_minus_i.at(i, j) for i in range(a_minus_i.rows))
@@ -414,14 +420,14 @@ def verify_certificate(doc) -> VerificationResult:
     if sorted(words_seen) != sorted(GROUP_WORDS):
         failures.append("witnesses: words do not cover the seven nonidentity elements")
 
-    if doc.get("lattice_inclusion") != _inclusion_json(built):
+    if not _same_json(doc.get("lattice_inclusion"), _inclusion_json(built)):
         failures.append("lattice_inclusion: does not match the rebuild")
 
     if case is CaseTag.CASE1:
         expected_flags = {
             k: bool(v) for k, v in check_freeness_conditions(params).as_dict().items()
         }
-        if doc.get("freeness_conditions") != expected_flags:
+        if not _same_json(doc.get("freeness_conditions"), expected_flags):
             failures.append("freeness_conditions: do not match the rebuild")
         elif not all(expected_flags.values()):
             failures.append("freeness_conditions: a condition fails on the rebuilt action")

@@ -44,7 +44,7 @@ from .d4_family import (
     check_action,
     check_freeness_conditions,
 )
-from .exact_linear import IntegerMatrix, snf
+from .exact_linear import Matrix, snf
 from .torus import EllipticCurveParam, TorsionPoint, coordinate_change
 
 # Canonical failure stages.  A tuple failing several stages is counted
@@ -318,11 +318,11 @@ def _survivor_dict(s: Survivor) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _row_times(v: tuple[int, ...], m: IntegerMatrix) -> tuple[int, ...]:
+def _row_times(v: tuple[int, ...], m: Matrix) -> tuple[int, ...]:
     return tuple(sum(v[i] * m.at(i, j) for i in range(m.rows)) for j in range(m.cols))
 
 
-def _word_matrices(case: CaseTag, a_quot: dict[str, IntegerMatrix], word: str):
+def _word_matrices(case: CaseTag, a_quot: dict[str, Matrix], word: str):
     """Quotient linear part plus translation assembly matrices.
 
     The translation of a word in product coordinates is
@@ -333,10 +333,10 @@ def _word_matrices(case: CaseTag, a_quot: dict[str, IntegerMatrix], word: str):
     mats = case_matrices(case)
     prod = {"r": mats.rotation_lattice, "s": mats.reflection_lattice}
     n = 6
-    aq = IntegerMatrix.identity(n)
-    p = IntegerMatrix.zeros(n, n)
-    q = IntegerMatrix.zeros(n, n)
-    prefix = IntegerMatrix.identity(n)
+    aq = Matrix.identity(n)
+    p = Matrix.zeros(n, n)
+    q = Matrix.zeros(n, n)
+    prefix = Matrix.identity(n)
     for letter in word:
         aq = aq @ a_quot[letter]
         if letter == "r":
@@ -347,7 +347,7 @@ def _word_matrices(case: CaseTag, a_quot: dict[str, IntegerMatrix], word: str):
     return aq, p, q
 
 
-def _flat_form(v: tuple[int, ...], p: IntegerMatrix, q: IntegerMatrix) -> tuple[int, ...]:
+def _flat_form(v: tuple[int, ...], p: Matrix, q: Matrix) -> tuple[int, ...]:
     """Coefficients of v . B^-1 t_word on (a1, a2, a3, c3), flattened."""
     vr = _row_times(v, p)
     vs = _row_times(v, q)
@@ -376,9 +376,11 @@ def _build_h_engine(case: CaseTag, span_key: tuple[int, ...], tau: EllipticCurve
     built = build_general(case, params)
     if isinstance(built, BuildRejection):
         return _HEngine(False, built.reason, {}, {})
-    b_inv = coordinate_change(built.product_torus, built.torus).to_integer()
+    b_inv = coordinate_change(built.product_torus, built.torus)
+    if not b_inv.is_integral():
+        raise RuntimeError("internal error: the product lattice is not inside the quotient lattice")
     a_quot = {"r": built.r.a, "s": built.s.a}
-    ident = IntegerMatrix.identity(6)
+    ident = Matrix.identity(6)
 
     relation_forms: dict[str, tuple[tuple[int, ...], ...]] = {}
     for name, word in RELATION_WORDS:

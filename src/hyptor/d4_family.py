@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_linear import (
-    IntegerMatrix,
-    RationalMatrix,
+    Matrix,
     Sublattice,
     lattice_membership,
     snf,
@@ -83,13 +82,13 @@ class CaseMatrices:
 
     rotation_complex: tuple[tuple[int, ...], ...]
     reflection_complex: tuple[tuple[int, ...], ...]
-    rotation_lattice: IntegerMatrix
-    reflection_lattice: IntegerMatrix
+    rotation_lattice: Matrix
+    reflection_lattice: Matrix
 
 
 _ROTATION_COMPLEX = ((0, 1, 0), (-1, 0, 0), (0, 0, 1))
 
-_ROTATION_LATTICE = IntegerMatrix.from_rows(
+_ROTATION_LATTICE = Matrix.from_rows(
     [
         [0, 0, 1, 0, 0, 0],
         [0, 0, 0, 1, 0, 0],
@@ -104,7 +103,7 @@ _ROTATION_LATTICE = IntegerMatrix.from_rows(
 def case_matrices(case: CaseTag) -> CaseMatrices:
     eps = -1 if case is CaseTag.CASE1 else 1
     refl_complex = ((1, 0, 0), (0, -1, 0), (0, 0, eps))
-    refl_lattice = IntegerMatrix.diagonal([1, 1, -1, -1, eps, eps])
+    refl_lattice = Matrix.diagonal([1, 1, -1, -1, eps, eps])
     return CaseMatrices(_ROTATION_COMPLEX, refl_complex, _ROTATION_LATTICE, refl_lattice)
 
 
@@ -213,23 +212,21 @@ def build_general(case: CaseTag, params: D4Parameters) -> D4Action | BuildReject
     mats = case_matrices(case)
     c = coordinate_change(t_prod, t_quot)
     c_inv = coordinate_change(t_quot, t_prod)
+    linear = {}
     for name, m in (("r", mats.rotation_lattice), ("s", mats.reflection_lattice)):
-        conj = c @ m.to_rational() @ c_inv
-        if not conj.is_integral():
+        linear[name] = c @ m @ c_inv
+        if not linear[name].is_integral():
             return BuildRejection(
                 f"lattice_not_preserved:{name}",
                 f"linear part of {name} does not stabilize the enlarged lattice",
             )
 
-    a_r = (c @ mats.rotation_lattice.to_rational() @ c_inv).to_integer()
-    a_s = (c @ mats.reflection_lattice.to_rational() @ c_inv).to_integer()
-
     t_r_prod = embed_block(params.r_shift, 2)
     s3 = params.s_shift3 if params.s_shift3 is not None else TorsionPoint.zero(2)
     t_s_prod = embed_block(params.s_shift1, 0).add(embed_block(params.s_shift2, 1)).add(embed_block(s3, 2))
 
-    r = AffineAut(t_quot, a_r, TorsionPoint(c.apply(t_r_prod.coords)))
-    s = AffineAut(t_quot, a_s, TorsionPoint(c.apply(t_s_prod.coords)))
+    r = AffineAut(t_quot, linear["r"], TorsionPoint(c.apply(t_r_prod.coords)))
+    s = AffineAut(t_quot, linear["s"], TorsionPoint(c.apply(t_s_prod.coords)))
     return D4Action(case, params, t_prod, h, t_quot, r, s)
 
 
@@ -428,15 +425,16 @@ def block_sublattices(t_quot: ComplexTorus) -> tuple[Sublattice, ...]:
     out = []
     for off, length in t_quot.blocks:
         cols = [inv.column(off + k) for k in range(length)]
-        w = RationalMatrix.from_columns(cols)
+        w = Matrix.from_columns(cols)
         out.append(lattice_intersection(w, t_quot))
     return tuple(out)
 
 
-def lattice_inclusion_check(t_quot: ComplexTorus, case: CaseTag = CaseTag.CASE1) -> LatticeInclusionReport:
+def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
     """Check the block-splitting identities and denominator bounds.
 
-    For every basis vector v of the quotient lattice:
+    S and R are the linear parts of the action's generators.  For every
+    basis vector v of the quotient lattice:
     2 v = (I + S) v + (I - S) v with the first summand in Lambda_1 and
     the second in the lattice; then with w = (I - S) v,
     2 w = (I + R^2) w + (I - R^2) w with summands in Lambda_3 and
@@ -444,13 +442,10 @@ def lattice_inclusion_check(t_quot: ComplexTorus, case: CaseTag = CaseTag.CASE1)
     sum are bounded by 2 on each block, and the component group of the
     block sum has exponent dividing 2.
     """
+    t_quot = action.torus
     n = t_quot.rank
-    mats = case_matrices(case)
-    bc = t_quot.basis_change
-    c = bc.inverse()
-    s_cur = (c @ mats.reflection_lattice.to_rational() @ bc).to_integer()
-    r_cur = (c @ mats.rotation_lattice.to_rational() @ bc).to_integer()
-    r2_cur = r_cur @ r_cur
+    s_cur = action.s.a
+    r2_cur = action.r.a @ action.r.a
 
     lam1, lam2, lam3 = block_sublattices(t_quot)
 
@@ -476,12 +471,12 @@ def lattice_inclusion_check(t_quot: ComplexTorus, case: CaseTag = CaseTag.CASE1)
         if any(2 * a != p + q for a, p, q in zip(w, plus3, minus2)):
             splitting_ok = False
 
-    block_basis = IntegerMatrix.from_columns(
+    block_basis = Matrix.from_columns(
         [lam1.basis.column(k) for k in range(lam1.rank)]
         + [lam2.basis.column(k) for k in range(lam2.rank)]
         + [lam3.basis.column(k) for k in range(lam3.rank)]
     )
-    inv = block_basis.to_rational().inverse()
+    inv = block_basis.inverse()
     denoms = [1, 1, 1]
     sizes = (lam1.rank, lam2.rank, lam3.rank)
     for jdx in range(n):
@@ -530,22 +525,18 @@ class StructureReport:
 def structure_report(action: D4Action) -> StructureReport:
     t = action.torus
     n = t.rank
-    mats = case_matrices(action.case)
-    c = coordinate_change(action.product_torus, t)
-    c_inv = coordinate_change(t, action.product_torus)
-    s_cur = (c @ mats.reflection_lattice.to_rational() @ c_inv).to_integer()
-    r_cur = (c @ mats.rotation_lattice.to_rational() @ c_inv).to_integer()
-    ident = IntegerMatrix.identity(n)
+    s_cur = action.s.a
+    ident = Matrix.identity(n)
 
     ker = connected_kernel(t, s_cur - ident)
     img = image_subtorus(t, s_cur + ident)
     kernel_image_agree = ker.canonical().basis.entries == img.canonical().basis.entries
 
     lam1, lam2, lam3 = block_sublattices(t)
-    rotated = Sublattice(n, r_cur @ lam1.basis).canonical()
+    rotated = Sublattice(n, action.r.a @ lam1.basis).canonical()
     rotated_block_agree = rotated.basis.entries == lam2.canonical().basis.entries
 
-    block_basis = IntegerMatrix.from_columns(
+    block_basis = Matrix.from_columns(
         [lam1.basis.column(k) for k in range(lam1.rank)]
         + [lam2.basis.column(k) for k in range(lam2.rank)]
         + [lam3.basis.column(k) for k in range(lam3.rank)]
@@ -560,8 +551,8 @@ def structure_report(action: D4Action) -> StructureReport:
     if divisors == (2,):
         shift_sum = action.params.s_shift1.add(action.params.s_shift2)
         omega_prod = embed_block(shift_sum, 0).add(embed_block(shift_sum, 1))
-        omega_lift = c.apply(omega_prod.coords)
-        block_inv = block_basis.to_rational().inverse()
+        omega_lift = coordinate_change(action.product_torus, t).apply(omega_prod.coords)
+        block_inv = block_basis.inverse()
         omega_block = TorsionPoint(tuple(block_inv.apply(omega_lift)))
         omega_matches = omega_block in cg.elements and not omega_block.is_zero()
 
@@ -570,5 +561,5 @@ def structure_report(action: D4Action) -> StructureReport:
         rotated_block_agree=rotated_block_agree,
         component_divisors=divisors,
         omega_matches=omega_matches,
-        inclusion=lattice_inclusion_check(t, action.case),
+        inclusion=lattice_inclusion_check(action),
     )

@@ -1,7 +1,12 @@
 """Exact integer and rational linear algebra over lattices.
 
-Everything in this module is exact: matrices are immutable tuples of
-Python ints or ``fractions.Fraction`` entries, and every decomposition
+Everything in this module is exact.  A ``Matrix`` is an immutable tuple
+of entries, each a Python ``int`` or a ``fractions.Fraction``: the
+constructor raises ``TypeError`` on anything else (a float in
+particular) and stores every integral value as ``int``, so products of
+integer matrices stay in integer arithmetic and ``is_integral`` only
+has to look at entry types.  Entries are divided only through
+``Fraction``, never with ``/`` on two ints.  Every decomposition
 returns the transformation matrices needed to re-check the result by
 plain multiplication.
 
@@ -14,8 +19,8 @@ Provided here:
 * ``solve_affine_mod_lattice``: decides whether ``A x = b + m`` has a
   rational solution ``x`` with integral ``m``, returning either a witness
   pair or a one-row unimodular obstruction certificate.
-* ``Sublattice`` plus ``saturate``, ``lattice_membership``,
-  ``kernel_sublattice`` and ``image_saturation``.
+* ``Sublattice`` plus ``lattice_membership``, ``kernel_sublattice`` and
+  ``image_saturation``.
 """
 
 from __future__ import annotations
@@ -23,8 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Sequence
 
+Entry = int | Fraction
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
@@ -56,36 +63,45 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _entry(x) -> Entry:
+    """An int or Fraction entry, integral values as int."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TypeError(f"matrix entry must be an int or a Fraction, not {x!r}")
+
+
 @dataclass(frozen=True)
-class IntegerMatrix:
-    """Immutable integer matrix stored row-major."""
+class Matrix:
+    """Immutable exact matrix stored row-major; see the module docstring
+    for the entry rule."""
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    entries: tuple[Entry, ...]
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 0:
             raise DimensionError(f"bad shape {self.rows}x{self.cols}")
         if len(self.entries) != self.rows * self.cols:
             raise DimensionError("entry count does not match shape")
-        for e in self.entries:
-            if not isinstance(e, int):
-                raise TypeError(f"non-integer entry {e!r}")
+        if not all(type(e) is int for e in self.entries):
+            object.__setattr__(self, "entries", tuple(map(_entry, self.entries)))
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
+    def from_rows(cls, rows: Sequence[Sequence[Entry]]) -> "Matrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
-        flat: list[int] = []
+        flat: list[Entry] = []
         for row in rows:
             if len(row) != c:
                 raise DimensionError("ragged rows")
-            flat.extend(int(x) for x in row)
+            flat.extend(row)
         return cls(r, c, tuple(flat))
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[int]], rows: int | None = None) -> "IntegerMatrix":
+    def from_columns(cls, cols: Sequence[Sequence[Entry]], rows: int | None = None) -> "Matrix":
         if not cols:
             if rows is None:
                 raise DimensionError("empty column list needs explicit row count")
@@ -94,73 +110,67 @@ class IntegerMatrix:
         return cls.from_rows([[col[i] for col in cols] for i in range(r)])
 
     @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
+    def identity(cls, n: int) -> "Matrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
+    def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, (0,) * (rows * cols))
 
     @classmethod
-    def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntegerMatrix":
+    def diagonal(cls, diag: Sequence[Entry]) -> "Matrix":
         n = len(diag)
-        r = rows if rows is not None else n
-        c = cols if cols is not None else n
-        return cls(r, c, tuple(diag[i] if i == j and i < n else 0 for i in range(r) for j in range(c)))
+        return cls(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
 
-    def at(self, i: int, j: int) -> int:
+    def at(self, i: int, j: int) -> Entry:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> IntVec:
+    def row(self, i: int) -> tuple[Entry, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> IntVec:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+    def column(self, j: int) -> tuple[Entry, ...]:
+        return self.entries[j :: self.cols]
 
-    def to_rows(self) -> list[list[int]]:
+    def to_rows(self) -> list[list[Entry]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def columns(self) -> list[IntVec]:
-        return [self.column(j) for j in range(self.cols)]
+    def transpose(self) -> "Matrix":
+        return Matrix(self.cols, self.rows, tuple(e for j in range(self.cols) for e in self.column(j)))
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
+    def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionError("inner dimensions differ")
-        out: list[int] = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
+        cols = [other.column(j) for j in range(other.cols)]
+        return Matrix(
+            self.rows,
+            other.cols,
+            tuple(sum(map(mul, self.row(i), col)) for i in range(self.rows) for col in cols),
+        )
 
-    def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
+    def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch")
-        return IntegerMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
+    def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch")
-        return IntegerMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+    def __neg__(self) -> "Matrix":
+        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix times column vector; entries may be ints or Fractions."""
+    def scale(self, c: Entry) -> "Matrix":
+        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+
+    def apply(self, vec: Sequence[Entry]) -> tuple[Entry, ...]:
+        """Matrix times column vector."""
         if len(vec) != self.cols:
             raise DimensionError("vector length mismatch")
-        return tuple(sum(self.at(i, k) * vec[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple(sum(map(mul, self.row(i), vec)) for i in range(self.rows))
 
-    def submatrix_columns(self, idx: Sequence[int]) -> "IntegerMatrix":
-        return IntegerMatrix(
+    def submatrix_columns(self, idx: Sequence[int]) -> "Matrix":
+        return Matrix(
             self.rows,
             len(idx),
             tuple(self.at(i, j) for i in range(self.rows) for j in idx),
@@ -171,17 +181,25 @@ class IntegerMatrix:
             self.at(i, j) == (1 if i == j else 0) for i in range(self.rows) for j in range(self.cols)
         )
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+    def is_integral(self) -> bool:
+        return all(type(e) is int for e in self.entries)
 
-    def det(self) -> int:
-        """Determinant by fraction-free Bareiss elimination."""
+    def denominator_lcm(self) -> int:
+        return lcm(*(e.denominator for e in self.entries))
+
+    def scaled_integer(self) -> tuple["Matrix", int]:
+        """Return (d * self, d) for d the denominator lcm."""
+        d = self.denominator_lcm()
+        return (self if d == 1 else self.scale(d)), d
+
+    def det(self) -> Entry:
+        """Determinant by fraction-free Bareiss elimination on the
+        denominator-cleared matrix."""
         if self.rows != self.cols:
             raise DimensionError("determinant of a non-square matrix")
         n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
+        scaled, d = self.scaled_integer()
+        a = scaled.to_rows()
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -198,257 +216,74 @@ class IntegerMatrix:
                     a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
                 a[i][k] = 0
             prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        det = sign * a[n - 1][n - 1]
+        return det if d == 1 else _entry(Fraction(det, d**n))
 
-    def to_rational(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, tuple(Fraction(e) for e in self.entries))
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable matrix over the rationals, stored row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 0:
-            raise DimensionError(f"bad shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError("entry count does not match shape")
-        for e in self.entries:
-            if not isinstance(e, Fraction):
-                raise TypeError(f"non-Fraction entry {e!r}")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat: list[Fraction] = []
-        for row in rows:
-            if len(row) != c:
-                raise DimensionError("ragged rows")
-            flat.extend(Fraction(x) for x in row)
-        return cls(r, c, tuple(flat))
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence], rows: int | None = None) -> "RationalMatrix":
-        if not cols:
-            if rows is None:
-                raise DimensionError("empty column list needs explicit row count")
-            return cls(rows, 0, ())
-        r = len(cols[0])
-        return cls.from_rows([[col[i] for col in cols] for i in range(r)])
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> Vec:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions differ")
-        out: list[Fraction] = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.at(k, j) for k in range(self.cols)), Fraction(0)))
-        return RationalMatrix(self.rows, other.cols, tuple(out))
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch")
-        return RationalMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch")
-        return RationalMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def scale(self, c) -> "RationalMatrix":
-        f = Fraction(c)
-        return RationalMatrix(self.rows, self.cols, tuple(f * a for a in self.entries))
-
-    def apply(self, vec: Sequence) -> Vec:
-        if len(vec) != self.cols:
-            raise DimensionError("vector length mismatch")
-        return tuple(
-            sum((self.at(i, k) * Fraction(vec[k]) for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
-
-    def denominator_lcm(self) -> int:
-        out = 1
-        for e in self.entries:
-            out = lcm(out, e.denominator)
-        return out
-
-    def is_integral(self) -> bool:
-        return all(e.denominator == 1 for e in self.entries)
-
-    def to_integer(self) -> IntegerMatrix:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integral entries")
-        return IntegerMatrix(self.rows, self.cols, tuple(int(e) for e in self.entries))
-
-    def scaled_integer(self) -> tuple[IntegerMatrix, int]:
-        """Return (d * self as IntegerMatrix, d) for d the denominator lcm."""
-        d = self.denominator_lcm()
-        return IntegerMatrix(self.rows, self.cols, tuple(int(e * d) for e in self.entries)), d
-
-    def det(self) -> Fraction:
-        if self.rows != self.cols:
-            raise DimensionError("determinant of a non-square matrix")
-        a = self.to_rows()
-        n = self.rows
-        out = Fraction(1)
-        for k in range(n):
-            piv = None
-            for r in range(k, n):
-                if a[r][k] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                out = -out
-            out *= a[k][k]
-            inv = 1 / a[k][k]
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    f = a[r][k] * inv
-                    for j in range(k, n):
-                        a[r][j] -= f * a[k][j]
-        return out
-
-    def inverse(self) -> "RationalMatrix":
+    def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise DimensionError("inverse of a non-square matrix")
         n = self.rows
-        a = self.to_rows()
-        b = RationalMatrix.identity(n).to_rows()
-        for k in range(n):
-            piv = None
-            for r in range(k, n):
-                if a[r][k] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                raise SingularMatrixError("matrix is singular")
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                b[k], b[piv] = b[piv], b[k]
-            inv = 1 / a[k][k]
-            a[k] = [x * inv for x in a[k]]
-            b[k] = [x * inv for x in b[k]]
-            for r in range(n):
-                if r != k and a[r][k] != 0:
-                    f = a[r][k]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-                    b[r] = [x - f * y for x, y in zip(b[r], b[k])]
-        return RationalMatrix.from_rows(b)
+        a = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.to_rows())]
+        if len(_gauss_jordan(a, n)) != n:
+            raise SingularMatrixError("matrix is singular")
+        return Matrix.from_rows([row[n:] for row in a])
 
 
-def rational_rank(m: RationalMatrix) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    a = m.to_rows()
-    rank = 0
-    for col in range(m.cols):
-        piv = None
-        for r in range(rank, m.rows):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(m.rows):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == m.rows:
-            break
-    return rank
-
-
-def rational_solve(m: RationalMatrix, b: Sequence) -> Vec | None:
-    """One exact solution of ``m x = b`` (free variables set to 0), or None.
+def _gauss_jordan(a: list[list[Entry]], width: int) -> list[tuple[int, int]]:
+    """Reduce the rows of a in place to reduced row echelon form on the
+    first width columns; return the (row, column) pivots in order.
 
     Deterministic: eliminates columns left to right, picking the first
-    nonzero pivot row.
+    nonzero pivot row.  Columns past width are carried along.
     """
-    if len(b) != m.rows:
-        raise DimensionError("right-hand side length mismatch")
-    a = m.to_rows()
-    rhs = [Fraction(x) for x in b]
     pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(m.cols):
-        piv = None
-        for r in range(rank, m.rows):
-            if a[r][col] != 0:
-                piv = r
-                break
+    for col in range(width):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        rhs[rank], rhs[piv] = rhs[piv], rhs[rank]
-        inv = 1 / a[rank][col]
+        inv = Fraction(1, a[rank][col])
         a[rank] = [x * inv for x in a[rank]]
-        rhs[rank] *= inv
-        for r in range(m.rows):
+        for r in range(len(a)):
             if r != rank and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-                rhs[r] -= f * rhs[rank]
         pivots.append((rank, col))
-        rank += 1
-    for r in range(rank, m.rows):
-        if rhs[r] != 0:
-            return None
+    return pivots
+
+
+def rational_rank(m: Matrix) -> int:
+    """Rank over the rationals."""
+    return len(_gauss_jordan(m.to_rows(), m.cols))
+
+
+def rational_solve(m: Matrix, b: Sequence) -> Vec | None:
+    """One exact solution of ``m x = b`` (free variables set to 0), or None."""
+    if len(b) != m.rows:
+        raise DimensionError("right-hand side length mismatch")
+    a = [row + [_entry(x)] for row, x in zip(m.to_rows(), b)]
+    pivots = _gauss_jordan(a, m.cols)
+    if any(row[-1] != 0 for row in a[len(pivots) :]):
+        return None
     x = [Fraction(0)] * m.cols
     for r, col in pivots:
-        x[col] = rhs[r]
+        x[col] = a[r][-1]
     return tuple(x)
 
 
-def hnf(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """Row Hermite normal form.
+def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
+    """Row Hermite normal form of an integer matrix.
 
     Returns (H, U) with U unimodular, ``U @ m == H``, H in row echelon
     form with positive pivots, entries above each pivot reduced into
     ``[0, pivot)``, and zero rows at the bottom.
     """
+    if not m.is_integral():
+        raise ValueError("Hermite normal form needs an integer matrix")
     n, c = m.rows, m.cols
     a = m.to_rows()
-    u = IntegerMatrix.identity(n).to_rows()
+    u = Matrix.identity(n).to_rows()
     piv_r = 0
     for col in range(c):
         if piv_r == n:
@@ -487,14 +322,14 @@ def hnf(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
                 a[r] = [s - q * t for s, t in zip(a[r], a[piv_r])]
                 u[r] = [s - q * t for s, t in zip(u[r], u[piv_r])]
         piv_r += 1
-    h = IntegerMatrix.from_rows(a) if c else IntegerMatrix(n, 0, ())
-    uu = IntegerMatrix.from_rows(u)
+    h = Matrix.from_rows(a) if c else Matrix(n, 0, ())
+    uu = Matrix.from_rows(u)
     if (uu @ m).entries != h.entries:
         raise RuntimeError("internal error: U @ M != H")
     return h, uu
 
 
-def column_hnf(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
+def column_hnf(m: Matrix) -> tuple[Matrix, Matrix]:
     """Column Hermite normal form: (H, V) with ``m @ V == H``.
 
     Zero columns of H trail; the nonzero columns form a canonical basis
@@ -512,9 +347,9 @@ class SmithDecomposition:
     (zeros trailing); u, v are unimodular.
     """
 
-    d: IntegerMatrix
-    u: IntegerMatrix
-    v: IntegerMatrix
+    d: Matrix
+    u: Matrix
+    v: Matrix
 
     @property
     def diagonal(self) -> IntVec:
@@ -538,16 +373,18 @@ class SmithDecomposition:
         return tuple(out)
 
 
-def snf(m: IntegerMatrix) -> SmithDecomposition:
-    """Smith normal form with both transforms.
+def snf(m: Matrix) -> SmithDecomposition:
+    """Smith normal form of an integer matrix with both transforms.
 
     Deterministic pivoting: among the remaining submatrix entries the
     one of minimal absolute value, earliest in row-major order, wins.
     """
+    if not m.is_integral():
+        raise ValueError("Smith normal form needs an integer matrix")
     rows, cols = m.rows, m.cols
     a = m.to_rows()
-    u = IntegerMatrix.identity(rows).to_rows()
-    v = IntegerMatrix.identity(cols).to_rows()
+    u = Matrix.identity(rows).to_rows()
+    v = Matrix.identity(cols).to_rows()
 
     def swap_rows(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
@@ -652,9 +489,9 @@ def snf(m: IntegerMatrix) -> SmithDecomposition:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
 
-    d = IntegerMatrix.from_rows(a)
-    uu = IntegerMatrix.from_rows(u)
-    vv = IntegerMatrix.from_rows(v)
+    d = Matrix.from_rows(a)
+    uu = Matrix.from_rows(u)
+    vv = Matrix.from_rows(v)
     check = uu @ m @ vv
     if check.entries != d.entries:
         raise RuntimeError("internal error: U @ M @ V != D")
@@ -668,12 +505,12 @@ def snf(m: IntegerMatrix) -> SmithDecomposition:
     return SmithDecomposition(d, uu, vv)
 
 
-def unimodular_inverse(m: IntegerMatrix) -> IntegerMatrix:
+def unimodular_inverse(m: Matrix) -> Matrix:
     """Exact inverse of a unimodular integer matrix."""
-    inv = m.to_rational().inverse()
+    inv = m.inverse()
     if not inv.is_integral():
         raise NotUnimodularError("matrix inverse is not integral")
-    return inv.to_integer()
+    return inv
 
 
 @dataclass(frozen=True)
@@ -696,7 +533,7 @@ class AffineSolveResult:
     obstruction_value: Fraction | None = None
 
 
-def solve_affine_mod_lattice(a: RationalMatrix, b: Sequence) -> AffineSolveResult:
+def solve_affine_mod_lattice(a: Matrix, b: Sequence) -> AffineSolveResult:
     """Decide ``exists x rational, m integral with a x = b + m``.
 
     Method: clear denominators of a (the substitution x -> x/alpha keeps
@@ -747,13 +584,14 @@ class Sublattice:
     """
 
     ambient_rank: int
-    basis: IntegerMatrix
-    saturated: bool = False
+    basis: Matrix
 
     def __post_init__(self) -> None:
         if self.basis.rows != self.ambient_rank:
             raise DimensionError("basis rows must equal ambient rank")
-        if self.basis.cols > 0 and rational_rank(self.basis.to_rational()) != self.basis.cols:
+        if not self.basis.is_integral():
+            raise ValueError("sublattice basis must be an integer matrix")
+        if self.basis.cols > 0 and rational_rank(self.basis) != self.basis.cols:
             raise ValueError("basis columns are not independent over the rationals")
 
     @property
@@ -765,7 +603,7 @@ class Sublattice:
             return self
         h, _ = column_hnf(self.basis)
         nz = [j for j in range(h.cols) if any(h.at(i, j) != 0 for i in range(h.rows))]
-        return Sublattice(self.ambient_rank, h.submatrix_columns(nz), self.saturated)
+        return Sublattice(self.ambient_rank, h.submatrix_columns(nz))
 
 
 def lattice_membership(v: Sequence, lat: Sublattice) -> tuple[bool, IntVec | None]:
@@ -778,7 +616,7 @@ def lattice_membership(v: Sequence, lat: Sublattice) -> tuple[bool, IntVec | Non
     if lat.rank == 0:
         ok = all(Fraction(x) == 0 for x in v)
         return (ok, () if ok else None)
-    sol = rational_solve(lat.basis.to_rational(), tuple(Fraction(x) for x in v))
+    sol = rational_solve(lat.basis, v)
     if sol is None:
         return False, None
     # solution of an independent-column system is unique
@@ -787,24 +625,7 @@ def lattice_membership(v: Sequence, lat: Sublattice) -> tuple[bool, IntVec | Non
     return True, tuple(int(c) for c in sol)
 
 
-def saturate(lat: Sublattice) -> Sublattice:
-    """Saturation: (Q-span of lat) intersected with Z^n, canonical basis.
-
-    With U B V = D of rank r, the saturation is spanned by the first r
-    columns of U^{-1}; those columns extend to a basis of Z^n, so the
-    span is saturated by construction.
-    """
-    if lat.rank == 0:
-        return Sublattice(lat.ambient_rank, lat.basis, saturated=True)
-    dec = snf(lat.basis)
-    r = dec.rank
-    uinv = unimodular_inverse(dec.u)
-    cols = uinv.submatrix_columns(list(range(r)))
-    out = Sublattice(lat.ambient_rank, cols, saturated=True).canonical()
-    return out
-
-
-def kernel_sublattice(a: IntegerMatrix) -> Sublattice:
+def kernel_sublattice(a: Matrix) -> Sublattice:
     """Saturated lattice of integer kernel vectors of a.
 
     The columns of V at the zero diagonal positions of the Smith form
@@ -815,15 +636,15 @@ def kernel_sublattice(a: IntegerMatrix) -> Sublattice:
     r = dec.rank
     idx = list(range(r, a.cols))
     cols = dec.v.submatrix_columns(idx)
-    return Sublattice(a.cols, cols, saturated=True).canonical()
+    return Sublattice(a.cols, cols).canonical()
 
 
-def image_saturation(a: IntegerMatrix) -> Sublattice:
+def image_saturation(a: Matrix) -> Sublattice:
     """Saturation of the column span of a inside Z^rows."""
     dec = snf(a)
     r = dec.rank
     if r == 0:
-        return Sublattice(a.rows, IntegerMatrix(a.rows, 0, ()), saturated=True)
+        return Sublattice(a.rows, Matrix(a.rows, 0, ()))
     uinv = unimodular_inverse(dec.u)
     cols = uinv.submatrix_columns(list(range(r)))
-    return Sublattice(a.rows, cols, saturated=True).canonical()
+    return Sublattice(a.rows, cols).canonical()

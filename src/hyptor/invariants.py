@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linear import IntegerMatrix, RationalMatrix
+from .exact_linear import Matrix
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ _G_ZERO = GaussianRational(Fraction(0), Fraction(0))
 _G_ONE = GaussianRational(Fraction(1), Fraction(0))
 
 
-def _holomorphic_power_sums(a: IntegerMatrix, j: RationalMatrix) -> list[GaussianRational]:
+def _holomorphic_power_sums(a: Matrix, j: Matrix) -> list[GaussianRational]:
     """Power sums p_1, p_2, p_3 of the eigenvalues on the holomorphic side.
 
     The +i eigenspace of J has projector (I - iJ)/2, so the trace of
@@ -53,10 +53,10 @@ def _holomorphic_power_sums(a: IntegerMatrix, j: RationalMatrix) -> list[Gaussia
     out = []
     power = a
     for _ in range(3):
-        tr_a = Fraction(sum(power.at(i, i) for i in range(power.rows)))
-        aj = power.to_rational() @ j
+        tr_a = sum(power.at(i, i) for i in range(power.rows))
+        aj = power @ j
         tr_aj = sum(aj.at(i, i) for i in range(aj.rows))
-        out.append(GaussianRational(tr_a / 2, -tr_aj / 2))
+        out.append(GaussianRational(Fraction(tr_a, 2), Fraction(-tr_aj, 2)))
         power = power @ a
     return out
 
@@ -107,7 +107,7 @@ class InvariantReport:
         }
 
 
-def hodge_numbers(elements: list[tuple[IntegerMatrix, RationalMatrix]]) -> InvariantReport:
+def hodge_numbers(elements: list[tuple[Matrix, Matrix]]) -> InvariantReport:
     """Invariants from the lattice linear parts of a finite free group.
 
     Each entry pairs an element's lattice matrix with the complex

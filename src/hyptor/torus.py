@@ -19,16 +19,12 @@ from typing import Sequence
 
 from .exact_linear import (
     DimensionError,
-    IntegerMatrix,
-    RationalMatrix,
+    Matrix,
     Sublattice,
-    SmithDecomposition,
     column_hnf,
     image_saturation,
     kernel_sublattice,
-    lattice_membership,
     rational_rank,
-    saturate,
     snf,
 )
 
@@ -63,8 +59,8 @@ class ComplexTorus:
     """
 
     g: int
-    j: RationalMatrix
-    basis_change: RationalMatrix
+    j: Matrix
+    basis_change: Matrix
     blocks: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
@@ -74,7 +70,7 @@ class ComplexTorus:
         if self.basis_change.rows != n or self.basis_change.cols != n:
             raise DimensionError("basis_change must be 2g x 2g")
         jj = self.j @ self.j
-        minus_one = RationalMatrix.identity(n).scale(-1)
+        minus_one = Matrix.identity(n).scale(-1)
         if jj.entries != minus_one.entries:
             raise ValueError("J * J != -I")
         if self.basis_change.det() == 0:
@@ -176,13 +172,13 @@ def elliptic_curve(param: EllipticCurveParam) -> ComplexTorus:
     to (-(x^2 + y^2)/y, x/y), for tau = x + i y.
     """
     x, y = param.tau_re, param.tau_im
-    j = RationalMatrix.from_rows(
+    j = Matrix.from_rows(
         [
             [-x / y, -(x * x + y * y) / y],
             [Fraction(1) / y, x / y],
         ]
     )
-    return ComplexTorus(1, j, RationalMatrix.identity(2), ((0, 2),))
+    return ComplexTorus(1, j, Matrix.identity(2), ((0, 2),))
 
 
 def product(factors: Sequence[ComplexTorus]) -> ComplexTorus:
@@ -191,8 +187,8 @@ def product(factors: Sequence[ComplexTorus]) -> ComplexTorus:
         raise ValueError("empty product")
     g = sum(t.g for t in factors)
     n = 2 * g
-    jrows = [[Fraction(0)] * n for _ in range(n)]
-    brows = [[Fraction(0)] * n for _ in range(n)]
+    jrows = [[0] * n for _ in range(n)]
+    brows = [[0] * n for _ in range(n)]
     blocks: list[tuple[int, int]] = []
     off = 0
     for t in factors:
@@ -203,10 +199,10 @@ def product(factors: Sequence[ComplexTorus]) -> ComplexTorus:
                 brows[off + i][off + k] = t.basis_change.at(i, k)
         blocks.append((off, m))
         off += m
-    return ComplexTorus(g, RationalMatrix.from_rows(jrows), RationalMatrix.from_rows(brows), tuple(blocks))
+    return ComplexTorus(g, Matrix.from_rows(jrows), Matrix.from_rows(brows), tuple(blocks))
 
 
-def _extended_lattice_basis(n: int, gens: Sequence[TorsionPoint]) -> RationalMatrix:
+def _extended_lattice_basis(n: int, gens: Sequence[TorsionPoint]) -> Matrix:
     """Column basis of Z^n + sum Z * lift(gen), by column Hermite form."""
     d = 1
     for gpt in gens:
@@ -217,15 +213,13 @@ def _extended_lattice_basis(n: int, gens: Sequence[TorsionPoint]) -> RationalMat
         cols.append([d if k == i else 0 for k in range(n)])
     for gpt in gens:
         cols.append([int(c * d) for c in gpt.coords])
-    m = IntegerMatrix.from_columns(cols)
+    m = Matrix.from_columns(cols)
     h, _ = column_hnf(m)
     nz = [jj for jj in range(h.cols) if any(h.at(i, jj) != 0 for i in range(h.rows))]
     if len(nz) != n:
         raise RuntimeError("internal error: extended lattice not full rank")
     basis = h.submatrix_columns(nz)
-    return RationalMatrix(
-        n, n, tuple(Fraction(e, d) for e in basis.entries)
-    )
+    return Matrix(n, n, tuple(Fraction(e, d) for e in basis.entries))
 
 
 def quotient_by_finite_subgroup(t: ComplexTorus, h: FiniteSubgroup) -> ComplexTorus:
@@ -245,7 +239,7 @@ def quotient_by_finite_subgroup(t: ComplexTorus, h: FiniteSubgroup) -> ComplexTo
     return ComplexTorus(t.g, j_new, t.basis_change @ b, t.blocks)
 
 
-def coordinate_change(t_from: ComplexTorus, t_to: ComplexTorus) -> RationalMatrix:
+def coordinate_change(t_from: ComplexTorus, t_to: ComplexTorus) -> Matrix:
     """Matrix converting t_from coordinates to t_to coordinates.
 
     Both tori must share the same reference lattice (same construction
@@ -254,13 +248,12 @@ def coordinate_change(t_from: ComplexTorus, t_to: ComplexTorus) -> RationalMatri
     return t_to.basis_change.inverse() @ t_from.basis_change
 
 
-def _check_commutes(t: ComplexTorus, a: IntegerMatrix) -> None:
-    ar = a.to_rational()
-    if (ar @ t.j).entries != (t.j @ ar).entries:
+def _check_commutes(t: ComplexTorus, a: Matrix) -> None:
+    if (a @ t.j).entries != (t.j @ a).entries:
         raise HolomorphyError("matrix does not commute with the complex structure")
 
 
-def connected_kernel(t: ComplexTorus, a: IntegerMatrix) -> Sublattice:
+def connected_kernel(t: ComplexTorus, a: Matrix) -> Sublattice:
     """Lattice of the connected component of ker(a) on the torus.
 
     This is the saturated lattice of rational kernel vectors of a; it
@@ -272,7 +265,7 @@ def connected_kernel(t: ComplexTorus, a: IntegerMatrix) -> Sublattice:
     return kernel_sublattice(a)
 
 
-def image_subtorus(t: ComplexTorus, a: IntegerMatrix) -> Sublattice:
+def image_subtorus(t: ComplexTorus, a: Matrix) -> Sublattice:
     """Saturated lattice of the subtorus a(T)."""
     if a.rows != t.rank or a.cols != t.rank:
         raise DimensionError("endomorphism must be 2g x 2g")
@@ -280,12 +273,12 @@ def image_subtorus(t: ComplexTorus, a: IntegerMatrix) -> Sublattice:
     return image_saturation(a)
 
 
-def lattice_intersection(w_basis: RationalMatrix, t: ComplexTorus) -> Sublattice:
+def lattice_intersection(w_basis: Matrix, t: ComplexTorus) -> Sublattice:
     """Saturated lattice (Q-span of the given columns) meet Z^(2g)."""
     if w_basis.rows != t.rank:
         raise DimensionError("subspace basis rows must equal 2g")
     if w_basis.cols == 0:
-        return Sublattice(t.rank, IntegerMatrix(t.rank, 0, ()), saturated=True)
+        return Sublattice(t.rank, Matrix(t.rank, 0, ()))
     if rational_rank(w_basis) != w_basis.cols:
         raise ValueError("subspace basis columns are not independent")
     scaled, _ = w_basis.scaled_integer()
@@ -313,11 +306,5 @@ def component_group(t: ComplexTorus, lat: Sublattice) -> tuple[FiniteSubgroup, t
             divisors.append(d)
             col = dec.v.column(i)
             gens.append(TorsionPoint(tuple(Fraction(x, d) for x in col)))
-    m_rat = m.to_rational()
-    sub_torus = ComplexTorus(
-        t.g,
-        m_rat.inverse() @ t.j @ m_rat,
-        t.basis_change @ m_rat,
-        t.blocks,
-    )
+    sub_torus = ComplexTorus(t.g, m.inverse() @ t.j @ m, t.basis_change @ m, t.blocks)
     return FiniteSubgroup(sub_torus, tuple(gens)), tuple(sorted(divisors))

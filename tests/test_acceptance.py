@@ -31,7 +31,7 @@ from hyptor.classify import (
 )
 from hyptor.cli import main
 from hyptor.d4_family import CaseTag, build_general, build_normal_form, structure_report
-from hyptor.exact_linear import IntegerMatrix
+from hyptor.exact_linear import Matrix
 from hyptor.torus import EllipticCurveParam, TorsionPoint, elliptic_curve, product
 
 TAU_CHOICES = ["0/1+1/1i", "1/2+1/1i", "1/3+2/1i"]
@@ -262,7 +262,7 @@ def random_block_matrix(rng, g):
                 rows[2 * bi][2 * bj + 1] = -b
                 rows[2 * bi + 1][2 * bj] = b
                 rows[2 * bi + 1][2 * bj + 1] = a
-        m = IntegerMatrix.from_rows(rows)
+        m = Matrix.from_rows(rows)
         if abs(m.det()) == 1:
             return m
 
@@ -301,7 +301,7 @@ def max_nonzero_minor(rows):
 def grid_finds_fixed_point(aut, denominator):
     """Exhaustive vectorized scan of x in (1/denominator)Z^n mod 1."""
     n = aut.torus.rank
-    m = np.array((aut.a - IntegerMatrix.identity(n)).to_rows(), dtype=np.int64)
+    m = np.array((aut.a - Matrix.identity(n)).to_rows(), dtype=np.int64)
     t_scaled = [c * denominator for c in aut.t.coords]
     assert all(c.denominator == 1 for c in t_scaled)
     target = np.array([int(-c) % denominator for c in t_scaled], dtype=np.int64)
@@ -323,7 +323,7 @@ def test_c6_decider_vs_brute_force():
             den_t = rng.choice((1, 2, 3, 4, 5, 6, 7, 8))
             a = random_block_matrix(rng, g)
             n = 2 * g
-            bound = max_nonzero_minor((a - IntegerMatrix.identity(n)).to_rows()) * den_t
+            bound = max_nonzero_minor((a - Matrix.identity(n)).to_rows()) * den_t
             if bound**n > 300000:
                 continue  # keep the exhaustive scan affordable
             tr = TorsionPoint(tuple(Fraction(rng.randrange(den_t), den_t) for _ in range(n)))
@@ -335,7 +335,7 @@ def test_c6_decider_vs_brute_force():
                 assert aut.apply(fixed) == fixed
                 positives += 1
             else:
-                ami = a - IntegerMatrix.identity(n)
+                ami = a - Matrix.identity(n)
                 row = res.obstruction.row
                 assert all(
                     sum(row[i] * ami.at(i, j) for i in range(n)) == 0 for j in range(n)

@@ -25,11 +25,10 @@ from hyptor.affine_actions import (
     generate_group,
     has_fixed_point,
     identity_aut,
-    inverse,
     is_free_action,
     is_translation,
 )
-from hyptor.exact_linear import IntegerMatrix, NotUnimodularError
+from hyptor.exact_linear import Matrix, NotUnimodularError
 from hyptor.torus import (
     EllipticCurveParam,
     HolomorphyError,
@@ -49,7 +48,7 @@ def torus_of_rank(n: int):
 
 # matrices commuting with the square curve's block J: per 2x2 block,
 # integer combinations a*I + b*J with J = [[0,-1],[1,0]]
-def block_aut_matrix(rng, g: int) -> IntegerMatrix:
+def block_aut_matrix(rng, g: int) -> Matrix:
     while True:
         rows = [[0] * (2 * g) for _ in range(2 * g)]
         for bi in range(g):
@@ -60,12 +59,12 @@ def block_aut_matrix(rng, g: int) -> IntegerMatrix:
                 rows[2 * bi][2 * bj + 1] = -b
                 rows[2 * bi + 1][2 * bj] = b
                 rows[2 * bi + 1][2 * bj + 1] = a
-        m = IntegerMatrix.from_rows(rows)
+        m = Matrix.from_rows(rows)
         if abs(m.det()) == 1:
             return m
 
 
-def minor_gcd_lcm(m: IntegerMatrix) -> int:
+def minor_gcd_lcm(m: Matrix) -> int:
     """lcm of the elementary divisors, via minor gcds (oracle-grade)."""
     rows = m.to_rows()
     n = m.rows
@@ -95,7 +94,7 @@ def minor_gcd_lcm(m: IntegerMatrix) -> int:
 def grid_has_fixed_point(aut: AffineAut, denominator: int) -> bool:
     """Vectorized exhaustive scan of x in (1/denominator) Z^n mod 1."""
     n = aut.torus.rank
-    m = np.array((aut.a - IntegerMatrix.identity(n)).to_rows(), dtype=np.int64)
+    m = np.array((aut.a - Matrix.identity(n)).to_rows(), dtype=np.int64)
     t_scaled = [c * denominator for c in aut.t.coords]
     if any(c.denominator != 1 for c in t_scaled):
         raise ValueError("grid denominator does not cover the translation")
@@ -121,7 +120,7 @@ def test_fixed_point_matches_grid_oracle():
         # a solution, if any, has denominator dividing L * den(t) for L
         # the lcm of the elementary divisors of A - I (product, not lcm:
         # the Smith solution scales c_i / d_i with den(c_i) | den(t))
-        lcm_div = minor_gcd_lcm(a - IntegerMatrix.identity(2 * g))
+        lcm_div = minor_gcd_lcm(a - Matrix.identity(2 * g))
         grid = max(lcm_div, 1) * den_t
         if grid ** (2 * g) > 300000:
             continue
@@ -133,7 +132,7 @@ def test_fixed_point_matches_grid_oracle():
             assert aut.apply(fixed) == fixed
         else:
             ob = res.obstruction
-            ami = a - IntegerMatrix.identity(2 * g)
+            ami = a - Matrix.identity(2 * g)
             prod = [
                 sum(ob.row[i] * ami.at(i, j) for i in range(2 * g))
                 for j in range(2 * g)
@@ -145,30 +144,33 @@ def test_fixed_point_matches_grid_oracle():
             )
 
 
-def test_compose_inverse_identity():
+def test_compose_identity_and_application():
     rng = random.Random(102)
     for _ in range(40):
         g = rng.choice((1, 2))
         t = torus_of_rank(2 * g)
-        a = block_aut_matrix(rng, g)
-        tr = TorsionPoint(
-            tuple(Fraction(rng.randrange(4), 4) for _ in range(2 * g))
+        f, h = (
+            AffineAut(
+                t,
+                block_aut_matrix(rng, g),
+                TorsionPoint(tuple(Fraction(rng.randrange(4), 4) for _ in range(2 * g))),
+            )
+            for _ in range(2)
         )
-        f = AffineAut(t, a, tr)
-        finv = inverse(f)
-        both = compose(f, finv)
-        assert both.a.is_identity() and both.t.is_zero()
-        # application agrees with composition
         p = TorsionPoint(tuple(Fraction(rng.randrange(8), 8) for _ in range(2 * g)))
-        assert compose(f, finv).apply(p) == f.apply(finv.apply(p))
+        assert compose(f, h).apply(p) == f.apply(h.apply(p))
+        assert compose(identity_aut(t), f) == f == compose(f, identity_aut(t))
 
 
 def test_affine_aut_validation():
     with pytest.raises(NotUnimodularError):
-        AffineAut(SQUARE, IntegerMatrix.from_rows([[2, 0], [0, 1]]), TorsionPoint.zero(2))
+        AffineAut(SQUARE, Matrix.from_rows([[2, 0], [0, 1]]), TorsionPoint.zero(2))
+    with pytest.raises(NotUnimodularError):
+        # determinant 1, but not a map of the lattice
+        AffineAut(SQUARE, Matrix.from_rows([[2, 0], [0, Fraction(1, 2)]]), TorsionPoint.zero(2))
     with pytest.raises(HolomorphyError):
         # shear does not commute with the square-lattice J
-        AffineAut(SQUARE, IntegerMatrix.from_rows([[1, 1], [0, 1]]), TorsionPoint.zero(2))
+        AffineAut(SQUARE, Matrix.from_rows([[1, 1], [0, 1]]), TorsionPoint.zero(2))
     t4 = torus_of_rank(4)
     with pytest.raises(TorusMismatchError):
         compose(identity_aut(SQUARE), identity_aut(t4))
@@ -176,13 +178,13 @@ def test_affine_aut_validation():
 
 def test_is_translation():
     assert not is_translation(identity_aut(SQUARE))
-    shift = AffineAut(SQUARE, IntegerMatrix.identity(2), point("1/2", 0))
+    shift = AffineAut(SQUARE, Matrix.identity(2), point("1/2", 0))
     assert is_translation(shift)
 
 
 def quarter_rotation() -> AffineAut:
     # multiplication by i on the square curve
-    j_mat = IntegerMatrix.from_rows([[0, -1], [1, 0]])
+    j_mat = Matrix.from_rows([[0, -1], [1, 0]])
     return AffineAut(SQUARE, j_mat, TorsionPoint.zero(2))
 
 
@@ -199,7 +201,7 @@ def test_generate_group_cyclic4():
         assert sorted(row) == list(range(4))
     for col in zip(*table):
         assert sorted(col) == list(range(4))
-    assert g.element("rr").a.entries == IntegerMatrix.from_rows([[-1, 0], [0, -1]]).entries
+    assert g.element("rr").a.entries == Matrix.from_rows([[-1, 0], [0, -1]]).entries
 
 
 def test_generate_group_word_order_and_cap():
@@ -207,7 +209,7 @@ def test_generate_group_word_order_and_cap():
     with pytest.raises(GroupGenerationError):
         generate_group({"r": r}, cap=2)
     # infinite-order generator hits the cap too
-    shift3 = AffineAut(SQUARE, IntegerMatrix.identity(2), point("1/3", 0))
+    shift3 = AffineAut(SQUARE, Matrix.identity(2), point("1/3", 0))
     grp = generate_group({"t": shift3})
     assert grp.order == 3
 
@@ -217,14 +219,14 @@ def product_pair_gens():
     t = torus_of_rank(4)
     r = AffineAut(
         t,
-        IntegerMatrix.from_rows(
+        Matrix.from_rows(
             [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
         ),
         TorsionPoint.zero(4),
     )
     s = AffineAut(
         t,
-        IntegerMatrix.from_rows(
+        Matrix.from_rows(
             [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
         ),
         TorsionPoint((Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0))),
@@ -258,7 +260,7 @@ def test_freeness_methods_agree():
     # the action is free exactly when the difference equations clash
     rng = random.Random(103)
     t = torus_of_rank(4)
-    swap = IntegerMatrix.from_rows(
+    swap = Matrix.from_rows(
         [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
     )
     seen_free = seen_fixed = 0
@@ -281,7 +283,7 @@ def test_freeness_methods_agree():
 
 
 def test_translation_detection_in_group():
-    shift = AffineAut(SQUARE, IntegerMatrix.identity(2), point("1/2", "1/2"))
+    shift = AffineAut(SQUARE, Matrix.identity(2), point("1/2", "1/2"))
     g = generate_group({"t": shift})
     res = contains_no_translations(g)
     assert not res.ok and res.offending_word == "t"

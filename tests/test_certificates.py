@@ -284,6 +284,18 @@ SECTION_TAMPERS = [
         lambda d: d["freeness_conditions"].__setitem__("excl_s_free", False),
         "freeness_conditions",
     ),
+    # JSON values that compare equal in Python but are not the same value
+    ("group_order_float", lambda d: d["group"].__setitem__("order", 8.0), "order mismatch"),
+    (
+        "relations_flag_int",
+        lambda d: d["group"]["relations"].__setitem__("ss", 1),
+        "relations not all satisfied",
+    ),
+    (
+        "lattice_inclusion_bool",
+        lambda d: d["lattice_inclusion"]["block_denominators"].__setitem__(2, True),
+        "lattice_inclusion",
+    ),
 ]
 
 

@@ -200,6 +200,18 @@ def test_verify_ungeneratable_group_is_checked_failure(cert_path, capsys, field,
     assert "refusing" in err and "generated more than 64 elements" in err
 
 
+def test_verify_wrong_order_group_is_checked_failure(cert_path, capsys):
+    # r_shift of order 8 gives r of order 8: the group generates, with
+    # order 16, and the witnesses are read off that group
+    doc = json.loads(cert_path.read_text())
+    doc["parameters"]["r_shift"] = ["1/8", "0/1"]
+    cert_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["verify", str(cert_path)])
+    assert code == 1
+    assert "group: rebuilt action violates the relations" in json.loads(out)["failures"]
+    assert "Traceback" not in err
+
+
 MALFORMED_FILES = {
     "huge_integer": b'{"schema": "1.0", "n": ' + b"9" * 5000 + b"}",
     "invalid_utf8": b'{"schema": "1.0", "case": "\xff\xfe"}',

@@ -28,7 +28,7 @@ from hyptor.d4_family import (
     normal_form_parameters,
     structure_report,
 )
-from hyptor.exact_linear import IntegerMatrix
+from hyptor.exact_linear import Matrix
 from hyptor.torus import EllipticCurveParam, TorsionPoint, point
 
 TAU_I = EllipticCurveParam(Fraction(0), Fraction(1))
@@ -39,8 +39,8 @@ TAU_2I = EllipticCurveParam(Fraction(0), Fraction(2))
 TAU_GRID = [(t, tp) for t in (TAU_I, TAU_HALF_I, TAU_THIRD_2I) for tp in (TAU_I, TAU_2I)]
 
 
-def mat_pow(m: IntegerMatrix, k: int) -> IntegerMatrix:
-    out = IntegerMatrix.identity(m.rows)
+def mat_pow(m: Matrix, k: int) -> Matrix:
+    out = Matrix.identity(m.rows)
     for _ in range(k):
         out = out @ m
     return out
@@ -50,7 +50,7 @@ def test_case_matrices_orders_and_relations():
     for case in (CaseTag.CASE1, CaseTag.CASE2):
         mats = case_matrices(case)
         r, s = mats.rotation_lattice, mats.reflection_lattice
-        ident = IntegerMatrix.identity(6).entries
+        ident = Matrix.identity(6).entries
         assert mat_pow(r, 4).entries == ident
         assert mat_pow(r, 2).entries != ident
         assert (s @ s).entries == ident
@@ -298,7 +298,7 @@ def test_freeness_conditions_match_object_level():
 
 def test_lattice_inclusion_normal_form():
     action = build_normal_form(TAU_I, TAU_2I)
-    rep = lattice_inclusion_check(action.torus, action.case)
+    rep = lattice_inclusion_check(action)
     assert rep.splitting_ok
     assert rep.block_denominators == (2, 2, 1)
     assert rep.denominator_bound_ok

@@ -14,9 +14,9 @@ import pytest
 
 from hyptor.exact_linear import (
     DimensionError,
-    IntegerMatrix,
+    Matrix,
     NotUnimodularError,
-    RationalMatrix,
+    SingularMatrixError,
     Sublattice,
     column_hnf,
     hnf,
@@ -25,7 +25,6 @@ from hyptor.exact_linear import (
     lattice_membership,
     rational_rank,
     rational_solve,
-    saturate,
     snf,
     solve_affine_mod_lattice,
     unimodular_inverse,
@@ -50,7 +49,7 @@ def laplace_det(rows):
     return total
 
 
-def minor_gcd_divisors(m: IntegerMatrix):
+def minor_gcd_divisors(m: Matrix):
     """Elementary divisors via determinantal divisors: d_k = D_k / D_{k-1}
     where D_k is the gcd of all k x k minors (D_0 = 1)."""
     rows = m.to_rows()
@@ -70,7 +69,7 @@ def minor_gcd_divisors(m: IntegerMatrix):
     return tuple(divisors)
 
 
-def grid_solvable(a: RationalMatrix, b, box: int, denominator: int) -> bool:
+def grid_solvable(a: Matrix, b, box: int, denominator: int) -> bool:
     """Exhaustive search for x with a x = b + (integer vector).
 
     Scans x with coordinates k/denominator over [0, box).  Complete only
@@ -86,15 +85,15 @@ def grid_solvable(a: RationalMatrix, b, box: int, denominator: int) -> bool:
     return False
 
 
-def rand_int_matrix(rng, n, c, lo=-4, hi=4) -> IntegerMatrix:
-    return IntegerMatrix.from_rows(
+def rand_int_matrix(rng, n, c, lo=-4, hi=4) -> Matrix:
+    return Matrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(c)] for _ in range(n)]
     )
 
 
-def rand_unimodular(rng, n) -> IntegerMatrix:
+def rand_unimodular(rng, n) -> Matrix:
     """Product of random elementary row operations on the identity."""
-    m = IntegerMatrix.identity(n).to_rows()
+    m = Matrix.identity(n).to_rows()
     for _ in range(3 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
@@ -103,11 +102,64 @@ def rand_unimodular(rng, n) -> IntegerMatrix:
         m[i] = [a + f * b for a, b in zip(m[i], m[j])]
     if rng.random() < 0.5:
         rng.shuffle(m)
-    return IntegerMatrix.from_rows(m)
+    return Matrix.from_rows(m)
 
 
-def is_unimodular(m: IntegerMatrix) -> bool:
+def is_unimodular(m: Matrix) -> bool:
     return m.rows == m.cols and abs(laplace_det(m.to_rows())) == 1
+
+
+def rand_rational_matrix(rng, n, c) -> Matrix:
+    return Matrix.from_rows(
+        [[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(c)] for _ in range(n)]
+    )
+
+
+# ---------------------------------------------------------------------------
+# Matrix: determinant, inverse, entry types
+# ---------------------------------------------------------------------------
+
+
+def test_det_matches_laplace_oracle():
+    rng = random.Random(1)
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        m = rand_int_matrix(rng, n, n, -3, 3) if rng.random() < 0.5 else rand_rational_matrix(rng, n, n)
+        assert m.det() == laplace_det(m.to_rows())
+
+
+def test_inverse_roundtrip_and_singular():
+    rng = random.Random(2)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        m = rand_rational_matrix(rng, n, n)
+        if m.det() == 0:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+            continue
+        assert m @ m.inverse() == Matrix.identity(n)
+        assert m.inverse() @ m == Matrix.identity(n)
+
+
+def test_integral_results_are_stored_as_int():
+    half = Matrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(3, 2)]])
+    assert not half.is_integral()
+    assert half.denominator_lcm() == 2
+    for m in (half.scale(2), half @ Matrix.diagonal([2, 4]), half + half, half.scaled_integer()[0]):
+        assert m.is_integral()
+        assert all(type(e) is int for e in m.entries)
+    assert half.scaled_integer()[1] == 2
+    assert half.det() == Fraction(3, 4) and half.scale(2).det() == 3
+    assert Matrix.identity(2).scaled_integer() == (Matrix.identity(2), 1)
+
+
+def test_integer_only_routines_reject_fractions():
+    half = Matrix.from_rows([[Fraction(1, 2), 0], [0, 1]])
+    for fn in (hnf, column_hnf, snf, kernel_sublattice, image_saturation):
+        with pytest.raises(ValueError):
+            fn(half)
+    with pytest.raises(ValueError):
+        Sublattice(2, half)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +204,10 @@ def test_hnf_invariant_of_row_space():
 
 
 def test_hnf_zero_and_identity():
-    z = IntegerMatrix.from_rows([[0, 0], [0, 0]])
+    z = Matrix.from_rows([[0, 0], [0, 0]])
     h, u = hnf(z)
     assert h.entries == z.entries and is_unimodular(u)
-    i3 = IntegerMatrix.identity(3)
+    i3 = Matrix.identity(3)
     h, _ = hnf(i3)
     assert h.entries == i3.entries
 
@@ -206,7 +258,7 @@ def test_snf_regression_cycling_matrix():
     # This matrix made the reduction cycle forever before the exact
     # single-elimination fast path: non-canonical Bezout coefficients
     # kept mixing a pivot row back into cleared entries.
-    m = IntegerMatrix.from_rows(
+    m = Matrix.from_rows(
         [
             [-2, 0, -2, 0, 0, 0],
             [0, -1, 1, -1, 0, 0],
@@ -228,7 +280,7 @@ def test_rank_matches_numpy():
         n, c = rng.randint(1, 5), rng.randint(1, 5)
         m = rand_int_matrix(rng, n, c)
         expected = np.linalg.matrix_rank(np.array(m.to_rows(), dtype=float))
-        assert rational_rank(m.to_rational()) == expected
+        assert rational_rank(m) == expected
         assert snf(m).rank == expected
 
 
@@ -254,10 +306,10 @@ def test_solve_affine_matches_grid_search():
         if g**n > 30000:
             continue
         checked += 1
-        res = solve_affine_mod_lattice(a.to_rational(), b)
-        assert res.solvable == grid_solvable(a.to_rational(), b, 1, g)
+        res = solve_affine_mod_lattice(a, b)
+        assert res.solvable == grid_solvable(a, b, 1, g)
         if res.solvable:
-            ax = a.to_rational().apply(res.x)
+            ax = a.apply(res.x)
             for i in range(n):
                 assert (ax[i] - b[i]).denominator == 1
                 assert ax[i] - b[i] == res.m[i]
@@ -278,7 +330,7 @@ def test_solve_affine_rational_linear_part():
     while checked < 120:
         n = rng.randint(1, 2)
         den_a = rng.choice((1, 2))
-        a = RationalMatrix.from_rows(
+        a = Matrix.from_rows(
             [
                 [Fraction(rng.randint(-3, 3), den_a) for _ in range(n)]
                 for _ in range(n)
@@ -301,7 +353,7 @@ def test_solve_affine_rational_linear_part():
 def test_solve_affine_naive_grid_is_incomplete():
     # Solvable, but every solution needs denominator far beyond the
     # inputs' denominators: searching on the inputs' grid finds nothing.
-    a = RationalMatrix.from_rows([[4, Fraction(1, 8)], [0, 4]])
+    a = Matrix.from_rows([[4, Fraction(1, 8)], [0, 4]])
     b = (Fraction(1, 8), Fraction(1, 8))
     res = solve_affine_mod_lattice(a, b)
     assert res.solvable
@@ -312,10 +364,10 @@ def test_solve_affine_naive_grid_is_incomplete():
 
 
 def test_solve_affine_dimension_errors():
-    a = RationalMatrix.from_rows([[1, 2]])
+    a = Matrix.from_rows([[1, 2]])
     with pytest.raises(DimensionError):
         solve_affine_mod_lattice(a, (1,))
-    sq = RationalMatrix.from_rows([[1, 0], [0, 1]])
+    sq = Matrix.from_rows([[1, 0], [0, 1]])
     with pytest.raises(DimensionError):
         solve_affine_mod_lattice(sq, (1,))
 
@@ -324,7 +376,7 @@ def test_rational_solve_matches_numpy():
     rng = random.Random(33)
     for _ in range(80):
         n = rng.randint(1, 4)
-        m = rand_int_matrix(rng, n, n, -3, 3).to_rational()
+        m = rand_int_matrix(rng, n, n, -3, 3)
         b = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         x = rational_solve(m, b)
         arr = np.array([[float(m.at(i, j)) for j in range(n)] for i in range(n)])
@@ -347,19 +399,19 @@ def test_unimodular_inverse_roundtrip():
         n = rng.randint(1, 5)
         g = rand_unimodular(rng, n)
         ginv = unimodular_inverse(g)
-        assert (g @ ginv).entries == IntegerMatrix.identity(n).entries
+        assert (g @ ginv).entries == Matrix.identity(n).entries
     with pytest.raises(NotUnimodularError):
-        unimodular_inverse(IntegerMatrix.from_rows([[2, 0], [0, 1]]))
+        unimodular_inverse(Matrix.from_rows([[2, 0], [0, 1]]))
 
 
 def test_lattice_membership_basics():
-    basis = IntegerMatrix.from_rows([[2, 0], [0, 3]])
+    basis = Matrix.from_rows([[2, 0], [0, 3]])
     lat = Sublattice(2, basis)
     ok, coords = lattice_membership((4, 3), lat)
     assert ok and coords == (2, 1)
     ok, coords = lattice_membership((1, 0), lat)
     assert not ok and coords is None
-    zero = Sublattice(3, IntegerMatrix(3, 0, ()))
+    zero = Sublattice(3, Matrix(3, 0, ()))
     assert lattice_membership((0, 0, 0), zero)[0]
     assert not lattice_membership((1, 0, 0), zero)[0]
 
@@ -369,7 +421,7 @@ def test_lattice_membership_random_roundtrip():
     for _ in range(60):
         n, r = rng.randint(1, 4), rng.randint(1, 3)
         basis = rand_int_matrix(rng, n, r, -3, 3)
-        if rational_rank(basis.to_rational()) != r:
+        if rational_rank(basis) != r:
             continue
         lat = Sublattice(n, basis)
         coeff = [rng.randint(-3, 3) for _ in range(r)]
@@ -378,21 +430,6 @@ def test_lattice_membership_random_roundtrip():
         )
         ok, coords = lattice_membership(v, lat)
         assert ok and coords == tuple(coeff)
-
-
-def test_saturate_examples():
-    lat = Sublattice(2, IntegerMatrix.from_rows([[2, 0], [0, 2]]))
-    sat = saturate(lat)
-    assert sat.saturated
-    assert lattice_membership((1, 0), sat)[0]
-    assert lattice_membership((0, 1), sat)[0]
-    # index-preserving direction: rank stays, span only grows
-    diag = Sublattice(3, IntegerMatrix.from_rows([[2, 0], [0, 0], [0, 6]]))
-    sat = saturate(diag)
-    assert sat.rank == 2
-    assert lattice_membership((1, 0, 0), sat)[0]
-    assert lattice_membership((0, 0, 1), sat)[0]
-    assert not lattice_membership((0, 1, 0), sat)[0]
 
 
 def test_kernel_and_image_lattices():
@@ -418,7 +455,7 @@ def test_sublattice_canonical_equality():
     for _ in range(40):
         n, r = rng.randint(1, 4), rng.randint(1, 3)
         basis = rand_int_matrix(rng, n, r, -3, 3)
-        if rational_rank(basis.to_rational()) != r:
+        if rational_rank(basis) != r:
             continue
         g = rand_unimodular(rng, r)
         lat1 = Sublattice(n, basis).canonical()

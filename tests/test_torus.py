@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyptor.exact_linear import IntegerMatrix, RationalMatrix
+from hyptor.exact_linear import Matrix
 from hyptor.torus import (
     ComplexTorus,
     EllipticCurveParam,
@@ -45,7 +45,7 @@ def test_elliptic_curve_j_is_multiplication_by_i():
     for param in TAUS:
         t = elliptic_curve(param)
         jj = t.j @ t.j
-        assert jj.entries == RationalMatrix.identity(2).scale(-1).entries
+        assert jj.entries == Matrix.identity(2).scale(-1).entries
         # float oracle: J applied to each basis vector lands on i * vector
         for basis_vec in ((1, 0), (0, 1)):
             image = t.j.apply([Fraction(c) for c in basis_vec])
@@ -149,11 +149,11 @@ def test_component_group_divisors():
     t = elliptic_curve(TAUS[0])
     from hyptor.exact_linear import Sublattice
 
-    sub = Sublattice(2, IntegerMatrix.from_rows([[2, 0], [0, 2]]))
+    sub = Sublattice(2, Matrix.from_rows([[2, 0], [0, 2]]))
     grp, divisors = component_group(t, sub)
     assert divisors == (2, 2)
     assert grp.order == 4
-    sub6 = Sublattice(2, IntegerMatrix.from_rows([[1, 0], [0, 6]]))
+    sub6 = Sublattice(2, Matrix.from_rows([[1, 0], [0, 6]]))
     grp6, div6 = component_group(t, sub6)
     assert div6 == (6,)
     assert grp6.order == 6
@@ -162,7 +162,7 @@ def test_component_group_divisors():
 def test_connected_kernel_and_image():
     t = product([elliptic_curve(TAUS[0])] * 2)
     # projection onto the first factor commutes with block J
-    a = IntegerMatrix.from_rows(
+    a = Matrix.from_rows(
         [
             [1, 0, 0, 0],
             [0, 1, 0, 0],
@@ -175,7 +175,7 @@ def test_connected_kernel_and_image():
     img = image_subtorus(t, a)
     assert img.rank == 2
     # a matrix that does not commute with J is refused
-    skew = IntegerMatrix.from_rows(
+    skew = Matrix.from_rows(
         [
             [1, 1, 0, 0],
             [0, 1, 0, 0],
@@ -189,7 +189,7 @@ def test_connected_kernel_and_image():
 
 def test_lattice_intersection_saturates():
     t = product([elliptic_curve(TAUS[0])] * 2)
-    w = RationalMatrix.from_rows(
+    w = Matrix.from_rows(
         [
             [Fraction(1, 2), Fraction(0)],
             [Fraction(0), Fraction(1, 2)],
