@@ -21,14 +21,23 @@ disagreements.
 All per-tuple arithmetic is done on integers: with D the lcm of the
 denominator bounds (and 2, for H), a parameter point p becomes D*p and
 every decision becomes a dot product modulo D.
+
+The lattice:r stage is decided on bitmasks, before any engine is
+built: a subgroup passes it exactly when its span is closed under the
+rotation's block swap, so engines are built for the rotation-stable
+subgroups only.  The s2 and rsrs relations are linear congruences
+modulo D and are solved by residue lookup instead of tested per tuple:
+the grid is grouped once by the residues of each relation's forms, and
+only the solutions reach the per-tuple fixed-point stages.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -164,6 +173,24 @@ def _canonical_generators(span_key: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(basis)
 
 
+def _rotated_mask(m: int) -> int:
+    """Image of a 2-torsion bitmask under the rotation's lattice action.
+
+    Blocks 1 and 2 trade places (negation is trivial on 2-torsion); the
+    third block stays.
+    """
+    return ((m >> 2) & 0b0011) | ((m & 0b0011) << 2) | (m & 0b110000)
+
+
+def _span_rotation_stable(span_key: tuple[int, ...]) -> bool:
+    """Whether build_general passes H's lattice stage, for any tau and
+    tau'.  The reflection fixes all 2-torsion, so only the rotation can
+    fail to preserve the enlarged lattice, and it preserves it exactly
+    when it maps H onto itself."""
+    members = set(span_key)
+    return all(_rotated_mask(m) in members for m in span_key)
+
+
 def subgroup_family(g_max: int) -> tuple[list[tuple[int, ...]], int]:
     """All exponent-2 subgroups of the product with <= g_max generators.
 
@@ -264,13 +291,44 @@ def _point_mask(p: TorsionPoint) -> int:
 
 
 @dataclass(frozen=True)
+class CensusStats:
+    """How a sweep was computed: counters and the wall seconds of its
+    phases.  Diagnostics only; they are not part of the census
+    artifact, and the times differ from run to run."""
+
+    subgroups: int
+    lattice_r_by_mask: int
+    engine_builds: int
+    survivors_reverified: int
+    family_s: float
+    sweep_s: float
+    reverification_s: float
+
+    def to_json_dict(self) -> dict:
+        return {
+            "counters": {
+                "subgroups": self.subgroups,
+                "lattice_r_by_mask": self.lattice_r_by_mask,
+                "engine_builds": self.engine_builds,
+                "survivors_reverified": self.survivors_reverified,
+            },
+            "phase_seconds": {
+                "family": self.family_s,
+                "sweep": self.sweep_s,
+                "reverification": self.reverification_s,
+            },
+        }
+
+
+@dataclass(frozen=True)
 class CensusReport:
     """Outcome of one sweep.
 
     survivors + sum(failure_counts) = total, with every tuple of the
     grid counted exactly once.  survivors_reverified records that each
     survivor was rebuilt from its serialized parameters and passed the
-    object-level group, freeness and translation checks.
+    object-level group, freeness and translation checks.  stats is not
+    serialized and takes no part in comparisons.
     """
 
     case: CaseTag
@@ -281,6 +339,7 @@ class CensusReport:
     h_family_size: int
     h_family_excluded: int
     survivors_reverified: bool
+    stats: CensusStats | None = field(default=None, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -356,13 +415,12 @@ def _flat_form(v: tuple[int, ...], p: Matrix, q: Matrix) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class _HEngine:
-    built: bool
-    reject_reason: str | None
     relation_forms: dict[str, tuple[tuple[int, ...], ...]]
     word_forms: dict[str, tuple[tuple[int, ...], ...]]
 
 
 def _build_h_engine(case: CaseTag, span_key: tuple[int, ...], tau: EllipticCurveParam, tau_prime: EllipticCurveParam) -> _HEngine:
+    """Obstruction and relation forms of one rotation-stable subgroup."""
     zero2 = TorsionPoint.zero(2)
     params = D4Parameters(
         tau=tau,
@@ -375,7 +433,7 @@ def _build_h_engine(case: CaseTag, span_key: tuple[int, ...], tau: EllipticCurve
     )
     built = build_general(case, params)
     if isinstance(built, BuildRejection):
-        return _HEngine(False, built.reason, {}, {})
+        raise RuntimeError(f"internal error: rotation-stable subgroup rejected: {built.reason}")
     b_inv = coordinate_change(built.product_torus, built.torus)
     if not b_inv.is_integral():
         raise RuntimeError("internal error: the product lattice is not inside the quotient lattice")
@@ -404,12 +462,12 @@ def _build_h_engine(case: CaseTag, span_key: tuple[int, ...], tau: EllipticCurve
             v = _row_times(u, b_inv)
             forms.append(_flat_form(v, p, q))
         word_forms[word] = tuple(forms)
-    return _HEngine(True, None, relation_forms, word_forms)
+    return _HEngine(relation_forms, word_forms)
 
 
-def _eval_form(f: tuple[int, ...], a1, a2, a3, c3, scale: int) -> bool:
-    """Whether the form value is integral on the scaled tuple."""
-    total = (
+def _form_value(f: tuple[int, ...], a1, a2, a3, c3) -> int:
+    """The form on the scaled tuple; it is integral when this is 0 mod D."""
+    return (
         f[0] * a1[0]
         + f[1] * a1[1]
         + f[2] * a2[0]
@@ -419,7 +477,6 @@ def _eval_form(f: tuple[int, ...], a1, a2, a3, c3, scale: int) -> bool:
         + f[6] * c3[0]
         + f[7] * c3[1]
     )
-    return total % scale == 0
 
 
 _ZERO2 = (0, 0)
@@ -442,15 +499,24 @@ def _forms_hold(forms, a1, a2, a3, c3, scale) -> bool:
     """Every form is integral on the tuple: for relation forms, the
     relation holds; for a word's obstruction forms, it has a fixed
     point."""
-    return all(_eval_form(f, a1, a2, a3, c3, scale) for f in forms)
+    return all(_form_value(f, a1, a2, a3, c3) % scale == 0 for f in forms)
 
 
-def _rejection_stage(reason: str | None) -> str:
-    if reason == "lattice_not_preserved:r":
-        return "lattice:r"
-    if reason == "lattice_not_preserved:s":
-        return "lattice:s"
-    raise RuntimeError(f"internal error: unexpected build rejection {reason!r}")
+def _residue_buckets(forms, slots: tuple[int, int], grid, scale: int) -> dict[tuple[int, ...], list]:
+    """Grid points keyed by the residues mod D of the forms' part on
+    two coefficient slots; each bucket keeps grid order."""
+    i, j = slots
+    buckets: dict[tuple[int, ...], list] = {}
+    for x in grid:
+        key = tuple((f[i] * x[0] + f[j] * x[1]) % scale for f in forms)
+        buckets.setdefault(key, []).append(x)
+    return buckets
+
+
+def _solving_key(forms, a1, a2, a3, c3, scale: int) -> tuple[int, ...]:
+    """Residues mod D the bucketed parameter's part must have for every
+    form to be integral; the tuple passes that parameter as zero."""
+    return tuple(-_form_value(f, a1, a2, a3, c3) % scale for f in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +576,13 @@ def _sweep_h(engine: _HEngine, space: SearchSpace):
     Returns the failure count of every stage and the surviving scaled
     tuples (a1, a2, a3, c3) in grid order.  Case 1 has no reflection
     shift on the third factor, so its a3 grid is the origin alone.
+
+    The s2 and rsrs relations are linear congruences mod D, so they are
+    solved rather than tested: s2 holds exactly for the a3 whose
+    residues cancel a1's, and rsrs exactly for the a2 whose residues
+    cancel those of (a1, a3, c3).  Grouping the grid by residues once
+    turns each into a lookup, and only the solutions reach the
+    per-tuple stages.
     """
     scale = space.scale
     a_grid = space.shift_grid()
@@ -517,11 +590,9 @@ def _sweep_h(engine: _HEngine, space: SearchSpace):
     a3_grid = c_grid if space.case is CaseTag.CASE2 else [_ZERO2]
     reasons = _REASONS[space.case]
     na = len(a_grid)
+    n3 = len(a3_grid)
     counts = {r: 0 for r in reasons}
     survivors: list[tuple] = []
-    if not engine.built:
-        counts[_rejection_stage(engine.reject_reason)] = na * na * len(a3_grid) * len(c_grid)
-        return counts, survivors
 
     rel_r4 = engine.relation_forms["r4"]
     rel_s2 = engine.relation_forms["s2"]
@@ -540,29 +611,26 @@ def _sweep_h(engine: _HEngine, space: SearchSpace):
         fw["r"] + fw["rrr"], _SLOTS_A1 + _SLOTS_A2 + _SLOTS_A3, "rotation power"
     )
 
-    r4_ok = [_forms_hold(rel_r4, zero, zero, zero, c3, scale) for c3 in c_grid]
-    s2_ok = [[_forms_hold(rel_s2, a1, zero, a3, zero, scale) for a3 in a3_grid] for a1 in a_grid]
+    s2_buckets = _residue_buckets(rel_s2, _SLOTS_A3, a3_grid, scale)
+    s2_rows = [s2_buckets.get(_solving_key(rel_s2, a1, zero, zero, zero, scale), ()) for a1 in a_grid]
+    rs2_buckets = _residue_buckets(rel_rs2, _SLOTS_A2, a_grid, scale)
 
-    for ic, c3 in enumerate(c_grid):
-        if not r4_ok[ic]:
-            counts["relation:r4"] += na * na * len(a3_grid)
+    for c3 in c_grid:
+        if not _forms_hold(rel_r4, zero, zero, zero, c3, scale):
+            counts["relation:r4"] += na * na * n3
             continue
         r_fixed = _forms_hold(fw["r"], zero, zero, zero, c3, scale) or _forms_hold(
             fw["rrr"], zero, zero, zero, c3, scale
         )
-        for ia1, a1 in enumerate(a_grid):
-            s2_row = s2_ok[ia1]
-            for ia3, a3 in enumerate(a3_grid):
-                if not s2_row[ia3]:
-                    counts["relation:s2"] += na
+        for a1, a3_solutions in zip(a_grid, s2_rows):
+            counts["relation:s2"] += (n3 - len(a3_solutions)) * na
+            for a3 in a3_solutions:
+                a2_solutions = rs2_buckets.get(_solving_key(rel_rs2, a1, zero, a3, c3, scale), ())
+                counts["relation:rsrs"] += na - len(a2_solutions)
+                if r_fixed:
+                    counts["fixed_point:r"] += len(a2_solutions)
                     continue
-                for a2 in a_grid:
-                    if not _forms_hold(rel_rs2, a1, a2, a3, c3, scale):
-                        counts["relation:rsrs"] += 1
-                        continue
-                    if r_fixed:
-                        counts["fixed_point:r"] += 1
-                        continue
+                for a2 in a2_solutions:
                     if _forms_hold(fw["rr"], a1, a2, a3, c3, scale):
                         counts[r2_stage] += 1
                         continue
@@ -649,14 +717,19 @@ def _reverify_survivor(space: SearchSpace, s: Survivor) -> bool:
 
 
 def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
+    start = time.perf_counter()
     family, excluded = subgroup_family(space.h_generators_max)
-    payloads = [_task_payload(space, key) for key in family]
+    stable = [key for key in family if _span_rotation_stable(key)]
+    family_done = time.perf_counter()
+
+    payloads = [_task_payload(space, key) for key in stable]
     results = _run_tasks(_sweep_task, payloads, workers)
 
     counts = {r: 0 for r in _REASONS[space.case]}
+    counts["lattice:r"] = (len(family) - len(stable)) * space.grid_size()
     survivors: list[Survivor] = []
     scale = space.scale
-    for key, (h_counts, raw) in zip(family, results):
+    for key, (h_counts, raw) in zip(stable, results):
         for r, n in h_counts.items():
             counts[r] += n
         gens = _subgroup_generator_points(key)
@@ -676,11 +749,21 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
     accounted = sum(counts.values()) + len(survivors)
     if accounted != total:
         raise RuntimeError(f"internal error: census lost tuples ({accounted} of {total})")
+    sweep_done = time.perf_counter()
 
     for s in survivors:
         if not _reverify_survivor(space, s):
             raise RuntimeError("internal error: survivor failed object-level re-verification")
 
+    stats = CensusStats(
+        subgroups=len(family),
+        lattice_r_by_mask=len(family) - len(stable),
+        engine_builds=len(stable),
+        survivors_reverified=len(survivors),
+        family_s=family_done - start,
+        sweep_s=sweep_done - family_done,
+        reverification_s=time.perf_counter() - sweep_done,
+    )
     return CensusReport(
         case=space.case,
         space=space,
@@ -690,6 +773,7 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
         h_family_size=len(family),
         h_family_excluded=excluded,
         survivors_reverified=True,
+        stats=stats,
     )
 
 
@@ -727,20 +811,6 @@ class AgreementReport:
         return self.disagreements == 0 and self.object_disagreements == 0
 
 
-def _rotated_mask(m: int) -> int:
-    """Image of a 2-torsion bitmask under the rotation's lattice action.
-
-    Blocks 1 and 2 trade places (negation is trivial on 2-torsion); the
-    third block stays.
-    """
-    return ((m >> 2) & 0b0011) | ((m & 0b0011) << 2) | (m & 0b110000)
-
-
-def _span_rotation_stable(span_key: tuple[int, ...]) -> bool:
-    members = set(span_key)
-    return all(_rotated_mask(m) in members for m in span_key)
-
-
 def _cross_validate_h(space: SearchSpace, span_key: tuple[int, ...], base_index: int, sample_step: int):
     """Both routes on every tuple of one subgroup's slice.
 
@@ -753,8 +823,6 @@ def _cross_validate_h(space: SearchSpace, span_key: tuple[int, ...], base_index:
     """
     scale = space.scale
     engine = _build_h_engine(space.case, span_key, space.tau, space.tau_prime)
-    if not engine.built:
-        return 0, 0, (), 0, 0
     sets = _condition_sets(span_key, scale)
     a_grid = space.shift_grid()
     c_grid = space.third_grid()
@@ -861,12 +929,9 @@ def cross_validate(
         raise ValueError("object_sample_target must be positive")
     family, _ = subgroup_family(space.h_generators_max)
     grid = space.grid_size()
-    comparable = sum(1 for key in family if _span_rotation_stable(key))
-    sample_step = max(1, (comparable * grid) // object_sample_target)
-    payloads = [
-        (_task_payload(space, key), i * grid, sample_step)
-        for i, key in enumerate(family)
-    ]
+    stable = [(i, key) for i, key in enumerate(family) if _span_rotation_stable(key)]
+    sample_step = max(1, (len(stable) * grid) // object_sample_target)
+    payloads = [(_task_payload(space, key), i * grid, sample_step) for i, key in stable]
     results = _run_tasks(_xval_task, payloads, workers)
     total = 0
     disagreements = 0

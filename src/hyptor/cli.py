@@ -257,6 +257,8 @@ def cmd_classify(args) -> int:
         report = enumerate_case2(space, workers=workers)
         expected = not report.survivors
 
+    if args.stats:
+        _atomic_write(args.stats, json.dumps(report.stats.to_json_dict(), indent=2) + "\n")
     doc = report.to_json_dict()
     lines = [
         f"{case.value}: scanned {report.total} tuples over {report.h_family_size} subgroups",
@@ -300,8 +302,25 @@ def cmd_invariants(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# argparse reads "--tau-prime -1/2+1/5i" as two flags
-_DASH_NOTE = "; a value beginning with - needs the --flag=VALUE form"
+# Options whose values may begin with "-" (a negative rational).
+# argparse takes "--tau-prime -1/2+1/5i" for two flags, so such a pair
+# is joined into "--tau-prime=-1/2+1/5i" before parsing; so is a pair
+# whose flag abbreviates one of these, as argparse allows.
+_VALUE_OPTIONS = ("--tau", "--tau-prime", "--h", "--k", "--h-prime")
+
+
+def _names_value_option(arg: str) -> bool:
+    return len(arg) > 2 and any(name.startswith(arg) for name in _VALUE_OPTIONS)
+
+
+def _join_negative_values(argv) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and _names_value_option(out[-1]) and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -316,8 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p_con = sub.add_parser("construct", help="build a free action and emit its certificate")
-    p_con.add_argument("--tau", required=True, help='first curve parameter, "p/q+p/qi"' + _DASH_NOTE)
-    p_con.add_argument("--tau-prime", required=True, help="third curve parameter" + _DASH_NOTE)
+    p_con.add_argument("--tau", required=True, help='first curve parameter, "p/q+p/qi"')
+    p_con.add_argument("--tau-prime", required=True, help="third curve parameter")
     p_con.add_argument("--h", default="1/2,0/1", help='reflection shift on the first factor, "p/q,p/q"')
     p_con.add_argument("--k", default="0/1,1/2", help="reflection shift on the second factor")
     p_con.add_argument("--h-prime", default="1/4,0/1", help="rotation shift on the third factor")
@@ -334,8 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--max-denominator", type=int, default=4)
     p_cls.add_argument("--h-generators-max", type=int, default=2)
     p_cls.add_argument("--workers", type=int, default=None)
-    p_cls.add_argument("--tau", default="0/1+1/1i", help="first curve parameter" + _DASH_NOTE)
-    p_cls.add_argument("--tau-prime", default="0/1+2/1i", help="third curve parameter" + _DASH_NOTE)
+    p_cls.add_argument("--tau", default="0/1+1/1i", help="first curve parameter")
+    p_cls.add_argument("--tau-prime", default="0/1+2/1i", help="third curve parameter")
+    p_cls.add_argument("--stats", help="write the census counters and phase timings to this JSON file")
     common_output(p_cls)
     p_cls.set_defaults(func=cmd_classify)
 
@@ -349,8 +369,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

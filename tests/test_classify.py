@@ -8,6 +8,7 @@ against an independently derived target.
 import itertools
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from hyptor.classify import (
     is_expected_survivor,
     subgroup_family,
 )
+from hyptor.d4_family import D4Action, D4Parameters, build_general
 from hyptor.torus import EllipticCurveParam, TorsionPoint, point
 
 TAU_I = EllipticCurveParam(Fraction(0), Fraction(1))
@@ -182,6 +184,33 @@ def test_case1_survivor_set_stable_under_denominator_growth(sweep_224_g1):
     }
 
 
+def test_case1_full_grid_g2_counts():
+    space = SearchSpace(
+        case=CaseTag.CASE1,
+        shift_denominator=2,
+        third_denominator=4,
+        h_generators_max=2,
+        tau=TAU_I,
+        tau_prime=TAU_2I,
+    )
+    rep = enumerate_case1(space)
+    assert rep.total == 460 * 256
+    assert len(rep.survivors) == 72
+    assert rep.failure_counts["lattice:r"] == 104960
+    assert rep.failure_counts["relation:rsrs"] == 7296
+    assert rep.failure_counts["fixed_point:r"] == 668
+    assert rep.failure_counts["fixed_point:r2"] == 2004
+    assert rep.failure_counts["fixed_point:s"] == 2220
+    assert rep.failure_counts["fixed_point:rs"] == 540
+    counters = rep.stats.to_json_dict()["counters"]
+    assert counters == {
+        "subgroups": 460,
+        "lattice_r_by_mask": 410,
+        "engine_builds": 50,
+        "survivors_reverified": 72,
+    }
+
+
 def test_invalid_space_arguments():
     with pytest.raises(ValueError):
         SearchSpace(case=CaseTag.CASE1, shift_denominator=0)
@@ -256,6 +285,142 @@ def test_case2_no_survivors_small():
 
 
 # ---------------------------------------------------------------------------
+# oracles for the census shortcuts
+# ---------------------------------------------------------------------------
+
+
+def _zero_shift_build(case, key):
+    zero = TorsionPoint.zero(2)
+    params = D4Parameters(
+        tau=TAU_I,
+        tau_prime=TAU_2I,
+        s_shift1=zero,
+        s_shift2=zero,
+        r_shift=zero,
+        s_shift3=zero if case is CaseTag.CASE2 else None,
+        subgroup_gens=classify._subgroup_generator_points(key),
+    )
+    return build_general(case, params)
+
+
+def _assert_mask_decides_lattice_stage(g_max):
+    family, _ = subgroup_family(g_max)
+    for case in (CaseTag.CASE1, CaseTag.CASE2):
+        for key in family:
+            built = _zero_shift_build(case, key)
+            assert isinstance(built, D4Action) == classify._span_rotation_stable(key), (case, key)
+            if not isinstance(built, D4Action):
+                assert built.reason == "lattice_not_preserved:r"
+
+
+def test_rotation_stable_mask_decides_lattice_stage():
+    _assert_mask_decides_lattice_stage(2)
+
+
+@pytest.mark.extended
+def test_rotation_stable_mask_decides_lattice_stage_three_generators():
+    _assert_mask_decides_lattice_stage(3)
+
+
+def _reference_sweep(engine, space):
+    """The enumerating sweep: every grid tuple tested stage by stage."""
+    scale = space.scale
+    a_grid = space.shift_grid()
+    c_grid = space.third_grid()
+    a3_grid = c_grid if space.case is CaseTag.CASE2 else [classify._ZERO2]
+    reasons = classify._REASONS[space.case]
+    na = len(a_grid)
+    counts = {r: 0 for r in reasons}
+    survivors = []
+    _forms_hold = classify._forms_hold
+
+    rel_r4 = engine.relation_forms["r4"]
+    rel_s2 = engine.relation_forms["s2"]
+    rel_rs2 = engine.relation_forms["rsrs"]
+    fw = engine.word_forms
+    zero = classify._ZERO2
+    r2_stage = reasons[7]
+
+    r4_ok = [_forms_hold(rel_r4, zero, zero, zero, c3, scale) for c3 in c_grid]
+    s2_ok = [[_forms_hold(rel_s2, a1, zero, a3, zero, scale) for a3 in a3_grid] for a1 in a_grid]
+
+    for ic, c3 in enumerate(c_grid):
+        if not r4_ok[ic]:
+            counts["relation:r4"] += na * na * len(a3_grid)
+            continue
+        r_fixed = _forms_hold(fw["r"], zero, zero, zero, c3, scale) or _forms_hold(
+            fw["rrr"], zero, zero, zero, c3, scale
+        )
+        for ia1, a1 in enumerate(a_grid):
+            s2_row = s2_ok[ia1]
+            for ia3, a3 in enumerate(a3_grid):
+                if not s2_row[ia3]:
+                    counts["relation:s2"] += na
+                    continue
+                for a2 in a_grid:
+                    if not _forms_hold(rel_rs2, a1, a2, a3, c3, scale):
+                        counts["relation:rsrs"] += 1
+                        continue
+                    if r_fixed:
+                        counts["fixed_point:r"] += 1
+                        continue
+                    if _forms_hold(fw["rr"], a1, a2, a3, c3, scale):
+                        counts[r2_stage] += 1
+                        continue
+                    if _forms_hold(fw["s"], a1, a2, a3, c3, scale):
+                        counts["fixed_point:s"] += 1
+                        continue
+                    if _forms_hold(fw["rs"], a1, a2, a3, c3, scale):
+                        counts["fixed_point:rs"] += 1
+                        continue
+                    if _forms_hold(fw["rrs"], a1, a2, a3, c3, scale):
+                        counts["fixed_point:r2s"] += 1
+                        continue
+                    if _forms_hold(fw["sr"], a1, a2, a3, c3, scale):
+                        counts["fixed_point:r3s"] += 1
+                        continue
+                    survivors.append((a1, a2, a3, c3))
+    return counts, survivors
+
+
+def test_residue_lookup_solves_congruences():
+    # the family's relation forms only take residues 0 and D/2, where
+    # a sign slip or a reordered bucket cannot show; random forms can
+    rng = random.Random(7)
+    scale = 12
+    grid = [(i, j) for i in range(scale) for j in range(scale)]
+    for _ in range(40):
+        forms = tuple(tuple(rng.randrange(-6, 7) for _ in range(8)) for _ in range(rng.randint(1, 3)))
+        buckets = classify._residue_buckets(forms, classify._SLOTS_A2, grid, scale)
+        for _ in range(20):
+            a1, a3, c3 = (rng.choice(grid) for _ in range(3))
+            key = classify._solving_key(forms, a1, (0, 0), a3, c3, scale)
+            expected = [a2 for a2 in grid if classify._forms_hold(forms, a1, a2, a3, c3, scale)]
+            assert buckets.get(key, []) == expected
+
+
+@pytest.fixture(scope="module")
+def stable_engines():
+    # engines do not depend on the grid, so one set per case serves
+    # every denominator pair
+    family, _ = subgroup_family(2)
+    stable = [key for key in family if classify._span_rotation_stable(key)]
+    assert len(stable) == 50
+    return {
+        case: [classify._build_h_engine(case, key, TAU_I, TAU_2I) for key in stable]
+        for case in (CaseTag.CASE1, CaseTag.CASE2)
+    }
+
+
+@pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
+def test_residue_sweep_matches_enumerating_sweep(stable_engines, case):
+    for q_a, q_t in itertools.product(range(1, 5), repeat=2):
+        space = SearchSpace(case=case, shift_denominator=q_a, third_denominator=q_t)
+        for engine in stable_engines[case]:
+            assert classify._sweep_h(engine, space) == _reference_sweep(engine, space), (q_a, q_t)
+
+
+# ---------------------------------------------------------------------------
 # cross validation
 # ---------------------------------------------------------------------------
 
@@ -301,27 +466,6 @@ def test_cross_validate_rejects_case2():
 # ---------------------------------------------------------------------------
 # full-scale regressions (excluded from the default run)
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.extended
-def test_case1_full_grid_g2_counts():
-    space = SearchSpace(
-        case=CaseTag.CASE1,
-        shift_denominator=2,
-        third_denominator=4,
-        h_generators_max=2,
-        tau=TAU_I,
-        tau_prime=TAU_2I,
-    )
-    rep = enumerate_case1(space)
-    assert rep.total == 460 * 256
-    assert len(rep.survivors) == 72
-    assert rep.failure_counts["lattice:r"] == 104960
-    assert rep.failure_counts["relation:rsrs"] == 7296
-    assert rep.failure_counts["fixed_point:r"] == 668
-    assert rep.failure_counts["fixed_point:r2"] == 2004
-    assert rep.failure_counts["fixed_point:s"] == 2220
-    assert rep.failure_counts["fixed_point:rs"] == 540
 
 
 @pytest.mark.extended

@@ -90,6 +90,37 @@ def test_construct_tau_lower_half_plane(capsys):
     assert "error:" in err
 
 
+def test_negative_values_parse_in_both_spellings(capsys):
+    values = {
+        "--tau": "-1/2+1/1i",
+        "--tau-prime": "-1/2+1/5i",
+        "--h": "-1/2,0/1",
+        "--k": "0/1,-1/2",
+        "--h-prime": "-1/4,0/1",
+    }
+    spaced = ["construct"] + [x for flag, v in values.items() for x in (flag, v)]
+    joined = ["construct"] + [f"{flag}={v}" for flag, v in values.items()]
+    code, spaced_out, err = run(capsys, spaced)
+    assert code == 0, err
+    code, joined_out, _ = run(capsys, joined)
+    assert code == 0
+    assert spaced_out == joined_out
+    # argparse also takes an abbreviation of a long flag
+    code, abbreviated_out, _ = run(capsys, ["--tau-p" if x == "--tau-prime" else x for x in spaced])
+    assert code == 0
+    assert abbreviated_out == joined_out
+
+    census = ["classify", "--case", "1", "--max-denominator", "2", "--h-generators-max", "1"]
+    curves = {"--tau": "-1/2+1/1i", "--tau-prime": "-1/2+1/5i"}
+    # no order-4 rotation shift on this grid: a checked failure either way
+    code, spaced_out, _ = run(capsys, census + [x for flag, v in curves.items() for x in (flag, v)])
+    assert code == 1
+    code, joined_out, _ = run(capsys, census + [f"{flag}={v}" for flag, v in curves.items()])
+    assert code == 1
+    assert spaced_out == joined_out
+    assert json.loads(spaced_out)["space"]["tau"] == "-1/2+1/1i"
+
+
 def test_construct_malformed_shift(capsys):
     code, _, err = run(
         capsys, ["construct", "--tau", TAU, "--tau-prime", TAU_PRIME, "--h", "1/2"]
@@ -267,6 +298,26 @@ def test_classify_case1_finds_expected_survivors(tmp_path, capsys):
     doc = json.loads(path.read_text())
     assert doc["survivor_count"] == 72
     assert doc["total"] == 225280
+
+
+def test_classify_stats_file_leaves_census_unchanged(tmp_path, capsys):
+    census = ["classify", "--case", "1", "--max-denominator", "4", "--h-generators-max", "1"]
+    code, plain, _ = run(capsys, census)
+    assert code == 0
+    # a second worker count as well: neither changes the census bytes
+    stats = tmp_path / "stats.json"
+    code, out, _ = run(capsys, census + ["--workers", "2", "--stats", str(stats)])
+    assert code == 0
+    assert out == plain
+    doc = json.loads(stats.read_text())
+    assert doc["counters"] == {
+        "subgroups": 55,
+        "lattice_r_by_mask": 42,
+        "engine_builds": 13,
+        "survivors_reverified": 72,
+    }
+    assert set(doc["phase_seconds"]) == {"family", "sweep", "reverification"}
+    assert all(t >= 0 for t in doc["phase_seconds"].values())
 
 
 def test_classify_case2_refuted(capsys):
