@@ -213,7 +213,7 @@ def build_certificate(action: D4Action) -> dict:
     }
     if action.case is CaseTag.CASE1:
         doc["freeness_conditions"] = {
-            k: bool(v) for k, v in check_freeness_conditions(action.params).as_dict().items()
+            k: bool(v) for k, v in check_freeness_conditions(action).as_dict().items()
         }
     return doc
 
@@ -425,7 +425,7 @@ def verify_certificate(doc) -> VerificationResult:
 
     if case is CaseTag.CASE1:
         expected_flags = {
-            k: bool(v) for k, v in check_freeness_conditions(params).as_dict().items()
+            k: bool(v) for k, v in check_freeness_conditions(built).as_dict().items()
         }
         if not _same_json(doc.get("freeness_conditions"), expected_flags):
             failures.append("freeness_conditions: do not match the rebuild")

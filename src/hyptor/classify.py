@@ -10,13 +10,16 @@ elements.  The first failing stage, in a fixed canonical order, is the
 recorded failure reason, so reports do not depend on the worker count.
 
 Two independent decision routes exist for the freeness stages: the
-closed-form exclusion conditions on H (check_freeness_conditions) and
-the generic engine route that reads obstruction rows off the Smith
-form of (A_w - I) per group element.  The sweeps prune with the engine
-route and re-verify every survivor object-level from scratch, with the
-closed-form conditions as an independent check in Case 1;
-cross_validate runs both routes on every grid tuple and reports
-disagreements.
+closed-form membership and exclusion conditions on H, which live in
+d4_family (scaled_freeness_conditions, on integer coordinates, and
+check_freeness_conditions on a built action), and the generic engine
+route that reads obstruction rows off the Smith form of (A_w - I) per
+group element.  Every subgroup's engine comes from its quotient frame
+(d4_family.quotient_frame).  The sweeps prune with the engine route
+and re-verify every survivor object-level, each from its own shifts
+on the quotient frame of its subgroup, with the closed-form conditions
+as an independent check in Case 1; cross_validate runs both routes on
+every grid tuple and reports disagreements.
 
 All per-tuple arithmetic is done on integers: with D the lcm of the
 denominator bounds (and 2, for H), a parameter point p becomes D*p and
@@ -48,13 +51,15 @@ from .d4_family import (
     BuildRejection,
     CaseTag,
     D4Parameters,
-    build_general,
+    QuotientFrame,
     case_matrices,
     check_action,
     check_freeness_conditions,
+    quotient_frame,
+    scaled_freeness_conditions,
 )
 from .exact_linear import Matrix, snf
-from .torus import EllipticCurveParam, TorsionPoint, coordinate_change
+from .torus import EllipticCurveParam, TorsionPoint
 
 # Canonical failure stages.  A tuple failing several stages is counted
 # under the earliest.  "translation" and the lattice stages for the
@@ -102,6 +107,11 @@ _REASONS = {CaseTag.CASE1: CASE1_REASONS, CaseTag.CASE2: CASE2_REASONS}
 
 _BLOCK_MASKS = (0b000011, 0b001100, 0b110000)
 
+# Largest accepted denominator bound.  The grids are lists of q^2
+# points and a sweep's time grows about as q^2; at 128 a census of
+# either case takes about 15 s and 28 MB on one core of a Xeon guest.
+MAX_DENOMINATOR = 128
+
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -125,6 +135,8 @@ class SearchSpace:
     def __post_init__(self) -> None:
         if self.shift_denominator < 1 or self.third_denominator < 1:
             raise ValueError("denominator bounds must be positive")
+        if max(self.shift_denominator, self.third_denominator) > MAX_DENOMINATOR:
+            raise ValueError(f"denominator bounds must be at most {MAX_DENOMINATOR}")
         if not 0 <= self.h_generators_max <= 3:
             raise ValueError("subgroup family supports at most 3 generators")
 
@@ -419,25 +431,21 @@ class _HEngine:
     word_forms: dict[str, tuple[tuple[int, ...], ...]]
 
 
-def _build_h_engine(case: CaseTag, span_key: tuple[int, ...], tau: EllipticCurveParam, tau_prime: EllipticCurveParam) -> _HEngine:
+def _stable_frame(space: SearchSpace, span_key: tuple[int, ...]) -> QuotientFrame:
+    """The quotient frame of a rotation-stable subgroup of the family."""
+    frame = quotient_frame(space.case, space.tau, space.tau_prime, _subgroup_generator_points(span_key))
+    if isinstance(frame, BuildRejection):
+        raise RuntimeError(f"internal error: rotation-stable subgroup rejected: {frame.reason}")
+    return frame
+
+
+def _build_h_engine(frame: QuotientFrame) -> _HEngine:
     """Obstruction and relation forms of one rotation-stable subgroup."""
-    zero2 = TorsionPoint.zero(2)
-    params = D4Parameters(
-        tau=tau,
-        tau_prime=tau_prime,
-        s_shift1=zero2,
-        s_shift2=zero2,
-        r_shift=zero2,
-        s_shift3=zero2 if case is CaseTag.CASE2 else None,
-        subgroup_gens=_subgroup_generator_points(span_key),
-    )
-    built = build_general(case, params)
-    if isinstance(built, BuildRejection):
-        raise RuntimeError(f"internal error: rotation-stable subgroup rejected: {built.reason}")
-    b_inv = coordinate_change(built.product_torus, built.torus)
+    case = frame.case
+    b_inv = frame.to_quotient
     if not b_inv.is_integral():
         raise RuntimeError("internal error: the product lattice is not inside the quotient lattice")
-    a_quot = {"r": built.r.a, "s": built.s.a}
+    a_quot = {"r": frame.r_linear, "s": frame.s_linear}
     ident = Matrix.identity(6)
 
     relation_forms: dict[str, tuple[tuple[int, ...], ...]] = {}
@@ -519,50 +527,10 @@ def _solving_key(forms, a1, a2, a3, c3, scale: int) -> tuple[int, ...]:
     return tuple(-_form_value(f, a1, a2, a3, c3) % scale for f in forms)
 
 
-# ---------------------------------------------------------------------------
-# Closed-form route: the exclusion conditions evaluated on scaled sets.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _ConditionSets:
-    elements: frozenset[tuple[int, ...]]
-    h1: frozenset[tuple[int, int]]
-    h3: frozenset[tuple[int, int]]
-    diff21: frozenset[tuple[int, int]]
-
-
-def _condition_sets(span_key: tuple[int, ...], scale: int) -> _ConditionSets:
+def _scaled_elements(span_key: tuple[int, ...], scale: int) -> tuple[tuple[int, ...], ...]:
+    """H's elements from their bitmasks, in coordinates times scale."""
     half = scale // 2
-    elems = []
-    for m in span_key:
-        elems.append(tuple(half if (m >> i) & 1 else 0 for i in range(6)))
-    h1 = frozenset((e[0], e[1]) for e in elems)
-    h3 = frozenset((e[4], e[5]) for e in elems)
-    diff21 = frozenset(((e[2] - e[0]) % scale, (e[3] - e[1]) % scale) for e in elems)
-    return _ConditionSets(frozenset(elems), h1, h3, diff21)
-
-
-def _condition_flags(sets: _ConditionSets, a1, a2, c3, scale: int) -> dict[str, bool]:
-    """The Case-1 membership/exclusion flags on scaled integer
-    coordinates; they mirror check_freeness_conditions exactly."""
-    c4 = ((4 * c3[0]) % scale, (4 * c3[1]) % scale)
-    mem_r4 = (0, 0, 0, 0, c4[0], c4[1]) in sets.elements
-    d1 = ((2 * a1[0]) % scale, (2 * a1[1]) % scale)
-    om = ((a1[0] + a2[0]) % scale, (a1[1] + a2[1]) % scale)
-    nom = ((-om[0]) % scale, (-om[1]) % scale)
-    mem_s2 = (d1[0], d1[1], 0, 0, 0, 0) in sets.elements
-    mem_rs2 = (om[0], om[1], nom[0], nom[1], 0, 0) in sets.elements
-    c2 = ((2 * c3[0]) % scale, (2 * c3[1]) % scale)
-    return {
-        "rel_r4_member": mem_r4,
-        "rel_s2_member": mem_s2,
-        "rel_rs2_member": mem_rs2,
-        "excl_r_free": (c3[0] % scale, c3[1] % scale) not in sets.h3,
-        "excl_r2_free": c2 not in sets.h3,
-        "excl_s_free": (a1[0] % scale, a1[1] % scale) not in sets.h1,
-        "excl_rs_free": om not in sets.diff21,
-    }
+    return tuple(tuple(half if (m >> i) & 1 else 0 for i in range(6)) for m in span_key)
 
 
 # ---------------------------------------------------------------------------
@@ -654,42 +622,10 @@ def _scaled_point(pair: tuple[int, int], scale: int) -> TorsionPoint:
     return TorsionPoint((Fraction(pair[0], scale), Fraction(pair[1], scale)))
 
 
-def _task_payload(space: SearchSpace, span_key: tuple[int, ...]) -> tuple:
-    return (
-        space.case.value,
-        space.shift_denominator,
-        space.third_denominator,
-        space.h_generators_max,
-        (space.tau.tau_re, space.tau.tau_im),
-        (space.tau_prime.tau_re, space.tau_prime.tau_im),
-        span_key,
-    )
-
-
-def _space_from_payload(payload) -> tuple[SearchSpace, tuple[int, ...]]:
-    case_v, q_a, q_t, gmax, tau_t, taup_t, span_key = payload
-    space = SearchSpace(
-        case=CaseTag(case_v),
-        shift_denominator=q_a,
-        third_denominator=q_t,
-        h_generators_max=gmax,
-        tau=EllipticCurveParam(*tau_t),
-        tau_prime=EllipticCurveParam(*taup_t),
-    )
-    return space, span_key
-
-
-def _sweep_task(payload):
+def _sweep_task(task):
     """Worker entry point: one subgroup's slice of the sweep."""
-    space, span_key = _space_from_payload(payload)
-    engine = _build_h_engine(space.case, span_key, space.tau, space.tau_prime)
-    return _sweep_h(engine, space)
-
-
-def _xval_task(payload):
-    base_payload, base_index, sample_step = payload
-    space, span_key = _space_from_payload(base_payload)
-    return _cross_validate_h(space, span_key, base_index, sample_step)
+    space, span_key = task
+    return _sweep_h(_build_h_engine(_stable_frame(space, span_key)), space)
 
 
 def _worker_count(requested: int, tasks: int) -> int:
@@ -697,22 +633,31 @@ def _worker_count(requested: int, tasks: int) -> int:
     return min(requested, tasks, os.cpu_count() or 1)
 
 
-def _run_tasks(task_fn, payloads, workers: int):
-    workers = _worker_count(workers, len(payloads))
+def _run_tasks(task_fn, tasks, workers: int):
+    workers = _worker_count(workers, len(tasks))
     if workers <= 1:
-        return [task_fn(p) for p in payloads]
+        return [task_fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task_fn, payloads, chunksize=max(1, len(payloads) // (4 * workers))))
+        return list(pool.map(task_fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def _reverify_survivor(space: SearchSpace, s: Survivor) -> bool:
-    """Object-level rebuild of a survivor, from its parameters alone."""
-    params = s.parameters(space.tau, space.tau_prime)
-    built = build_general(space.case, params)
-    if isinstance(built, BuildRejection) or not check_action(built).ok:
-        return False
-    if space.case is CaseTag.CASE1:
-        return check_freeness_conditions(params).all_pass
+def _reverify_survivors(space: SearchSpace, survivors: list[Survivor]) -> bool:
+    """Object-level rebuild of every survivor from its parameters.
+
+    The survivors of one subgroup H are adjacent and share its quotient
+    frame; each places its own shifts on it and passes the object-level
+    checks, and in Case 1 the closed-form conditions.
+    """
+    for gens, group in itertools.groupby(survivors, key=lambda s: s.h_generators):
+        frame = quotient_frame(space.case, space.tau, space.tau_prime, gens)
+        if isinstance(frame, BuildRejection):
+            return False
+        for s in group:
+            action = frame.action(s.parameters(space.tau, space.tau_prime))
+            if not check_action(action).ok:
+                return False
+            if space.case is CaseTag.CASE1 and not check_freeness_conditions(action).all_pass:
+                return False
     return True
 
 
@@ -722,8 +667,7 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
     stable = [key for key in family if _span_rotation_stable(key)]
     family_done = time.perf_counter()
 
-    payloads = [_task_payload(space, key) for key in stable]
-    results = _run_tasks(_sweep_task, payloads, workers)
+    results = _run_tasks(_sweep_task, [(space, key) for key in stable], workers)
 
     counts = {r: 0 for r in _REASONS[space.case]}
     counts["lattice:r"] = (len(family) - len(stable)) * space.grid_size()
@@ -751,9 +695,8 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
         raise RuntimeError(f"internal error: census lost tuples ({accounted} of {total})")
     sweep_done = time.perf_counter()
 
-    for s in survivors:
-        if not _reverify_survivor(space, s):
-            raise RuntimeError("internal error: survivor failed object-level re-verification")
+    if not _reverify_survivors(space, survivors):
+        raise RuntimeError("internal error: survivor failed object-level re-verification")
 
     stats = CensusStats(
         subgroups=len(family),
@@ -811,8 +754,9 @@ class AgreementReport:
         return self.disagreements == 0 and self.object_disagreements == 0
 
 
-def _cross_validate_h(space: SearchSpace, span_key: tuple[int, ...], base_index: int, sample_step: int):
-    """Both routes on every tuple of one subgroup's slice.
+def _cross_validate_h(task):
+    """Worker entry point: both routes on every tuple of one subgroup's
+    slice, for a task (space, span_key, base_index, sample_step).
 
     Returns (tuples, disagreements, examples, object_samples,
     object_disagreements).  The closed-form route evaluates the
@@ -821,16 +765,17 @@ def _cross_validate_h(space: SearchSpace, span_key: tuple[int, ...], base_index:
     thin sample, spread over the whole family by absolute tuple index,
     is additionally rebuilt object-level.
     """
+    space, span_key, base_index, sample_step = task
     scale = space.scale
-    engine = _build_h_engine(space.case, span_key, space.tau, space.tau_prime)
-    sets = _condition_sets(span_key, scale)
+    frame = _stable_frame(space, span_key)
+    engine = _build_h_engine(frame)
+    elements = _scaled_elements(span_key, scale)
     a_grid = space.shift_grid()
     c_grid = space.third_grid()
     fw = engine.word_forms
     zero = _ZERO2
 
     rel = engine.relation_forms
-    gens_points = _subgroup_generator_points(span_key)
     grid_total = len(a_grid) ** 2 * len(c_grid)
 
     disagreements = 0
@@ -846,23 +791,22 @@ def _cross_validate_h(space: SearchSpace, span_key: tuple[int, ...], base_index:
         for a1 in a_grid:
             eng_s2 = _forms_hold(rel["s2"], a1, zero, zero, zero, scale)
             for a2 in a_grid:
-                flags = _condition_flags(sets, a1, a2, c3, scale)
+                flags = scaled_freeness_conditions(elements, a1, a2, c3, scale)
                 eng_rs2 = _forms_hold(rel["rsrs"], a1, a2, zero, zero, scale)
                 eng_s_fixed = _forms_hold(fw["s"], a1, a2, zero, c3, scale)
                 eng_rs_fixed = _forms_hold(fw["rs"], a1, a2, zero, c3, scale)
                 pairs = (
-                    ("rel_r4_member", flags["rel_r4_member"], eng_r4),
-                    ("rel_s2_member", flags["rel_s2_member"], eng_s2),
-                    ("rel_rs2_member", flags["rel_rs2_member"], eng_rs2),
-                    ("excl_r_free", flags["excl_r_free"], not eng_r_fixed),
-                    ("excl_r_free/r3", flags["excl_r_free"], not eng_r3_fixed),
-                    ("excl_r2_free", flags["excl_r2_free"], not eng_r2_fixed),
-                    ("excl_s_free", flags["excl_s_free"], not eng_s_fixed),
-                    ("excl_rs_free", flags["excl_rs_free"], not eng_rs_fixed),
+                    ("rel_r4_member", flags.rel_r4_member, eng_r4),
+                    ("rel_s2_member", flags.rel_s2_member, eng_s2),
+                    ("rel_rs2_member", flags.rel_rs2_member, eng_rs2),
+                    ("excl_r_free", flags.excl_r_free, not eng_r_fixed),
+                    ("excl_r_free/r3", flags.excl_r_free, not eng_r3_fixed),
+                    ("excl_r2_free", flags.excl_r2_free, not eng_r2_fixed),
+                    ("excl_s_free", flags.excl_s_free, not eng_s_fixed),
+                    ("excl_rs_free", flags.excl_rs_free, not eng_rs_fixed),
                 )
                 bad = [name for name, closed, eng in pairs if closed != eng]
-                closed_form_pass = all(flags.values())
-                if closed_form_pass:
+                if flags.equivalence_flags_pass:
                     # The remaining two reflections must then be free too.
                     if _forms_hold(fw["rrs"], a1, a2, zero, c3, scale):
                         bad.append("r2s_free_implied")
@@ -876,32 +820,27 @@ def _cross_validate_h(space: SearchSpace, span_key: tuple[int, ...], base_index:
                         )
                 if idx % sample_step == 0:
                     object_samples += 1
-                    if not _object_sample_agrees(
-                        space, gens_points, a1, a2, c3, scale, flags, engine
-                    ):
+                    if not _object_sample_agrees(frame, a1, a2, c3, scale, flags, engine):
                         object_bad += 1
                 idx += 1
     return grid_total, disagreements, tuple(examples), object_samples, object_bad
 
 
-def _object_sample_agrees(space, gens_points, a1, a2, c3, scale, flags, engine) -> bool:
+def _object_sample_agrees(frame: QuotientFrame, a1, a2, c3, scale, flags, engine) -> bool:
     """Full-arithmetic rebuild of one tuple agrees with both routes."""
     params = D4Parameters(
-        tau=space.tau,
-        tau_prime=space.tau_prime,
+        tau=frame.tau,
+        tau_prime=frame.tau_prime,
         s_shift1=_scaled_point(a1, scale),
         s_shift2=_scaled_point(a2, scale),
         r_shift=_scaled_point(c3, scale),
-        subgroup_gens=gens_points,
+        subgroup_gens=frame.subgroup.generators,
     )
-    built = build_general(CaseTag.CASE1, params)
-    if isinstance(built, BuildRejection):
-        return False
+    built = frame.action(params)
     obj_ok = check_action(built).ok
-    report = check_freeness_conditions(params)
-    if report.as_dict() != {"factors_embed": True, **flags}:
+    if check_freeness_conditions(built) != flags or not flags.factors_embed:
         return False
-    fast_ok = all(flags.values())
+    fast_ok = flags.equivalence_flags_pass
     a3 = _ZERO2
     eng_ok = (
         _forms_hold(engine.relation_forms["r4"], _ZERO2, _ZERO2, a3, c3, scale)
@@ -931,8 +870,8 @@ def cross_validate(
     grid = space.grid_size()
     stable = [(i, key) for i, key in enumerate(family) if _span_rotation_stable(key)]
     sample_step = max(1, (len(stable) * grid) // object_sample_target)
-    payloads = [(_task_payload(space, key), i * grid, sample_step) for i, key in stable]
-    results = _run_tasks(_xval_task, payloads, workers)
+    tasks = [(space, key, i * grid, sample_step) for i, key in stable]
+    results = _run_tasks(_cross_validate_h, tasks, workers)
     total = 0
     disagreements = 0
     examples: list[str] = []

@@ -149,7 +149,7 @@ def cmd_construct(args) -> int:
         doc = build_certificate(built)
     except ValueError as exc:
         _err(f"construction failed: {exc}")
-        report = check_freeness_conditions(params)
+        report = check_freeness_conditions(built)
         for flag, value in report.as_dict().items():
             if not value:
                 _err(f"violated condition: {_CONDITION_PHRASES[flag]}")
@@ -330,9 +330,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output_format(p):
+        p.add_argument("--format", choices=("json", "text"), default="json")
+
     def common_output(p):
         p.add_argument("--out", help="write the JSON artifact to this file (atomic)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
+        output_format(p)
 
     p_con = sub.add_parser("construct", help="build a free action and emit its certificate")
     p_con.add_argument("--tau", required=True, help='first curve parameter, "p/q+p/qi"')
@@ -345,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="re-check a certificate from its parameters")
     p_ver.add_argument("certificate", help="path to a certificate JSON file")
-    common_output(p_ver)
+    output_format(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     p_cls = sub.add_parser("classify", help="run a census sweep over the parameter grid")

@@ -21,8 +21,9 @@ block swap and sign flips as -I on a block.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exact_linear import (
     Matrix,
@@ -162,10 +163,6 @@ def embed_block(p: TorsionPoint, block: int) -> TorsionPoint:
     return TorsionPoint(tuple(coords))
 
 
-def block_component(p: TorsionPoint, block: int) -> TorsionPoint:
-    return TorsionPoint((p.coords[2 * block], p.coords[2 * block + 1]))
-
-
 @dataclass(frozen=True)
 class D4Action:
     """A constructed family member: quotient torus plus both generators."""
@@ -187,26 +184,74 @@ class BuildRejection:
     detail: str
 
 
-def build_general(case: CaseTag, params: D4Parameters) -> D4Action | BuildRejection:
-    """Assemble (T, r, s) for a parameter tuple, or reject it.
+@dataclass(frozen=True)
+class QuotientFrame:
+    """Everything of a family member but its shifts.
 
-    Rejections (not exceptions) cover the conditions a search has to
-    filter on: subgroup generators of exponent > 2, and linear parts
-    that do not preserve the enlarged lattice.
+    The product E x E x E', the subgroup H, the quotient T = product/H,
+    the product-to-quotient change of basis and the linear parts of r
+    and s on T depend on (case, tau, tau', H) alone, so the members that
+    share them share one frame.
     """
+
+    case: CaseTag
+    tau: EllipticCurveParam
+    tau_prime: EllipticCurveParam
+    product_torus: ComplexTorus
+    subgroup: FiniteSubgroup
+    torus: ComplexTorus
+    to_quotient: Matrix
+    r_linear: Matrix
+    s_linear: Matrix
+
+    def action(self, params: D4Parameters) -> D4Action:
+        """Place the shifts of params on the frame.
+
+        Raises ValueError when params name another tau, tau' or H
+        generator tuple than the frame was built for.
+        """
+        if (params.tau, params.tau_prime, params.subgroup_gens) != (
+            self.tau,
+            self.tau_prime,
+            self.subgroup.generators,
+        ):
+            raise ValueError("parameters name another tau, tau' or H than the frame")
+        _check_third_shift(self.case, params)
+        t_r_prod = embed_block(params.r_shift, 2)
+        s3 = params.s_shift3 if params.s_shift3 is not None else TorsionPoint.zero(2)
+        t_s_prod = embed_block(params.s_shift1, 0).add(embed_block(params.s_shift2, 1)).add(embed_block(s3, 2))
+        r = AffineAut(self.torus, self.r_linear, TorsionPoint(self.to_quotient.apply(t_r_prod.coords)))
+        s = AffineAut(self.torus, self.s_linear, TorsionPoint(self.to_quotient.apply(t_s_prod.coords)))
+        return D4Action(self.case, params, self.product_torus, self.subgroup, self.torus, r, s)
+
+
+def _check_third_shift(case: CaseTag, params: D4Parameters) -> None:
     if case is CaseTag.CASE1 and params.s_shift3 is not None and not params.s_shift3.is_zero():
         raise ValueError("s_shift3 must be absent in Case 1 (origin normalization)")
     if case is CaseTag.CASE2 and params.s_shift3 is None:
         raise ValueError("s_shift3 is required in Case 2")
 
-    for gpt in params.subgroup_gens:
+
+def quotient_frame(
+    case: CaseTag,
+    tau: EllipticCurveParam,
+    tau_prime: EllipticCurveParam,
+    subgroup_gens: tuple[TorsionPoint, ...],
+) -> QuotientFrame | BuildRejection:
+    """Build the quotient of E x E x E' by H, or reject H.
+
+    Rejections (not exceptions) cover the conditions a search has to
+    filter on: subgroup generators of exponent > 2, and linear parts
+    that do not preserve the enlarged lattice.
+    """
+    for gpt in subgroup_gens:
         if not gpt.scale(2).is_zero():
             return BuildRejection("subgroup_not_exponent_two", f"generator {gpt.coords} has order > 2")
 
-    e = elliptic_curve(params.tau)
-    e_prime = elliptic_curve(params.tau_prime)
+    e = elliptic_curve(tau)
+    e_prime = elliptic_curve(tau_prime)
     t_prod = product([e, e, e_prime])
-    h = FiniteSubgroup(t_prod, params.subgroup_gens)
+    h = FiniteSubgroup(t_prod, subgroup_gens)
     t_quot = quotient_by_finite_subgroup(t_prod, h)
 
     mats = case_matrices(case)
@@ -220,14 +265,18 @@ def build_general(case: CaseTag, params: D4Parameters) -> D4Action | BuildReject
                 f"lattice_not_preserved:{name}",
                 f"linear part of {name} does not stabilize the enlarged lattice",
             )
+    return QuotientFrame(case, tau, tau_prime, t_prod, h, t_quot, c, linear["r"], linear["s"])
 
-    t_r_prod = embed_block(params.r_shift, 2)
-    s3 = params.s_shift3 if params.s_shift3 is not None else TorsionPoint.zero(2)
-    t_s_prod = embed_block(params.s_shift1, 0).add(embed_block(params.s_shift2, 1)).add(embed_block(s3, 2))
 
-    r = AffineAut(t_quot, linear["r"], TorsionPoint(c.apply(t_r_prod.coords)))
-    s = AffineAut(t_quot, linear["s"], TorsionPoint(c.apply(t_s_prod.coords)))
-    return D4Action(case, params, t_prod, h, t_quot, r, s)
+def build_general(case: CaseTag, params: D4Parameters) -> D4Action | BuildRejection:
+    """Assemble (T, r, s) for a parameter tuple, or reject it: the
+    tuple's quotient frame with its shifts placed."""
+    # a malformed s_shift3 is reported before any rejection of H
+    _check_third_shift(case, params)
+    frame = quotient_frame(case, params.tau, params.tau_prime, params.subgroup_gens)
+    if isinstance(frame, BuildRejection):
+        return frame
+    return frame.action(params)
 
 
 def build_normal_form(tau: EllipticCurveParam, tau_prime: EllipticCurveParam) -> D4Action:
@@ -311,40 +360,41 @@ class FreenessConditionReport:
     @property
     def equivalence_flags_pass(self) -> bool:
         """The seven flags matched against the generic engine verdict."""
-        return all(
-            (
-                self.rel_r4_member,
-                self.rel_s2_member,
-                self.rel_rs2_member,
-                self.excl_r_free,
-                self.excl_r2_free,
-                self.excl_s_free,
-                self.excl_rs_free,
-            )
-        )
+        return all(v for k, v in self.as_dict().items() if k != "factors_embed")
 
     @property
     def all_pass(self) -> bool:
-        return self.factors_embed and self.equivalence_flags_pass
+        return all(self.as_dict().values())
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "factors_embed": self.factors_embed,
-            "rel_r4_member": self.rel_r4_member,
-            "rel_s2_member": self.rel_s2_member,
-            "rel_rs2_member": self.rel_rs2_member,
-            "excl_r_free": self.excl_r_free,
-            "excl_r2_free": self.excl_r2_free,
-            "excl_s_free": self.excl_s_free,
-            "excl_rs_free": self.excl_rs_free,
-        }
+        return asdict(self)
 
 
-def check_freeness_conditions(params: D4Parameters) -> FreenessConditionReport:
+def check_freeness_conditions(action: D4Action) -> FreenessConditionReport:
     """Evaluate the Case-1 membership and exclusion conditions on H.
 
-    All conditions are stated upstairs on the product: H is the set of
-    points divided out, a1 = s_shift1, a2 = s_shift2, c = r_shift.
+    H's elements are read from the built action and the shifts from its
+    parameters; all of them are scaled to integers by the lcm of their
+    denominators for scaled_freeness_conditions.
+    """
+    p = action.params
+    points = (p.s_shift1, p.s_shift2, p.r_shift, *action.subgroup.elements)
+    scale = lcm(*(c.denominator for pt in points for c in pt.coords))
+
+    def scaled(pt: TorsionPoint) -> tuple[int, ...]:
+        return tuple(int(c * scale) for c in pt.coords)
+
+    elements = [scaled(d) for d in action.subgroup.elements]
+    return scaled_freeness_conditions(elements, scaled(p.s_shift1), scaled(p.s_shift2), scaled(p.r_shift), scale)
+
+
+def scaled_freeness_conditions(elements, a1, a2, c3, scale: int) -> FreenessConditionReport:
+    """The Case-1 conditions on integer coordinates.
+
+    Every point is given times scale: elements are H's elements as
+    6-tuples reduced mod scale, a1 = s_shift1, a2 = s_shift2 and
+    c = c3 = r_shift are pairs.  The conditions are stated upstairs on the
+    product, where H is the set of points divided out:
 
     memberships: (0,0,4c) in H; (2 a1, 0, 0) in H;
     (a1 + a2, -(a1 + a2), 0) in H.
@@ -358,41 +408,22 @@ def check_freeness_conditions(params: D4Parameters) -> FreenessConditionReport:
     2-torsion where the surviving tuples live, this agrees with the
     transport along the rotation, which is z -> -z between the factors.
     """
-    e = elliptic_curve(params.tau)
-    e_prime = elliptic_curve(params.tau_prime)
-    t_prod = product([e, e, e_prime])
-    h = FiniteSubgroup(t_prod, params.subgroup_gens)
-
-    a1 = params.s_shift1
-    a2 = params.s_shift2
-    c = params.r_shift
-
-    mem_r4 = h.contains(embed_block(c.scale(4), 2))
-    mem_s2 = h.contains(embed_block(a1.scale(2), 0))
-    omega = a1.add(a2)
-    mem_rs2 = h.contains(embed_block(omega, 0).add(embed_block(omega.neg(), 1)))
-
-    c2 = c.scale(2)
-    embed = True
-    excl_r = True
-    excl_r2 = True
-    excl_s = True
-    excl_rs = True
-    for d in h.elements:
-        d1 = block_component(d, 0)
-        d2 = block_component(d, 1)
-        d3 = block_component(d, 2)
-        if not d.is_zero() and (d1.is_zero() + d2.is_zero() + d3.is_zero()) >= 2:
-            embed = False
-        if d3 == c:
-            excl_r = False
-        if d3 == c2:
-            excl_r2 = False
-        if d1 == a1:
-            excl_s = False
-        if d1.add(a2) == d2.sub(a1):
-            excl_rs = False
-    return FreenessConditionReport(embed, mem_r4, mem_s2, mem_rs2, excl_r, excl_r2, excl_s, excl_rs)
+    members = set(elements)
+    omega = ((a1[0] + a2[0]) % scale, (a1[1] + a2[1]) % scale)
+    third = {d[4:6] for d in elements}
+    zero = (0, 0)
+    return FreenessConditionReport(
+        factors_embed=all(
+            not any(d) or (d[0:2] == zero) + (d[2:4] == zero) + (d[4:6] == zero) < 2 for d in elements
+        ),
+        rel_r4_member=(0, 0, 0, 0, 4 * c3[0] % scale, 4 * c3[1] % scale) in members,
+        rel_s2_member=(2 * a1[0] % scale, 2 * a1[1] % scale, 0, 0, 0, 0) in members,
+        rel_rs2_member=(omega[0], omega[1], -omega[0] % scale, -omega[1] % scale, 0, 0) in members,
+        excl_r_free=(c3[0] % scale, c3[1] % scale) not in third,
+        excl_r2_free=(2 * c3[0] % scale, 2 * c3[1] % scale) not in third,
+        excl_s_free=(a1[0] % scale, a1[1] % scale) not in {d[0:2] for d in elements},
+        excl_rs_free=omega not in {((d[2] - d[0]) % scale, (d[3] - d[1]) % scale) for d in elements},
+    )
 
 
 @dataclass(frozen=True)
@@ -430,6 +461,13 @@ def block_sublattices(t_quot: ComplexTorus) -> tuple[Sublattice, ...]:
     return tuple(out)
 
 
+def _block_sum(t_quot: ComplexTorus) -> tuple[tuple[Sublattice, ...], Matrix]:
+    """The block lattices and a basis of their sum, block by block."""
+    lams = block_sublattices(t_quot)
+    basis = Matrix.from_columns([lam.basis.column(k) for lam in lams for k in range(lam.rank)])
+    return lams, basis
+
+
 def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
     """Check the block-splitting identities and denominator bounds.
 
@@ -442,12 +480,14 @@ def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
     sum are bounded by 2 on each block, and the component group of the
     block sum has exponent dividing 2.
     """
-    t_quot = action.torus
-    n = t_quot.rank
+    return _inclusion_report(action, *_block_sum(action.torus))
+
+
+def _inclusion_report(action: D4Action, lams, block_basis: Matrix) -> LatticeInclusionReport:
+    n = action.torus.rank
     s_cur = action.s.a
     r2_cur = action.r.a @ action.r.a
-
-    lam1, lam2, lam3 = block_sublattices(t_quot)
+    lam1, lam2, lam3 = lams
 
     splitting_ok = True
     for jdx in range(n):
@@ -471,11 +511,6 @@ def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
         if any(2 * a != p + q for a, p, q in zip(w, plus3, minus2)):
             splitting_ok = False
 
-    block_basis = Matrix.from_columns(
-        [lam1.basis.column(k) for k in range(lam1.rank)]
-        + [lam2.basis.column(k) for k in range(lam2.rank)]
-        + [lam3.basis.column(k) for k in range(lam3.rank)]
-    )
     inv = block_basis.inverse()
     denoms = [1, 1, 1]
     sizes = (lam1.rank, lam2.rank, lam3.rank)
@@ -532,15 +567,10 @@ def structure_report(action: D4Action) -> StructureReport:
     img = image_subtorus(t, s_cur + ident)
     kernel_image_agree = ker.canonical().basis.entries == img.canonical().basis.entries
 
-    lam1, lam2, lam3 = block_sublattices(t)
-    rotated = Sublattice(n, action.r.a @ lam1.basis).canonical()
-    rotated_block_agree = rotated.basis.entries == lam2.canonical().basis.entries
+    lams, block_basis = _block_sum(t)
+    rotated = Sublattice(n, action.r.a @ lams[0].basis).canonical()
+    rotated_block_agree = rotated.basis.entries == lams[1].canonical().basis.entries
 
-    block_basis = Matrix.from_columns(
-        [lam1.basis.column(k) for k in range(lam1.rank)]
-        + [lam2.basis.column(k) for k in range(lam2.rank)]
-        + [lam3.basis.column(k) for k in range(lam3.rank)]
-    )
     cg, divisors = component_group(t, Sublattice(n, block_basis))
 
     # omega upstairs is an element of H, hence a lattice vector of the
@@ -561,5 +591,5 @@ def structure_report(action: D4Action) -> StructureReport:
         rotated_block_agree=rotated_block_agree,
         component_divisors=divisors,
         omega_matches=omega_matches,
-        inclusion=lattice_inclusion_check(action),
+        inclusion=_inclusion_report(action, lams, block_basis),
     )

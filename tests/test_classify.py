@@ -9,11 +9,12 @@ import itertools
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from hyptor import classify
+from hyptor import classify, d4_family
 from hyptor.classify import (
     CaseTag,
     SearchSpace,
@@ -24,7 +25,7 @@ from hyptor.classify import (
     is_expected_survivor,
     subgroup_family,
 )
-from hyptor.d4_family import D4Action, D4Parameters, build_general
+from hyptor.d4_family import BuildRejection, quotient_frame
 from hyptor.torus import EllipticCurveParam, TorsionPoint, point
 
 TAU_I = EllipticCurveParam(Fraction(0), Fraction(1))
@@ -211,9 +212,43 @@ def test_case1_full_grid_g2_counts():
     }
 
 
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name through every hyptor namespace
+    that imports it by name."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "hyptor" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_case1_census_builds_one_quotient_frame_per_subgroup(monkeypatch):
+    builds = _count_calls(monkeypatch, d4_family, "build_general")
+    frames = _count_calls(monkeypatch, d4_family, "quotient_frame")
+    rep = enumerate_case1(SearchSpace(case=CaseTag.CASE1, shift_denominator=4, third_denominator=4))
+    assert len(rep.survivors) == 72
+    assert len({s.h_generators for s in rep.survivors}) == 3
+    assert rep.stats.engine_builds == 50
+    # 50 engines, then one frame for each of the survivors' 3 subgroups
+    assert len(frames) == 53
+    assert builds == []
+
+
 def test_invalid_space_arguments():
     with pytest.raises(ValueError):
         SearchSpace(case=CaseTag.CASE1, shift_denominator=0)
+    with pytest.raises(ValueError, match="at most"):
+        SearchSpace(case=CaseTag.CASE1, shift_denominator=classify.MAX_DENOMINATOR + 1)
+    with pytest.raises(ValueError, match="at most"):
+        SearchSpace(case=CaseTag.CASE2, third_denominator=classify.MAX_DENOMINATOR + 1)
+    # a space at the bound is accepted; building it allocates nothing
+    SearchSpace(case=CaseTag.CASE2, shift_denominator=classify.MAX_DENOMINATOR, third_denominator=classify.MAX_DENOMINATOR)
     with pytest.raises(ValueError):
         SearchSpace(case=CaseTag.CASE1, h_generators_max=4)
     with pytest.raises(ValueError):
@@ -289,28 +324,15 @@ def test_case2_no_survivors_small():
 # ---------------------------------------------------------------------------
 
 
-def _zero_shift_build(case, key):
-    zero = TorsionPoint.zero(2)
-    params = D4Parameters(
-        tau=TAU_I,
-        tau_prime=TAU_2I,
-        s_shift1=zero,
-        s_shift2=zero,
-        r_shift=zero,
-        s_shift3=zero if case is CaseTag.CASE2 else None,
-        subgroup_gens=classify._subgroup_generator_points(key),
-    )
-    return build_general(case, params)
-
-
 def _assert_mask_decides_lattice_stage(g_max):
     family, _ = subgroup_family(g_max)
     for case in (CaseTag.CASE1, CaseTag.CASE2):
         for key in family:
-            built = _zero_shift_build(case, key)
-            assert isinstance(built, D4Action) == classify._span_rotation_stable(key), (case, key)
-            if not isinstance(built, D4Action):
-                assert built.reason == "lattice_not_preserved:r"
+            frame = quotient_frame(case, TAU_I, TAU_2I, classify._subgroup_generator_points(key))
+            rejected = isinstance(frame, BuildRejection)
+            assert rejected != classify._span_rotation_stable(key), (case, key)
+            if rejected:
+                assert frame.reason == "lattice_not_preserved:r"
 
 
 def test_rotation_stable_mask_decides_lattice_stage():
@@ -407,7 +429,10 @@ def stable_engines():
     stable = [key for key in family if classify._span_rotation_stable(key)]
     assert len(stable) == 50
     return {
-        case: [classify._build_h_engine(case, key, TAU_I, TAU_2I) for key in stable]
+        case: [
+            classify._build_h_engine(classify._stable_frame(SearchSpace(case=case), key))
+            for key in stable
+        ]
         for case in (CaseTag.CASE1, CaseTag.CASE2)
     }
 

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from hyptor import classify
 from hyptor.cli import WORKERS_ENV, main
 
 TAU = "0/1+1/1i"
@@ -198,6 +199,16 @@ def test_verify_integral_obstruction_names_word(cert_path, capsys):
     assert any(word in f and "integral" in f for f in failures)
 
 
+def test_verify_takes_no_out_flag(cert_path, tmp_path, capsys):
+    # verify prints its result and writes no artifact
+    out_path = tmp_path / "v.json"
+    code, out, err = run(capsys, ["verify", str(cert_path), "--out", str(out_path)])
+    assert code == 2
+    assert "--out" in err
+    assert out == ""
+    assert not out_path.exists()
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, ["verify", str(tmp_path / "nope.json")])
     assert code == 2
@@ -360,6 +371,22 @@ def test_classify_bad_flags(capsys):
 
     code, _, err = run(capsys, ["classify", "--case", "1", "--workers", "0"])
     assert code == 2
+
+
+def test_classify_denominator_past_the_bound_exits_2(monkeypatch, capsys):
+    bound = classify.MAX_DENOMINATOR
+
+    # the bound must be enforced before any grid exists
+    def refuse(self):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(classify.SearchSpace, "shift_grid", refuse)
+    monkeypatch.setattr(classify.SearchSpace, "third_grid", refuse)
+    for q in (bound + 1, 100000):
+        code, out, err = run(capsys, ["classify", "--case", "1", "--max-denominator", str(q)])
+        assert code == 2
+        assert out == ""
+        assert f"at most {bound}" in err
 
 
 def test_classify_workers_env(monkeypatch, capsys):

@@ -1,7 +1,9 @@
 """Family construction tests: case matrices, normal form, freeness
 conditions, lattice inclusion bounds, structure report."""
 
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,11 +15,13 @@ from hyptor.affine_actions import (
     generate_group,
     is_free_action,
 )
+from hyptor import d4_family
 from hyptor.d4_family import (
     BuildRejection,
     CaseTag,
     D4Action,
     D4Parameters,
+    FreenessConditionReport,
     build_general,
     build_normal_form,
     case_matrices,
@@ -26,10 +30,18 @@ from hyptor.d4_family import (
     embed_block,
     lattice_inclusion_check,
     normal_form_parameters,
+    quotient_frame,
     structure_report,
 )
 from hyptor.exact_linear import Matrix
-from hyptor.torus import EllipticCurveParam, TorsionPoint, point
+from hyptor.torus import (
+    EllipticCurveParam,
+    FiniteSubgroup,
+    TorsionPoint,
+    elliptic_curve,
+    point,
+    product,
+)
 
 TAU_I = EllipticCurveParam(Fraction(0), Fraction(1))
 TAU_HALF_I = EllipticCurveParam(Fraction(1, 2), Fraction(1))
@@ -118,6 +130,49 @@ def test_build_rejections():
     assert out.reason == "lattice_not_preserved:r"
 
 
+def _gens(*masks):
+    return tuple(
+        TorsionPoint(tuple(Fraction(1, 2) if (m >> i) & 1 else Fraction(0) for i in range(6)))
+        for m in masks
+    )
+
+
+def test_quotient_frame_rejects_what_build_general_rejects():
+    base = normal_form_parameters(TAU_I, TAU_2I)
+    quarter = (TorsionPoint((Fraction(1, 4),) + (Fraction(0),) * 5),)
+    subgroups = [(), quarter, _gens(0b000001), _gens(0b000101), _gens(0b000001, 0b000100)]
+    subgroups += [_gens(m) for m in range(1, 64, 5)] + [_gens(m, 0b110000) for m in range(1, 16)]
+    rejected = 0
+    for case, gens in itertools.product((CaseTag.CASE1, CaseTag.CASE2), subgroups):
+        params = replace(
+            base, subgroup_gens=gens, s_shift3=point(0, 0) if case is CaseTag.CASE2 else None
+        )
+        frame = quotient_frame(case, TAU_I, TAU_2I, gens)
+        built = build_general(case, params)
+        if isinstance(frame, BuildRejection):
+            rejected += 1
+            assert built == frame
+        else:
+            assert built == frame.action(params)
+    assert 0 < rejected < len(subgroups) * 2
+
+
+def test_frame_action_refuses_other_parameters():
+    params = normal_form_parameters(TAU_I, TAU_2I)
+    frame = quotient_frame(CaseTag.CASE1, TAU_I, TAU_2I, params.subgroup_gens)
+    assert frame.action(params) == build_normal_form(TAU_I, TAU_2I)
+    for other in (
+        replace(params, tau=TAU_HALF_I),
+        replace(params, tau_prime=TAU_I),
+        replace(params, subgroup_gens=()),
+        replace(params, subgroup_gens=_gens(0b000011, 0b001100)),
+    ):
+        with pytest.raises(ValueError):
+            frame.action(other)
+    with pytest.raises(ValueError):
+        frame.action(replace(params, s_shift3=point("1/2", 0)))
+
+
 def test_check_action_runs_every_stage():
     report = check_action(build_normal_form(TAU_I, TAU_2I))
     assert report.ok and report.failure is None
@@ -199,7 +254,7 @@ def test_case2_never_free_at_normal_form_shifts():
 
 
 def test_freeness_conditions_normal_form_all_pass():
-    report = check_freeness_conditions(normal_form_parameters(TAU_I, TAU_2I))
+    report = check_freeness_conditions(build_normal_form(TAU_I, TAU_2I))
     assert report.all_pass
     assert report.as_dict() == {
         "factors_embed": True,
@@ -226,24 +281,23 @@ def test_freeness_conditions_detect_failures():
             subgroup_gens=base.subgroup_gens,
         )
         fields.update(kw)
-        return D4Parameters(**fields)
+        return check_freeness_conditions(build_general(CaseTag.CASE1, D4Parameters(**fields)))
 
     # zero reflection shift: 0 in H has first component a1 = 0
-    rep = check_freeness_conditions(variant(s_shift1=point(0, 0)))
+    rep = variant(s_shift1=point(0, 0))
     assert not rep.excl_s_free
 
     # half-point rotation shift: 2 c = 0 is a third component of 0 in H
-    rep = check_freeness_conditions(variant(r_shift=point("1/2", 0)))
+    rep = variant(r_shift=point("1/2", 0))
     assert not rep.excl_r2_free
 
     # trivial H cannot absorb (omega, -omega, 0)
-    rep = check_freeness_conditions(variant(subgroup_gens=()))
+    rep = variant(subgroup_gens=())
     assert not rep.rel_rs2_member
 
-    # single-factor generator breaks the embedding normalization
-    rep = check_freeness_conditions(
-        variant(subgroup_gens=(TorsionPoint((Fraction(1, 2),) + (Fraction(0),) * 5),))
-    )
+    # a rotation-stable H with single-factor elements breaks the
+    # embedding normalization
+    rep = variant(subgroup_gens=_gens(0b000001, 0b000100))
     assert not rep.factors_embed
 
 
@@ -270,9 +324,9 @@ def test_freeness_conditions_match_object_level():
             r_shift=c3,
             subgroup_gens=gens,
         )
-        flags = check_freeness_conditions(params)
         built = build_general(CaseTag.CASE1, params)
         assert isinstance(built, D4Action)
+        flags = check_freeness_conditions(built)
         rel = check_relations({"r": built.r, "s": built.s}, ("rrrr", "ss", "rsrs"))
         assert rel["rrrr"] == flags.rel_r4_member
         assert rel["ss"] == flags.rel_s2_member
@@ -294,6 +348,82 @@ def test_freeness_conditions_match_object_level():
         else:
             checked_unfree += 1
     assert checked_free > 0 and checked_unfree > 0
+
+
+def reference_freeness_conditions(params: D4Parameters) -> FreenessConditionReport:
+    """The conditions on torsion points of a freshly built product, as
+    check_freeness_conditions evaluated them before it moved to integer
+    coordinates."""
+    e = elliptic_curve(params.tau)
+    e_prime = elliptic_curve(params.tau_prime)
+    t_prod = product([e, e, e_prime])
+    h = FiniteSubgroup(t_prod, params.subgroup_gens)
+
+    def block_component(p, block):
+        return TorsionPoint((p.coords[2 * block], p.coords[2 * block + 1]))
+
+    a1 = params.s_shift1
+    a2 = params.s_shift2
+    c = params.r_shift
+
+    mem_r4 = h.contains(embed_block(c.scale(4), 2))
+    mem_s2 = h.contains(embed_block(a1.scale(2), 0))
+    omega = a1.add(a2)
+    mem_rs2 = h.contains(embed_block(omega, 0).add(embed_block(omega.neg(), 1)))
+
+    c2 = c.scale(2)
+    embed = True
+    excl_r = True
+    excl_r2 = True
+    excl_s = True
+    excl_rs = True
+    for d in h.elements:
+        d1 = block_component(d, 0)
+        d2 = block_component(d, 1)
+        d3 = block_component(d, 2)
+        if not d.is_zero() and (d1.is_zero() + d2.is_zero() + d3.is_zero()) >= 2:
+            embed = False
+        if d3 == c:
+            excl_r = False
+        if d3 == c2:
+            excl_r2 = False
+        if d1 == a1:
+            excl_s = False
+        if d1.add(a2) == d2.sub(a1):
+            excl_rs = False
+    return FreenessConditionReport(embed, mem_r4, mem_s2, mem_rs2, excl_r, excl_r2, excl_s, excl_rs)
+
+
+def test_freeness_conditions_match_torsion_point_reference():
+    # the census only reaches shifts of denominator 2 and 4; construct
+    # reports the conditions for any shifts, so denominators 3, 6 and 8
+    # are compared as well
+    rng = random.Random(8)
+    subgroups = [(), _gens(0b001111), _gens(0b000101), _gens(0b110000), _gens(0b000001, 0b000100)]
+    subgroups += [_gens(0b011111), _gens(0b000011, 0b001100, 0b110000)]
+    counts = {}
+    for d in (2, 3, 4, 6, 8):
+        points = [point(Fraction(i, d), Fraction(j, d)) for i in range(d) for j in range(d)]
+        for _ in range(40):
+            gens = rng.choice(subgroups)
+            a1 = rng.choice(points)
+            a2 = rng.choice(points) if rng.random() < 0.5 else a1.neg().add(point("1/2", "1/2"))
+            params = D4Parameters(
+                tau=TAU_THIRD_2I,
+                tau_prime=TAU_2I,
+                s_shift1=a1,
+                s_shift2=a2,
+                r_shift=rng.choice(points),
+                subgroup_gens=gens,
+            )
+            built = build_general(CaseTag.CASE1, params)
+            assert isinstance(built, D4Action)
+            report = check_freeness_conditions(built)
+            assert report == reference_freeness_conditions(params), params
+            for flag, value in report.as_dict().items():
+                counts[flag, value] = counts.get((flag, value), 0) + 1
+    # every flag is seen both holding and failing
+    assert len(counts) == 16
 
 
 def test_lattice_inclusion_normal_form():
@@ -318,6 +448,22 @@ def test_structure_report_normal_form():
         assert rep.inclusion.splitting_ok
         assert rep.inclusion.denominator_bound_ok
         assert rep.inclusion.exponent_ok
+
+
+def test_structure_report_finds_the_block_lattices_once(monkeypatch):
+    calls = []
+    original = d4_family.block_sublattices
+
+    def counting(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(d4_family, "block_sublattices", counting)
+    action = build_normal_form(TAU_I, TAU_2I)
+    rep = structure_report(action)
+    assert len(calls) == 1
+    assert rep.inclusion == lattice_inclusion_check(action)
+    assert len(calls) == 2
 
 
 def test_embed_block_positions():
