@@ -5,7 +5,8 @@ lattice coordinates commuting with the complex structure, plus a
 torsion translation part.  The fixed-point question for (A, t) is the
 solvability of (A - I) x = -t modulo the lattice and is decided exactly
 through the Smith form, never by search; both answers come with a
-witness that can be re-checked by plain arithmetic.
+witness that can be re-checked by plain arithmetic.  Only the group
+closure composes maps; words and relations are read from its table.
 """
 
 from __future__ import annotations
@@ -142,23 +143,20 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class GeneratedGroup:
-    """Finite group closure of named generators.
+    """Finite group closure of named generators, with its product table.
 
     Elements are ordered by word length then lexicographically, with the
-    identity word "e" first.
+    identity word "e" first.  products[i][k] is the index of elements[i]
+    after generators[k] (sorted names): the map z -> e_i(g_k(z)).
     """
 
     elements: tuple[GroupElement, ...]
+    generators: tuple[str, ...]
+    products: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def element(self, word: str) -> AffineAut:
-        for e in self.elements:
-            if e.word == word:
-                return e.aut
-        raise KeyError(word)
 
     def nonidentity(self) -> tuple[GroupElement, ...]:
         return tuple(e for e in self.elements if e.word != "e")
@@ -169,7 +167,8 @@ def generate_group(gens: Mapping[str, AffineAut], cap: int = 64) -> GeneratedGro
 
     For a finite group, products of generators exhaust the closure
     (inverses are positive powers); generation aborts once more than
-    cap distinct elements appear.
+    cap distinct elements appear.  Each element is composed with each
+    generator once, and the results are kept as the product table.
     """
     if not gens:
         raise ValueError("no generators")
@@ -180,47 +179,56 @@ def generate_group(gens: Mapping[str, AffineAut], cap: int = 64) -> GeneratedGro
     ident = identity_aut(torus)
     seen: dict[tuple, str] = {ident.key(): "e"}
     auts: dict[str, AffineAut] = {"e": ident}
+    products: dict[str, list[str]] = {}
     frontier = ["e"]
     names = sorted(gens)
     while frontier:
         nxt: list[str] = []
         for word in frontier:
+            row = products[word] = []
             for name in names:
                 new_aut = compose(auts[word], gens[name])
-                new_word = name if word == "e" else word + name
                 k = new_aut.key()
                 if k not in seen:
                     if len(seen) >= cap:
                         raise GroupGenerationError(f"generated more than {cap} elements")
+                    new_word = name if word == "e" else word + name
                     seen[k] = new_word
                     auts[new_word] = new_aut
                     nxt.append(new_word)
+                row.append(seen[k])
         frontier = nxt
     words = sorted(auts, key=lambda w: (0 if w == "e" else len(w), w))
-    return GeneratedGroup(tuple(GroupElement(w, auts[w]) for w in words))
+    index = {w: i for i, w in enumerate(words)}
+    return GeneratedGroup(
+        tuple(GroupElement(w, auts[w]) for w in words),
+        tuple(names),
+        tuple(tuple(index[p] for p in products[w]) for w in words),
+    )
 
 
-def evaluate_word(gens: Mapping[str, AffineAut], word: str) -> AffineAut:
-    """Evaluate a word left to right as a composition of maps.
-
-    The word "rs" denotes the map z -> r(s(z)).
-    """
-    torus = next(iter(gens.values())).torus
-    acc = identity_aut(torus)
+def _word_index(group: GeneratedGroup, word: str) -> int:
+    """Index of the element a word names, walked through the table."""
+    at = 0
     for letter in word:
-        if letter not in gens:
+        if letter not in group.generators:
             raise UnknownLetterError(letter)
-        acc = compose(acc, gens[letter])
-    return acc
+        at = group.products[at][group.generators.index(letter)]
+    return at
 
 
-def check_relations(gens: Mapping[str, AffineAut], relations: Sequence[str]) -> dict[str, bool]:
-    """Whether each relation word evaluates to the identity map."""
-    out: dict[str, bool] = {}
-    for rel in relations:
-        aut = evaluate_word(gens, rel)
-        out[rel] = aut.a.is_identity() and aut.t.is_zero()
-    return out
+def evaluate_word(group: GeneratedGroup, word: str) -> AffineAut:
+    """The element a word names, read from the product table.
+
+    Words are read left to right, each letter composed after the
+    product so far, so "rs" denotes the map z -> r(s(z)).
+    """
+    return group.elements[_word_index(group, word)].aut
+
+
+def check_relations(group: GeneratedGroup, relations: Sequence[str]) -> dict[str, bool]:
+    """Whether each relation word names the identity (element 0)."""
+    return {rel: _word_index(group, rel) == 0 for rel in relations}
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ locus).  Stored witnesses must also coincide with the recomputed
 canonical ones, so even a swap for a different valid obstruction row
 is reported.  Any single mutated field therefore fails verification.
 
-Serialized rationals are canonical "p/q" with positive denominator and
-coprime entries; non-canonical strings are rejected on parse.
+Serialized rationals are canonical "p/q" in ASCII digits, with positive
+denominator, coprime entries, no leading zeros and no "-0"; a string
+is accepted only when it is rational_str of its value, so every value
+has exactly one spelling.  Point coordinates must lie in [0, 1).
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .affine_actions import GeneratedGroup
+from .affine_actions import GeneratedGroup, evaluate_word
 from .d4_family import (
     GROUP_WORDS,
     RELATION_WORDS,
@@ -41,8 +42,8 @@ from .torus import EllipticCurveParam, TorsionPoint
 
 SCHEMA_VERSION = "1.0"
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)/(\d+)$")
-_COMPLEX_RE = re.compile(r"^(-?\d+/\d+)\+(-?\d+/\d+)i$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
+_COMPLEX_RE = re.compile(r"(-?[0-9]+/[0-9]+)\+(-?[0-9]+/[0-9]+)i")
 
 
 class CertificateFormatError(ValueError):
@@ -54,19 +55,19 @@ def rational_str(x: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
+    """Parse "p/q", accepting only the spelling rational_str gives."""
     if not isinstance(s, str):
         raise ValueError(f"expected rational string, got {type(s).__name__}")
-    m = _RATIONAL_RE.match(s)
+    m = _RATIONAL_RE.fullmatch(s)
     if m is None:
         raise ValueError(f"malformed rational {s!r}")
-    num, den = int(m.group(1)), int(m.group(2))
+    den = int(m.group(2))
     if den == 0:
         raise ValueError(f"zero denominator in {s!r}")
-    if gcd(num, den) != 1 and not (num == 0 and den == 1):
+    value = Fraction(int(m.group(1)), den)
+    if rational_str(value) != s:
         raise ValueError(f"non-canonical rational {s!r}")
-    if num == 0 and den != 1:
-        raise ValueError(f"non-canonical rational {s!r}")
-    return Fraction(num, den)
+    return value
 
 
 def complex_str(p: EllipticCurveParam) -> str:
@@ -76,7 +77,7 @@ def complex_str(p: EllipticCurveParam) -> str:
 def parse_complex(s) -> EllipticCurveParam:
     if not isinstance(s, str):
         raise ValueError(f"expected complex string, got {type(s).__name__}")
-    m = _COMPLEX_RE.match(s)
+    m = _COMPLEX_RE.fullmatch(s)
     if m is None:
         raise ValueError(f"malformed complex number {s!r}")
     return EllipticCurveParam(parse_rational(m.group(1)), parse_rational(m.group(2)))
@@ -87,9 +88,13 @@ def point_json(p: TorsionPoint) -> list[str]:
 
 
 def parse_point(data, length: int) -> TorsionPoint:
+    """Parse a torsion point; every coordinate must already lie in [0, 1)."""
     if not isinstance(data, list) or len(data) != length:
         raise ValueError(f"expected {length} coordinates")
-    return TorsionPoint(tuple(parse_rational(c) for c in data))
+    coords = tuple(parse_rational(c) for c in data)
+    if not all(0 <= c < 1 for c in coords):
+        raise ValueError(f"coordinates {data} outside [0, 1)")
+    return TorsionPoint(coords)
 
 
 def integer_matrix_json(m: Matrix) -> dict:
@@ -249,13 +254,6 @@ def _same_json(value, expected) -> bool:
     return json.dumps(value, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
-def _schema_supported(doc) -> str | None:
-    schema = doc.get("schema")
-    if not isinstance(schema, str) or not re.match(r"^\d+\.\d+$", schema):
-        return None
-    return schema
-
-
 def verify_certificate(doc) -> VerificationResult:
     """Recompute everything the certificate claims, from parameters only.
 
@@ -266,8 +264,8 @@ def verify_certificate(doc) -> VerificationResult:
     """
     if not isinstance(doc, dict):
         raise CertificateFormatError("certificate must be a JSON object")
-    schema = _schema_supported(doc)
-    if schema is None:
+    schema = doc.get("schema")
+    if not isinstance(schema, str) or not re.fullmatch(r"[0-9]+\.[0-9]+", schema):
         raise CertificateFormatError("missing or malformed schema version")
     if schema.split(".")[0] != SCHEMA_VERSION.split(".")[0]:
         raise CertificateFormatError(f"unsupported schema major version {schema}")
@@ -400,12 +398,8 @@ def verify_certificate(doc) -> VerificationResult:
         except ValueError as exc:
             failures.append(f"witness {word}: {exc}")
             continue
-        elem = grp.element(word)
-        a_minus_i = elem.a - ident
-        left = tuple(
-            sum(row[i] * a_minus_i.at(i, j) for i in range(a_minus_i.rows))
-            for j in range(a_minus_i.cols)
-        )
+        elem = evaluate_word(grp, word)
+        left = (elem.a - ident).transpose().apply(row)  # row @ (A - I)
         if any(x != 0 for x in left):
             failures.append(f"witness {word}: row is not a left null vector of (A - I)")
             continue

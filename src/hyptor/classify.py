@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -52,6 +51,7 @@ from .d4_family import (
     CaseTag,
     D4Parameters,
     QuotientFrame,
+    case1_subgroup_generator,
     case_matrices,
     check_action,
     check_freeness_conditions,
@@ -275,7 +275,7 @@ def is_expected_survivor(s: Survivor) -> bool:
     carry the same curve, and on 2-torsion the rotation identification
     is the identity, so distinctness is literal), nonzero sum, rotation
     shift of order exactly 4, and H generated by the sum placed on the
-    first two factors.
+    first two factors (d4_family.case1_subgroup_generator).
     """
     if s.case is not CaseTag.CASE1:
         return False
@@ -284,12 +284,10 @@ def is_expected_survivor(s: Survivor) -> bool:
         return False
     if not a1.scale(2).is_zero() or not a2.scale(2).is_zero():
         return False
-    omega = a1.add(a2)
-    if omega.is_zero() or c3.order() != 4:
+    if a1.add(a2).is_zero() or c3.order() != 4:
         return False
-    expected = TorsionPoint(omega.coords + omega.coords + (Fraction(0), Fraction(0)))
     span = _span(tuple(_point_mask(g) for g in s.h_generators))
-    return span == _span((_point_mask(expected),))
+    return span == _span((_point_mask(case1_subgroup_generator(a1, a2)),))
 
 
 def _point_mask(p: TorsionPoint) -> int:
@@ -637,6 +635,10 @@ def _run_tasks(task_fn, tasks, workers: int):
     workers = _worker_count(workers, len(tasks))
     if workers <= 1:
         return [task_fn(t) for t in tasks]
+    # imported here so that the commands that start no pool do not load
+    # multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task_fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 

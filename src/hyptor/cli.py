@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from .certificates import (
     CertificateFormatError,
@@ -34,8 +33,8 @@ from .classify import (
 from .d4_family import (
     BuildRejection,
     CaseTag,
-    D4Parameters,
     build_general,
+    case1_parameters,
     check_freeness_conditions,
 )
 from .invariants import hodge_numbers
@@ -124,22 +123,7 @@ def cmd_construct(args) -> int:
         _err(str(exc))
         return 2
 
-    omega = h.add(k)
-    subgroup_gen = TorsionPoint(omega.coords + omega.coords + (Fraction(0), Fraction(0)))
-    try:
-        params = D4Parameters(
-            tau=tau,
-            tau_prime=tau_prime,
-            s_shift1=h,
-            s_shift2=k,
-            r_shift=h_prime,
-            subgroup_gens=(subgroup_gen,),
-        )
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
-
-    built = build_general(CaseTag.CASE1, params)
+    built = build_general(CaseTag.CASE1, case1_parameters(tau, tau_prime, h, k, h_prime))
     if isinstance(built, BuildRejection):
         phrase = _REJECTION_PHRASES.get(built.reason, built.reason)
         _err(f"construction failed: {phrase}")

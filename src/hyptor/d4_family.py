@@ -138,20 +138,30 @@ class D4Parameters:
                 raise ValueError("subgroup generators must be points of the product")
 
 
-def normal_form_parameters(tau: EllipticCurveParam, tau_prime: EllipticCurveParam) -> D4Parameters:
-    """The distinguished parameter point: shifts 1/2, tau/2 and 1/4.
+def case1_subgroup_generator(h: TorsionPoint, k: TorsionPoint) -> TorsionPoint:
+    """The Case-1 generator of H: the sum of the two reflection shifts
+    placed on the first two factors, (h + k, h + k, 0)."""
+    omega = h.add(k)
+    return embed_block(omega, 0).add(embed_block(omega, 1))
 
-    H is generated by the sum of the two reflection shifts placed on the
-    first two factors.
-    """
-    half = Fraction(1, 2)
-    return D4Parameters(
-        tau=tau,
-        tau_prime=tau_prime,
-        s_shift1=TorsionPoint((half, Fraction(0))),
-        s_shift2=TorsionPoint((Fraction(0), half)),
-        r_shift=TorsionPoint((Fraction(1, 4), Fraction(0))),
-        subgroup_gens=(TorsionPoint((half, half, half, half, Fraction(0), Fraction(0))),),
+
+def case1_parameters(
+    tau: EllipticCurveParam,
+    tau_prime: EllipticCurveParam,
+    h: TorsionPoint,
+    k: TorsionPoint,
+    h_prime: TorsionPoint,
+) -> D4Parameters:
+    """A Case-1 tuple from its reflection shifts h, k and rotation shift
+    h', with H generated by case1_subgroup_generator(h, k)."""
+    return D4Parameters(tau, tau_prime, h, k, h_prime, subgroup_gens=(case1_subgroup_generator(h, k),))
+
+
+def normal_form_parameters(tau: EllipticCurveParam, tau_prime: EllipticCurveParam) -> D4Parameters:
+    """The distinguished parameter point: shifts 1/2, tau/2 and 1/4."""
+    half, zero = Fraction(1, 2), Fraction(0)
+    return case1_parameters(
+        tau, tau_prime, TorsionPoint((half, zero)), TorsionPoint((zero, half)), TorsionPoint((Fraction(1, 4), zero))
     )
 
 
@@ -317,12 +327,11 @@ def check_action(action: D4Action) -> ActionReport:
     Every check runs on a group that could be generated, so that a
     verifier can report each of them.
     """
-    gens = {"r": action.r, "s": action.s}
     try:
-        grp = generate_group(gens)
+        grp = generate_group({"r": action.r, "s": action.s})
     except GroupGenerationError as exc:
         return ActionReport(None, {}, False, None, None, str(exc))
-    relations = check_relations(gens, [w for _, w in RELATION_WORDS])
+    relations = check_relations(grp, [w for _, w in RELATION_WORDS])
     relations_ok = grp.order == 8 and all(relations.values())
     freeness = is_free_action(grp)
     translations = contains_no_translations(grp)
@@ -579,8 +588,7 @@ def structure_report(action: D4Action) -> StructureReport:
     # not a torsion point: reduction mod 1 would kill it too early.
     omega_matches = False
     if divisors == (2,):
-        shift_sum = action.params.s_shift1.add(action.params.s_shift2)
-        omega_prod = embed_block(shift_sum, 0).add(embed_block(shift_sum, 1))
+        omega_prod = case1_subgroup_generator(action.params.s_shift1, action.params.s_shift2)
         omega_lift = coordinate_change(action.product_torus, t).apply(omega_prod.coords)
         block_inv = block_basis.inverse()
         omega_block = TorsionPoint(tuple(block_inv.apply(omega_lift)))

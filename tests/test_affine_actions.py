@@ -8,11 +8,13 @@ test_exact_linear for the solver-level argument).
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hyptor import affine_actions
 from hyptor.affine_actions import (
     AffineAut,
     GroupGenerationError,
@@ -28,6 +30,7 @@ from hyptor.affine_actions import (
     is_free_action,
     is_translation,
 )
+from hyptor.d4_family import CaseTag, build_general, build_normal_form, normal_form_parameters
 from hyptor.exact_linear import Matrix, NotUnimodularError
 from hyptor.torus import (
     EllipticCurveParam,
@@ -201,7 +204,7 @@ def test_generate_group_cyclic4():
         assert sorted(row) == list(range(4))
     for col in zip(*table):
         assert sorted(col) == list(range(4))
-    assert g.element("rr").a.entries == Matrix.from_rows([[-1, 0], [0, -1]]).entries
+    assert evaluate_word(g, "rr").a.entries == Matrix.from_rows([[-1, 0], [0, -1]]).entries
 
 
 def test_generate_group_word_order_and_cap():
@@ -237,21 +240,70 @@ def product_pair_gens():
 def test_evaluate_word_is_right_to_left_application():
     gens = product_pair_gens()
     r, s = gens["r"], gens["s"]
-    rs = evaluate_word(gens, "rs")
+    grp = generate_group(gens)
+    rs = evaluate_word(grp, "rs")
     p = point("1/8", "3/8", "5/8", "7/8")
     assert rs.apply(p) == r.apply(s.apply(p))
-    assert evaluate_word(gens, "") .a.is_identity()
+    assert evaluate_word(grp, "").a.is_identity()
     with pytest.raises(UnknownLetterError):
-        evaluate_word(gens, "rx")
+        evaluate_word(grp, "rx")
+    assert hash(grp) == hash(generate_group(gens))
 
 
 def test_check_relations():
-    gens = product_pair_gens()
-    out = check_relations(gens, ("rrrr", "ss", "rsrs"))
+    grp = generate_group(product_pair_gens())
+    out = check_relations(grp, ("rrrr", "ss", "rsrs"))
     assert out["rrrr"] is True
     # s squares to the translation by (c, c), not the identity
     assert out["ss"] is False
     assert out["rsrs"] is True
+
+
+def _table_test_groups():
+    tau_i = EllipticCurveParam(Fraction(0), Fraction(1))
+    tau_2i = EllipticCurveParam(Fraction(0), Fraction(2))
+    distinguished = build_normal_form(tau_i, tau_2i)
+    order16 = build_general(
+        CaseTag.CASE1, replace(normal_form_parameters(tau_i, tau_2i), r_shift=point("1/8", 0))
+    )
+    return {
+        "distinguished": ({"r": distinguished.r, "s": distinguished.s}, 8),
+        "order16": ({"r": order16.r, "s": order16.s}, 16),
+        "cyclic4": ({"r": quarter_rotation()}, 4),
+        "product_pair": (product_pair_gens(), 16),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_table_test_groups()))
+def test_words_read_from_the_table_match_composition(name, compose_word, direct_relations):
+    gens, order = _table_test_groups()[name]
+    grp = generate_group(gens)
+    assert grp.order == order
+    words = [
+        "".join(w) for n in range(5) for w in itertools.product(sorted(gens), repeat=n)
+    ]
+    for word in words:
+        assert evaluate_word(grp, word) == compose_word(gens, word), word
+    assert check_relations(grp, words) == direct_relations(gens, words)
+    # each element's own word names it
+    for e in grp.elements:
+        assert evaluate_word(grp, "" if e.word == "e" else e.word) == e.aut
+
+
+def test_closure_composes_once_per_element_and_generator(monkeypatch):
+    calls = []
+
+    def counting(f, g):
+        calls.append(1)
+        return compose(f, g)
+
+    monkeypatch.setattr(affine_actions, "compose", counting)
+    gens = product_pair_gens()
+    grp = generate_group(gens)
+    assert len(calls) == grp.order * len(gens)
+    evaluate_word(grp, "rsrsrrss")
+    check_relations(grp, ("rrrr", "ss", "rsrs"))
+    assert len(calls) == grp.order * len(gens)
 
 
 def test_freeness_methods_agree():
@@ -274,7 +326,7 @@ def test_freeness_methods_agree():
             assert len(full.witnesses) == g.order - 1
         else:
             seen_fixed += 1
-            aut = g.element(full.failure.word)
+            aut = evaluate_word(g, full.failure.word)
             assert aut.apply(TorsionPoint(full.failure.point)) == TorsionPoint(
                 full.failure.point
             )

@@ -65,7 +65,12 @@ def test_rational_str_roundtrip():
 
 @pytest.mark.parametrize(
     "bad",
-    ["2/4", "0/2", "1/0", "1/-2", "-1/-2", "1.5", "3", "", "1/2/3", " 1/2", "1/2 "],
+    [
+        "2/4", "0/2", "1/0", "1/-2", "-1/-2", "1.5", "3", "", "1/2/3", " 1/2", "1/2 ",
+        # one spelling per value: no leading zeros, no -0, ASCII digits,
+        # nothing after the denominator
+        "01/2", "1/02", "-0/1", "00/1", "-01/4", "\u0661/\u0662", "1/2\n",
+    ],
 )
 def test_parse_rational_rejects_noncanonical(bad):
     with pytest.raises(ValueError):
@@ -82,7 +87,10 @@ def test_complex_str_roundtrip():
         assert parse_complex(complex_str(p)) == p
 
 
-@pytest.mark.parametrize("bad", ["i", "1/2", "1/2+1/2", "1/2+2/4i", "1/2+1/1j", "1/2 + 1/1i"])
+@pytest.mark.parametrize(
+    "bad",
+    ["i", "1/2", "1/2+1/2", "1/2+2/4i", "1/2+1/1j", "1/2 + 1/1i", "0/1+1/1i\n", "01/2+1/1i", "0/1+1/01i"],
+)
 def test_parse_complex_rejects(bad):
     with pytest.raises(ValueError):
         parse_complex(bad)
@@ -95,6 +103,14 @@ def test_parse_point_checks_length():
         parse_point("1/2,1/2", 2)
     p = parse_point(["1/2", "0/1"], 2)
     assert p == TorsionPoint((Fraction(1, 2), Fraction(0)))
+
+
+@pytest.mark.parametrize("bad", [["-3/4", "0/1"], ["5/4", "0/1"], ["1/1", "0/1"], ["0/1", "-1/2"]])
+def test_parse_point_rejects_coordinates_outside_unit_interval(bad):
+    # the point is stored reduced into [0, 1); another representative
+    # of the same class would be a second spelling
+    with pytest.raises(ValueError, match="outside"):
+        parse_point(bad, 2)
 
 
 def test_parse_integer_matrix_rejects_bools_and_bad_counts():
@@ -159,9 +175,10 @@ def test_verify_rejects_missing_or_malformed_schema(cert_doc):
     del doc["schema"]
     with pytest.raises(CertificateFormatError):
         verify_certificate(doc)
-    doc["schema"] = "one.zero"
-    with pytest.raises(CertificateFormatError):
-        verify_certificate(doc)
+    for bad in ("one.zero", "1.0\n", "\u0661.0"):
+        doc["schema"] = bad
+        with pytest.raises(CertificateFormatError):
+            verify_certificate(doc)
 
 
 def test_verify_rejects_future_major_version(cert_doc):
@@ -295,6 +312,35 @@ SECTION_TAMPERS = [
         "lattice_inclusion_bool",
         lambda d: d["lattice_inclusion"]["block_denominators"].__setitem__(2, True),
         "lattice_inclusion",
+    ),
+    # another spelling of the same value
+    (
+        "witness_value_leading_zero",
+        lambda d: d["fixed_point_witnesses"][0].__setitem__("value", "-01/4"),
+        "non-canonical",
+    ),
+    ("s_shift1_leading_zero", lambda d: d["parameters"]["s_shift1"].__setitem__(0, "01/2"), "non-canonical"),
+    ("s_shift1_negative_zero", lambda d: d["parameters"]["s_shift1"].__setitem__(1, "-0/1"), "non-canonical"),
+    ("s_shift2_denominator_zero", lambda d: d["parameters"]["s_shift2"].__setitem__(1, "1/02"), "non-canonical"),
+    (
+        "translation_padded_zero",
+        lambda d: d["generators"]["r"]["translation"].__setitem__(0, "00/1"),
+        "non-canonical",
+    ),
+    ("s_shift1_unicode_digits", lambda d: d["parameters"]["s_shift1"].__setitem__(0, "\u0661/\u0662"), "malformed"),
+    ("s_shift1_trailing_newline", lambda d: d["parameters"]["s_shift1"].__setitem__(0, "1/2\n"), "malformed"),
+    ("tau_trailing_newline", lambda d: d["parameters"].__setitem__("tau", "0/1+1/1i\n"), "malformed"),
+    # another representative of the same torsion point
+    ("r_shift_negative", lambda d: d["parameters"]["r_shift"].__setitem__(0, "-3/4"), "outside [0, 1)"),
+    (
+        "element_translation_above_one",
+        lambda d: d["group"]["elements"][1]["translation"].__setitem__(4, "5/4"),
+        "outside [0, 1)",
+    ),
+    (
+        "subgroup_generator_negative",
+        lambda d: d["parameters"]["subgroup_generators"][0].__setitem__(0, "-1/2"),
+        "outside [0, 1)",
     ),
 ]
 

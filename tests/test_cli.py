@@ -122,6 +122,18 @@ def test_negative_values_parse_in_both_spellings(capsys):
     assert json.loads(spaced_out)["space"]["tau"] == "-1/2+1/1i"
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--h", "01/2,0/1"), ("--k", "0/1,1/02"), ("--h-prime", "1/4,-0/1"), ("--tau", "0/1+1/1i\n")],
+)
+def test_construct_rejects_noncanonical_spellings(capsys, flag, value):
+    argv = ["construct", "--tau", TAU, "--tau-prime", TAU_PRIME]
+    code, out, err = run(capsys, argv + [f"{flag}={value}"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_construct_malformed_shift(capsys):
     code, _, err = run(
         capsys, ["construct", "--tau", TAU, "--tau-prime", TAU_PRIME, "--h", "1/2"]
@@ -443,6 +455,15 @@ def test_unknown_arguments():
     assert main(["construct", "--tau", TAU, "--tau-prime", TAU_PRIME, "--bogus"]) == 2
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+def test_import_loads_no_process_pool():
+    # classify imports the pool only when it starts one, so construct,
+    # verify and invariants do not pay for loading multiprocessing
+    code = "import sys, hyptor.cli; print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point():

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from hyptor import affine_actions
 from hyptor.affine_actions import (
     GroupGenerationError,
-    check_relations,
+    compose,
     contains_no_translations,
     generate_group,
     is_free_action,
@@ -24,6 +25,8 @@ from hyptor.d4_family import (
     FreenessConditionReport,
     build_general,
     build_normal_form,
+    case1_parameters,
+    case1_subgroup_generator,
     case_matrices,
     check_action,
     check_freeness_conditions,
@@ -75,12 +78,12 @@ def test_case_matrices_orders_and_relations():
             assert lattice_tr == 2 * complex_tr
 
 
-def test_normal_form_free_on_tau_grid():
+def test_normal_form_free_on_tau_grid(direct_relations):
     for tau, tau_prime in TAU_GRID:
         action = build_normal_form(tau, tau_prime)
         assert isinstance(action, D4Action)
         gens = {"r": action.r, "s": action.s}
-        rel = check_relations(gens, ("rrrr", "ss", "rsrs"))
+        rel = direct_relations(gens, ("rrrr", "ss", "rsrs"))
         assert all(rel.values())
         grp = generate_group(gens)
         assert grp.order == 8
@@ -209,6 +212,22 @@ def test_check_action_runs_every_stage():
     assert "more than 64 elements" in report.failure
 
 
+def test_check_action_composes_only_in_the_closure(monkeypatch):
+    # 8 elements times 2 generators; the relation words are read from
+    # the closure's product table, not composed again
+    action = build_normal_form(TAU_I, TAU_2I)
+    calls = []
+
+    def counting(f, g):
+        calls.append(1)
+        return compose(f, g)
+
+    monkeypatch.setattr(affine_actions, "compose", counting)
+    report = check_action(action)
+    assert report.ok
+    assert len(calls) == 16
+
+
 def test_case_shift3_validation():
     params = normal_form_parameters(TAU_I, TAU_2I)
     with pytest.raises(ValueError):
@@ -228,7 +247,7 @@ def test_case_shift3_validation():
     assert isinstance(built, (D4Action, BuildRejection))
 
 
-def test_case2_never_free_at_normal_form_shifts():
+def test_case2_never_free_at_normal_form_shifts(direct_relations):
     # whatever the third shift, Case 2 closes the relations only by
     # forcing a fixed point of the square of the rotation
     params = normal_form_parameters(TAU_I, TAU_2I)
@@ -246,7 +265,7 @@ def test_case2_never_free_at_normal_form_shifts():
         if isinstance(built, BuildRejection):
             continue
         gens = {"r": built.r, "s": built.s}
-        rel = check_relations(gens, ("rrrr", "ss", "rsrs"))
+        rel = direct_relations(gens, ("rrrr", "ss", "rsrs"))
         if not all(rel.values()):
             continue
         grp = generate_group(gens)
@@ -301,7 +320,7 @@ def test_freeness_conditions_detect_failures():
     assert not rep.factors_embed
 
 
-def test_freeness_conditions_match_object_level():
+def test_freeness_conditions_match_object_level(direct_relations):
     # the membership flags predict the relations, the exclusion flags
     # predict fixed-point freeness of the built action
     rng = random.Random(301)
@@ -327,7 +346,7 @@ def test_freeness_conditions_match_object_level():
         built = build_general(CaseTag.CASE1, params)
         assert isinstance(built, D4Action)
         flags = check_freeness_conditions(built)
-        rel = check_relations({"r": built.r, "s": built.s}, ("rrrr", "ss", "rsrs"))
+        rel = direct_relations({"r": built.r, "s": built.s}, ("rrrr", "ss", "rsrs"))
         assert rel["rrrr"] == flags.rel_r4_member
         assert rel["ss"] == flags.rel_s2_member
         assert rel["rsrs"] == flags.rel_rs2_member
@@ -464,6 +483,17 @@ def test_structure_report_finds_the_block_lattices_once(monkeypatch):
     assert len(calls) == 1
     assert rep.inclusion == lattice_inclusion_check(action)
     assert len(calls) == 2
+
+
+def test_case1_subgroup_is_the_shift_sum_on_two_factors():
+    h, k = point("1/2", 0), point("1/2", "1/2")
+    assert case1_subgroup_generator(h, k) == point(0, "1/2", 0, "1/2", 0, 0)
+    params = case1_parameters(TAU_I, TAU_2I, h, k, point("1/4", 0))
+    assert params.subgroup_gens == (case1_subgroup_generator(h, k),)
+    assert params.s_shift3 is None
+    nf = normal_form_parameters(TAU_I, TAU_2I)
+    assert nf.subgroup_gens == (point("1/2", "1/2", "1/2", "1/2", 0, 0),)
+    assert nf == case1_parameters(TAU_I, TAU_2I, nf.s_shift1, nf.s_shift2, nf.r_shift)
 
 
 def test_embed_block_positions():
