@@ -2,12 +2,13 @@
 
 A sweep fixes a case, torsion denominator bounds for the translation
 parameters, and a family of candidate subgroups H of the 2-torsion of
-the product, then scans every tuple (H, shifts).  Each tuple is pushed
-through the same pipeline the one-off constructor uses: lattice
-stability of the linear parts, the three group relations, absence of
-translations, and fixed-point freeness of the seven nonidentity
-elements.  The first failing stage, in a fixed canonical order, is the
-recorded failure reason, so reports do not depend on the worker count.
+the product, and accounts for every tuple (H, shifts) of the grid.
+Each tuple meets the same pipeline the one-off constructor uses:
+lattice stability of the linear parts, the three group relations,
+absence of translations, and fixed-point freeness of the seven
+nonidentity elements.  The first failing stage, in a fixed canonical
+order, is the recorded failure reason, so reports do not depend on the
+worker count.
 
 Two independent decision routes exist for the freeness stages: the
 closed-form membership and exclusion conditions on H, which live in
@@ -21,17 +22,15 @@ on the quotient frame of its subgroup, with the closed-form conditions
 as an independent check in Case 1; cross_validate runs both routes on
 every grid tuple and reports disagreements.
 
-All per-tuple arithmetic is done on integers: with D the lcm of the
-denominator bounds (and 2, for H), a parameter point p becomes D*p and
-every decision becomes a dot product modulo D.
-
 The lattice:r stage is decided on bitmasks, before any engine is
 built: a subgroup passes it exactly when its span is closed under the
 rotation's block swap, so engines are built for the rotation-stable
-subgroups only.  The s2 and rsrs relations are linear congruences
-modulo D and are solved by residue lookup instead of tested per tuple:
-the grid is grouped once by the residues of each relation's forms, and
-only the solutions reach the per-tuple fixed-point stages.
+subgroups only.  The relations r^4, s^2 and (rs)^2 are linear
+congruences in the shifts, solved by Smith forms (H. Cohen, A Course
+in Computational Algebraic Number Theory, 2.4): their common solutions
+form a finite group R_H, and only its points on the grid reach the
+fixed-point stages, so a sweep's cost does not grow with the grid.
+Scaled tuples carry D*p for a point p, D the lcm of the bounds and 2.
 """
 
 from __future__ import annotations
@@ -41,7 +40,8 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import mul
 
 from .certificates import complex_str, point_json
 from .d4_family import (
@@ -107,9 +107,10 @@ _REASONS = {CaseTag.CASE1: CASE1_REASONS, CaseTag.CASE2: CASE2_REASONS}
 
 _BLOCK_MASKS = (0b000011, 0b001100, 0b110000)
 
-# Largest accepted denominator bound.  The grids are lists of q^2
-# points and a sweep's time grows about as q^2; at 128 a census of
-# either case takes about 15 s and 28 MB on one core of a Xeon guest.
+# Largest accepted denominator bound.  A census solves its relations
+# rather than scanning the grid, so its cost hardly depends on the
+# bound: at 128 one takes 1.5 s (Case 1) or 0.7 s (Case 2) and 18 MB on
+# one core of a Xeon guest.  cross_validate visits every grid tuple.
 MAX_DENOMINATOR = 128
 
 
@@ -304,11 +305,16 @@ def _point_mask(p: TorsionPoint) -> int:
 class CensusStats:
     """How a sweep was computed: counters and the wall seconds of its
     phases.  Diagnostics only; they are not part of the census
-    artifact, and the times differ from run to run."""
+    artifact, and the times differ from run to run.
+
+    relation_solutions counts the tuples that satisfy all three
+    relations, the sum of |R_H ∩ grid| over the stable subgroups.
+    """
 
     subgroups: int
     lattice_r_by_mask: int
     engine_builds: int
+    relation_solutions: int
     survivors_reverified: int
     family_s: float
     sweep_s: float
@@ -320,6 +326,7 @@ class CensusStats:
                 "subgroups": self.subgroups,
                 "lattice_r_by_mask": self.lattice_r_by_mask,
                 "engine_builds": self.engine_builds,
+                "relation_solutions": self.relation_solutions,
                 "survivors_reverified": self.survivors_reverified,
             },
             "phase_seconds": {
@@ -400,7 +407,7 @@ def _word_matrices(case: CaseTag, a_quot: dict[str, Matrix], word: str):
     occurrence act on its translation).
     """
     mats = case_matrices(case)
-    prod = {"r": mats.rotation_lattice, "s": mats.reflection_lattice}
+    lattice = {"r": mats.rotation_lattice, "s": mats.reflection_lattice}
     n = 6
     aq = Matrix.identity(n)
     p = Matrix.zeros(n, n)
@@ -412,7 +419,7 @@ def _word_matrices(case: CaseTag, a_quot: dict[str, Matrix], word: str):
             p = p + prefix
         else:
             q = q + prefix
-        prefix = prefix @ prod[letter]
+        prefix = prefix @ lattice[letter]
     return aq, p, q
 
 
@@ -487,19 +494,6 @@ def _form_value(f: tuple[int, ...], a1, a2, a3, c3) -> int:
 
 _ZERO2 = (0, 0)
 
-# Coefficient slots of a flat form, for hoist guards.
-_SLOTS_A1 = (0, 1)
-_SLOTS_A2 = (2, 3)
-_SLOTS_A3 = (4, 5)
-_SLOTS_C3 = (6, 7)
-
-
-def _require_zero_coefs(forms, slots: tuple[int, ...], label: str) -> None:
-    """Guard a hoist: the parameters skipped there must not appear."""
-    for f in forms:
-        if any(f[k] for k in slots):
-            raise RuntimeError(f"internal error: {label} depends on a hoisted parameter")
-
 
 def _forms_hold(forms, a1, a2, a3, c3, scale) -> bool:
     """Every form is integral on the tuple: for relation forms, the
@@ -508,111 +502,107 @@ def _forms_hold(forms, a1, a2, a3, c3, scale) -> bool:
     return all(_form_value(f, a1, a2, a3, c3) % scale == 0 for f in forms)
 
 
-def _residue_buckets(forms, slots: tuple[int, int], grid, scale: int) -> dict[tuple[int, ...], list]:
-    """Grid points keyed by the residues mod D of the forms' part on
-    two coefficient slots; each bucket keeps grid order."""
-    i, j = slots
-    buckets: dict[tuple[int, ...], list] = {}
-    for x in grid:
-        key = tuple((f[i] * x[0] + f[j] * x[1]) % scale for f in forms)
-        buckets.setdefault(key, []).append(x)
-    return buckets
-
-
-def _solving_key(forms, a1, a2, a3, c3, scale: int) -> tuple[int, ...]:
-    """Residues mod D the bucketed parameter's part must have for every
-    form to be integral; the tuple passes that parameter as zero."""
-    return tuple(-_form_value(f, a1, a2, a3, c3) % scale for f in forms)
-
-
-def _scaled_elements(span_key: tuple[int, ...], scale: int) -> tuple[tuple[int, ...], ...]:
-    """H's elements from their bitmasks, in coordinates times scale."""
-    half = scale // 2
-    return tuple(tuple(half if (m >> i) & 1 else 0 for i in range(6)) for m in span_key)
-
-
 # ---------------------------------------------------------------------------
-# The sweep.
+# The sweep: the relations solved by Smith forms.
 # ---------------------------------------------------------------------------
+
+# The parameter columns of each case, as slots of a flat form: a1, a2
+# and c3 in Case 1, whose a3 is zero, and a1, a2, a3, c3 in Case 2.
+_COLUMNS = {CaseTag.CASE1: (0, 1, 2, 3, 6, 7), CaseTag.CASE2: tuple(range(8))}
+
+
+def _restrict(forms, cols) -> list[tuple[int, ...]]:
+    """The forms on the columns, without repeats or zero rows."""
+    return sorted({tuple(f[c] for c in cols) for f in forms} - {(0,) * len(cols)})
+
+
+def _grid_count(rows, moduli: tuple[int, ...]) -> int:
+    """How many grid points, x_j in (1/q_j)Z/Z, make every row integral:
+    the product of the elementary divisors of the rows stacked on
+    diag(q_j), where a column that no row uses contributes q_j alone."""
+    used = [j for j in range(len(moduli)) if any(r[j] for r in rows)]
+    free = prod(q for j, q in enumerate(moduli) if j not in used)
+    stacked = [[r[j] for j in used] for r in rows] + [[moduli[j] * (i == j) for i in used] for j in used]
+    return free * prod(snf(Matrix.from_rows(stacked)).elementary_divisors) if used else free
+
+
+def _relation_solutions(rows, n: int):
+    """R_H, the x in (R/Z)^n on which every row is integral.
+
+    With U F V = diag(d_i) the Smith form of the rows F, F x is
+    integral exactly when x = V (k_i / d_i) mod 1.  Returns L, the
+    largest d_i, and R_H's cyclic generators as pairs (d_i, L V e_i /
+    d_i mod L) for d_i > 1.
+    """
+    dec = snf(Matrix.from_rows(rows)) if rows else None
+    if dec is None or dec.rank != n:
+        raise RuntimeError("internal error: the relations have infinitely many solutions")
+    big = dec.diagonal[-1]
+    return big, [(d, [v * (big // d) % big for v in dec.v.column(i)]) for i, d in enumerate(dec.diagonal) if d > 1]
+
+
+def _values(row, solutions) -> list[int]:
+    """The row at every point of R_H, in units of 1/L; the point
+    sum k_i g_i has index sum k_i d_0 ... d_(i-1).  The row is a
+    homomorphism on R_H, so its values follow from the generators'."""
+    big, gens = solutions
+    values = [0]
+    for d, g in gens:
+        step = sum(map(mul, row, g)) % big
+        values = [(x + k * step) % big for k in range(d) for x in values]
+    return values
+
+
+def _holds(rows, solutions) -> list[bool]:
+    """Whether every row is integral, at each point of R_H."""
+    values = [_values(row, solutions) for row in rows]
+    return [not any(v) for v in zip(*values)] if values else [True] * prod(d for d, _ in solutions[1])
 
 
 def _sweep_h(engine: _HEngine, space: SearchSpace):
     """One subgroup's slice of the grid, decided by the engine's forms.
 
     Returns the failure count of every stage and the surviving scaled
-    tuples (a1, a2, a3, c3) in grid order.  Case 1 has no reflection
-    shift on the third factor, so its a3 grid is the origin alone.
-
-    The s2 and rsrs relations are linear congruences mod D, so they are
-    solved rather than tested: s2 holds exactly for the a3 whose
-    residues cancel a1's, and rsrs exactly for the a2 whose residues
-    cancel those of (a1, a3, c3).  Grouping the grid by residues once
-    turns each into a lookup, and only the solutions reach the
-    per-tuple stages.
+    tuples (a1, a2, a3, c3) in grid order: by c3, then a1, a3 and a2.
+    A relation stage counts the grid points that the relations before
+    it admit and it does not; only R_H's points on the grid meet the
+    fixed-point stages.
     """
-    scale = space.scale
-    a_grid = space.shift_grid()
-    c_grid = space.third_grid()
-    a3_grid = c_grid if space.case is CaseTag.CASE2 else [_ZERO2]
-    reasons = _REASONS[space.case]
-    na = len(a_grid)
-    n3 = len(a3_grid)
-    counts = {r: 0 for r in reasons}
-    survivors: list[tuple] = []
+    cols = _COLUMNS[space.case]
+    moduli = tuple(space.shift_denominator if c < 4 else space.third_denominator for c in cols)
+    unit = [tuple(int(i == j) for i in range(len(cols))) for j in range(len(cols))]
+    rel = engine.relation_forms
+    solutions = _relation_solutions(_restrict(rel["r4"] + rel["s2"] + rel["rsrs"], cols), len(cols))
+    grid = [tuple(q * x for x in e) for q, e in zip(moduli, unit)]
+    points = [p for p, ok in enumerate(_holds(grid, solutions)) if ok]
 
-    rel_r4 = engine.relation_forms["r4"]
-    rel_s2 = engine.relation_forms["s2"]
-    rel_rs2 = engine.relation_forms["rsrs"]
-    fw = engine.word_forms
-    zero = _ZERO2
+    reasons = _REASONS[space.case]
+    counts = {r: 0 for r in reasons}
+    in_r4 = _grid_count(_restrict(rel["r4"], cols), moduli)
+    in_r4_s2 = _grid_count(_restrict(rel["r4"] + rel["s2"], cols), moduli)
+    counts["relation:r4"] = prod(moduli) - in_r4
+    counts["relation:s2"] = in_r4 - in_r4_s2
+    counts["relation:rsrs"] = in_r4_s2 - len(points)
+
+    fixed = {w: _holds(_restrict(forms, cols), solutions) for w, forms in engine.word_forms.items()}
     # In Case 1 the half-turn stage names the element; in Case 2 the
     # conflict that hands it a fixed point.
-    r2_stage = reasons[7]
-
-    # Hoist guards: the r4 forms and the odd rotation powers carry no
-    # shift coefficients, the s2 forms no rotation shift.
-    _require_zero_coefs(rel_r4, _SLOTS_A1 + _SLOTS_A2 + _SLOTS_A3, "r4 relation")
-    _require_zero_coefs(rel_s2, _SLOTS_A2 + _SLOTS_C3, "s2 relation")
-    _require_zero_coefs(
-        fw["r"] + fw["rrr"], _SLOTS_A1 + _SLOTS_A2 + _SLOTS_A3, "rotation power"
-    )
-
-    s2_buckets = _residue_buckets(rel_s2, _SLOTS_A3, a3_grid, scale)
-    s2_rows = [s2_buckets.get(_solving_key(rel_s2, a1, zero, zero, zero, scale), ()) for a1 in a_grid]
-    rs2_buckets = _residue_buckets(rel_rs2, _SLOTS_A2, a_grid, scale)
-
-    for c3 in c_grid:
-        if not _forms_hold(rel_r4, zero, zero, zero, c3, scale):
-            counts["relation:r4"] += na * na * n3
-            continue
-        r_fixed = _forms_hold(fw["r"], zero, zero, zero, c3, scale) or _forms_hold(
-            fw["rrr"], zero, zero, zero, c3, scale
-        )
-        for a1, a3_solutions in zip(a_grid, s2_rows):
-            counts["relation:s2"] += (n3 - len(a3_solutions)) * na
-            for a3 in a3_solutions:
-                a2_solutions = rs2_buckets.get(_solving_key(rel_rs2, a1, zero, a3, c3, scale), ())
-                counts["relation:rsrs"] += na - len(a2_solutions)
-                if r_fixed:
-                    counts["fixed_point:r"] += len(a2_solutions)
-                    continue
-                for a2 in a2_solutions:
-                    if _forms_hold(fw["rr"], a1, a2, a3, c3, scale):
-                        counts[r2_stage] += 1
-                        continue
-                    if _forms_hold(fw["s"], a1, a2, a3, c3, scale):
-                        counts["fixed_point:s"] += 1
-                        continue
-                    if _forms_hold(fw["rs"], a1, a2, a3, c3, scale):
-                        counts["fixed_point:rs"] += 1
-                        continue
-                    if _forms_hold(fw["rrs"], a1, a2, a3, c3, scale):
-                        counts["fixed_point:r2s"] += 1
-                        continue
-                    if _forms_hold(fw["sr"], a1, a2, a3, c3, scale):
-                        counts["fixed_point:r3s"] += 1
-                        continue
-                    survivors.append((a1, a2, a3, c3))
+    stages = [(reasons[6], [a or b for a, b in zip(fixed["r"], fixed["rrr"])])]
+    stages += [(name, fixed[word]) for name, word in zip(reasons[7:], ("rr", "s", "rs", "rrs", "sr"))]
+    found = []
+    for p in points:
+        for name, hold in stages:
+            if hold[p]:
+                counts[name] += 1
+                break
+        else:
+            found.append(p)
+    coords = [_values(e, solutions) for e in unit] if found else []
+    survivors = []
+    for p in found:
+        x = {c: v[p] * space.scale // solutions[0] for c, v in zip(cols, coords)}
+        survivors.append(tuple((x.get(c, 0), x.get(c + 1, 0)) for c in (0, 2, 4, 6)))
+    survivors.sort(key=lambda t: (t[3], t[0], t[2], t[1]))
     return counts, survivors
 
 
@@ -679,17 +669,10 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
         for r, n in h_counts.items():
             counts[r] += n
         gens = _subgroup_generator_points(key)
-        for a1, a2, a3, c3 in raw:
-            survivors.append(
-                Survivor(
-                    case=space.case,
-                    a1=_scaled_point(a1, scale),
-                    a2=_scaled_point(a2, scale),
-                    c3=_scaled_point(c3, scale),
-                    a3=None if space.case is CaseTag.CASE1 else _scaled_point(a3, scale),
-                    h_generators=gens,
-                )
-            )
+        for scaled in raw:
+            a1, a2, a3, c3 = (_scaled_point(x, scale) for x in scaled)
+            a3 = a3 if space.case is CaseTag.CASE2 else None
+            survivors.append(Survivor(space.case, a1=a1, a2=a2, c3=c3, a3=a3, h_generators=gens))
 
     total = len(family) * space.grid_size()
     accounted = sum(counts.values()) + len(survivors)
@@ -704,6 +687,7 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
         subgroups=len(family),
         lattice_r_by_mask=len(family) - len(stable),
         engine_builds=len(stable),
+        relation_solutions=len(stable) * space.grid_size() - sum(counts[r] for r in _REASONS[space.case][2:5]),
         survivors_reverified=len(survivors),
         family_s=family_done - start,
         sweep_s=sweep_done - family_done,
@@ -771,7 +755,8 @@ def _cross_validate_h(task):
     scale = space.scale
     frame = _stable_frame(space, span_key)
     engine = _build_h_engine(frame)
-    elements = _scaled_elements(span_key, scale)
+    # H's elements from their bitmasks, in coordinates times scale
+    elements = tuple(tuple(scale // 2 if (m >> i) & 1 else 0 for i in range(6)) for m in span_key)
     a_grid = space.shift_grid()
     c_grid = space.third_grid()
     fw = engine.word_forms

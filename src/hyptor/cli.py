@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -196,6 +197,17 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int(text: str) -> int:
+    """An integer in ASCII digits with an optional minus sign; int()
+    alone also takes other digits, "_", "+" and surrounding spaces."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in its error message
+
+
 def _resolve_workers(args) -> int:
     if args.workers is not None:
         return args.workers
@@ -203,7 +215,7 @@ def _resolve_workers(args) -> int:
     if env is None:
         return 1
     try:
-        return int(env)
+        return _int(env)
     except ValueError:
         raise ValueError(f"invalid {WORKERS_ENV} value {env!r}")
 
@@ -337,9 +349,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="run a census sweep over the parameter grid")
     p_cls.add_argument("--case", required=True, help="1 or 2")
-    p_cls.add_argument("--max-denominator", type=int, default=4)
-    p_cls.add_argument("--h-generators-max", type=int, default=2)
-    p_cls.add_argument("--workers", type=int, default=None)
+    p_cls.add_argument("--max-denominator", type=_int, default=4)
+    p_cls.add_argument("--h-generators-max", type=_int, default=2)
+    p_cls.add_argument("--workers", type=_int, default=None)
     p_cls.add_argument("--tau", default="0/1+1/1i", help="first curve parameter")
     p_cls.add_argument("--tau-prime", default="0/1+2/1i", help="third curve parameter")
     p_cls.add_argument("--stats", help="write the census counters and phase timings to this JSON file")

@@ -454,27 +454,28 @@ class LatticeInclusionReport:
     exponent_ok: bool
 
 
-def block_sublattices(t_quot: ComplexTorus) -> tuple[Sublattice, ...]:
+def block_sublattices(t_quot: ComplexTorus, basis_inv: Matrix) -> tuple[Sublattice, ...]:
     """Lattices of the coordinate subtori inside the quotient lattice.
 
     Block i spans reference coordinates; in the current basis its
-    subspace is spanned by the matching columns of basis_change^{-1},
-    and the block lattice is that subspace's intersection with Z^(2g).
+    subspace is spanned by the matching columns of basis_inv =
+    basis_change^{-1}, and the block lattice is that subspace's
+    intersection with Z^(2g).
     """
-    inv = t_quot.basis_change.inverse()
     out = []
     for off, length in t_quot.blocks:
-        cols = [inv.column(off + k) for k in range(length)]
+        cols = [basis_inv.column(off + k) for k in range(length)]
         w = Matrix.from_columns(cols)
         out.append(lattice_intersection(w, t_quot))
     return tuple(out)
 
 
-def _block_sum(t_quot: ComplexTorus) -> tuple[tuple[Sublattice, ...], Matrix]:
-    """The block lattices and a basis of their sum, block by block."""
-    lams = block_sublattices(t_quot)
+def _block_sum(t_quot: ComplexTorus, basis_inv: Matrix) -> tuple[tuple[Sublattice, ...], Matrix, Matrix]:
+    """The block lattices, a basis of their sum, block by block, and
+    that basis's inverse."""
+    lams = block_sublattices(t_quot, basis_inv)
     basis = Matrix.from_columns([lam.basis.column(k) for lam in lams for k in range(lam.rank)])
-    return lams, basis
+    return lams, basis, basis.inverse()
 
 
 def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
@@ -489,10 +490,10 @@ def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
     sum are bounded by 2 on each block, and the component group of the
     block sum has exponent dividing 2.
     """
-    return _inclusion_report(action, *_block_sum(action.torus))
+    return _inclusion_report(action, *_block_sum(action.torus, action.torus.basis_change.inverse()))
 
 
-def _inclusion_report(action: D4Action, lams, block_basis: Matrix) -> LatticeInclusionReport:
+def _inclusion_report(action: D4Action, lams, block_basis: Matrix, block_inv: Matrix) -> LatticeInclusionReport:
     n = action.torus.rank
     s_cur = action.s.a
     r2_cur = action.r.a @ action.r.a
@@ -520,11 +521,10 @@ def _inclusion_report(action: D4Action, lams, block_basis: Matrix) -> LatticeInc
         if any(2 * a != p + q for a, p, q in zip(w, plus3, minus2)):
             splitting_ok = False
 
-    inv = block_basis.inverse()
     denoms = [1, 1, 1]
     sizes = (lam1.rank, lam2.rank, lam3.rank)
     for jdx in range(n):
-        coords = inv.column(jdx)
+        coords = block_inv.column(jdx)
         pos = 0
         for b, sz in enumerate(sizes):
             for k in range(sz):
@@ -576,7 +576,8 @@ def structure_report(action: D4Action) -> StructureReport:
     img = image_subtorus(t, s_cur + ident)
     kernel_image_agree = ker.canonical().basis.entries == img.canonical().basis.entries
 
-    lams, block_basis = _block_sum(t)
+    basis_inv = t.basis_change.inverse()
+    lams, block_basis, block_inv = _block_sum(t, basis_inv)
     rotated = Sublattice(n, action.r.a @ lams[0].basis).canonical()
     rotated_block_agree = rotated.basis.entries == lams[1].canonical().basis.entries
 
@@ -589,8 +590,7 @@ def structure_report(action: D4Action) -> StructureReport:
     omega_matches = False
     if divisors == (2,):
         omega_prod = case1_subgroup_generator(action.params.s_shift1, action.params.s_shift2)
-        omega_lift = coordinate_change(action.product_torus, t).apply(omega_prod.coords)
-        block_inv = block_basis.inverse()
+        omega_lift = (basis_inv @ action.product_torus.basis_change).apply(omega_prod.coords)
         omega_block = TorsionPoint(tuple(block_inv.apply(omega_lift)))
         omega_matches = omega_block in cg.elements and not omega_block.is_zero()
 
@@ -599,5 +599,5 @@ def structure_report(action: D4Action) -> StructureReport:
         rotated_block_agree=rotated_block_agree,
         component_divisors=divisors,
         omega_matches=omega_matches,
-        inclusion=_inclusion_report(action, lams, block_basis),
+        inclusion=_inclusion_report(action, lams, block_basis, block_inv),
     )

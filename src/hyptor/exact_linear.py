@@ -141,11 +141,8 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionError("inner dimensions differ")
         cols = [other.column(j) for j in range(other.cols)]
-        return Matrix(
-            self.rows,
-            other.cols,
-            tuple(sum(map(mul, self.row(i), col)) for i in range(self.rows) for col in cols),
-        )
+        rows = [self.row(i) for i in range(self.rows)]
+        return Matrix(self.rows, other.cols, tuple(sum(map(mul, r, c)) for r in rows for c in cols))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -383,8 +380,8 @@ def snf(m: Matrix) -> SmithDecomposition:
         raise ValueError("Smith normal form needs an integer matrix")
     rows, cols = m.rows, m.cols
     a = m.to_rows()
-    u = Matrix.identity(rows).to_rows()
-    v = Matrix.identity(cols).to_rows()
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]

@@ -7,6 +7,8 @@ against an independently derived target.
 
 import itertools
 import json
+import math
+import operator
 import os
 import random
 import sys
@@ -26,6 +28,7 @@ from hyptor.classify import (
     subgroup_family,
 )
 from hyptor.d4_family import BuildRejection, quotient_frame
+from hyptor.exact_linear import Matrix, snf
 from hyptor.torus import EllipticCurveParam, TorsionPoint, point
 
 TAU_I = EllipticCurveParam(Fraction(0), Fraction(1))
@@ -208,6 +211,7 @@ def test_case1_full_grid_g2_counts():
         "subgroups": 460,
         "lattice_r_by_mask": 410,
         "engine_builds": 50,
+        "relation_solutions": 5504,
         "survivors_reverified": 72,
     }
 
@@ -405,20 +409,132 @@ def _reference_sweep(engine, space):
     return counts, survivors
 
 
-def test_residue_lookup_solves_congruences():
-    # the family's relation forms only take residues 0 and D/2, where
-    # a sign slip or a reordered bucket cannot show; random forms can
-    rng = random.Random(7)
-    scale = 12
-    grid = [(i, j) for i in range(scale) for j in range(scale)]
-    for _ in range(40):
-        forms = tuple(tuple(rng.randrange(-6, 7) for _ in range(8)) for _ in range(rng.randint(1, 3)))
-        buckets = classify._residue_buckets(forms, classify._SLOTS_A2, grid, scale)
-        for _ in range(20):
-            a1, a3, c3 = (rng.choice(grid) for _ in range(3))
-            key = classify._solving_key(forms, a1, (0, 0), a3, c3, scale)
-            expected = [a2 for a2 in grid if classify._forms_hold(forms, a1, a2, a3, c3, scale)]
-            assert buckets.get(key, []) == expected
+def _brute_grid_count(rows, moduli):
+    """Grid points x_j = m_j / q_j on which every row is integral."""
+    big = math.lcm(*moduli)
+    return sum(
+        all(sum(r[j] * m[j] * (big // q) for j, q in enumerate(moduli)) % big == 0 for r in rows)
+        for m in itertools.product(*(range(q) for q in moduli))
+    )
+
+
+def _random_rows(rng, count, n):
+    return [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(count)]
+
+
+def test_smith_helpers_match_brute_force():
+    # the family's forms only reach a few residues; random forms on
+    # mixed moduli also exercise signs, unused columns and off-grid
+    # solutions
+    rng = random.Random(8)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        moduli = tuple(rng.randint(1, 4) for _ in range(n))
+        rows = _random_rows(rng, rng.randint(1, 3), n)
+        if rng.random() < 0.3:
+            # a column that no row uses
+            rows = [r[:-1] + (0,) for r in rows]
+        if rng.random() < 0.3:
+            # a rank-deficient stack
+            rows = rows[:1] + [tuple(2 * x for x in rows[0])]
+        assert classify._grid_count(rows, moduli) == _brute_grid_count(rows, moduli), (rows, moduli)
+
+    checked = 0
+    while checked < 40:
+        n = rng.randint(1, 3)
+        rows = _random_rows(rng, n + rng.randint(0, 1), n)
+        det = abs(Matrix.from_rows(rows[:n]).det())
+        if not 0 < det <= 16:
+            continue
+        # R_H has exponent dividing det, so it lies on the (1/det)-grid
+        expected = {
+            tuple(Fraction(x, det) for x in m)
+            for m in itertools.product(range(det), repeat=n)
+            if all(sum(map(operator.mul, r, m)) % det == 0 for r in rows)
+        }
+        if len(expected) == 1:
+            continue
+        checked += 1
+        solutions = classify._relation_solutions(rows, n)
+        big = solutions[0]
+        unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        coords = [classify._values(e, solutions) for e in unit]
+        points = [tuple(Fraction(c[p], big) for c in coords) for p in range(len(coords[0]))]
+        assert len(points) == len(set(points))
+        assert set(points) == expected, rows
+        # a row holds exactly where it is integral
+        for rows_held in ([_random_rows(rng, 1, n)[0]], _random_rows(rng, 2, n)):
+            held = classify._holds(rows_held, solutions)
+            for x, ok in zip(points, held):
+                assert ok == all(sum(map(operator.mul, r, x)).denominator == 1 for r in rows_held)
+        # the grid filter keeps the points with q_j x_j integral
+        moduli = tuple(rng.randint(1, 4) for _ in range(n))
+        grid = [tuple(q * x for x in e) for q, e in zip(moduli, unit)]
+        on_grid = classify._holds(grid, solutions)
+        assert sum(on_grid) == sum(all((q * c).denominator == 1 for q, c in zip(moduli, x)) for x in points)
+    with pytest.raises(RuntimeError):
+        classify._relation_solutions([(1, 2, 0), (2, 4, 0)], 3)
+    with pytest.raises(RuntimeError):
+        classify._relation_solutions([], 2)
+
+
+def _random_engine(rng, case):
+    """Random forms with the engine's support: r^4, r and r^3 on c3
+    alone, s^2 on a1 and a3, the rest on every parameter (Case 1 has no
+    a3), as the enumerating sweep expects."""
+    slots = {"c3": (6, 7), "s2": (0, 1, 4, 5), "all": tuple(range(8))}
+    if case is CaseTag.CASE1:
+        slots = {k: tuple(j for j in v if j not in (4, 5)) for k, v in slots.items()}
+
+    def forms(support, count, even):
+        return tuple(
+            tuple(rng.randint(-3, 3) * (2 if even else 1) if j in support else 0 for j in range(8))
+            for _ in range(count)
+        )
+
+    relations = {
+        "r4": forms(slots["c3"], 2, True),
+        "s2": forms(slots["s2"], 3, True),
+        "rsrs": forms(slots["all"], 4, True),
+    }
+    words = {
+        w: forms(slots["c3"] if w in ("r", "rrr") else slots["all"], rng.randint(1, 2), False)
+        for w in classify.GROUP_WORDS
+    }
+    return classify._HEngine(relations, words)
+
+
+def test_smith_sweep_matches_enumerating_sweep_on_random_forms():
+    # many survivors, off-grid solutions and a3 in play: the grid filter
+    # and the survivors' order show here, not on the family's engines
+    rng = random.Random(11)
+    seen = {CaseTag.CASE1: 0, CaseTag.CASE2: 0}
+    found = {CaseTag.CASE1: 0, CaseTag.CASE2: 0}
+    off_grid = 0
+    for case, grids in (
+        (CaseTag.CASE1, [(1, 4), (2, 3), (3, 2), (4, 4)]),
+        (CaseTag.CASE2, [(1, 2), (2, 2), (2, 1)]),
+    ):
+        while seen[case] < 12:
+            engine = _random_engine(rng, case)
+            cols = classify._COLUMNS[case]
+            rows = classify._restrict(sum(engine.relation_forms.values(), ()), cols)
+            if len(rows) < len(cols) or snf(Matrix.from_rows(rows)).rank < len(cols):
+                with pytest.raises(RuntimeError):
+                    classify._sweep_h(engine, SearchSpace(case=case))
+                continue
+            size = _solution_count(engine, case)
+            if size > 4096:
+                continue
+            seen[case] += 1
+            for q_a, q_t in grids:
+                space = SearchSpace(case=case, shift_denominator=q_a, third_denominator=q_t)
+                counts, survivors = classify._sweep_h(engine, space)
+                assert (counts, survivors) == _reference_sweep(engine, space), (case, q_a, q_t)
+                found[case] += len(survivors)
+                off_grid += size - _relation_passing(counts, space)
+    assert min(found.values()) > 50
+    assert off_grid > 0
 
 
 @pytest.fixture(scope="module")
@@ -438,10 +554,57 @@ def stable_engines():
 
 
 @pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
-def test_residue_sweep_matches_enumerating_sweep(stable_engines, case):
+def test_smith_sweep_matches_enumerating_sweep(stable_engines, case):
     for q_a, q_t in itertools.product(range(1, 5), repeat=2):
         space = SearchSpace(case=case, shift_denominator=q_a, third_denominator=q_t)
         for engine in stable_engines[case]:
+            assert classify._sweep_h(engine, space) == _reference_sweep(engine, space), (q_a, q_t)
+
+
+def _relation_passing(counts, space):
+    relations = sum(counts[r] for r in ("relation:r4", "relation:s2", "relation:rsrs"))
+    return space.grid_size() - relations
+
+
+def _solution_count(engine, case):
+    """|R_H|, the product of the elementary divisors of the stacked
+    relation forms on the case's parameter columns."""
+    cols = classify._COLUMNS[case]
+    rows = [tuple(f[c] for c in cols) for forms in engine.relation_forms.values() for f in forms]
+    return math.prod(snf(Matrix.from_rows(rows)).elementary_divisors)
+
+
+def test_relation_solutions_do_not_depend_on_the_grid(stable_engines):
+    # R_H has exponent 4, so every grid with 4 | q holds all of it, and
+    # the survivors are the same points on each such grid
+    points = set()
+    for q in (4, 8, 12, 16, 64):
+        for case in (CaseTag.CASE1, CaseTag.CASE2):
+            space = SearchSpace(case=case, shift_denominator=q, third_denominator=q)
+            found = []
+            for engine in stable_engines[case]:
+                counts, survivors = classify._sweep_h(engine, space)
+                assert _relation_passing(counts, space) == _solution_count(engine, case), (case, q)
+                found += [tuple(Fraction(x, space.scale) for pair in s for x in pair) for s in survivors]
+            if case is CaseTag.CASE1:
+                assert len(found) == 72
+                points.add(tuple(found))
+            else:
+                assert found == []
+    assert len(points) == 1
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
+def test_smith_sweep_matches_enumerating_sweep_three_generators(case):
+    family, _ = subgroup_family(3)
+    stable = [key for key in family if classify._span_rotation_stable(key)]
+    assert len(stable) == 86
+    engines = [classify._build_h_engine(classify._stable_frame(SearchSpace(case=case), key)) for key in stable]
+    assert sum(_solution_count(e, case) for e in engines) == {CaseTag.CASE1: 11264, CaseTag.CASE2: 27968}[case]
+    for q_a, q_t in itertools.product(range(1, 5), repeat=2):
+        space = SearchSpace(case=case, shift_denominator=q_a, third_denominator=q_t)
+        for engine in engines:
             assert classify._sweep_h(engine, space) == _reference_sweep(engine, space), (q_a, q_t)
 
 

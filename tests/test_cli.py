@@ -337,6 +337,7 @@ def test_classify_stats_file_leaves_census_unchanged(tmp_path, capsys):
         "subgroups": 55,
         "lattice_r_by_mask": 42,
         "engine_builds": 13,
+        "relation_solutions": 1024,
         "survivors_reverified": 72,
     }
     assert set(doc["phase_seconds"]) == {"family", "sweep", "reverification"}
@@ -399,6 +400,22 @@ def test_classify_denominator_past_the_bound_exits_2(monkeypatch, capsys):
         assert code == 2
         assert out == ""
         assert f"at most {bound}" in err
+
+
+@pytest.mark.parametrize("spelling", ["1_2", "٢", "+2", " 2 ", "2 ", "１", "2\n", "²"])
+@pytest.mark.parametrize("target", ["--max-denominator", "--h-generators-max", "--workers", WORKERS_ENV])
+def test_integers_have_one_spelling(monkeypatch, capsys, target, spelling):
+    # int() reads all but "²" as 2 or 12, and str.isdigit() accepts
+    # "²"; only ASCII digits with an optional minus sign are accepted
+    argv = ["classify", "--case", "1", "--max-denominator", "1", "--h-generators-max", "0"]
+    if target == WORKERS_ENV:
+        monkeypatch.setenv(WORKERS_ENV, spelling)
+    else:
+        argv += [f"{target}={spelling}"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert repr(spelling) in err
 
 
 def test_classify_workers_env(monkeypatch, capsys):

@@ -473,14 +473,26 @@ def test_structure_report_finds_the_block_lattices_once(monkeypatch):
     calls = []
     original = d4_family.block_sublattices
 
-    def counting(t):
+    def counting(t, basis_inv):
         calls.append(t)
-        return original(t)
+        return original(t, basis_inv)
+
+    inverses = []
+    original_inverse = Matrix.inverse
+
+    def counting_inverse(m):
+        inverses.append(m)
+        return original_inverse(m)
 
     monkeypatch.setattr(d4_family, "block_sublattices", counting)
     action = build_normal_form(TAU_I, TAU_2I)
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
     rep = structure_report(action)
     assert len(calls) == 1
+    # four saturations, the basis change once, and the block-sum basis
+    # once here and once inside torus.component_group
+    assert len(inverses) == 7
+    assert len({m.entries for m in inverses}) == 6
     assert rep.inclusion == lattice_inclusion_check(action)
     assert len(calls) == 2
 
