@@ -7,6 +7,15 @@ solvability of (A - I) x = -t modulo the lattice and is decided exactly
 through the Smith form, never by search; both answers come with a
 witness that can be re-checked by plain arithmetic.  Only the group
 closure composes maps; words and relations are read from its table.
+
+Composition works in integers: both translations are scaled to their
+common denominator D, the new translation f.a (D g.t) + D f.t is
+reduced mod D in int arithmetic, and its fractions are built once at
+the end.  Every automorphism, each product included, gets a verdict on
+its linear part (integral, unimodular, commuting with J), but the
+verdict depends on the linear part and J alone, so it is computed once
+per pair and kept in a small bounded memo; a failing matrix raises on
+every construction, since the memo keeps no exceptions.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .exact_linear import (
@@ -25,12 +36,20 @@ from .exact_linear import (
 from .torus import ComplexTorus, HolomorphyError, TorsionPoint
 
 
-@lru_cache(maxsize=64)
-def _scaled_complex_structure(j: Matrix) -> Matrix:
-    """Denominator-cleared J; commuting with it is the same condition
-    and keeps the per-automorphism validation in integer arithmetic."""
-    scaled, _ = j.scaled_integer()
-    return scaled
+@lru_cache(maxsize=256)
+def _linear_part_verdict(a: Matrix, j: Matrix) -> None:
+    """Raise unless a is an integer, unimodular matrix commuting with J.
+
+    Commuting with the denominator-cleared J is the same condition and
+    keeps the check in integer arithmetic.
+    """
+    if not a.is_integral():
+        raise NotUnimodularError("linear part must be an integer matrix")
+    if abs(a.det()) != 1:
+        raise NotUnimodularError("linear part must be unimodular")
+    j_int, _ = j.scaled_integer()
+    if (a @ j_int).entries != (j_int @ a).entries:
+        raise HolomorphyError("linear part does not commute with J")
 
 
 class TorusMismatchError(ValueError):
@@ -57,15 +76,9 @@ class AffineAut:
         n = self.torus.rank
         if self.a.rows != n or self.a.cols != n:
             raise DimensionError("linear part must be 2g x 2g")
-        if not self.a.is_integral():
-            raise NotUnimodularError("linear part must be an integer matrix")
         if len(self.t) != n:
             raise DimensionError("translation part must have length 2g")
-        if abs(self.a.det()) != 1:
-            raise NotUnimodularError("linear part must be unimodular")
-        j_int = _scaled_complex_structure(self.torus.j)
-        if (self.a @ j_int).entries != (j_int @ self.a).entries:
-            raise HolomorphyError("linear part does not commute with J")
+        _linear_part_verdict(self.a, self.torus.j)
 
     def key(self) -> tuple:
         return (self.a.entries, self.t.coords)
@@ -79,12 +92,18 @@ def identity_aut(t: ComplexTorus) -> AffineAut:
 
 
 def compose(f: AffineAut, g: AffineAut) -> AffineAut:
-    """f after g: z -> f(g(z))."""
+    """f after g: z -> f(g(z)), with translation f.a g.t + f.t."""
     if f.torus != g.torus:
         raise TorusMismatchError("different tori")
-    a = f.a @ g.a
-    t = TorsionPoint(f.a.apply(g.t.coords)).add(f.t)
-    return AffineAut(f.torus, a, t)
+    d = lcm(*(c.denominator for c in f.t.coords), *(c.denominator for c in g.t.coords))
+    g_t = [c.numerator * (d // c.denominator) for c in g.t.coords]
+    t = TorsionPoint(
+        tuple(
+            Fraction((sum(map(mul, f.a.row(i), g_t)) + c.numerator * (d // c.denominator)) % d, d)
+            for i, c in enumerate(f.t.coords)
+        )
+    )
+    return AffineAut(f.torus, f.a @ g.a, t)
 
 
 def is_translation(f: AffineAut) -> bool:

@@ -308,7 +308,11 @@ class CensusStats:
     artifact, and the times differ from run to run.
 
     relation_solutions counts the tuples that satisfy all three
-    relations, the sum of |R_H ∩ grid| over the stable subgroups.
+    relations, the sum of |R_H ∩ grid| over the stable subgroups;
+    reverification_frames counts the distinct subgroups H among the
+    survivors, one quotient frame each.  engines_s sums the seconds the
+    subgroup tasks spent building their frames and engines; with one
+    worker it is part of sweep_s.
     """
 
     subgroups: int
@@ -316,8 +320,10 @@ class CensusStats:
     engine_builds: int
     relation_solutions: int
     survivors_reverified: int
+    reverification_frames: int
     family_s: float
     sweep_s: float
+    engines_s: float
     reverification_s: float
 
     def to_json_dict(self) -> dict:
@@ -328,10 +334,12 @@ class CensusStats:
                 "engine_builds": self.engine_builds,
                 "relation_solutions": self.relation_solutions,
                 "survivors_reverified": self.survivors_reverified,
+                "reverification_frames": self.reverification_frames,
             },
             "phase_seconds": {
                 "family": self.family_s,
                 "sweep": self.sweep_s,
+                "engines": self.engines_s,
                 "reverification": self.reverification_s,
             },
         }
@@ -398,29 +406,33 @@ def _row_times(v: tuple[int, ...], m: Matrix) -> tuple[int, ...]:
     return tuple(sum(v[i] * m.at(i, j) for i in range(m.rows)) for j in range(m.cols))
 
 
-def _word_matrices(case: CaseTag, a_quot: dict[str, Matrix], word: str):
-    """Quotient linear part plus translation assembly matrices.
+def _word_matrices(case: CaseTag, a_quot: dict[str, Matrix], words: list[str]) -> dict[str, tuple[Matrix, ...]]:
+    """Quotient linear part plus translation assembly matrices, by word.
 
     The translation of a word in product coordinates is
     P @ t_r + Q @ t_s, with P and Q sums of prefix products of the
     product-coordinate linear parts (the letters left of each
-    occurrence act on its translation).
+    occurrence act on its translation).  Each distinct prefix of the
+    words is built once, one letter after its parent prefix.
     """
     mats = case_matrices(case)
     lattice = {"r": mats.rotation_lattice, "s": mats.reflection_lattice}
-    n = 6
-    aq = Matrix.identity(n)
-    p = Matrix.zeros(n, n)
-    q = Matrix.zeros(n, n)
-    prefix = Matrix.identity(n)
-    for letter in word:
-        aq = aq @ a_quot[letter]
-        if letter == "r":
-            p = p + prefix
-        else:
-            q = q + prefix
-        prefix = prefix @ lattice[letter]
-    return aq, p, q
+    ident = Matrix.identity(6)
+    zero = Matrix.zeros(6, 6)
+    # prefix -> (quotient linear part, P, Q, product-coordinate linear part)
+    built = {"": (ident, zero, zero, ident)}
+    for word in words:
+        for k in range(1, len(word) + 1):
+            if word[:k] in built:
+                continue
+            aq, p, q, prefix = built[word[: k - 1]]
+            letter = word[k - 1]
+            if letter == "r":
+                p = p + prefix
+            else:
+                q = q + prefix
+            built[word[:k]] = (aq @ a_quot[letter], p, q, prefix @ lattice[letter])
+    return {word: built[word][:3] for word in words}
 
 
 def _flat_form(v: tuple[int, ...], p: Matrix, q: Matrix) -> tuple[int, ...]:
@@ -452,10 +464,11 @@ def _build_h_engine(frame: QuotientFrame) -> _HEngine:
         raise RuntimeError("internal error: the product lattice is not inside the quotient lattice")
     a_quot = {"r": frame.r_linear, "s": frame.s_linear}
     ident = Matrix.identity(6)
+    matrices = _word_matrices(case, a_quot, [w for _, w in RELATION_WORDS] + list(GROUP_WORDS))
 
     relation_forms: dict[str, tuple[tuple[int, ...], ...]] = {}
     for name, word in RELATION_WORDS:
-        aq, p, q = _word_matrices(case, a_quot, word)
+        aq, p, q = matrices[word]
         if not aq.is_identity():
             raise RuntimeError(f"internal error: relation word {word} has nonidentity linear part")
         rows = [tuple(b_inv.row(i)) for i in range(6)]
@@ -464,7 +477,7 @@ def _build_h_engine(frame: QuotientFrame) -> _HEngine:
     word_forms: dict[str, tuple[tuple[int, ...], ...]] = {}
     seen_linear = {ident.entries}
     for word in GROUP_WORDS:
-        aq, p, q = _word_matrices(case, a_quot, word)
+        aq, p, q = matrices[word]
         if aq.entries in seen_linear:
             raise RuntimeError("internal error: repeated linear part in the dihedral family")
         seen_linear.add(aq.entries)
@@ -611,9 +624,13 @@ def _scaled_point(pair: tuple[int, int], scale: int) -> TorsionPoint:
 
 
 def _sweep_task(task):
-    """Worker entry point: one subgroup's slice of the sweep."""
+    """Worker entry point: one subgroup's slice of the sweep, and the
+    seconds its frame and engine took to build."""
     space, span_key = task
-    return _sweep_h(_build_h_engine(_stable_frame(space, span_key)), space)
+    start = time.perf_counter()
+    engine = _build_h_engine(_stable_frame(space, span_key))
+    built = time.perf_counter()
+    return (*_sweep_h(engine, space), built - start)
 
 
 def _worker_count(requested: int, tasks: int) -> int:
@@ -665,7 +682,7 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
     counts["lattice:r"] = (len(family) - len(stable)) * space.grid_size()
     survivors: list[Survivor] = []
     scale = space.scale
-    for key, (h_counts, raw) in zip(stable, results):
+    for key, (h_counts, raw, _) in zip(stable, results):
         for r, n in h_counts.items():
             counts[r] += n
         gens = _subgroup_generator_points(key)
@@ -689,8 +706,10 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
         engine_builds=len(stable),
         relation_solutions=len(stable) * space.grid_size() - sum(counts[r] for r in _REASONS[space.case][2:5]),
         survivors_reverified=len(survivors),
+        reverification_frames=len({s.h_generators for s in survivors}),
         family_s=family_done - start,
         sweep_s=sweep_done - family_done,
+        engines_s=sum(engine_s for _, _, engine_s in results),
         reverification_s=time.perf_counter() - sweep_done,
     )
     return CensusReport(

@@ -18,7 +18,13 @@ Provided here:
   in divisibility order and zero entries trailing.
 * ``solve_affine_mod_lattice``: decides whether ``A x = b + m`` has a
   rational solution ``x`` with integral ``m``, returning either a witness
-  pair or a one-row unimodular obstruction certificate.
+  pair or a one-row unimodular obstruction certificate.  The
+  obstruction test runs in integers: b is cleared to delta * b once
+  (delta its common denominator), and a zero row of the Smith form
+  obstructs exactly when its entry of U (delta b) is not divisible by
+  delta.  The Smith form of each denominator-cleared A comes from a
+  small bounded memo private to this function; ``snf`` itself keeps
+  no memo.
 * ``Sublattice`` plus ``lattice_membership``, ``kernel_sublattice`` and
   ``image_saturation``.
 """
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -530,6 +537,14 @@ class AffineSolveResult:
     obstruction_value: Fraction | None = None
 
 
+@lru_cache(maxsize=256)
+def _cleared_smith_form(a_int: Matrix) -> SmithDecomposition:
+    """The Smith form of a denominator-cleared system matrix, computed
+    once per matrix: the fixed-point questions of a group's elements
+    repeat few linear parts."""
+    return snf(a_int)
+
+
 def solve_affine_mod_lattice(a: Matrix, b: Sequence) -> AffineSolveResult:
     """Decide ``exists x rational, m integral with a x = b + m``.
 
@@ -537,7 +552,8 @@ def solve_affine_mod_lattice(a: Matrix, b: Sequence) -> AffineSolveResult:
     the solution space), take the Smith form U A' V = D, and inspect
     c = U b.  The system is solvable iff c_i is an integer for every
     zero row i of D; the first failing row is returned as the
-    obstruction certificate.
+    obstruction certificate.  c is kept as the integers delta * c_i,
+    for delta the common denominator of b.
     """
     if a.rows != a.cols:
         raise DimensionError("square matrix required")
@@ -545,23 +561,24 @@ def solve_affine_mod_lattice(a: Matrix, b: Sequence) -> AffineSolveResult:
     if len(b) != n:
         raise DimensionError("right-hand side length mismatch")
     bvec = tuple(Fraction(x) for x in b)
+    delta = lcm(*(x.denominator for x in bvec))
     a_int, alpha = a.scaled_integer()
-    dec = snf(a_int)
-    c = dec.u.apply(bvec)
+    dec = _cleared_smith_form(a_int)
+    c = dec.u.apply(tuple(x.numerator * (delta // x.denominator) for x in bvec))
     for i in dec.zero_rows:
-        if Fraction(c[i]).denominator != 1:
+        if c[i] % delta:
             return AffineSolveResult(
                 solvable=False,
                 obstruction_index=i,
                 obstruction_row=dec.u.row(i),
-                obstruction_value=Fraction(c[i]),
+                obstruction_value=Fraction(c[i], delta),
             )
     # construct a witness: y_i = c_i / d_i on the nonzero rows
     y = [Fraction(0)] * n
-    for i in range(min(n, n)):
+    for i in range(n):
         di = dec.d.at(i, i)
         if di != 0:
-            y[i] = Fraction(c[i], di)
+            y[i] = Fraction(c[i], delta * di)
     xi = dec.v.apply(tuple(y))
     x = tuple(alpha * t for t in xi)
     ax = a.apply(x)

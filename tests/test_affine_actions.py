@@ -306,6 +306,46 @@ def test_closure_composes_once_per_element_and_generator(monkeypatch):
     assert len(calls) == grp.order * len(gens)
 
 
+def _laplace_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * x * _laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x != 0
+    )
+
+
+@pytest.mark.parametrize("name", ["distinguished", "order16", "product_pair"])
+def test_every_generated_element_is_valid(name):
+    # each element's linear part is integral, unimodular and commutes
+    # with J, checked here without the library's memoized verdict
+    gens, order = _table_test_groups()[name]
+    grp = generate_group(gens)
+    assert grp.order == order
+    j = next(iter(gens.values())).torus.j
+    for e in grp.elements:
+        a = e.aut.a
+        assert all(type(x) is int for x in a.entries), e.word
+        assert abs(_laplace_det(a.to_rows())) == 1, e.word
+        assert (a @ j).entries == (j @ a).entries, e.word
+        assert all(type(c) is Fraction and 0 <= c < 1 for c in e.aut.t.coords), e.word
+
+
+def test_failed_verdicts_raise_on_every_construction():
+    cases = [
+        (Matrix.from_rows([[2, 0], [0, Fraction(1, 2)]]), NotUnimodularError, "integer matrix"),
+        (Matrix.from_rows([[2, 0], [0, 1]]), NotUnimodularError, "unimodular"),
+        (Matrix.from_rows([[1, 1], [0, 1]]), HolomorphyError, "does not commute with J"),
+    ]
+    for a, error, message in cases:
+        for _ in range(3):
+            with pytest.raises(error, match=message):
+                AffineAut(SQUARE, a, TorsionPoint.zero(2))
+    info = affine_actions._linear_part_verdict.cache_info()
+    assert info.maxsize is not None and info.maxsize > 0
+
+
 def test_freeness_methods_agree():
     # factor swap with a shift: f(z1, z2) = (z2, z1 + c); f^2 is the
     # translation by (c, c), so the group is cyclic of order 2 / 4 and

@@ -213,6 +213,7 @@ def test_case1_full_grid_g2_counts():
         "engine_builds": 50,
         "relation_solutions": 5504,
         "survivors_reverified": 72,
+        "reverification_frames": 3,
     }
 
 
@@ -559,6 +560,58 @@ def test_smith_sweep_matches_enumerating_sweep(stable_engines, case):
         space = SearchSpace(case=case, shift_denominator=q_a, third_denominator=q_t)
         for engine in stable_engines[case]:
             assert classify._sweep_h(engine, space) == _reference_sweep(engine, space), (q_a, q_t)
+
+
+def _word_matrices_per_word(case, a_quot, word):
+    """Reference for classify._word_matrices: one word at a time, each
+    from the identity, letter by letter."""
+    mats = d4_family.case_matrices(case)
+    lattice = {"r": mats.rotation_lattice, "s": mats.reflection_lattice}
+    aq = Matrix.identity(6)
+    p = Matrix.zeros(6, 6)
+    q = Matrix.zeros(6, 6)
+    prefix = Matrix.identity(6)
+    for letter in word:
+        aq = aq @ a_quot[letter]
+        if letter == "r":
+            p = p + prefix
+        else:
+            q = q + prefix
+        prefix = prefix @ lattice[letter]
+    return aq, p, q
+
+
+@pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
+def test_prefix_pass_gives_the_per_word_forms(stable_engines, monkeypatch, case):
+    family, _ = subgroup_family(2)
+    stable = [key for key in family if classify._span_rotation_stable(key)]
+    frames = [classify._stable_frame(SearchSpace(case=case), key) for key in stable]
+    monkeypatch.setattr(
+        classify,
+        "_word_matrices",
+        lambda case, a_quot, words: {w: _word_matrices_per_word(case, a_quot, w) for w in words},
+    )
+    for frame, engine in zip(frames, stable_engines[case], strict=True):
+        reference = classify._build_h_engine(frame)
+        assert reference.relation_forms == engine.relation_forms
+        assert reference.word_forms == engine.word_forms
+
+
+def test_engine_route_computes_its_own_smith_forms(monkeypatch):
+    # the fixed-point solver's Smith-form memo is its own: the engines,
+    # R_H and the grid counts still call snf, ten times per stable
+    # subgroup (seven words, R_H and two grid counts)
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return snf(m)
+
+    monkeypatch.setattr(classify, "snf", counting)
+    report = enumerate_case1(SearchSpace(case=CaseTag.CASE1, shift_denominator=4, third_denominator=4))
+    assert len(report.survivors) == 72
+    assert report.stats.engine_builds == 50
+    assert len(calls) == 50 * 10
 
 
 def _relation_passing(counts, space):

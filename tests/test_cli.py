@@ -339,8 +339,9 @@ def test_classify_stats_file_leaves_census_unchanged(tmp_path, capsys):
         "engine_builds": 13,
         "relation_solutions": 1024,
         "survivors_reverified": 72,
+        "reverification_frames": 3,
     }
-    assert set(doc["phase_seconds"]) == {"family", "sweep", "reverification"}
+    assert set(doc["phase_seconds"]) == {"family", "sweep", "engines", "reverification"}
     assert all(t >= 0 for t in doc["phase_seconds"].values())
 
 
@@ -389,12 +390,12 @@ def test_classify_bad_flags(capsys):
 def test_classify_denominator_past_the_bound_exits_2(monkeypatch, capsys):
     bound = classify.MAX_DENOMINATOR
 
-    # the bound must be enforced before any grid exists
-    def refuse(self):
-        raise AssertionError("grid built")
+    # the bound must be enforced before the census starts: its first
+    # step lists the subgroup family
+    def refuse(g_max):
+        raise AssertionError("census started")
 
-    monkeypatch.setattr(classify.SearchSpace, "shift_grid", refuse)
-    monkeypatch.setattr(classify.SearchSpace, "third_grid", refuse)
+    monkeypatch.setattr(classify, "subgroup_family", refuse)
     for q in (bound + 1, 100000):
         code, out, err = run(capsys, ["classify", "--case", "1", "--max-denominator", str(q)])
         assert code == 2

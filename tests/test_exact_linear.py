@@ -12,7 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hyptor import exact_linear
 from hyptor.exact_linear import (
+    AffineSolveResult,
     DimensionError,
     Matrix,
     NotUnimodularError,
@@ -361,6 +363,65 @@ def test_solve_affine_naive_grid_is_incomplete():
     assert all((ax[i] - b[i]).denominator == 1 for i in range(2))
     assert not grid_solvable(a, b, 8, 8)
     assert max(Fraction(t).denominator for t in res.x) > 8
+
+
+def fraction_solve_affine(a: Matrix, b) -> AffineSolveResult:
+    """Reference for solve_affine_mod_lattice: c = U b in Fraction
+    arithmetic, with a fresh Smith form on every call."""
+    n = a.rows
+    bvec = tuple(Fraction(x) for x in b)
+    a_int, alpha = a.scaled_integer()
+    dec = snf(a_int)
+    c = dec.u.apply(bvec)
+    for i in dec.zero_rows:
+        if Fraction(c[i]).denominator != 1:
+            return AffineSolveResult(
+                solvable=False,
+                obstruction_index=i,
+                obstruction_row=dec.u.row(i),
+                obstruction_value=Fraction(c[i]),
+            )
+    y = [Fraction(0)] * n
+    for i in range(n):
+        di = dec.d.at(i, i)
+        if di != 0:
+            y[i] = Fraction(c[i], di)
+    x = tuple(alpha * t for t in dec.v.apply(tuple(y)))
+    ax = a.apply(x)
+    return AffineSolveResult(solvable=True, x=x, m=tuple(int(ax[i] - bvec[i]) for i in range(n)))
+
+
+def test_integer_obstruction_test_matches_fraction_reference():
+    rng = random.Random(37)
+    outcomes = {True: 0, False: 0}
+    for trial in range(400):
+        n = rng.randint(1, 6)
+        # a unimodular sandwich of a diagonal with zeros: both outcomes
+        # stay common at every size
+        diag = [rng.choice((0, 0, 1, 1, 2, 3, 4, 6)) for _ in range(n)]
+        a = rand_unimodular(rng, n) @ Matrix.diagonal(diag) @ rand_unimodular(rng, n)
+        if trial % 4 == 0:
+            a = rand_int_matrix(rng, n, n, -3, 3)
+        den = rng.randint(1, 12)
+        b = tuple(Fraction(rng.randint(-3 * den, 3 * den), den) for _ in range(n))
+        got = solve_affine_mod_lattice(a, b)
+        want = fraction_solve_affine(a, b)
+        assert got == want, (a, b)
+        # the same verdict again, now from the Smith-form memo
+        assert solve_affine_mod_lattice(a, b) == want
+        if got.solvable:
+            assert all(type(t) is Fraction for t in got.x)
+        else:
+            assert type(got.obstruction_value) is Fraction
+        outcomes[got.solvable] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_smith_form_memo_is_bounded_and_private():
+    info = exact_linear._cleared_smith_form.cache_info()
+    assert info.maxsize is not None and info.maxsize > 0
+    # snf itself keeps no memo: other callers compute their own forms
+    assert not hasattr(exact_linear.snf, "cache_info")
 
 
 def test_solve_affine_dimension_errors():
