@@ -15,10 +15,19 @@ closed-form membership and exclusion conditions on H, which live in
 d4_family (scaled_freeness_conditions, on integer coordinates, and
 check_freeness_conditions on a built action), and the generic engine
 route that reads obstruction rows off the Smith form of (A_w - I) per
-group element.  Every subgroup's engine comes from its quotient frame
-(d4_family.quotient_frame).  The sweeps prune with the engine route
-and re-verify every survivor object-level, each from its own shifts
-on the quotient frame of its subgroup, with the closed-form conditions
+group element.  The engines are built in integers from H's bitmask,
+without a quotient torus.  The quotient lattice is
+Lambda' = Z^6 + (1/2) H, and its dual is
+Lambda'* = {v in Z^6 : v . h even for every h in H}.  A word w with
+linear part M_w and translation P_w t_r + Q_w t_s in product
+coordinates has a fixed point exactly when v . (P_w t_r + Q_w t_s) is
+an integer for every v in K_w ∩ Lambda'*, K_w the integer left kernel
+of M_w - I; the relation words have M_w = I, so their forms come from
+all of Lambda'*.  M_w, P_w, Q_w and K_w depend on the case alone and
+are computed once per census; each subgroup only solves the parity
+conditions over F2.  The sweeps prune with the engine route and
+re-verify every survivor object-level, each from its own shifts on
+the quotient frame of its subgroup, with the closed-form conditions
 as an independent check in Case 1; cross_validate runs both routes on
 every grid tuple and reports disagreements.
 
@@ -311,8 +320,8 @@ class CensusStats:
     relations, the sum of |R_H ∩ grid| over the stable subgroups;
     reverification_frames counts the distinct subgroups H among the
     survivors, one quotient frame each.  engines_s sums the seconds the
-    subgroup tasks spent building their frames and engines; with one
-    worker it is part of sweep_s.
+    case's word kernels and the subgroup tasks' engines took to build;
+    with one worker it is part of sweep_s.
     """
 
     subgroups: int
@@ -398,48 +407,135 @@ def _survivor_dict(s: Survivor) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Per-subgroup engine data: everything that does not depend on the shifts.
+# Engine data: the case's word forms once per census, then each
+# subgroup's share of them from its bitmask.
 # ---------------------------------------------------------------------------
 
 
-def _row_times(v: tuple[int, ...], m: Matrix) -> tuple[int, ...]:
-    return tuple(sum(v[i] * m.at(i, j) for i in range(m.rows)) for j in range(m.cols))
+def _row_times(v, rows) -> tuple[int, ...]:
+    """The integer row v times the matrix with the given rows."""
+    return tuple(sum(x * r[j] for x, r in zip(v, rows) if x) for j in range(len(rows[0])))
 
 
-def _word_matrices(case: CaseTag, a_quot: dict[str, Matrix], words: list[str]) -> dict[str, tuple[Matrix, ...]]:
-    """Quotient linear part plus translation assembly matrices, by word.
+def _word_matrices(case: CaseTag, words: list[str]) -> dict[str, tuple[Matrix, Matrix, Matrix]]:
+    """Linear part and translation assembly matrices of each word, in
+    product coordinates.
 
-    The translation of a word in product coordinates is
-    P @ t_r + Q @ t_s, with P and Q sums of prefix products of the
-    product-coordinate linear parts (the letters left of each
+    The translation of a word is P @ t_r + Q @ t_s, with P and Q sums of
+    prefix products of the linear parts (the letters left of each
     occurrence act on its translation).  Each distinct prefix of the
     words is built once, one letter after its parent prefix.
     """
     mats = case_matrices(case)
     lattice = {"r": mats.rotation_lattice, "s": mats.reflection_lattice}
-    ident = Matrix.identity(6)
     zero = Matrix.zeros(6, 6)
-    # prefix -> (quotient linear part, P, Q, product-coordinate linear part)
-    built = {"": (ident, zero, zero, ident)}
+    # prefix -> (linear part, P, Q)
+    built = {"": (Matrix.identity(6), zero, zero)}
     for word in words:
         for k in range(1, len(word) + 1):
             if word[:k] in built:
                 continue
-            aq, p, q, prefix = built[word[: k - 1]]
-            letter = word[k - 1]
-            if letter == "r":
-                p = p + prefix
+            m, p, q = built[word[: k - 1]]
+            if word[k - 1] == "r":
+                p = p + m
             else:
-                q = q + prefix
-            built[word[:k]] = (aq @ a_quot[letter], p, q, prefix @ lattice[letter])
-    return {word: built[word][:3] for word in words}
+                q = q + m
+            built[word[:k]] = (m @ lattice[word[k - 1]], p, q)
+    return {word: built[word] for word in words}
 
 
-def _flat_form(v: tuple[int, ...], p: Matrix, q: Matrix) -> tuple[int, ...]:
-    """Coefficients of v . B^-1 t_word on (a1, a2, a3, c3), flattened."""
-    vr = _row_times(v, p)
-    vs = _row_times(v, q)
+def _flat_form(v, p: Matrix, q: Matrix) -> tuple[int, ...]:
+    """Coefficients of v . t_word on (a1, a2, a3, c3), flattened."""
+    vr = _row_times(v, p.to_rows())
+    vs = _row_times(v, q.to_rows())
     return (vs[0], vs[1], vs[2], vs[3], vs[4], vs[5], vr[4], vr[5])
+
+
+def _odd_mask(v) -> int:
+    """Bitmask of the odd entries of an integer row."""
+    return sum(1 << i for i, x in enumerate(v) if x % 2)
+
+
+@dataclass(frozen=True)
+class _WordKernel:
+    """K_w, the saturated integer left kernel of M_w - I for a word w:
+    its basis rows' odd-entry masks and their flat forms."""
+
+    masks: tuple[int, ...]
+    flats: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class _CaseForms:
+    """What the engines of one case share: every word's kernel, and the
+    generators' linear parts as integer rows."""
+
+    relations: dict[str, _WordKernel]
+    words: dict[str, _WordKernel]
+    generators: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def _case_forms(case: CaseTag) -> _CaseForms:
+    """One prefix pass and one Smith form of M_w - I per group word.
+
+    Raises RuntimeError unless the relation words have identity linear
+    part and the group words pairwise distinct nonidentity ones.
+    """
+    matrices = _word_matrices(case, [w for _, w in RELATION_WORDS] + list(GROUP_WORDS))
+    ident = Matrix.identity(6)
+
+    def kernel(word, rows) -> _WordKernel:
+        _, p, q = matrices[word]
+        return _WordKernel(tuple(map(_odd_mask, rows)), tuple(_flat_form(k, p, q) for k in rows))
+
+    relations = {}
+    for name, word in RELATION_WORDS:
+        if not matrices[word][0].is_identity():
+            raise RuntimeError(f"internal error: relation word {word} has nonidentity linear part")
+        relations[name] = kernel(word, ident.to_rows())
+    words = {}
+    seen_linear = {ident.entries}
+    for word in GROUP_WORDS:
+        m = matrices[word][0]
+        if m.entries in seen_linear:
+            raise RuntimeError("internal error: repeated linear part in the dihedral family")
+        seen_linear.add(m.entries)
+        dec = snf(m - ident)
+        words[word] = kernel(word, [dec.u.row(i) for i in dec.zero_rows])
+    mats = case_matrices(case)
+    generators = tuple(tuple(map(tuple, g.to_rows())) for g in (mats.rotation_lattice, mats.reflection_lattice))
+    return _CaseForms(relations, words, generators)
+
+
+def _parities(mask: int, gens: tuple[int, ...]) -> int:
+    """Bit j is the parity of v . h_j, for a row v with odd entries at
+    mask and H's generator bitmasks h_j."""
+    return sum(((mask & h).bit_count() & 1) << j for j, h in enumerate(gens))
+
+
+def _even_combinations(masks: tuple[int, ...], gens: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """A basis of {c in Z^m : sum c_i k_i in the dual lattice} for rows
+    k_i with odd-entry masks, by elimination over F2.
+
+    A row is in the dual exactly when its parity against every
+    generator is even.  Row i of the basis is 2 e_i when k_i's parities
+    are independent of those before it, and otherwise the 0/1 lift of
+    the dependency it closes; the basis is triangular with index 2^rank.
+    """
+    m = len(masks)
+    pivots: list[tuple[int, int]] = []
+    out = []
+    for i, k in enumerate(masks):
+        v, combo = _parities(k, gens), 1 << i
+        for b, b_combo in pivots:
+            if v ^ b < v:
+                v, combo = v ^ b, combo ^ b_combo
+        if v:
+            pivots.append((v, combo))
+            out.append(tuple(2 * (j == i) for j in range(m)))
+        else:
+            out.append(tuple((combo >> j) & 1 for j in range(m)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -448,47 +544,25 @@ class _HEngine:
     word_forms: dict[str, tuple[tuple[int, ...], ...]]
 
 
-def _stable_frame(space: SearchSpace, span_key: tuple[int, ...]) -> QuotientFrame:
-    """The quotient frame of a rotation-stable subgroup of the family."""
-    frame = quotient_frame(space.case, space.tau, space.tau_prime, _subgroup_generator_points(span_key))
-    if isinstance(frame, BuildRejection):
-        raise RuntimeError(f"internal error: rotation-stable subgroup rejected: {frame.reason}")
-    return frame
+def _build_h_engine(forms: _CaseForms, span_key: tuple[int, ...]) -> _HEngine:
+    """Obstruction and relation forms of one rotation-stable subgroup.
 
+    Raises RuntimeError when a generator does not map the dual lattice
+    onto itself, that is, when the rotation does not map H onto itself.
+    """
+    gens = _canonical_generators(span_key)
+    dual = _even_combinations(tuple(1 << i for i in range(6)), gens)
+    for g in forms.generators:
+        if any(_parities(_odd_mask(_row_times(v, g)), gens) for v in dual):
+            raise RuntimeError("internal error: a generator does not preserve the enlarged lattice")
 
-def _build_h_engine(frame: QuotientFrame) -> _HEngine:
-    """Obstruction and relation forms of one rotation-stable subgroup."""
-    case = frame.case
-    b_inv = frame.to_quotient
-    if not b_inv.is_integral():
-        raise RuntimeError("internal error: the product lattice is not inside the quotient lattice")
-    a_quot = {"r": frame.r_linear, "s": frame.s_linear}
-    ident = Matrix.identity(6)
-    matrices = _word_matrices(case, a_quot, [w for _, w in RELATION_WORDS] + list(GROUP_WORDS))
+    def restricted(kernel: _WordKernel) -> tuple[tuple[int, ...], ...]:
+        return tuple(_row_times(c, kernel.flats) for c in _even_combinations(kernel.masks, gens))
 
-    relation_forms: dict[str, tuple[tuple[int, ...], ...]] = {}
-    for name, word in RELATION_WORDS:
-        aq, p, q = matrices[word]
-        if not aq.is_identity():
-            raise RuntimeError(f"internal error: relation word {word} has nonidentity linear part")
-        rows = [tuple(b_inv.row(i)) for i in range(6)]
-        relation_forms[name] = tuple(_flat_form(v, p, q) for v in rows)
-
-    word_forms: dict[str, tuple[tuple[int, ...], ...]] = {}
-    seen_linear = {ident.entries}
-    for word in GROUP_WORDS:
-        aq, p, q = matrices[word]
-        if aq.entries in seen_linear:
-            raise RuntimeError("internal error: repeated linear part in the dihedral family")
-        seen_linear.add(aq.entries)
-        dec = snf(aq - ident)
-        forms = []
-        for i in dec.zero_rows:
-            u = tuple(dec.u.row(i))
-            v = _row_times(u, b_inv)
-            forms.append(_flat_form(v, p, q))
-        word_forms[word] = tuple(forms)
-    return _HEngine(relation_forms, word_forms)
+    return _HEngine(
+        {name: restricted(k) for name, k in forms.relations.items()},
+        {word: restricted(k) for word, k in forms.words.items()},
+    )
 
 
 def _form_value(f: tuple[int, ...], a1, a2, a3, c3) -> int:
@@ -625,10 +699,10 @@ def _scaled_point(pair: tuple[int, int], scale: int) -> TorsionPoint:
 
 def _sweep_task(task):
     """Worker entry point: one subgroup's slice of the sweep, and the
-    seconds its frame and engine took to build."""
-    space, span_key = task
+    seconds its engine took to build."""
+    space, forms, span_key = task
     start = time.perf_counter()
-    engine = _build_h_engine(_stable_frame(space, span_key))
+    engine = _build_h_engine(forms, span_key)
     built = time.perf_counter()
     return (*_sweep_h(engine, space), built - start)
 
@@ -676,7 +750,9 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
     stable = [key for key in family if _span_rotation_stable(key)]
     family_done = time.perf_counter()
 
-    results = _run_tasks(_sweep_task, [(space, key) for key in stable], workers)
+    forms = _case_forms(space.case)
+    forms_s = time.perf_counter() - family_done
+    results = _run_tasks(_sweep_task, [(space, forms, key) for key in stable], workers)
 
     counts = {r: 0 for r in _REASONS[space.case]}
     counts["lattice:r"] = (len(family) - len(stable)) * space.grid_size()
@@ -709,7 +785,7 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
         reverification_frames=len({s.h_generators for s in survivors}),
         family_s=family_done - start,
         sweep_s=sweep_done - family_done,
-        engines_s=sum(engine_s for _, _, engine_s in results),
+        engines_s=forms_s + sum(engine_s for _, _, engine_s in results),
         reverification_s=time.perf_counter() - sweep_done,
     )
     return CensusReport(
@@ -770,10 +846,10 @@ def _cross_validate_h(task):
     thin sample, spread over the whole family by absolute tuple index,
     is additionally rebuilt object-level.
     """
-    space, span_key, base_index, sample_step = task
+    space, forms, span_key, base_index, sample_step = task
     scale = space.scale
-    frame = _stable_frame(space, span_key)
-    engine = _build_h_engine(frame)
+    engine = _build_h_engine(forms, span_key)
+    frame = quotient_frame(space.case, space.tau, space.tau_prime, _subgroup_generator_points(span_key))
     # H's elements from their bitmasks, in coordinates times scale
     elements = tuple(tuple(scale // 2 if (m >> i) & 1 else 0 for i in range(6)) for m in span_key)
     a_grid = space.shift_grid()
@@ -832,8 +908,11 @@ def _cross_validate_h(task):
     return grid_total, disagreements, tuple(examples), object_samples, object_bad
 
 
-def _object_sample_agrees(frame: QuotientFrame, a1, a2, c3, scale, flags, engine) -> bool:
-    """Full-arithmetic rebuild of one tuple agrees with both routes."""
+def _object_sample_agrees(frame: QuotientFrame | BuildRejection, a1, a2, c3, scale, flags, engine) -> bool:
+    """Full-arithmetic rebuild of one tuple agrees with both routes; a
+    subgroup whose frame is rejected disagrees with the engine."""
+    if isinstance(frame, BuildRejection):
+        return False
     params = D4Parameters(
         tau=frame.tau,
         tau_prime=frame.tau_prime,
@@ -876,7 +955,8 @@ def cross_validate(
     grid = space.grid_size()
     stable = [(i, key) for i, key in enumerate(family) if _span_rotation_stable(key)]
     sample_step = max(1, (len(stable) * grid) // object_sample_target)
-    tasks = [(space, key, i * grid, sample_step) for i, key in stable]
+    forms = _case_forms(space.case)
+    tasks = [(space, forms, key, i * grid, sample_step) for i, key in stable]
     results = _run_tasks(_cross_validate_h, tasks, workers)
     total = 0
     disagreements = 0

@@ -227,12 +227,20 @@ class QuotientFrame:
         ):
             raise ValueError("parameters name another tau, tau' or H than the frame")
         _check_third_shift(self.case, params)
-        t_r_prod = embed_block(params.r_shift, 2)
-        s3 = params.s_shift3 if params.s_shift3 is not None else TorsionPoint.zero(2)
-        t_s_prod = embed_block(params.s_shift1, 0).add(embed_block(params.s_shift2, 1)).add(embed_block(s3, 2))
-        r = AffineAut(self.torus, self.r_linear, TorsionPoint(self.to_quotient.apply(t_r_prod.coords)))
-        s = AffineAut(self.torus, self.s_linear, TorsionPoint(self.to_quotient.apply(t_s_prod.coords)))
+        s3 = params.s_shift3.coords if params.s_shift3 is not None else (0, 0)
+        t_r = (0, 0, 0, 0, *params.r_shift.coords)
+        t_s = (*params.s_shift1.coords, *params.s_shift2.coords, *s3)
+        r = AffineAut(self.torus, self.r_linear, self._on_quotient(t_r))
+        s = AffineAut(self.torus, self.s_linear, self._on_quotient(t_s))
         return D4Action(self.case, params, self.product_torus, self.subgroup, self.torus, r, s)
+
+    def _on_quotient(self, coords) -> TorsionPoint:
+        """A point given in product coordinates, in quotient coordinates:
+        to_quotient applied to the coordinates times their common
+        denominator d, reduced mod d, then divided by d."""
+        d = lcm(*(c.denominator for c in coords))
+        image = self.to_quotient.apply([c.numerator * (d // c.denominator) for c in coords])
+        return TorsionPoint(tuple(Fraction(x % d, d) for x in image))
 
 
 def _check_third_shift(case: CaseTag, params: D4Parameters) -> None:

@@ -83,12 +83,17 @@ class ComplexTorus:
 
 @dataclass(frozen=True)
 class TorsionPoint:
-    """Point of finite order, coordinates canonicalized into [0, 1)."""
+    """Point of finite order, coordinates canonicalized into [0, 1).
+
+    Coordinates are ints or Fractions, stored as Fractions; one that
+    already lies in [0, 1) is kept as it is.  Anything else, a float or
+    a bool included, raises TypeError.
+    """
 
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(Fraction(c) % 1 for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(_torsion_coordinate, self.coords)))
 
     @classmethod
     def zero(cls, n: int) -> "TorsionPoint":
@@ -118,9 +123,17 @@ class TorsionPoint:
         return TorsionPoint(tuple(n * a for a in self.coords))
 
 
+def _torsion_coordinate(c) -> Fraction:
+    if type(c) is Fraction and 0 <= c.numerator < c.denominator:
+        return c
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"torsion coordinate must be an int or a Fraction, not {c!r}")
+    return Fraction(c) % 1
+
+
 def point(*coords) -> TorsionPoint:
     """Convenience constructor from ints / Fractions / strings."""
-    return TorsionPoint(tuple(Fraction(c) for c in coords))
+    return TorsionPoint(tuple(Fraction(c) if isinstance(c, str) else c for c in coords))
 
 
 @dataclass(frozen=True)

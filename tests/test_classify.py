@@ -28,7 +28,7 @@ from hyptor.classify import (
     subgroup_family,
 )
 from hyptor.d4_family import BuildRejection, quotient_frame
-from hyptor.exact_linear import Matrix, snf
+from hyptor.exact_linear import Matrix, hnf, snf
 from hyptor.torus import EllipticCurveParam, TorsionPoint, point
 
 TAU_I = EllipticCurveParam(Fraction(0), Fraction(1))
@@ -240,8 +240,9 @@ def test_case1_census_builds_one_quotient_frame_per_subgroup(monkeypatch):
     assert len(rep.survivors) == 72
     assert len({s.h_generators for s in rep.survivors}) == 3
     assert rep.stats.engine_builds == 50
-    # 50 engines, then one frame for each of the survivors' 3 subgroups
-    assert len(frames) == 53
+    # the 50 engines come from bitmasks; the one frame for each of the
+    # survivors' 3 subgroups is the re-verification's
+    assert len(frames) == 3
     assert builds == []
 
 
@@ -538,20 +539,23 @@ def test_smith_sweep_matches_enumerating_sweep_on_random_forms():
     assert off_grid > 0
 
 
+def _stable_keys(g_max):
+    family, _ = subgroup_family(g_max)
+    return [key for key in family if classify._span_rotation_stable(key)]
+
+
+def _mask_engines(case, keys):
+    forms = classify._case_forms(case)
+    return [classify._build_h_engine(forms, key) for key in keys]
+
+
 @pytest.fixture(scope="module")
 def stable_engines():
     # engines do not depend on the grid, so one set per case serves
     # every denominator pair
-    family, _ = subgroup_family(2)
-    stable = [key for key in family if classify._span_rotation_stable(key)]
+    stable = _stable_keys(2)
     assert len(stable) == 50
-    return {
-        case: [
-            classify._build_h_engine(classify._stable_frame(SearchSpace(case=case), key))
-            for key in stable
-        ]
-        for case in (CaseTag.CASE1, CaseTag.CASE2)
-    }
+    return {case: _mask_engines(case, stable) for case in (CaseTag.CASE1, CaseTag.CASE2)}
 
 
 @pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
@@ -564,7 +568,8 @@ def test_smith_sweep_matches_enumerating_sweep(stable_engines, case):
 
 def _word_matrices_per_word(case, a_quot, word):
     """Reference for classify._word_matrices: one word at a time, each
-    from the identity, letter by letter."""
+    from the identity, letter by letter.  Returns the linear part in
+    the coordinates of a_quot, and P and Q in product coordinates."""
     mats = d4_family.case_matrices(case)
     lattice = {"r": mats.rotation_lattice, "s": mats.reflection_lattice}
     aq = Matrix.identity(6)
@@ -581,26 +586,128 @@ def _word_matrices_per_word(case, a_quot, word):
     return aq, p, q
 
 
+_ALL_WORDS = [w for _, w in d4_family.RELATION_WORDS] + list(d4_family.GROUP_WORDS)
+
+
+def _frame_engine(case, span_key):
+    """The engine built from the quotient frame: the integer left kernel
+    of A_w - I in quotient coordinates, carried to product coordinates
+    by to_quotient, and the rows of to_quotient for the relations."""
+    frame = quotient_frame(case, TAU_I, TAU_2I, classify._subgroup_generator_points(span_key))
+    assert not isinstance(frame, BuildRejection)
+    b_inv = frame.to_quotient
+    assert b_inv.is_integral()
+    a_quot = {"r": frame.r_linear, "s": frame.s_linear}
+    ident = Matrix.identity(6)
+
+    def flat(v, p, q):
+        vr = (Matrix.from_rows([v]) @ p).row(0)
+        vs = (Matrix.from_rows([v]) @ q).row(0)
+        return vs + vr[4:]
+
+    relation_forms = {}
+    for name, word in d4_family.RELATION_WORDS:
+        aq, p, q = _word_matrices_per_word(case, a_quot, word)
+        assert aq.is_identity()
+        relation_forms[name] = tuple(flat(b_inv.row(i), p, q) for i in range(6))
+    word_forms = {}
+    for word in d4_family.GROUP_WORDS:
+        aq, p, q = _word_matrices_per_word(case, a_quot, word)
+        dec = snf(aq - ident)
+        kernel = [(Matrix.from_rows([dec.u.row(i)]) @ b_inv).row(0) for i in dec.zero_rows]
+        word_forms[word] = tuple(flat(v, p, q) for v in kernel)
+    return classify._HEngine(relation_forms, word_forms)
+
+
+def _row_lattice(forms):
+    """The canonical basis of the forms' row lattice: their nonzero
+    Hermite rows."""
+    h, _ = hnf(Matrix.from_rows(forms))
+    return [row for row in h.to_rows() if any(row)]
+
+
+# The frame engines of the 86 stable subgroups at three generators take
+# about 2 s to build, so the oracle covers all of them by default.
+@pytest.fixture(scope="module")
+def frame_engines():
+    stable = _stable_keys(3)
+    assert len(stable) == 86
+    return {case: {key: _frame_engine(case, key) for key in stable} for case in (CaseTag.CASE1, CaseTag.CASE2)}
+
+
 @pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
-def test_prefix_pass_gives_the_per_word_forms(stable_engines, monkeypatch, case):
-    family, _ = subgroup_family(2)
-    stable = [key for key in family if classify._span_rotation_stable(key)]
-    frames = [classify._stable_frame(SearchSpace(case=case), key) for key in stable]
+def test_mask_engine_spans_the_frame_engine_lattices(frame_engines, case):
+    reference = frame_engines[case]
+    assert len(_stable_keys(2)) == 50 and set(_stable_keys(2)) <= set(reference)
+    for key, engine in zip(reference, _mask_engines(case, list(reference)), strict=True):
+        for name, forms in reference[key].relation_forms.items():
+            assert _row_lattice(engine.relation_forms[name]) == _row_lattice(forms), (key, name)
+        assert engine.word_forms.keys() == reference[key].word_forms.keys()
+        for word, forms in reference[key].word_forms.items():
+            assert _row_lattice(engine.word_forms[word]) == _row_lattice(forms), (key, word)
+
+
+_ORACLE_GRIDS = list(itertools.product(range(1, 5), repeat=2)) + [(8, 8), (16, 16), (64, 64)]
+
+
+@pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
+def test_mask_engine_sweeps_as_the_frame_engine(stable_engines, frame_engines, case):
+    for q_a, q_t in _ORACLE_GRIDS:
+        space = SearchSpace(case=case, shift_denominator=q_a, third_denominator=q_t)
+        for key, engine in zip(_stable_keys(2), stable_engines[case], strict=True):
+            reference = classify._sweep_h(frame_engines[case][key], space)
+            assert classify._sweep_h(engine, space) == reference, (key, q_a, q_t)
+
+
+@pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
+def test_prefix_pass_gives_the_per_word_forms(monkeypatch, case):
+    # with the product-coordinate letters, the per-word pass gives every
+    # matrix in product coordinates
+    lattice = d4_family.case_matrices(case)
+    product = {"r": lattice.rotation_lattice, "s": lattice.reflection_lattice}
+    matrices = classify._word_matrices(case, _ALL_WORDS)
+    assert list(matrices) == _ALL_WORDS
+    for word, mpq in matrices.items():
+        assert mpq == _word_matrices_per_word(case, product, word), word
+    forms = classify._case_forms(case)
     monkeypatch.setattr(
         classify,
         "_word_matrices",
-        lambda case, a_quot, words: {w: _word_matrices_per_word(case, a_quot, w) for w in words},
+        lambda case, words: {w: _word_matrices_per_word(case, product, w) for w in words},
     )
-    for frame, engine in zip(frames, stable_engines[case], strict=True):
-        reference = classify._build_h_engine(frame)
-        assert reference.relation_forms == engine.relation_forms
-        assert reference.word_forms == engine.word_forms
+    assert classify._case_forms(case) == forms
+
+
+def test_engine_refuses_a_rotation_unstable_span():
+    family, _ = subgroup_family(1)
+    unstable = [key for key in family if not classify._span_rotation_stable(key)]
+    assert unstable
+    for case in (CaseTag.CASE1, CaseTag.CASE2):
+        forms = classify._case_forms(case)
+        for key in unstable:
+            with pytest.raises(RuntimeError, match="does not preserve the enlarged lattice"):
+                classify._build_h_engine(forms, key)
+
+
+def test_case_forms_refuse_a_family_that_is_not_dihedral(monkeypatch):
+    # a rotation of order 2 makes r^4 trivially the identity but repeats
+    # linear parts among the group words; s = r gives rsrs = r^4 and
+    # s^2 = r^2, which is not the identity
+    mats = d4_family.case_matrices(CaseTag.CASE1)
+    for rotation, reflection, message in (
+        (mats.rotation_lattice @ mats.rotation_lattice, mats.reflection_lattice, "repeated linear part"),
+        (mats.rotation_lattice, mats.rotation_lattice, "relation word ss"),
+    ):
+        fake = d4_family.CaseMatrices(mats.rotation_complex, mats.reflection_complex, rotation, reflection)
+        monkeypatch.setattr(classify, "case_matrices", lambda case, fake=fake: fake)
+        with pytest.raises(RuntimeError, match=message):
+            classify._case_forms(CaseTag.CASE1)
 
 
 def test_engine_route_computes_its_own_smith_forms(monkeypatch):
-    # the fixed-point solver's Smith-form memo is its own: the engines,
-    # R_H and the grid counts still call snf, ten times per stable
-    # subgroup (seven words, R_H and two grid counts)
+    # the fixed-point solver's Smith-form memo is its own: the census
+    # takes one Smith form per group word, 7 in all, and R_H and two
+    # grid counts per stable subgroup
     calls = []
 
     def counting(m):
@@ -611,7 +718,7 @@ def test_engine_route_computes_its_own_smith_forms(monkeypatch):
     report = enumerate_case1(SearchSpace(case=CaseTag.CASE1, shift_denominator=4, third_denominator=4))
     assert len(report.survivors) == 72
     assert report.stats.engine_builds == 50
-    assert len(calls) == 50 * 10
+    assert len(calls) == 7 + 50 * 3
 
 
 def _relation_passing(counts, space):
@@ -650,10 +757,9 @@ def test_relation_solutions_do_not_depend_on_the_grid(stable_engines):
 @pytest.mark.extended
 @pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
 def test_smith_sweep_matches_enumerating_sweep_three_generators(case):
-    family, _ = subgroup_family(3)
-    stable = [key for key in family if classify._span_rotation_stable(key)]
+    stable = _stable_keys(3)
     assert len(stable) == 86
-    engines = [classify._build_h_engine(classify._stable_frame(SearchSpace(case=case), key)) for key in stable]
+    engines = _mask_engines(case, stable)
     assert sum(_solution_count(e, case) for e in engines) == {CaseTag.CASE1: 11264, CaseTag.CASE2: 27968}[case]
     for q_a, q_t in itertools.product(range(1, 5), repeat=2):
         space = SearchSpace(case=case, shift_denominator=q_a, third_denominator=q_t)

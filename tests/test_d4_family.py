@@ -176,6 +176,34 @@ def test_frame_action_refuses_other_parameters():
         frame.action(replace(params, s_shift3=point("1/2", 0)))
 
 
+def test_frame_action_places_shifts_as_the_block_embeddings():
+    # reference: each shift embedded in its block, the embeddings added
+    # as torsion points, to_quotient applied to the Fraction coordinates
+    rng = random.Random(5)
+    subgroups = [(), _gens(0b001111), _gens(0b000101, 0b001010), _gens(0b001111, 0b110000)]
+    checked = 0
+    for (tau, tau_p), case, gens in itertools.product(TAU_GRID, (CaseTag.CASE1, CaseTag.CASE2), subgroups):
+        frame = quotient_frame(case, tau, tau_p, gens)
+        if isinstance(frame, BuildRejection):
+            continue
+        for _ in range(3):
+            shifts = [
+                TorsionPoint(tuple(Fraction(rng.randrange(den), den) for _ in range(2)))
+                for den in (rng.randint(1, 12) for _ in range(4))
+            ]
+            s3 = shifts[3] if case is CaseTag.CASE2 else None
+            params = D4Parameters(tau, tau_p, shifts[0], shifts[1], shifts[2], s3, gens)
+            t_r = embed_block(params.r_shift, 2)
+            t_s = embed_block(shifts[0], 0).add(embed_block(shifts[1], 1))
+            t_s = t_s.add(embed_block(s3 if s3 is not None else TorsionPoint.zero(2), 2))
+            action = frame.action(params)
+            assert action.r.t == TorsionPoint(frame.to_quotient.apply(t_r.coords))
+            assert action.s.t == TorsionPoint(frame.to_quotient.apply(t_s.coords))
+            assert all(type(c) is Fraction for c in action.r.t.coords + action.s.t.coords)
+            checked += 1
+    assert checked >= 60
+
+
 def test_check_action_runs_every_stage():
     report = check_action(build_normal_form(TAU_I, TAU_2I))
     assert report.ok and report.failure is None

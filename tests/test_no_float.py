@@ -3,7 +3,7 @@
 Statically, every module of the package is parsed and searched for a
 float literal, a call to ``float`` or ``round``, and a true division
 whose left operand is an int literal (``1 / x`` is a float when x is an
-int).  At run time, ``Matrix`` refuses float entries.
+int).  At run time, ``Matrix`` and ``TorsionPoint`` refuse float entries.
 """
 
 import ast
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from hyptor.exact_linear import Matrix
+from hyptor.torus import TorsionPoint, point
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyptor"
 
@@ -61,3 +62,19 @@ def test_matrix_refuses_floats_and_stores_integral_fractions_as_int():
     m = Matrix(1, 2, (Fraction(2, 1), Fraction(1, 2)))
     assert type(m.entries[0]) is int and m.entries[0] == 2
     assert m.entries[1] == Fraction(1, 2)
+
+
+def test_torsion_point_refuses_floats_and_bools():
+    for coords in ((0.5, Fraction(1, 4)), (Fraction(1, 2), 1.25), (True, 0), (0, False), ("1/2", 0), (None,)):
+        with pytest.raises(TypeError):
+            TorsionPoint(coords)
+    with pytest.raises(TypeError):
+        point(0.5, 0)
+    assert point("1/2", 3, Fraction(5, 4)) == TorsionPoint((Fraction(1, 2), 0, Fraction(1, 4)))
+    # ints and Fractions outside [0, 1) are reduced, into Fractions
+    p = TorsionPoint((Fraction(5, 4), -1, Fraction(-1, 3), 0))
+    assert p.coords == (Fraction(1, 4), 0, Fraction(2, 3), 0)
+    assert all(type(c) is Fraction for c in p.coords)
+    # a reduced Fraction is kept as it is
+    half = Fraction(1, 2)
+    assert TorsionPoint((half, Fraction(0))).coords[0] is half
