@@ -118,8 +118,10 @@ _BLOCK_MASKS = (0b000011, 0b001100, 0b110000)
 
 # Largest accepted denominator bound.  A census solves its relations
 # rather than scanning the grid, so its cost hardly depends on the
-# bound: at 128 one takes 1.5 s (Case 1) or 0.7 s (Case 2) and 18 MB on
-# one core of a Xeon guest.  cross_validate visits every grid tuple.
+# bound: at 128 a fresh `classify --workers 1` process takes about
+# 0.5 s (Case 1) or 0.4 s (Case 2) wall and 19 MB on a 2-core Xeon
+# guest (Python 3.11), start-up included.  cross_validate visits every
+# grid tuple.
 MAX_DENOMINATOR = 128
 
 

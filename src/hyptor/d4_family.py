@@ -28,7 +28,7 @@ from math import lcm
 from .exact_linear import (
     Matrix,
     Sublattice,
-    lattice_membership,
+    kernel_sublattice,
     snf,
 )
 from .torus import (
@@ -41,7 +41,6 @@ from .torus import (
     coordinate_change,
     elliptic_curve,
     image_subtorus,
-    lattice_intersection,
     product,
     quotient_by_finite_subgroup,
 )
@@ -447,11 +446,11 @@ def scaled_freeness_conditions(elements, a1, a2, c3, scale: int) -> FreenessCond
 class LatticeInclusionReport:
     """Decomposition bounds of the quotient lattice against its blocks.
 
-    block_denominators[i] is the largest denominator appearing in the
-    block-i coordinates when lattice basis vectors are written in the
-    basis of Lambda_1 + Lambda_2 + Lambda_3; the splitting identities
-    are 2 v = (I + S) v + (I - S) v and the analogous one with the
-    square of the rotation.
+    block_denominators[i] is the largest denominator in the block-i
+    coordinates of the quotient lattice's basis vectors, written in the
+    basis of Lambda_1 + Lambda_2 + Lambda_3; splitting_ok says that the
+    splitting identities 2 v = (I + S) v + (I - S) v, and the analogous
+    one with the square of the rotation, land in the block lattices.
     """
 
     splitting_ok: bool
@@ -462,90 +461,76 @@ class LatticeInclusionReport:
     exponent_ok: bool
 
 
-def block_sublattices(t_quot: ComplexTorus, basis_inv: Matrix) -> tuple[Sublattice, ...]:
+def block_sublattices(t_quot: ComplexTorus) -> tuple[Sublattice, ...]:
     """Lattices of the coordinate subtori inside the quotient lattice.
 
-    Block i spans reference coordinates; in the current basis its
-    subspace is spanned by the matching columns of basis_inv =
-    basis_change^{-1}, and the block lattice is that subspace's
-    intersection with Z^(2g).
+    A lattice vector x lies in block i's subtorus exactly when
+    basis_change @ x vanishes on the reference coordinates of the other
+    blocks, so block i's lattice is the integer kernel of those rows of
+    basis_change, scaled to integers: one Smith form per block.  The
+    bases are canonical.
     """
+    bc = t_quot.basis_change
     out = []
     for off, length in t_quot.blocks:
-        cols = [basis_inv.column(off + k) for k in range(length)]
-        w = Matrix.from_columns(cols)
-        out.append(lattice_intersection(w, t_quot))
+        rows = [bc.row(i) for i in range(bc.rows) if not off <= i < off + length]
+        out.append(kernel_sublattice(Matrix.from_rows(rows).scaled_integer()[0]))
     return tuple(out)
 
 
-def _block_sum(t_quot: ComplexTorus, basis_inv: Matrix) -> tuple[tuple[Sublattice, ...], Matrix, Matrix]:
+def _block_sum(t_quot: ComplexTorus) -> tuple[tuple[Sublattice, ...], Matrix, Matrix]:
     """The block lattices, a basis of their sum, block by block, and
     that basis's inverse."""
-    lams = block_sublattices(t_quot, basis_inv)
+    lams = block_sublattices(t_quot)
     basis = Matrix.from_columns([lam.basis.column(k) for lam in lams for k in range(lam.rank)])
     return lams, basis, basis.inverse()
 
 
 def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
-    """Check the block-splitting identities and denominator bounds.
+    """Check the block-splitting conditions and denominator bounds.
 
-    S and R are the linear parts of the action's generators.  For every
-    basis vector v of the quotient lattice:
-    2 v = (I + S) v + (I - S) v with the first summand in Lambda_1 and
-    the second in the lattice; then with w = (I - S) v,
-    2 w = (I + R^2) w + (I - R^2) w with summands in Lambda_3 and
-    Lambda_2.  The denominators of lattice vectors against the block
-    sum are bounded by 2 on each block, and the component group of the
-    block sum has exponent dividing 2.
+    S and R are the linear parts of the action's generators, and block
+    coordinates are coordinates against the basis of the block sum
+    Lambda_1 + Lambda_2 + Lambda_3.  A vector lies in Lambda_b exactly
+    when its block coordinates are integers and vanish off block b.
+    splitting_ok holds when the columns of I + S lie in Lambda_1, those
+    of (I - R^2)(I - S) in Lambda_2 and those of (I + R^2)(I - S) in
+    Lambda_3: applied to a basis vector v with w = (I - S) v, these are
+    the summands of 2 v = (I + S) v + w and 2 w = (I + R^2) w +
+    (I - R^2) w, w being integral as S is.  block_denominators[b] is
+    the largest denominator in block b's rows of the inverse of the
+    block-sum basis; it is bounded by 2 on each block, and the
+    component group of the block sum has exponent dividing 2.
     """
-    return _inclusion_report(action, *_block_sum(action.torus, action.torus.basis_change.inverse()))
+    return _inclusion_report(action, *_block_sum(action.torus))
 
 
 def _inclusion_report(action: D4Action, lams, block_basis: Matrix, block_inv: Matrix) -> LatticeInclusionReport:
-    n = action.torus.rank
+    ident = Matrix.identity(action.torus.rank)
     s_cur = action.s.a
     r2_cur = action.r.a @ action.r.a
-    lam1, lam2, lam3 = lams
+    w = ident - s_cur
+    targets = (ident + s_cur, (ident - r2_cur) @ w, (ident + r2_cur) @ w)
 
-    splitting_ok = True
-    for jdx in range(n):
-        v = tuple(Fraction(1) if i == jdx else Fraction(0) for i in range(n))
-        sv = tuple(Fraction(x) for x in s_cur.apply(v))
-        plus = tuple(a + b for a, b in zip(v, sv))
-        minus = tuple(a - b for a, b in zip(v, sv))
-        if any(2 * a != p + q for a, p, q in zip(v, plus, minus)):
-            splitting_ok = False
-        ok1, _ = lattice_membership(plus, lam1)
-        if not ok1 or any(x.denominator != 1 for x in minus):
-            splitting_ok = False
-        w = minus
-        r2w = tuple(Fraction(x) for x in r2_cur.apply(w))
-        plus3 = tuple(a + b for a, b in zip(w, r2w))
-        minus2 = tuple(a - b for a, b in zip(w, r2w))
-        ok3, _ = lattice_membership(plus3, lam3)
-        ok2, _ = lattice_membership(minus2, lam2)
-        if not ok3 or not ok2:
-            splitting_ok = False
-        if any(2 * a != p + q for a, p, q in zip(w, plus3, minus2)):
-            splitting_ok = False
+    spans = []
+    for lam in lams:
+        start = spans[-1].stop if spans else 0
+        spans.append(range(start, start + lam.rank))
 
-    denoms = [1, 1, 1]
-    sizes = (lam1.rank, lam2.rank, lam3.rank)
-    for jdx in range(n):
-        coords = block_inv.column(jdx)
-        pos = 0
-        for b, sz in enumerate(sizes):
-            for k in range(sz):
-                d = coords[pos + k].denominator
-                if d > denoms[b]:
-                    denoms[b] = d
-            pos += sz
+    def in_block(m: Matrix, b: int) -> bool:
+        coords = block_inv @ m
+        return coords.is_integral() and not any(
+            any(coords.row(i)) for i in range(coords.rows) if i not in spans[b]
+        )
+
+    splitting_ok = all(in_block(m, b) for b, m in enumerate(targets))
+    denoms = [max((e.denominator for i in span for e in block_inv.row(i)), default=1) for span in spans]
     dec = snf(block_basis)
     divisors = tuple(d for d in dec.elementary_divisors if d > 1)
     exponent = divisors[-1] if divisors else 1
     return LatticeInclusionReport(
         splitting_ok=splitting_ok,
-        block_denominators=(denoms[0], denoms[1], denoms[2]),
+        block_denominators=tuple(denoms),
         denominator_bound_ok=all(d <= 2 for d in denoms),
         quotient_divisors=divisors,
         quotient_exponent=exponent,
@@ -585,7 +570,7 @@ def structure_report(action: D4Action) -> StructureReport:
     kernel_image_agree = ker.canonical().basis.entries == img.canonical().basis.entries
 
     basis_inv = t.basis_change.inverse()
-    lams, block_basis, block_inv = _block_sum(t, basis_inv)
+    lams, block_basis, block_inv = _block_sum(t)
     rotated = Sublattice(n, action.r.a @ lams[0].basis).canonical()
     rotated_block_agree = rotated.basis.entries == lams[1].canonical().basis.entries
 

@@ -276,6 +276,34 @@ def rational_solve(m: Matrix, b: Sequence) -> Vec | None:
     return tuple(x)
 
 
+def _add_row(a: list[list[int]], u: list[list[int]], src: int, dst: int, f: int) -> None:
+    """Add f times row src to row dst, in a and in its transform u."""
+    a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+    u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
+
+
+def _combine_rows(a: list[list[int]], u: list[list[int]], i: int, j: int, col: int) -> None:
+    """Clear a[j][col] against a[i][col] by a unimodular step on rows i
+    and j, repeated on the transform u.
+
+    When a[i][col] divides a[j][col], a multiple of row i is subtracted
+    from row j and row i stays untouched (the alternating loop of snf
+    cycles otherwise); else rows i and j become the extended-gcd
+    combination, which leaves the gcd at a[i][col].
+    """
+    p, q = a[i][col], a[j][col]
+    if p != 0 and q % p == 0:
+        _add_row(a, u, i, j, -(q // p))
+        return
+    g, x, y = _ext_gcd(p, q)
+    p_, q_ = p // g, q // g
+    for m in (a, u):
+        m[i], m[j] = (
+            [x * s + y * t for s, t in zip(m[i], m[j])],
+            [-q_ * s + p_ * t for s, t in zip(m[i], m[j])],
+        )
+
+
 def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
     """Row Hermite normal form of an integer matrix.
 
@@ -303,19 +331,8 @@ def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
             a[piv_r], a[piv] = a[piv], a[piv_r]
             u[piv_r], u[piv] = u[piv], u[piv_r]
         for r in range(piv_r + 1, n):
-            if a[r][col] == 0:
-                continue
-            p, q = a[piv_r][col], a[r][col]
-            g, x, y = _ext_gcd(p, q)
-            p_, q_ = p // g, q // g
-            a[piv_r], a[r] = (
-                [x * s + y * t for s, t in zip(a[piv_r], a[r])],
-                [-q_ * s + p_ * t for s, t in zip(a[piv_r], a[r])],
-            )
-            u[piv_r], u[r] = (
-                [x * s + y * t for s, t in zip(u[piv_r], u[r])],
-                [-q_ * s + p_ * t for s, t in zip(u[piv_r], u[r])],
-            )
+            if a[r][col] != 0:
+                _combine_rows(a, u, piv_r, r, col)
         if a[piv_r][col] < 0:
             a[piv_r] = [-x for x in a[piv_r]]
             u[piv_r] = [-x for x in u[piv_r]]
@@ -400,33 +417,11 @@ def snf(m: Matrix) -> SmithDecomposition:
         for r in range(cols):
             v[r][i], v[r][j] = v[r][j], v[r][i]
 
-    def add_row(src: int, dst: int, f: int) -> None:
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
     def add_col(src: int, dst: int, f: int) -> None:
         for r in range(rows):
             a[r][dst] += f * a[r][src]
         for r in range(cols):
             v[r][dst] += f * v[r][src]
-
-    def combine_rows(i: int, j: int, col: int) -> None:
-        # Exact elimination when the pivot divides the entry: the pivot
-        # row must stay untouched or the alternating loop below cycles.
-        p, q = a[i][col], a[j][col]
-        if p != 0 and q % p == 0:
-            add_row(i, j, -(q // p))
-            return
-        g, x, y = _ext_gcd(p, q)
-        p_, q_ = p // g, q // g
-        a[i], a[j] = (
-            [x * s + y * t for s, t in zip(a[i], a[j])],
-            [-q_ * s + p_ * t for s, t in zip(a[i], a[j])],
-        )
-        u[i], u[j] = (
-            [x * s + y * t for s, t in zip(u[i], u[j])],
-            [-q_ * s + p_ * t for s, t in zip(u[i], u[j])],
-        )
 
     def combine_cols(i: int, j: int, row: int) -> None:
         p, q = a[row][i], a[row][j]
@@ -465,7 +460,7 @@ def snf(m: Matrix) -> SmithDecomposition:
                 raise RuntimeError("internal error: Smith reduction failed to converge")
             for r in range(t + 1, rows):
                 if a[r][t] != 0:
-                    combine_rows(t, r, t)
+                    _combine_rows(a, u, t, r, t)
             for c in range(t + 1, cols):
                 if a[t][c] != 0:
                     combine_cols(t, c, t)
@@ -485,7 +480,7 @@ def snf(m: Matrix) -> SmithDecomposition:
                     break
             if offender is None:
                 break
-            add_row(offender, t, 1)
+            _add_row(a, u, offender, t, 1)
 
     # sign normalization
     for t in range(n):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exact_linear import Matrix
 
@@ -48,14 +49,16 @@ def _holomorphic_power_sums(a: Matrix, j: Matrix) -> list[GaussianRational]:
     """Power sums p_1, p_2, p_3 of the eigenvalues on the holomorphic side.
 
     The +i eigenspace of J has projector (I - iJ)/2, so the trace of
-    A^k there is (tr A^k - i tr(A^k J)) / 2.
+    A^k there is (tr A^k - i tr(A^k J)) / 2.  tr(A^k J) is the sum of
+    (A^k)_il J_li, read against the entries of J's transpose, so that
+    no product A^k J is formed.
     """
+    j_t = j.transpose().entries
     out = []
     power = a
     for _ in range(3):
         tr_a = sum(power.at(i, i) for i in range(power.rows))
-        aj = power @ j
-        tr_aj = sum(aj.at(i, i) for i in range(aj.rows))
+        tr_aj = sum(map(mul, power.entries, j_t))
         out.append(GaussianRational(Fraction(tr_a, 2), Fraction(-tr_aj, 2)))
         power = power @ a
     return out

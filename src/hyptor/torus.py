@@ -24,7 +24,6 @@ from .exact_linear import (
     column_hnf,
     image_saturation,
     kernel_sublattice,
-    rational_rank,
     snf,
 )
 
@@ -284,18 +283,6 @@ def image_subtorus(t: ComplexTorus, a: Matrix) -> Sublattice:
         raise DimensionError("endomorphism must be 2g x 2g")
     _check_commutes(t, a)
     return image_saturation(a)
-
-
-def lattice_intersection(w_basis: Matrix, t: ComplexTorus) -> Sublattice:
-    """Saturated lattice (Q-span of the given columns) meet Z^(2g)."""
-    if w_basis.rows != t.rank:
-        raise DimensionError("subspace basis rows must equal 2g")
-    if w_basis.cols == 0:
-        return Sublattice(t.rank, Matrix(t.rank, 0, ()))
-    if rational_rank(w_basis) != w_basis.cols:
-        raise ValueError("subspace basis columns are not independent")
-    scaled, _ = w_basis.scaled_integer()
-    return image_saturation(scaled)
 
 
 def component_group(t: ComplexTorus, lat: Sublattice) -> tuple[FiniteSubgroup, tuple[int, ...]]:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyptor import affine_actions
+from hyptor import affine_actions, classify, exact_linear
 from hyptor.affine_actions import (
     GroupGenerationError,
     compose,
@@ -36,7 +36,9 @@ from hyptor.d4_family import (
     quotient_frame,
     structure_report,
 )
-from hyptor.exact_linear import Matrix
+from hyptor.certificates import build_certificate, verify_certificate
+from hyptor.classify import SearchSpace, enumerate_case1, subgroup_family
+from hyptor.exact_linear import Matrix, image_saturation, lattice_membership, rational_rank
 from hyptor.torus import (
     EllipticCurveParam,
     FiniteSubgroup,
@@ -497,14 +499,7 @@ def test_structure_report_normal_form():
         assert rep.inclusion.exponent_ok
 
 
-def test_structure_report_finds_the_block_lattices_once(monkeypatch):
-    calls = []
-    original = d4_family.block_sublattices
-
-    def counting(t, basis_inv):
-        calls.append(t)
-        return original(t, basis_inv)
-
+def _count_inverses(monkeypatch) -> list:
     inverses = []
     original_inverse = Matrix.inverse
 
@@ -512,17 +507,140 @@ def test_structure_report_finds_the_block_lattices_once(monkeypatch):
         inverses.append(m)
         return original_inverse(m)
 
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    return inverses
+
+
+def test_structure_report_finds_the_block_lattices_once(monkeypatch):
+    calls = []
+    original = d4_family.block_sublattices
+
+    def counting(t):
+        calls.append(t)
+        return original(t)
+
     monkeypatch.setattr(d4_family, "block_sublattices", counting)
     action = build_normal_form(TAU_I, TAU_2I)
-    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    inverses = _count_inverses(monkeypatch)
     rep = structure_report(action)
     assert len(calls) == 1
-    # four saturations, the basis change once, and the block-sum basis
-    # once here and once inside torus.component_group
-    assert len(inverses) == 7
-    assert len({m.entries for m in inverses}) == 6
+    # the basis change once (for the omega lift), the block-sum basis
+    # here and inside torus.component_group, and the saturation of the
+    # image of I + S
+    assert len(inverses) == 4
+    assert len({m.entries for m in inverses}) == 3
     assert rep.inclusion == lattice_inclusion_check(action)
     assert len(calls) == 2
+
+
+def test_lattice_audit_solves_no_memberships(monkeypatch):
+    memberships = []
+    original = exact_linear.lattice_membership
+
+    def counting_membership(v, lat):
+        memberships.append(v)
+        return original(v, lat)
+
+    for module in (exact_linear, d4_family):
+        monkeypatch.setattr(module, "lattice_membership", counting_membership, raising=False)
+    action = build_normal_form(TAU_I, TAU_2I)
+    doc = build_certificate(action)
+    inverses = _count_inverses(monkeypatch)
+    lattice_inclusion_check(action)
+    # only the block-sum basis is inverted
+    assert len(inverses) == 1
+    inverses.clear()
+    assert verify_certificate(doc).ok
+    # the quotient frame's three, and the block-sum basis
+    assert len(inverses) == 4
+    assert memberships == []
+
+
+def _reference_block_sublattices(t_quot):
+    """The block lattices as the saturated intersection of each block's
+    subspace, spanned by columns of basis_change^-1, with Z^(2g)."""
+    basis_inv = t_quot.basis_change.inverse()
+    out = []
+    for off, length in t_quot.blocks:
+        w = Matrix.from_columns([basis_inv.column(off + k) for k in range(length)])
+        assert rational_rank(w) == length
+        out.append(image_saturation(w.scaled_integer()[0]))
+    return tuple(out)
+
+
+def _reference_splitting(action, lams) -> bool:
+    """The splitting identities checked vector by vector, by membership
+    solves against the block lattices in the order given."""
+    n = action.torus.rank
+    s_cur = action.s.a
+    r2_cur = action.r.a @ action.r.a
+    lam1, lam2, lam3 = lams
+    ok = True
+    for jdx in range(n):
+        v = tuple(Fraction(int(i == jdx)) for i in range(n))
+        sv = s_cur.apply(v)
+        plus = tuple(a + b for a, b in zip(v, sv))
+        w = tuple(a - b for a, b in zip(v, sv))
+        assert all(Fraction(x).denominator == 1 for x in w)
+        r2w = r2_cur.apply(w)
+        plus3 = tuple(a + b for a, b in zip(w, r2w))
+        minus2 = tuple(a - b for a, b in zip(w, r2w))
+        ok &= lattice_membership(plus, lam1)[0]
+        ok &= lattice_membership(plus3, lam3)[0] and lattice_membership(minus2, lam2)[0]
+    return ok
+
+
+def _reference_block_denominators(lams, block_inv: Matrix) -> list[int]:
+    """The largest denominator per block, walking the columns."""
+    denoms = [1] * len(lams)
+    for jdx in range(block_inv.cols):
+        coords = block_inv.column(jdx)
+        pos = 0
+        for b, lam in enumerate(lams):
+            for k in range(lam.rank):
+                denoms[b] = max(denoms[b], Fraction(coords[pos + k]).denominator)
+            pos += lam.rank
+    return denoms
+
+
+def test_block_lattices_are_the_subspace_intersections():
+    family, _ = subgroup_family(2)
+    stable = [key for key in family if classify._span_rotation_stable(key)]
+    assert len(stable) == 50
+    compared = 0
+    for (tau, tau_prime), case, key in itertools.product(
+        TAU_GRID[1:4], (CaseTag.CASE1, CaseTag.CASE2), stable
+    ):
+        frame = quotient_frame(case, tau, tau_prime, classify._subgroup_generator_points(key))
+        assert not isinstance(frame, BuildRejection)
+        got = d4_family.block_sublattices(frame.torus)
+        want = _reference_block_sublattices(frame.torus)
+        assert [lam.basis.entries for lam in got] == [lam.canonical().basis.entries for lam in want]
+        compared += 1
+    assert compared == 300
+
+
+def test_splitting_check_agrees_with_the_membership_loop():
+    report = enumerate_case1(SearchSpace(CaseTag.CASE1))
+    assert len(report.survivors) == 72
+    outcomes = {True: 0, False: 0}
+    frames = {}
+    for survivor in report.survivors:
+        gens = survivor.h_generators
+        if gens not in frames:
+            frames[gens] = quotient_frame(CaseTag.CASE1, TAU_I, TAU_2I, gens)
+        action = frames[gens].action(survivor.parameters(TAU_I, TAU_2I))
+        lams, _, _ = d4_family._block_sum(action.torus)
+        for order in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
+            blocks = tuple(lams[b] for b in order)
+            basis = Matrix.from_columns([lam.basis.column(k) for lam in blocks for k in range(lam.rank)])
+            block_inv = basis.inverse()
+            rep = d4_family._inclusion_report(action, blocks, basis, block_inv)
+            want = _reference_splitting(action, blocks)
+            assert rep.splitting_ok == want, (survivor, order)
+            assert list(rep.block_denominators) == _reference_block_denominators(blocks, block_inv)
+            outcomes[want] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 20, outcomes
 
 
 def test_case1_subgroup_is_the_shift_sum_on_two_factors():

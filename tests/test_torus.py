@@ -21,7 +21,6 @@ from hyptor.torus import (
     coordinate_change,
     elliptic_curve,
     image_subtorus,
-    lattice_intersection,
     point,
     product,
     quotient_by_finite_subgroup,
@@ -185,22 +184,3 @@ def test_connected_kernel_and_image():
     )
     with pytest.raises(HolomorphyError):
         connected_kernel(t, skew)
-
-
-def test_lattice_intersection_saturates():
-    t = product([elliptic_curve(TAUS[0])] * 2)
-    w = Matrix.from_rows(
-        [
-            [Fraction(1, 2), Fraction(0)],
-            [Fraction(0), Fraction(1, 2)],
-            [Fraction(0), Fraction(0)],
-            [Fraction(0), Fraction(0)],
-        ]
-    )
-    lat = lattice_intersection(w, t)
-    assert lat.rank == 2
-    from hyptor.exact_linear import lattice_membership
-
-    assert lattice_membership((1, 0, 0, 0), lat)[0]
-    assert lattice_membership((0, 1, 0, 0), lat)[0]
-    assert not lattice_membership((0, 0, 1, 0), lat)[0]
