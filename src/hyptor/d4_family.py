@@ -273,7 +273,9 @@ def quotient_frame(
 
     mats = case_matrices(case)
     c = coordinate_change(t_prod, t_quot)
-    c_inv = coordinate_change(t_quot, t_prod)
+    # the product's basis change is the identity, so the quotient's is
+    # already the quotient-to-product matrix
+    c_inv = t_quot.basis_change
     linear = {}
     for name, m in (("r", mats.rotation_lattice), ("s", mats.reflection_lattice)):
         linear[name] = c @ m @ c_inv

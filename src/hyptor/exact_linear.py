@@ -12,6 +12,9 @@ plain multiplication.
 
 Provided here:
 
+* ``Matrix.det`` by fraction-free Bareiss elimination and
+  ``Matrix.inverse`` from the Smith form of the denominator-cleared
+  matrix; no elimination runs over ``Fraction``.
 * ``hnf`` / ``column_hnf``: row and column Hermite normal forms with the
   unimodular transform (``U @ M == H`` resp. ``M @ V == H``).
 * ``snf``: Smith normal form ``U @ M @ V == D`` with nonnegative diagonal
@@ -25,8 +28,8 @@ Provided here:
   delta.  The Smith form of each denominator-cleared A comes from a
   small bounded memo private to this function; ``snf`` itself keeps
   no memo.
-* ``Sublattice`` plus ``lattice_membership``, ``kernel_sublattice`` and
-  ``image_saturation``.
+* ``Sublattice``, whose independence check reads the Smith rank, plus
+  ``kernel_sublattice`` and ``image_saturation``.
 """
 
 from __future__ import annotations
@@ -224,56 +227,20 @@ class Matrix:
         return det if d == 1 else _entry(Fraction(det, d**n))
 
     def inverse(self) -> "Matrix":
+        """Exact inverse from the Smith form of the denominator-cleared
+        matrix: with U (d A) V = D, A^-1 = d V D^-1 U.  Every diagonal
+        entry of D divides the last one, e, so D^-1 = diag(e / D_i) / e
+        and the product stays in integers until the final scaling."""
         if self.rows != self.cols:
             raise DimensionError("inverse of a non-square matrix")
-        n = self.rows
-        a = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.to_rows())]
-        if len(_gauss_jordan(a, n)) != n:
+        scaled, d = self.scaled_integer()
+        dec = snf(scaled)
+        if dec.rank != self.rows:
             raise SingularMatrixError("matrix is singular")
-        return Matrix.from_rows([row[n:] for row in a])
-
-
-def _gauss_jordan(a: list[list[Entry]], width: int) -> list[tuple[int, int]]:
-    """Reduce the rows of a in place to reduced row echelon form on the
-    first width columns; return the (row, column) pivots in order.
-
-    Deterministic: eliminates columns left to right, picking the first
-    nonzero pivot row.  Columns past width are carried along.
-    """
-    pivots: list[tuple[int, int]] = []
-    for col in range(width):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = Fraction(1, a[rank][col])
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        pivots.append((rank, col))
-    return pivots
-
-
-def rational_rank(m: Matrix) -> int:
-    """Rank over the rationals."""
-    return len(_gauss_jordan(m.to_rows(), m.cols))
-
-
-def rational_solve(m: Matrix, b: Sequence) -> Vec | None:
-    """One exact solution of ``m x = b`` (free variables set to 0), or None."""
-    if len(b) != m.rows:
-        raise DimensionError("right-hand side length mismatch")
-    a = [row + [_entry(x)] for row, x in zip(m.to_rows(), b)]
-    pivots = _gauss_jordan(a, m.cols)
-    if any(row[-1] != 0 for row in a[len(pivots) :]):
-        return None
-    x = [Fraction(0)] * m.cols
-    for r, col in pivots:
-        x[col] = a[r][-1]
-    return tuple(x)
+        e = dec.diagonal[-1]
+        col_scale = [e // x for x in dec.diagonal]
+        v = Matrix.from_rows([[x * f for x, f in zip(dec.v.row(i), col_scale)] for i in range(self.rows)])
+        return (v @ dec.u).scale(_entry(Fraction(d, e)))
 
 
 def _add_row(a: list[list[int]], u: list[list[int]], src: int, dst: int, f: int) -> None:
@@ -600,7 +567,7 @@ class Sublattice:
             raise DimensionError("basis rows must equal ambient rank")
         if not self.basis.is_integral():
             raise ValueError("sublattice basis must be an integer matrix")
-        if self.basis.cols > 0 and rational_rank(self.basis) != self.basis.cols:
+        if self.basis.cols > 0 and snf(self.basis).rank != self.basis.cols:
             raise ValueError("basis columns are not independent over the rationals")
 
     @property
@@ -613,25 +580,6 @@ class Sublattice:
         h, _ = column_hnf(self.basis)
         nz = [j for j in range(h.cols) if any(h.at(i, j) != 0 for i in range(h.rows))]
         return Sublattice(self.ambient_rank, h.submatrix_columns(nz))
-
-
-def lattice_membership(v: Sequence, lat: Sublattice) -> tuple[bool, IntVec | None]:
-    """Decide v in the integer span of lat's basis; returns coordinates.
-
-    The coordinates refer to the basis exactly as stored in lat.
-    """
-    if len(v) != lat.ambient_rank:
-        raise DimensionError("vector length mismatch")
-    if lat.rank == 0:
-        ok = all(Fraction(x) == 0 for x in v)
-        return (ok, () if ok else None)
-    sol = rational_solve(lat.basis, v)
-    if sol is None:
-        return False, None
-    # solution of an independent-column system is unique
-    if any(c.denominator != 1 for c in sol):
-        return False, None
-    return True, tuple(int(c) for c in sol)
 
 
 def kernel_sublattice(a: Matrix) -> Sublattice:

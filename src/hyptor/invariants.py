@@ -56,11 +56,12 @@ def _holomorphic_power_sums(a: Matrix, j: Matrix) -> list[GaussianRational]:
     j_t = j.transpose().entries
     out = []
     power = a
-    for _ in range(3):
+    for k in range(3):
+        if k:
+            power = power @ a
         tr_a = sum(power.at(i, i) for i in range(power.rows))
         tr_aj = sum(map(mul, power.entries, j_t))
         out.append(GaussianRational(Fraction(tr_a, 2), Fraction(-tr_aj, 2)))
-        power = power @ a
     return out
 
 

@@ -215,23 +215,19 @@ def product(factors: Sequence[ComplexTorus]) -> ComplexTorus:
 
 
 def _extended_lattice_basis(n: int, gens: Sequence[TorsionPoint]) -> Matrix:
-    """Column basis of Z^n + sum Z * lift(gen), by column Hermite form."""
-    d = 1
+    """Column basis of Z^n + sum Z * lift(gen), by column Hermite form.
+
+    The generators are folded in one at a time, each Hermite form taking
+    the n basis columns and one lift, so the cost is linear in the number
+    of generators; the last form is canonical for the lattice."""
+    d = lcm(1, *(c.denominator for gpt in gens for c in gpt.coords))
+    basis = Matrix.identity(n).scale(d)
     for gpt in gens:
-        for c in gpt.coords:
-            d = lcm(d, c.denominator)
-    cols: list[list[int]] = []
-    for i in range(n):
-        cols.append([d if k == i else 0 for k in range(n)])
-    for gpt in gens:
-        cols.append([int(c * d) for c in gpt.coords])
-    m = Matrix.from_columns(cols)
-    h, _ = column_hnf(m)
-    nz = [jj for jj in range(h.cols) if any(h.at(i, jj) != 0 for i in range(h.rows))]
-    if len(nz) != n:
-        raise RuntimeError("internal error: extended lattice not full rank")
-    basis = h.submatrix_columns(nz)
-    return Matrix(n, n, tuple(Fraction(e, d) for e in basis.entries))
+        cols = [basis.column(j) for j in range(n)]
+        h, _ = column_hnf(Matrix.from_columns([*cols, [c.numerator * (d // c.denominator) for c in gpt.coords]]))
+        # d Z^n lies in the lattice, so the zero column is the last
+        basis = h.submatrix_columns(range(n))
+    return basis.scale(Fraction(1, d))
 
 
 def quotient_by_finite_subgroup(t: ComplexTorus, h: FiniteSubgroup) -> ComplexTorus:

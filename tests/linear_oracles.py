@@ -1,0 +1,85 @@
+"""Rational Gauss-Jordan elimination, kept as a test oracle.
+
+The library does all of its elimination in integers, through the Smith
+form.  These routines reduce over ``Fraction`` instead, pivot by pivot,
+and so give an independent route to the inverse, the rank, a solution
+of a linear system and lattice membership.
+"""
+
+from fractions import Fraction
+from typing import Sequence
+
+from hyptor.exact_linear import DimensionError, Matrix, SingularMatrixError, Sublattice
+
+
+def gauss_jordan(a: list[list], width: int) -> list[tuple[int, int]]:
+    """Reduce the rows of a in place to reduced row echelon form on the
+    first width columns; return the (row, column) pivots in order.
+
+    Deterministic: eliminates columns left to right, picking the first
+    nonzero pivot row.  Columns past width are carried along.
+    """
+    pivots: list[tuple[int, int]] = []
+    for col in range(width):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = Fraction(1, a[rank][col])
+        a[rank] = [x * inv for x in a[rank]]
+        for r in range(len(a)):
+            if r != rank and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        pivots.append((rank, col))
+    return pivots
+
+
+def gauss_jordan_inverse(m: Matrix) -> Matrix:
+    """Inverse by reducing [m | I]; SingularMatrixError when m is singular."""
+    if m.rows != m.cols:
+        raise DimensionError("inverse of a non-square matrix")
+    n = m.rows
+    a = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.to_rows())]
+    if len(gauss_jordan(a, n)) != n:
+        raise SingularMatrixError("matrix is singular")
+    return Matrix.from_rows([row[n:] for row in a])
+
+
+def rational_rank(m: Matrix) -> int:
+    """Rank over the rationals."""
+    return len(gauss_jordan(m.to_rows(), m.cols))
+
+
+def rational_solve(m: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
+    """One exact solution of ``m x = b`` (free variables set to 0), or None."""
+    if len(b) != m.rows:
+        raise DimensionError("right-hand side length mismatch")
+    a = [row + [Fraction(x)] for row, x in zip(m.to_rows(), b)]
+    pivots = gauss_jordan(a, m.cols)
+    if any(row[-1] != 0 for row in a[len(pivots) :]):
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, col in pivots:
+        x[col] = Fraction(a[r][-1])
+    return tuple(x)
+
+
+def lattice_membership(v: Sequence, lat: Sublattice) -> tuple[bool, tuple[int, ...] | None]:
+    """Decide v in the integer span of lat's basis; returns coordinates.
+
+    The coordinates refer to the basis exactly as stored in lat.
+    """
+    if len(v) != lat.ambient_rank:
+        raise DimensionError("vector length mismatch")
+    if lat.rank == 0:
+        ok = all(Fraction(x) == 0 for x in v)
+        return (ok, () if ok else None)
+    sol = rational_solve(lat.basis, v)
+    if sol is None:
+        return False, None
+    # solution of an independent-column system is unique
+    if any(c.denominator != 1 for c in sol):
+        return False, None
+    return True, tuple(int(c) for c in sol)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyptor import exact_linear
 from hyptor.certificates import (
     SCHEMA_VERSION,
     CertificateFormatError,
@@ -153,6 +154,25 @@ def test_certificate_shape(cert_doc):
 def test_certificate_other_curve_parameters():
     doc = build_certificate(build_normal_form(TAU_THIRD_2I, TAU_I))
     assert verify_certificate(json.loads(json.dumps(doc))).ok
+
+
+def test_repeated_subgroup_generators_verify_in_small_forms(cert_doc, monkeypatch):
+    # the quotient lattice takes the generators one at a time, so its
+    # Hermite forms stay small however many generators the document lists
+    doc = copy.deepcopy(cert_doc)
+    doc["parameters"]["subgroup_generators"] *= 2000
+    rows = []
+    original = exact_linear.hnf
+
+    def recording_hnf(m):
+        rows.append(m.rows)
+        return original(m)
+
+    monkeypatch.setattr(exact_linear, "hnf", recording_hnf)
+    res = verify_certificate(doc)
+    assert res.ok, res.failures
+    assert rows and max(rows) <= 8
+    assert res.action.torus == verify_certificate(cert_doc).action.torus
 
 
 def test_parameters_roundtrip(cert_doc):

@@ -2,6 +2,9 @@
 
 Oracles come first and are deliberately naive: determinants by Laplace
 expansion, Smith divisors by minor gcds, solvability by grid search.
+Inverses, ranks and lattice membership are checked against rational
+Gauss-Jordan elimination (linear_oracles), which the library no longer
+uses.
 """
 
 import itertools
@@ -11,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from linear_oracles import gauss_jordan_inverse, lattice_membership, rational_rank, rational_solve
 
 from hyptor import exact_linear
 from hyptor.exact_linear import (
@@ -24,9 +28,6 @@ from hyptor.exact_linear import (
     hnf,
     image_saturation,
     kernel_sublattice,
-    lattice_membership,
-    rational_rank,
-    rational_solve,
     snf,
     solve_affine_mod_lattice,
     unimodular_inverse,
@@ -141,6 +142,44 @@ def test_inverse_roundtrip_and_singular():
             continue
         assert m @ m.inverse() == Matrix.identity(n)
         assert m.inverse() @ m == Matrix.identity(n)
+
+
+def rand_singular_rational_matrix(rng, n) -> Matrix:
+    """A rational n x n matrix of rank below n: one row is a rational
+    combination of the others (or zero when n is 1)."""
+    rows = rand_rational_matrix(rng, n, n).to_rows()
+    k = rng.randrange(n)
+    coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5, 7))) for _ in range(n)]
+    rows[k] = [sum((coeffs[i] * rows[i][j] for i in range(n) if i != k), Fraction(0)) for j in range(n)]
+    return Matrix.from_rows(rows)
+
+
+def test_inverse_matches_gauss_jordan_oracle():
+    rng = random.Random(3)
+    outcomes = {True: 0, False: 0}
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        if trial % 3 == 0:
+            m = rand_singular_rational_matrix(rng, n)
+        else:
+            m = Matrix.from_rows(
+                [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7))) for _ in range(n)] for _ in range(n)]
+            )
+        try:
+            want = gauss_jordan_inverse(m)
+        except SingularMatrixError:
+            want = None
+        if want is None:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+        else:
+            got = m.inverse()
+            assert got.entries == want.entries, m
+            assert all(type(e) is int or e.denominator != 1 for e in got.entries)
+        outcomes[want is not None] += 1
+    assert min(outcomes.values()) >= 80, outcomes
+    with pytest.raises(DimensionError):
+        Matrix.from_rows([[1, 2]]).inverse()
 
 
 def test_integral_results_are_stored_as_int():
@@ -282,8 +321,13 @@ def test_rank_matches_numpy():
         n, c = rng.randint(1, 5), rng.randint(1, 5)
         m = rand_int_matrix(rng, n, c)
         expected = np.linalg.matrix_rank(np.array(m.to_rows(), dtype=float))
-        assert rational_rank(m) == expected
         assert snf(m).rank == expected
+        # Sublattice accepts the columns exactly when they are independent
+        if expected == c:
+            assert Sublattice(n, m).rank == c
+        else:
+            with pytest.raises(ValueError):
+                Sublattice(n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +507,20 @@ def test_unimodular_inverse_roundtrip():
         assert (g @ ginv).entries == Matrix.identity(n).entries
     with pytest.raises(NotUnimodularError):
         unimodular_inverse(Matrix.from_rows([[2, 0], [0, 1]]))
+
+
+def test_sublattice_rejects_dependent_columns():
+    for cols in (
+        [[1, 2], [2, 4]],
+        [[0, 0, 0]],
+        [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
+        [[2, 0], [0, 3], [4, 6]],
+        [[1, 0], [0, 1], [1, 1]],
+    ):
+        with pytest.raises(ValueError, match="not independent"):
+            Sublattice(len(cols[0]), Matrix.from_columns(cols))
+    assert Sublattice(2, Matrix.from_columns([[1, 2], [2, 3]])).rank == 2
+    assert Sublattice(3, Matrix(3, 0, ())).rank == 0
 
 
 def test_lattice_membership_basics():

@@ -34,8 +34,24 @@ SKEW = [
 ]
 # h = k: rs has a fixed point, so construct reports the violated condition
 NON_FREE = ["construct", "--tau", "0/1+1/1i", "--tau-prime", "0/1+2/1i", "--h", "1/2,0/1", "--k", "1/2,0/1"]
+# curve parameters with denominators 3, 5 and 7: the quotient basis, its
+# inverse and the complex structure all carry proper fractions
+SEVENTHS = ["construct", "--tau", "1/3+5/7i", "--tau-prime", "2/5+3/7i"]
+FIFTHS = [
+    "construct",
+    "--tau",
+    "2/7+3/5i",
+    "--tau-prime",
+    "1/5+4/3i",
+    "--h",
+    "1/2,0/1",
+    "--k",
+    "1/2,1/2",
+    "--h-prime",
+    "1/4,0/1",
+]
 
-CERTIFICATES = {"distinguished": DISTINGUISHED, "skew": SKEW}
+CERTIFICATES = {"distinguished": DISTINGUISHED, "skew": SKEW, "sevenths": SEVENTHS, "fifths": FIFTHS}
 
 
 def _tamper_inclusion(doc):
@@ -50,22 +66,35 @@ TAMPERS = {"inclusion": _tamper_inclusion, "linear": _tamper_linear}
 
 GOLDEN = {
     "classify-case1-q2-json": "0a078775088d1a8fcc865c9bb789f094ccaf45558f42f127a2214008843bd43f",
+    "classify-case1-q4-g3-json": "32d597e012821b3efe9660d5f9d48726fba6a312a5acce4a6399744e923f8db4",
     "classify-case1-q4-json": "64ec747fc35bc3ff4714b8adc548b93103b7a4633e6b26261ef267e060dc4501",
     "classify-case1-q4-text": "d13cc25add6e61ab04f3d0ef26a670f8c0f23247e89b99602aed0d2eefcfbcda",
     "classify-case2-q8-json": "a151883f5cf3775d466ca8938a24a9c26f4fa8afaa7e16760a297b6948791115",
     "construct-distinguished-json": "95c31175ade1ac38738ebcbc067d9b572cfc21152dd0e20e6968ef5b508eb1bc",
     "construct-distinguished-text": "becab7a282a4d745dec0b7a873016b8f508ddc398e76c9dd7add7a63f56a2a31",
+    "construct-fifths-json": "6885123e4b8aa28830246faae7e608b5a6f324eff7f1cd340748eddd27f55989",
+    "construct-fifths-text": "0d8d77733b4de201fcbb9906afc0affb7bebd0e7b9135a63911a5c1905d796d6",
+    "construct-non-free-json": "624c91b4f21c5908fcb69efc3b4c467bc7a633a8fb3e959aca227c8d251e552c",
+    "construct-sevenths-json": "8fe4d439ec8cb6a8fd83a74a776b50cd4b86b098e5d0b901563f0794bbb727f5",
+    "construct-sevenths-text": "69fc81f46005a4242afb8e1ece817c1b4d931455266d4b9ac286fec1032e8741",
     "construct-skew-json": "a8dd690632011b7f392191d6e9d42857e53b1d2dc9ca7fc01c0fc25278f2116f",
     "construct-skew-text": "eabb4cf8771cc800a2e6d6897589b80d9d027c62194b40bf41d947426a0b6c3e",
-    "construct-non-free-json": "624c91b4f21c5908fcb69efc3b4c467bc7a633a8fb3e959aca227c8d251e552c",
-    "verify-distinguished-json": "4f0a58ea5120c6a495a1b8ae299d52cb3fdb3d96da42ab767cac56ba44b764f9",
-    "verify-distinguished-text": "38cf827a14053d209123f2d26437641c42570f7f11ec503b4987bab33719b4ee",
-    "verify-skew-json": "4f0a58ea5120c6a495a1b8ae299d52cb3fdb3d96da42ab767cac56ba44b764f9",
-    "verify-skew-text": "38cf827a14053d209123f2d26437641c42570f7f11ec503b4987bab33719b4ee",
     "invariants-distinguished-json": "1b44e27cafb47cc26e40eed2ee456bb449ccc74de5f122775f36f32440cc930a",
     "invariants-distinguished-text": "093b2e29ee7ffae146cfa888bc09999b94ab2b9dfc5ceddeb70d8fe65d14e0cb",
+    "invariants-fifths-json": "1b44e27cafb47cc26e40eed2ee456bb449ccc74de5f122775f36f32440cc930a",
+    "invariants-fifths-text": "093b2e29ee7ffae146cfa888bc09999b94ab2b9dfc5ceddeb70d8fe65d14e0cb",
+    "invariants-sevenths-json": "1b44e27cafb47cc26e40eed2ee456bb449ccc74de5f122775f36f32440cc930a",
+    "invariants-sevenths-text": "093b2e29ee7ffae146cfa888bc09999b94ab2b9dfc5ceddeb70d8fe65d14e0cb",
     "invariants-skew-json": "1b44e27cafb47cc26e40eed2ee456bb449ccc74de5f122775f36f32440cc930a",
     "invariants-skew-text": "093b2e29ee7ffae146cfa888bc09999b94ab2b9dfc5ceddeb70d8fe65d14e0cb",
+    "verify-distinguished-json": "4f0a58ea5120c6a495a1b8ae299d52cb3fdb3d96da42ab767cac56ba44b764f9",
+    "verify-distinguished-text": "38cf827a14053d209123f2d26437641c42570f7f11ec503b4987bab33719b4ee",
+    "verify-fifths-json": "4f0a58ea5120c6a495a1b8ae299d52cb3fdb3d96da42ab767cac56ba44b764f9",
+    "verify-fifths-text": "38cf827a14053d209123f2d26437641c42570f7f11ec503b4987bab33719b4ee",
+    "verify-sevenths-json": "4f0a58ea5120c6a495a1b8ae299d52cb3fdb3d96da42ab767cac56ba44b764f9",
+    "verify-sevenths-text": "38cf827a14053d209123f2d26437641c42570f7f11ec503b4987bab33719b4ee",
+    "verify-skew-json": "4f0a58ea5120c6a495a1b8ae299d52cb3fdb3d96da42ab767cac56ba44b764f9",
+    "verify-skew-text": "38cf827a14053d209123f2d26437641c42570f7f11ec503b4987bab33719b4ee",
     "verify-tampered-inclusion-json": "74ff9c9ebd56faec0b94aff88ce53f603f895534a20c4b51545344ad0bde4b45",
     "verify-tampered-linear-json": "dfb4341513a938746581cf0aa808ba2a043398755e3c6f0ba4282b264f0be56d",
 }
@@ -106,10 +135,13 @@ def _argv(name: str, cert_files) -> list[str]:
     command, rest = name.split("-", 1)
     target, fmt = rest.rsplit("-", 1)
     if command == "classify":
-        case, q = target.split("-")
-        return ["classify", "--case", case[-1], "--max-denominator", q[1:], "--workers", "1", "--format", fmt]
+        case, q, *g = target.split("-")
+        argv = ["classify", "--case", case[-1], "--max-denominator", q[1:], "--workers", "1"]
+        if g:
+            argv += ["--h-generators-max", g[0][1:]]
+        return [*argv, "--format", fmt]
     if command == "construct":
-        argv = {"distinguished": DISTINGUISHED, "skew": SKEW, "non-free": NON_FREE}[target]
+        argv = {**CERTIFICATES, "non-free": NON_FREE}[target]
         return [*argv, "--format", fmt]
     return [command, str(cert_files[target]), "--format", fmt]
 

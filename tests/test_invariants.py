@@ -47,3 +47,18 @@ def test_power_sums_by_trace_match_the_product_form():
             assert _holomorphic_power_sums(a, j) == _product_power_sums(a, j)
             compared += 1
     assert compared == 3 * (8 + 50)
+
+
+def test_power_sums_form_two_products_per_element(monkeypatch):
+    # A^2 and A^3 are formed; A^4 is never needed
+    action = build_normal_form(*TAU_PAIRS[0])
+    products = []
+    original = Matrix.__matmul__
+
+    def counting_matmul(a, b):
+        products.append((a.rows, b.cols))
+        return original(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+    _holomorphic_power_sums(action.r.a, action.torus.j)
+    assert len(products) == 2
