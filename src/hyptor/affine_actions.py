@@ -8,14 +8,20 @@ through the Smith form, never by search; both answers come with a
 witness that can be re-checked by plain arithmetic.  Only the group
 closure composes maps; words and relations are read from its table.
 
-Composition works in integers: both translations are scaled to their
-common denominator D, the new translation f.a (D g.t) + D f.t is
-reduced mod D in int arithmetic, and its fractions are built once at
-the end.  Every automorphism, each product included, gets a verdict on
-its linear part (integral, unimodular, commuting with J), but the
-verdict depends on the linear part and J alone, so it is computed once
-per pair and kept in a small bounded memo; a failing matrix raises on
-every construction, since the memo keeps no exceptions.
+The closure splits in two.  The linear parts of a group and their
+product table depend only on the generators' linear parts, so they are
+closed once per tuple of linear parts and kept in a small bounded memo
+that knows no torus and no J.  Each call then searches the
+translations alone: with D the common denominator of the generators'
+translations, the translation of word . g is A_word (D t_g) + D t_word
+reduced mod D in int arithmetic, and only the elements found are built
+as maps, their fractions once at the end.  Every automorphism built
+gets a verdict on its linear part (integral, unimodular, commuting
+with J), but the verdict depends on the linear part and J alone, so it
+is computed once per pair and kept in a small bounded memo; a failing
+matrix raises on every construction, since the memo keeps no
+exceptions.  The fixed-point test reads A - I from a memo keyed on the
+linear part as well.
 """
 
 from __future__ import annotations
@@ -91,21 +97,6 @@ def identity_aut(t: ComplexTorus) -> AffineAut:
     return AffineAut(t, Matrix.identity(t.rank), TorsionPoint.zero(t.rank))
 
 
-def compose(f: AffineAut, g: AffineAut) -> AffineAut:
-    """f after g: z -> f(g(z)), with translation f.a g.t + f.t."""
-    if f.torus != g.torus:
-        raise TorusMismatchError("different tori")
-    d = lcm(*(c.denominator for c in f.t.coords), *(c.denominator for c in g.t.coords))
-    g_t = [c.numerator * (d // c.denominator) for c in g.t.coords]
-    t = TorsionPoint(
-        tuple(
-            Fraction((sum(map(mul, f.a.row(i), g_t)) + c.numerator * (d // c.denominator)) % d, d)
-            for i, c in enumerate(f.t.coords)
-        )
-    )
-    return AffineAut(f.torus, f.a @ g.a, t)
-
-
 def is_translation(f: AffineAut) -> bool:
     """Nontrivial pure translation."""
     return f.a.is_identity() and not f.t.is_zero()
@@ -132,6 +123,12 @@ class FixedPointResult:
     obstruction: Obstruction | None = None
 
 
+@lru_cache(maxsize=256)
+def _minus_identity(a: Matrix) -> Matrix:
+    """A - I, once per linear part: a group's elements repeat few."""
+    return a - Matrix.identity(a.rows)
+
+
 def has_fixed_point(f: AffineAut) -> FixedPointResult:
     """Exact fixed-point decision for an affine automorphism.
 
@@ -139,10 +136,8 @@ def has_fixed_point(f: AffineAut) -> FixedPointResult:
     fixed point is canonicalized into [0, 1)^(2g) and re-checked; a
     negative answer carries the Smith-form obstruction row.
     """
-    n = f.torus.rank
-    a_minus_i = f.a - Matrix.identity(n)
     b = tuple(-c for c in f.t.coords)
-    res = solve_affine_mod_lattice(a_minus_i, b)
+    res = solve_affine_mod_lattice(_minus_identity(f.a), b)
     if not res.solvable:
         return FixedPointResult(
             exists=False,
@@ -181,6 +176,48 @@ class GeneratedGroup:
         return tuple(e for e in self.elements if e.word != "e")
 
 
+@dataclass(frozen=True)
+class _LinearCore:
+    """The linear parts of a group and their product table.
+
+    matrices[0] is the identity, the others follow in breadth-first
+    order, and after[i][k] is the index of matrices[i] @ (the k-th
+    generator).
+    """
+
+    matrices: tuple[Matrix, ...]
+    after: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=64)
+def _linear_closure(linear: tuple[Matrix, ...], cap: int) -> _LinearCore:
+    """Close integer linear parts under right multiplication, once per
+    tuple of linear parts.
+
+    The key holds no torus and no J.  An affine closure has at least as
+    many elements as its linear one, so a linear closure past the cap
+    raises the cap's error; the memo keeps no exceptions, so such a
+    tuple is closed and refused again on every call.
+    """
+    n = linear[0].rows
+    ident = Matrix.identity(n)
+    index = {ident.entries: 0}
+    matrices = [ident]
+    after = []
+    for m in matrices:
+        row = []
+        for g in linear:
+            p = m @ g
+            if p.entries not in index:
+                if len(matrices) >= cap:
+                    raise GroupGenerationError(f"generated more than {cap} elements")
+                index[p.entries] = len(matrices)
+                matrices.append(p)
+            row.append(index[p.entries])
+        after.append(tuple(row))
+    return _LinearCore(tuple(matrices), tuple(after))
+
+
 def generate_group(gens: Mapping[str, AffineAut], cap: int = 64) -> GeneratedGroup:
     """Breadth-first closure of the generators under composition.
 
@@ -188,6 +225,12 @@ def generate_group(gens: Mapping[str, AffineAut], cap: int = 64) -> GeneratedGro
     (inverses are positive powers); generation aborts once more than
     cap distinct elements appear.  Each element is composed with each
     generator once, and the results are kept as the product table.
+
+    The linear parts come from ``_linear_closure``; the search itself
+    runs on keys (linear index, D * translation mod D), D the common
+    denominator of the generators' translations, so word . g has the
+    linear index after[word][g] and the translation A_word t_g + t_word
+    in int arithmetic.  Only the elements found are built as maps.
     """
     if not gens:
         raise ValueError("no generators")
@@ -195,30 +238,41 @@ def generate_group(gens: Mapping[str, AffineAut], cap: int = 64) -> GeneratedGro
     for gaut in gens.values():
         if gaut.torus != torus:
             raise TorusMismatchError("generators live on different tori")
-    ident = identity_aut(torus)
-    seen: dict[tuple, str] = {ident.key(): "e"}
-    auts: dict[str, AffineAut] = {"e": ident}
+    names = sorted(gens)
+    core = _linear_closure(tuple(gens[name].a for name in names), cap)
+    d = lcm(*(c.denominator for name in names for c in gens[name].t.coords))
+    shifts = [tuple(c.numerator * (d // c.denominator) for c in gens[name].t.coords) for name in names]
+    start = (0, (0,) * torus.rank)
+    seen: dict[tuple, str] = {start: "e"}
+    keys: dict[str, tuple] = {"e": start}
     products: dict[str, list[str]] = {}
     frontier = ["e"]
-    names = sorted(gens)
     while frontier:
         nxt: list[str] = []
         for word in frontier:
+            lin, t = keys[word]
+            rows = [core.matrices[lin].row(i) for i in range(torus.rank)]
+            after = core.after[lin]
             row = products[word] = []
-            for name in names:
-                new_aut = compose(auts[word], gens[name])
-                k = new_aut.key()
-                if k not in seen:
+            for k, name in enumerate(names):
+                shift = shifts[k]
+                key = (after[k], tuple((sum(map(mul, r, shift)) + x) % d for r, x in zip(rows, t)))
+                if key not in seen:
                     if len(seen) >= cap:
                         raise GroupGenerationError(f"generated more than {cap} elements")
                     new_word = name if word == "e" else word + name
-                    seen[k] = new_word
-                    auts[new_word] = new_aut
+                    seen[key] = new_word
+                    keys[new_word] = key
                     nxt.append(new_word)
-                row.append(seen[k])
+                row.append(seen[key])
         frontier = nxt
-    words = sorted(auts, key=lambda w: (0 if w == "e" else len(w), w))
+    words = sorted(keys, key=lambda w: (0 if w == "e" else len(w), w))
     index = {w: i for i, w in enumerate(words)}
+    fraction = {x: Fraction(x, d) for x in {x for _, t in keys.values() for x in t}}
+    auts = {"e": identity_aut(torus)}
+    for w in words[1:]:
+        lin, t = keys[w]
+        auts[w] = AffineAut(torus, core.matrices[lin], TorsionPoint(tuple(map(fraction.get, t))))
     return GeneratedGroup(
         tuple(GroupElement(w, auts[w]) for w in words),
         tuple(names),

@@ -587,13 +587,14 @@ def kernel_sublattice(a: Matrix) -> Sublattice:
 
     The columns of V at the zero diagonal positions of the Smith form
     span ker over Q and are part of a unimodular matrix, hence the
-    lattice they generate is already saturated.
+    lattice they generate is already saturated.  They are returned in
+    column Hermite form, as ``Sublattice.canonical`` would give them,
+    and only that one Sublattice is built.
     """
     dec = snf(a)
-    r = dec.rank
-    idx = list(range(r, a.cols))
-    cols = dec.v.submatrix_columns(idx)
-    return Sublattice(a.cols, cols).canonical()
+    cols = dec.v.submatrix_columns(range(dec.rank, a.cols))
+    # the Hermite form of independent columns has no zero column
+    return Sublattice(a.cols, column_hnf(cols)[0] if cols.cols else cols)
 
 
 def image_saturation(a: Matrix) -> Sublattice:

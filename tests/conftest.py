@@ -1,14 +1,86 @@
 """Shared test helpers.
 
 The library reads words and relations from the product table its group
-closure keeps.  The fixtures here evaluate words by direct composition,
-letter by letter, so a test can check a built action, or the table
-itself, against a route that does not read the table.
+closure keeps, and closes the linear parts apart from the translations.
+The helpers here compose maps directly: ``compose`` multiplies two
+automorphisms, ``reference_generate_group`` is the closure that
+composes every element with every generator, and the fixtures evaluate
+words letter by letter, so a test can check a built action, the table
+or the closure itself against a route that shares none of them.
 """
+
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import pytest
 
-from hyptor.affine_actions import compose, identity_aut
+from hyptor.affine_actions import (
+    AffineAut,
+    GeneratedGroup,
+    GroupElement,
+    GroupGenerationError,
+    TorusMismatchError,
+    identity_aut,
+)
+from hyptor.exact_linear import Matrix
+from hyptor.torus import TorsionPoint
+
+
+def compose(f, g):
+    """f after g: z -> f(g(z)), with translation f.a g.t + f.t."""
+    if f.torus != g.torus:
+        raise TorusMismatchError("different tori")
+    d = lcm(*(c.denominator for c in f.t.coords), *(c.denominator for c in g.t.coords))
+    g_t = [c.numerator * (d // c.denominator) for c in g.t.coords]
+    t = TorsionPoint(
+        tuple(
+            Fraction((sum(map(mul, f.a.row(i), g_t)) + c.numerator * (d // c.denominator)) % d, d)
+            for i, c in enumerate(f.t.coords)
+        )
+    )
+    return AffineAut(f.torus, f.a @ g.a, t)
+
+
+def reference_generate_group(gens, cap=64):
+    """Breadth-first closure that composes each element with each
+    generator as maps, with no linear core: the reference that
+    ``generate_group`` must equal, element for element."""
+    if not gens:
+        raise ValueError("no generators")
+    torus = next(iter(gens.values())).torus
+    for gaut in gens.values():
+        if gaut.torus != torus:
+            raise TorusMismatchError("generators live on different tori")
+    ident = identity_aut(torus)
+    seen = {ident.key(): "e"}
+    auts = {"e": ident}
+    products = {}
+    frontier = ["e"]
+    names = sorted(gens)
+    while frontier:
+        nxt = []
+        for word in frontier:
+            row = products[word] = []
+            for name in names:
+                new_aut = compose(auts[word], gens[name])
+                k = new_aut.key()
+                if k not in seen:
+                    if len(seen) >= cap:
+                        raise GroupGenerationError(f"generated more than {cap} elements")
+                    new_word = name if word == "e" else word + name
+                    seen[k] = new_word
+                    auts[new_word] = new_aut
+                    nxt.append(new_word)
+                row.append(seen[k])
+        frontier = nxt
+    words = sorted(auts, key=lambda w: (0 if w == "e" else len(w), w))
+    index = {w: i for i, w in enumerate(words)}
+    return GeneratedGroup(
+        tuple(GroupElement(w, auts[w]) for w in words),
+        tuple(names),
+        tuple(tuple(index[p] for p in products[w]) for w in words),
+    )
 
 
 def _compose_word(gens, word):
@@ -26,6 +98,20 @@ def _direct_relations(gens, words):
         aut = _compose_word(gens, word)
         out[word] = aut.a.is_identity() and aut.t.is_zero()
     return out
+
+
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """Every Matrix product taken while the test runs, as (left, right)."""
+    calls = []
+    original = Matrix.__matmul__
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    return calls
 
 
 @pytest.fixture

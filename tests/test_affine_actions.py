@@ -8,20 +8,21 @@ test_exact_linear for the solver-level argument).
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import compose, reference_generate_group
 
-from hyptor import affine_actions
+from hyptor import affine_actions, classify
 from hyptor.affine_actions import (
     AffineAut,
     GroupGenerationError,
     TorusMismatchError,
     UnknownLetterError,
     check_relations,
-    compose,
     contains_no_translations,
     evaluate_word,
     generate_group,
@@ -30,7 +31,14 @@ from hyptor.affine_actions import (
     is_free_action,
     is_translation,
 )
-from hyptor.d4_family import CaseTag, build_general, build_normal_form, normal_form_parameters
+from hyptor.d4_family import (
+    CaseTag,
+    D4Parameters,
+    build_general,
+    build_normal_form,
+    normal_form_parameters,
+    quotient_frame,
+)
 from hyptor.exact_linear import Matrix, NotUnimodularError
 from hyptor.torus import (
     EllipticCurveParam,
@@ -290,20 +298,98 @@ def test_words_read_from_the_table_match_composition(name, compose_word, direct_
         assert evaluate_word(grp, "" if e.word == "e" else e.word) == e.aut
 
 
-def test_closure_composes_once_per_element_and_generator(monkeypatch):
-    calls = []
-
-    def counting(f, g):
-        calls.append(1)
-        return compose(f, g)
-
-    monkeypatch.setattr(affine_actions, "compose", counting)
+def test_closure_composes_once_per_element_and_generator(matmul_calls):
+    # the linear parts are multiplied once per linear element and
+    # generator, on the first group with those linear parts only; a
+    # second group with other shifts, and every word read from its
+    # table, multiplies no matrix
     gens = product_pair_gens()
+    s = gens["s"]
+    other = dict(gens, s=AffineAut(s.torus, s.a, point(0, "1/4", "1/2", 0)))
+    affine_actions._linear_closure.cache_clear()
+    matmul_calls.clear()
     grp = generate_group(gens)
-    assert len(calls) == grp.order * len(gens)
-    evaluate_word(grp, "rsrsrrss")
-    check_relations(grp, ("rrrr", "ss", "rsrs"))
-    assert len(calls) == grp.order * len(gens)
+    linear_order = len({e.aut.a.entries for e in grp.elements})
+    assert linear_order == 8 and grp.order == 16
+    assert len(matmul_calls) == linear_order * len(gens)
+    matmul_calls.clear()
+    grp2 = generate_group(other)
+    evaluate_word(grp2, "rsrsrrss")
+    check_relations(grp2, ("rrrr", "ss", "rsrs"))
+    assert matmul_calls == []
+    assert grp2 == reference_generate_group(other)
+
+
+def _same_closure(gens, cap=64) -> str:
+    """Generate the group with the library and with the reference
+    closure: equal groups, or the same exception and message.  Returns
+    the outcome: "order N" or the error message."""
+    try:
+        want = reference_generate_group(gens, cap)
+    except GroupGenerationError as exc:
+        with pytest.raises(GroupGenerationError) as got:
+            generate_group(gens, cap)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    got = generate_group(gens, cap)
+    assert got == want
+    return f"order {got.order}"
+
+
+@pytest.mark.parametrize("name", sorted(_table_test_groups()))
+def test_closure_matches_the_reference_at_every_cap(name):
+    gens, order = _table_test_groups()[name]
+    outcomes = [_same_closure(gens, cap) for cap in range(1, 17)]
+    assert outcomes[order - 1 :] == [f"order {order}"] * (17 - order)
+    assert outcomes[: order - 1] == [f"generated more than {cap} elements" for cap in range(1, order)]
+
+
+def test_closure_matches_the_reference_on_the_survivors():
+    space = classify.SearchSpace(CaseTag.CASE1)
+    survivors = classify.enumerate_case1(space).survivors
+    assert len(survivors) == 72
+    for s in survivors:
+        action = build_general(CaseTag.CASE1, s.parameters(space.tau, space.tau_prime))
+        assert _same_closure({"r": action.r, "s": action.s}) == "order 8"
+
+
+def test_closure_matches_the_reference_on_every_stable_frame():
+    # every rotation-stable H at g <= 2 in both cases, with seeded
+    # shifts: free and non-free actions, groups of other orders, and a
+    # rotation shift of order 17 that takes the group past the cap
+    rng = random.Random(1313)
+    tau, tau_prime = EllipticCurveParam(0, 1), EllipticCurveParam(0, 2)
+    family, _ = classify.subgroup_family(2)
+    stable = [key for key in family if classify._span_rotation_stable(key)]
+    assert len(stable) == 50
+
+    def shift(q):
+        return point(Fraction(rng.randrange(q), q), Fraction(rng.randrange(q), q))
+
+    outcomes = Counter()
+    for case in (CaseTag.CASE1, CaseTag.CASE2):
+        for key in stable:
+            gens = classify._subgroup_generator_points(key)
+            frame = quotient_frame(case, tau, tau_prime, gens)
+            for q in (2, 4, 8, 17):
+                params = D4Parameters(
+                    tau=tau,
+                    tau_prime=tau_prime,
+                    s_shift1=shift(min(q, 4)),
+                    s_shift2=shift(min(q, 4)),
+                    r_shift=shift(q),
+                    s_shift3=shift(min(q, 4)) if case is CaseTag.CASE2 else None,
+                    subgroup_gens=gens,
+                )
+                action = frame.action(params)
+                rs = {"r": action.r, "s": action.s}
+                outcome = _same_closure(rs)
+                if outcome == "order 8" and not is_free_action(generate_group(rs)).free:
+                    outcome += ", not free"
+                outcomes[outcome] += 1
+    assert outcomes["generated more than 64 elements"] > 0
+    assert outcomes["order 8, not free"] > 0
+    assert outcomes["order 16"] > 0
 
 
 def _laplace_det(rows):

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from hyptor import classify
+from hyptor import affine_actions, classify
 from hyptor.cli import WORKERS_ENV, main
 
 TAU = "0/1+1/1i"
@@ -354,6 +354,31 @@ def test_classify_case2_refuted(capsys):
     doc = json.loads(out)
     assert doc["survivor_count"] == 0
     assert doc["case"] == "case2"
+
+
+def test_classify_does_not_depend_on_tau(capsys):
+    # the engines read no tau, and the re-verification shares its
+    # linear closures across tori: the second census finds every
+    # closure in the memo, yet rebuilds each survivor on its own torus
+    # and decides every element's verdict under that torus's J
+    other = ["--tau", "1/2+1/1i", "--tau-prime", "1/3+1/5i"]
+    census = ["classify", "--case", "1", "--max-denominator", "4"]
+    code, out, _ = run(capsys, census)
+    assert code == 0
+    default = json.loads(out)
+    misses = affine_actions._linear_closure.cache_info().misses
+    code, out, _ = run(capsys, census + other)
+    assert code == 0
+    moved = json.loads(out)
+    assert affine_actions._linear_closure.cache_info().misses == misses
+    assert (moved["space"]["tau"], moved["space"]["tau_prime"]) == ("1/2+1/1i", "1/3+1/5i")
+    assert default["survivor_count"] == moved["survivor_count"] == 72
+    assert moved["survivors"] == default["survivors"]
+    assert moved["failure_counts"] == default["failure_counts"]
+    assert default["survivors_reverified"] is moved["survivors_reverified"] is True
+    code, out, _ = run(capsys, ["classify", "--case", "2", "--max-denominator", "8"] + other)
+    assert code == 0
+    assert json.loads(out)["survivor_count"] == 0
 
 
 def test_classify_accepts_case_aliases(capsys):

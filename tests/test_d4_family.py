@@ -7,12 +7,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from conftest import reference_generate_group
 from linear_oracles import lattice_membership, rational_rank
 
-from hyptor import affine_actions, classify, exact_linear
+from hyptor import classify, exact_linear, torus
 from hyptor.affine_actions import (
     GroupGenerationError,
-    compose,
     contains_no_translations,
     generate_group,
     is_free_action,
@@ -243,20 +243,20 @@ def test_check_action_runs_every_stage():
     assert "more than 64 elements" in report.failure
 
 
-def test_check_action_composes_only_in_the_closure(monkeypatch):
-    # 8 elements times 2 generators; the relation words are read from
-    # the closure's product table, not composed again
-    action = build_normal_form(TAU_I, TAU_2I)
-    calls = []
-
-    def counting(f, g):
-        calls.append(1)
-        return compose(f, g)
-
-    monkeypatch.setattr(affine_actions, "compose", counting)
-    report = check_action(action)
+def test_check_action_composes_only_in_the_closure(matmul_calls):
+    # the relation words are read from the closure's product table, and
+    # a second action on the same frame shares the first one's linear
+    # parts: its whole check multiplies no matrix
+    params = normal_form_parameters(TAU_I, TAU_2I)
+    frame = quotient_frame(CaseTag.CASE1, TAU_I, TAU_2I, params.subgroup_gens)
+    first = frame.action(params)
+    second = frame.action(replace(params, r_shift=point(0, "3/4")))
+    assert check_action(first).ok
+    matmul_calls.clear()
+    report = check_action(second)
+    assert matmul_calls == []
     assert report.ok
-    assert len(calls) == 16
+    assert report.group == reference_generate_group({"r": second.r, "s": second.s})
 
 
 def test_case_shift3_validation():
@@ -551,6 +551,26 @@ def test_lattice_audit_solves_no_memberships(monkeypatch):
     # product-to-quotient change, and the block-sum basis once
     assert len(inverses) == 3
     assert len({m.entries for m in inverses}) == 2
+
+
+def test_verify_certificate_smith_forms(monkeypatch):
+    # with the solver's memo cleared: 7 fixed-point solves, 3 block
+    # kernels (one Sublattice each), their 3 independence checks, the
+    # 3 inverses and the inclusion bound
+    action = build_normal_form(TAU_I, TAU_2I)
+    doc = build_certificate(action)
+    exact_linear._cleared_smith_form.cache_clear()
+    calls = []
+    original = exact_linear.snf
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for module in (exact_linear, torus, d4_family):
+        monkeypatch.setattr(module, "snf", counting)
+    assert verify_certificate(doc).ok
+    assert len(calls) == 17
 
 
 def _reference_block_sublattices(t_quot):
