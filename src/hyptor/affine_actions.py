@@ -86,9 +86,6 @@ class AffineAut:
             raise DimensionError("translation part must have length 2g")
         _linear_part_verdict(self.a, self.torus.j)
 
-    def key(self) -> tuple:
-        return (self.a.entries, self.t.coords)
-
     def apply(self, p: TorsionPoint) -> TorsionPoint:
         return TorsionPoint(self.a.apply(p.coords)).add(self.t)
 

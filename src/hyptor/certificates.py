@@ -9,7 +9,10 @@ stated obstruction row u against the rebuilt data (u integral,
 u @ (A - I) = 0 and u . t not integral certify emptiness of the fixed
 locus).  Stored witnesses must also coincide with the recomputed
 canonical ones, so even a swap for a different valid obstruction row
-is reported.  Any single mutated field therefore fails verification.
+is reported.  Any single mutated field therefore fails verification,
+with one exception: a subgroup generator repeated, or a zero one added,
+generates the same H, so every recomputed field is unchanged and the
+certificate still verifies.
 
 Serialized rationals are canonical "p/q" in ASCII digits, with positive
 denominator, coprime entries, no leading zeros and no "-0"; a string

@@ -36,11 +36,8 @@ from .torus import (
     EllipticCurveParam,
     FiniteSubgroup,
     TorsionPoint,
-    component_group,
-    connected_kernel,
     coordinate_change,
     elliptic_curve,
-    image_subtorus,
     product,
     quotient_by_finite_subgroup,
 )
@@ -507,25 +504,30 @@ def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
     return _inclusion_report(action, *_block_sum(action.torus))
 
 
+def _block_spans(lams) -> list[range]:
+    """The rows of each block in block coordinates."""
+    spans, start = [], 0
+    for lam in lams:
+        spans.append(range(start, start + lam.rank))
+        start += lam.rank
+    return spans
+
+
+def _in_block(block_inv: Matrix, spans, m: Matrix, b: int) -> bool:
+    """Whether every column of m lies in Lambda_b: its block coordinates
+    are integers and vanish off block b."""
+    coords = block_inv @ m
+    return coords.is_integral() and not any(any(coords.row(i)) for i in range(coords.rows) if i not in spans[b])
+
+
 def _inclusion_report(action: D4Action, lams, block_basis: Matrix, block_inv: Matrix) -> LatticeInclusionReport:
     ident = Matrix.identity(action.torus.rank)
     s_cur = action.s.a
     r2_cur = action.r.a @ action.r.a
     w = ident - s_cur
     targets = (ident + s_cur, (ident - r2_cur) @ w, (ident + r2_cur) @ w)
-
-    spans = []
-    for lam in lams:
-        start = spans[-1].stop if spans else 0
-        spans.append(range(start, start + lam.rank))
-
-    def in_block(m: Matrix, b: int) -> bool:
-        coords = block_inv @ m
-        return coords.is_integral() and not any(
-            any(coords.row(i)) for i in range(coords.rows) if i not in spans[b]
-        )
-
-    splitting_ok = all(in_block(m, b) for b, m in enumerate(targets))
+    spans = _block_spans(lams)
+    splitting_ok = all(_in_block(block_inv, spans, m, b) for b, m in enumerate(targets))
     denoms = [max((e.denominator for i in span for e in block_inv.row(i)), default=1) for span in spans]
     dec = snf(block_basis)
     divisors = tuple(d for d in dec.elementary_divisors if d > 1)
@@ -552,6 +554,11 @@ class StructureReport:
     component_divisors / omega_matches: the component group of the
     block sum, and whether it is generated by the image of the expected
     2-torsion point.
+
+    kernel_image_agree and rotated_block_agree hold on every action that
+    can be built: S is an integral involution, and quotient_frame
+    rejects any H that is not r-stable.  They can fail only on actions
+    put together by hand, such as one with r and s swapped.
     """
 
     kernel_image_agree: bool
@@ -562,37 +569,39 @@ class StructureReport:
 
 
 def structure_report(action: D4Action) -> StructureReport:
+    """The structural facts, read in block coordinates.
+
+    The fixed locus of S and the image of I + S are saturated lattices,
+    so they agree exactly when their rational spans do, which is when
+    S * S = I: an involution has eigenvalues +-1 only and is
+    diagonalizable, so the image of I + S is the kernel of S - I, and
+    equal spans give (S - I)(I + S) = 0.  R is unimodular and Lambda_1,
+    Lambda_2 are the lattice points of two subspaces of equal dimension,
+    so R carries Lambda_1 onto Lambda_2 as soon as R Lambda_1 lies in
+    Lambda_2.  The component group is the quotient of the lattice by
+    the block sum, so its divisors are the inclusion report's; its
+    elements are the block coordinates of lattice vectors mod 1, so
+    omega's class generates it when the group is Z/2, omega's lift to
+    quotient coordinates is a lattice vector, and the lift's block
+    coordinates are not all integers.
+    """
     t = action.torus
-    n = t.rank
-    s_cur = action.s.a
-    ident = Matrix.identity(n)
-
-    ker = connected_kernel(t, s_cur - ident)
-    img = image_subtorus(t, s_cur + ident)
-    kernel_image_agree = ker.canonical().basis.entries == img.canonical().basis.entries
-
-    basis_inv = t.basis_change.inverse()
     lams, block_basis, block_inv = _block_sum(t)
-    rotated = Sublattice(n, action.r.a @ lams[0].basis).canonical()
-    rotated_block_agree = rotated.basis.entries == lams[1].canonical().basis.entries
+    inclusion = _inclusion_report(action, lams, block_basis, block_inv)
+    rotated_block_agree = _in_block(block_inv, _block_spans(lams), action.r.a @ lams[0].basis, 1)
 
-    cg, divisors = component_group(t, Sublattice(n, block_basis))
-
-    # omega upstairs is an element of H, hence a lattice vector of the
-    # quotient; its class generates Lambda / (block sum) iff it is a
-    # nonzero element of the component group.  Work with the raw lift,
-    # not a torsion point: reduction mod 1 would kill it too early.
+    # omega's raw lift to quotient coordinates, not a torsion point:
+    # reduction mod 1 would kill it too early
     omega_matches = False
-    if divisors == (2,):
+    if inclusion.quotient_divisors == (2,):
         omega_prod = case1_subgroup_generator(action.params.s_shift1, action.params.s_shift2)
-        omega_lift = (basis_inv @ action.product_torus.basis_change).apply(omega_prod.coords)
-        omega_block = TorsionPoint(tuple(block_inv.apply(omega_lift)))
-        omega_matches = omega_block in cg.elements and not omega_block.is_zero()
+        omega_lift = coordinate_change(action.product_torus, t) @ Matrix.from_columns([omega_prod.coords])
+        omega_matches = omega_lift.is_integral() and not (block_inv @ omega_lift).is_integral()
 
     return StructureReport(
-        kernel_image_agree=kernel_image_agree,
+        kernel_image_agree=(action.s.a @ action.s.a).is_identity(),
         rotated_block_agree=rotated_block_agree,
-        component_divisors=divisors,
+        component_divisors=inclusion.quotient_divisors,
         omega_matches=omega_matches,
-        inclusion=_inclusion_report(action, lams, block_basis, block_inv),
+        inclusion=inclusion,
     )

@@ -28,8 +28,9 @@ Provided here:
   delta.  The Smith form of each denominator-cleared A comes from a
   small bounded memo private to this function; ``snf`` itself keeps
   no memo.
-* ``Sublattice``, whose independence check reads the Smith rank, plus
-  ``kernel_sublattice`` and ``image_saturation``.
+* ``Sublattice``, whose independence check reads the Smith rank, and
+  ``kernel_sublattice``, the saturated integer kernel of a matrix in
+  column Hermite form.
 """
 
 from __future__ import annotations
@@ -471,14 +472,6 @@ def snf(m: Matrix) -> SmithDecomposition:
     return SmithDecomposition(d, uu, vv)
 
 
-def unimodular_inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    inv = m.inverse()
-    if not inv.is_integral():
-        raise NotUnimodularError("matrix inverse is not integral")
-    return inv
-
-
 @dataclass(frozen=True)
 class AffineSolveResult:
     """Outcome of ``solve_affine_mod_lattice``.
@@ -553,11 +546,8 @@ def solve_affine_mod_lattice(a: Matrix, b: Sequence) -> AffineSolveResult:
 
 @dataclass(frozen=True)
 class Sublattice:
-    """A sublattice of Z^n given by independent integer basis columns.
-
-    The basis is stored exactly as provided; canonical() rewrites it in
-    column Hermite form so that equal lattices compare equal.
-    """
+    """A sublattice of Z^n given by independent integer basis columns,
+    stored exactly as provided."""
 
     ambient_rank: int
     basis: Matrix
@@ -574,13 +564,6 @@ class Sublattice:
     def rank(self) -> int:
         return self.basis.cols
 
-    def canonical(self) -> "Sublattice":
-        if self.rank == 0:
-            return self
-        h, _ = column_hnf(self.basis)
-        nz = [j for j in range(h.cols) if any(h.at(i, j) != 0 for i in range(h.rows))]
-        return Sublattice(self.ambient_rank, h.submatrix_columns(nz))
-
 
 def kernel_sublattice(a: Matrix) -> Sublattice:
     """Saturated lattice of integer kernel vectors of a.
@@ -588,21 +571,10 @@ def kernel_sublattice(a: Matrix) -> Sublattice:
     The columns of V at the zero diagonal positions of the Smith form
     span ker over Q and are part of a unimodular matrix, hence the
     lattice they generate is already saturated.  They are returned in
-    column Hermite form, as ``Sublattice.canonical`` would give them,
-    and only that one Sublattice is built.
+    column Hermite form, a canonical basis of the lattice, and only
+    that one Sublattice is built.
     """
     dec = snf(a)
     cols = dec.v.submatrix_columns(range(dec.rank, a.cols))
     # the Hermite form of independent columns has no zero column
     return Sublattice(a.cols, column_hnf(cols)[0] if cols.cols else cols)
-
-
-def image_saturation(a: Matrix) -> Sublattice:
-    """Saturation of the column span of a inside Z^rows."""
-    dec = snf(a)
-    r = dec.rank
-    if r == 0:
-        return Sublattice(a.rows, Matrix(a.rows, 0, ()))
-    uinv = unimodular_inverse(dec.u)
-    cols = uinv.submatrix_columns(list(range(r)))
-    return Sublattice(a.rows, cols).canonical()

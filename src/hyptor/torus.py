@@ -17,15 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .exact_linear import (
-    DimensionError,
-    Matrix,
-    Sublattice,
-    column_hnf,
-    image_saturation,
-    kernel_sublattice,
-    snf,
-)
+from .exact_linear import DimensionError, Matrix, column_hnf
 
 
 class HolomorphyError(ValueError):
@@ -112,12 +104,6 @@ class TorsionPoint:
             raise DimensionError("point length mismatch")
         return TorsionPoint(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def neg(self) -> "TorsionPoint":
-        return TorsionPoint(tuple(-a for a in self.coords))
-
-    def sub(self, other: "TorsionPoint") -> "TorsionPoint":
-        return self.add(other.neg())
-
     def scale(self, n: int) -> "TorsionPoint":
         return TorsionPoint(tuple(n * a for a in self.coords))
 
@@ -168,13 +154,6 @@ class FiniteSubgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def exponent(self) -> int:
-        return lcm(*(e.order() for e in self.elements))
-
-    def contains(self, p: TorsionPoint) -> bool:
-        return p in self.elements
 
 
 def elliptic_curve(param: EllipticCurveParam) -> ComplexTorus:
@@ -254,53 +233,3 @@ def coordinate_change(t_from: ComplexTorus, t_to: ComplexTorus) -> Matrix:
     chain); the change is bc_to^{-1} @ bc_from.
     """
     return t_to.basis_change.inverse() @ t_from.basis_change
-
-
-def _check_commutes(t: ComplexTorus, a: Matrix) -> None:
-    if (a @ t.j).entries != (t.j @ a).entries:
-        raise HolomorphyError("matrix does not commute with the complex structure")
-
-
-def connected_kernel(t: ComplexTorus, a: Matrix) -> Sublattice:
-    """Lattice of the connected component of ker(a) on the torus.
-
-    This is the saturated lattice of rational kernel vectors of a; it
-    presents the subtorus (ker a)^0.
-    """
-    if a.rows != t.rank or a.cols != t.rank:
-        raise DimensionError("endomorphism must be 2g x 2g")
-    _check_commutes(t, a)
-    return kernel_sublattice(a)
-
-
-def image_subtorus(t: ComplexTorus, a: Matrix) -> Sublattice:
-    """Saturated lattice of the subtorus a(T)."""
-    if a.rows != t.rank or a.cols != t.rank:
-        raise DimensionError("endomorphism must be 2g x 2g")
-    _check_commutes(t, a)
-    return image_saturation(a)
-
-
-def component_group(t: ComplexTorus, lat: Sublattice) -> tuple[FiniteSubgroup, tuple[int, ...]]:
-    """Quotient of the lattice of t by a full sublattice, as torus points.
-
-    Returns the finite group Lambda / lat together with its elementary
-    divisors > 1.  The group elements are presented as torsion points in
-    the coordinates of the sublattice basis, i.e. as points of the torus
-    the sublattice presents.
-    """
-    n = t.rank
-    if lat.ambient_rank != n or lat.rank != n:
-        raise DimensionError("component group needs a full-rank sublattice")
-    m = lat.basis
-    dec = snf(m)
-    gens: list[TorsionPoint] = []
-    divisors: list[int] = []
-    for i in range(n):
-        d = dec.d.at(i, i)
-        if d > 1:
-            divisors.append(d)
-            col = dec.v.column(i)
-            gens.append(TorsionPoint(tuple(Fraction(x, d) for x in col)))
-    sub_torus = ComplexTorus(t.g, m.inverse() @ t.j @ m, t.basis_change @ m, t.blocks)
-    return FiniteSubgroup(sub_torus, tuple(gens)), tuple(sorted(divisors))

@@ -53,7 +53,7 @@ def reference_generate_group(gens, cap=64):
         if gaut.torus != torus:
             raise TorusMismatchError("generators live on different tori")
     ident = identity_aut(torus)
-    seen = {ident.key(): "e"}
+    seen = {(ident.a.entries, ident.t.coords): "e"}
     auts = {"e": ident}
     products = {}
     frontier = ["e"]
@@ -64,7 +64,7 @@ def reference_generate_group(gens, cap=64):
             row = products[word] = []
             for name in names:
                 new_aut = compose(auts[word], gens[name])
-                k = new_aut.key()
+                k = (new_aut.a.entries, new_aut.t.coords)
                 if k not in seen:
                     if len(seen) >= cap:
                         raise GroupGenerationError(f"generated more than {cap} elements")

@@ -1,15 +1,18 @@
-"""Rational Gauss-Jordan elimination, kept as a test oracle.
+"""Rational Gauss-Jordan elimination and lattice saturation, kept as
+test oracles.
 
 The library does all of its elimination in integers, through the Smith
-form.  These routines reduce over ``Fraction`` instead, pivot by pivot,
-and so give an independent route to the inverse, the rank, a solution
-of a linear system and lattice membership.
+form.  The Gauss-Jordan routines reduce over ``Fraction`` instead, pivot
+by pivot, and so give an independent route to the inverse, the rank, a
+solution of a linear system and lattice membership.  ``canonical`` and
+``image_saturation`` give lattices in column Hermite form, so that two
+lattices can be compared by their bases.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
-from hyptor.exact_linear import DimensionError, Matrix, SingularMatrixError, Sublattice
+from hyptor.exact_linear import DimensionError, Matrix, SingularMatrixError, Sublattice, column_hnf, snf
 
 
 def gauss_jordan(a: list[list], width: int) -> list[tuple[int, int]]:
@@ -83,3 +86,25 @@ def lattice_membership(v: Sequence, lat: Sublattice) -> tuple[bool, tuple[int, .
     if any(c.denominator != 1 for c in sol):
         return False, None
     return True, tuple(int(c) for c in sol)
+
+
+def canonical(lat: Sublattice) -> Sublattice:
+    """lat with its basis in column Hermite form, so that equal lattices
+    compare equal."""
+    if lat.rank == 0:
+        return lat
+    h, _ = column_hnf(lat.basis)
+    nz = [j for j in range(h.cols) if any(h.at(i, j) != 0 for i in range(h.rows))]
+    return Sublattice(lat.ambient_rank, h.submatrix_columns(nz))
+
+
+def image_saturation(a: Matrix) -> Sublattice:
+    """Saturation of the column span of a inside Z^rows, canonical: the
+    first rank columns of the inverse of the Smith form's U."""
+    dec = snf(a)
+    r = dec.rank
+    if r == 0:
+        return Sublattice(a.rows, Matrix(a.rows, 0, ()))
+    uinv = dec.u.inverse()
+    assert uinv.is_integral()
+    return canonical(Sublattice(a.rows, uinv.submatrix_columns(list(range(r)))))

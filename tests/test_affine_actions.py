@@ -206,8 +206,8 @@ def test_generate_group_cyclic4():
     assert [e.word for e in g.elements] == ["e", "r", "rr", "rrr"]
     # the composition table is a Latin square: each row and each column
     # is a permutation of the elements
-    index = {e.aut.key(): i for i, e in enumerate(g.elements)}
-    table = [[index[compose(a.aut, b.aut).key()] for b in g.elements] for a in g.elements]
+    index = {e.aut: i for i, e in enumerate(g.elements)}
+    table = [[index[compose(a.aut, b.aut)] for b in g.elements] for a in g.elements]
     for row in table:
         assert sorted(row) == list(range(4))
     for col in zip(*table):

@@ -1,16 +1,21 @@
 """Family construction tests: case matrices, normal form, freeness
-conditions, lattice inclusion bounds, structure report."""
+conditions, lattice inclusion bounds, structure report.
+
+The structure report is checked against reference_structure_report,
+which computes it through saturated subtori and the component group
+rather than in block coordinates."""
 
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import reference_generate_group
-from linear_oracles import lattice_membership, rational_rank
+from linear_oracles import canonical, image_saturation, lattice_membership, rational_rank
 
-from hyptor import classify, exact_linear, torus
+from hyptor import classify, exact_linear
 from hyptor.affine_actions import (
     GroupGenerationError,
     contains_no_translations,
@@ -24,6 +29,7 @@ from hyptor.d4_family import (
     D4Action,
     D4Parameters,
     FreenessConditionReport,
+    StructureReport,
     build_general,
     build_normal_form,
     case1_parameters,
@@ -39,8 +45,9 @@ from hyptor.d4_family import (
 )
 from hyptor.certificates import build_certificate, verify_certificate
 from hyptor.classify import SearchSpace, enumerate_case1, subgroup_family
-from hyptor.exact_linear import Matrix, image_saturation
+from hyptor.exact_linear import Matrix, Sublattice, kernel_sublattice, snf
 from hyptor.torus import (
+    ComplexTorus,
     EllipticCurveParam,
     FiniteSubgroup,
     TorsionPoint,
@@ -79,6 +86,25 @@ def test_case_matrices_orders_and_relations():
             complex_tr = sum(cm[i][i] for i in range(3))
             lattice_tr = sum(lm.at(i, i) for i in range(6))
             assert lattice_tr == 2 * complex_tr
+
+
+def test_exponent_two_lemma_on_the_case_matrices():
+    # an H stable under r and s with no nonzero element in a single
+    # factor has exponent 2: for every x with 2x != 0, one of x +- R^2 x
+    # and x +- S x is a nonzero element of a single factor (checked on
+    # (Z/8)^6, where every order from 1 to 8 occurs)
+    x = np.indices((8,) * 6).reshape(6, -1).T
+    wide = (2 * x % 8).any(axis=1)
+    assert wide.sum() == 262_080
+    for case in (CaseTag.CASE1, CaseTag.CASE2):
+        mats = case_matrices(case)
+        r = np.array(mats.rotation_lattice.to_rows(), dtype=np.int64)
+        s = np.array(mats.reflection_lattice.to_rows(), dtype=np.int64)
+        found = np.zeros(len(x), dtype=bool)
+        for m in (r @ r, -(r @ r), s, -s):
+            y = (x + x @ m.T) % 8
+            found |= y.reshape(-1, 3, 2).any(axis=2).sum(axis=1) == 1
+        assert found[wide].all(), case
 
 
 def test_normal_form_free_on_tau_grid(direct_relations):
@@ -416,10 +442,10 @@ def reference_freeness_conditions(params: D4Parameters) -> FreenessConditionRepo
     a2 = params.s_shift2
     c = params.r_shift
 
-    mem_r4 = h.contains(embed_block(c.scale(4), 2))
-    mem_s2 = h.contains(embed_block(a1.scale(2), 0))
+    mem_r4 = embed_block(c.scale(4), 2) in h.elements
+    mem_s2 = embed_block(a1.scale(2), 0) in h.elements
     omega = a1.add(a2)
-    mem_rs2 = h.contains(embed_block(omega, 0).add(embed_block(omega.neg(), 1)))
+    mem_rs2 = embed_block(omega, 0).add(embed_block(omega.scale(-1), 1)) in h.elements
 
     c2 = c.scale(2)
     embed = True
@@ -439,7 +465,7 @@ def reference_freeness_conditions(params: D4Parameters) -> FreenessConditionRepo
             excl_r2 = False
         if d1 == a1:
             excl_s = False
-        if d1.add(a2) == d2.sub(a1):
+        if d1.add(a2) == d2.add(a1.scale(-1)):
             excl_rs = False
     return FreenessConditionReport(embed, mem_r4, mem_s2, mem_rs2, excl_r, excl_r2, excl_s, excl_rs)
 
@@ -457,7 +483,7 @@ def test_freeness_conditions_match_torsion_point_reference():
         for _ in range(40):
             gens = rng.choice(subgroups)
             a1 = rng.choice(points)
-            a2 = rng.choice(points) if rng.random() < 0.5 else a1.neg().add(point("1/2", "1/2"))
+            a2 = rng.choice(points) if rng.random() < 0.5 else a1.scale(-1).add(point("1/2", "1/2"))
             params = D4Parameters(
                 tau=TAU_THIRD_2I,
                 tau_prime=TAU_2I,
@@ -525,11 +551,9 @@ def test_structure_report_finds_the_block_lattices_once(monkeypatch):
     inverses = _count_inverses(monkeypatch)
     rep = structure_report(action)
     assert len(calls) == 1
-    # the basis change once (for the omega lift), the block-sum basis
-    # here and inside torus.component_group, and the saturation of the
-    # image of I + S
-    assert len(inverses) == 4
-    assert len({m.entries for m in inverses}) == 3
+    # the basis change for the omega lift and the block-sum basis
+    assert len(inverses) == 2
+    assert len({m.entries for m in inverses}) == 2
     assert rep.inclusion == lattice_inclusion_check(action)
     assert len(calls) == 2
 
@@ -567,7 +591,7 @@ def test_verify_certificate_smith_forms(monkeypatch):
         calls.append(m)
         return original(m)
 
-    for module in (exact_linear, torus, d4_family):
+    for module in (exact_linear, d4_family):
         monkeypatch.setattr(module, "snf", counting)
     assert verify_certificate(doc).ok
     assert len(calls) == 17
@@ -632,21 +656,29 @@ def test_block_lattices_are_the_subspace_intersections():
         assert not isinstance(frame, BuildRejection)
         got = d4_family.block_sublattices(frame.torus)
         want = _reference_block_sublattices(frame.torus)
-        assert [lam.basis.entries for lam in got] == [lam.canonical().basis.entries for lam in want]
+        assert [lam.basis.entries for lam in got] == [canonical(lam).basis.entries for lam in want]
         compared += 1
     assert compared == 300
 
 
-def test_splitting_check_agrees_with_the_membership_loop():
+@pytest.fixture(scope="module")
+def survivor_actions():
+    """The 72 Case-1 census survivors built at (i, 2i), one frame per H."""
     report = enumerate_case1(SearchSpace(CaseTag.CASE1))
     assert len(report.survivors) == 72
-    outcomes = {True: 0, False: 0}
     frames = {}
+    actions = []
     for survivor in report.survivors:
         gens = survivor.h_generators
         if gens not in frames:
             frames[gens] = quotient_frame(CaseTag.CASE1, TAU_I, TAU_2I, gens)
-        action = frames[gens].action(survivor.parameters(TAU_I, TAU_2I))
+        actions.append(frames[gens].action(survivor.parameters(TAU_I, TAU_2I)))
+    return actions
+
+
+def test_splitting_check_agrees_with_the_membership_loop(survivor_actions):
+    outcomes = {True: 0, False: 0}
+    for action in survivor_actions:
         lams, _, _ = d4_family._block_sum(action.torus)
         for order in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
             blocks = tuple(lams[b] for b in order)
@@ -654,10 +686,100 @@ def test_splitting_check_agrees_with_the_membership_loop():
             block_inv = basis.inverse()
             rep = d4_family._inclusion_report(action, blocks, basis, block_inv)
             want = _reference_splitting(action, blocks)
-            assert rep.splitting_ok == want, (survivor, order)
+            assert rep.splitting_ok == want, (action.params, order)
             assert list(rep.block_denominators) == _reference_block_denominators(blocks, block_inv)
             outcomes[want] += 1
     assert outcomes[True] >= 20 and outcomes[False] >= 20, outcomes
+
+
+def _reference_component_group(t: ComplexTorus, m: Matrix):
+    """The lattice of t modulo the full sublattice spanned by m's
+    columns, as torsion points in m's coordinates, with its elementary
+    divisors > 1."""
+    dec = snf(m)
+    gens, divisors = [], []
+    for i in range(t.rank):
+        d = dec.d.at(i, i)
+        if d > 1:
+            divisors.append(d)
+            gens.append(TorsionPoint(tuple(Fraction(x, d) for x in dec.v.column(i))))
+    sub_torus = ComplexTorus(t.g, m.inverse() @ t.j @ m, t.basis_change @ m, t.blocks)
+    return FiniteSubgroup(sub_torus, tuple(gens)), tuple(sorted(divisors))
+
+
+def reference_structure_report(action: D4Action) -> StructureReport:
+    """The structure report through saturated subtori and the component
+    group, compared as canonical lattice bases."""
+    t = action.torus
+    n = t.rank
+    s_cur = action.s.a
+    ident = Matrix.identity(n)
+    for a in (s_cur - ident, s_cur + ident):
+        assert (a @ t.j).entries == (t.j @ a).entries
+    ker = kernel_sublattice(s_cur - ident)
+    img = image_saturation(s_cur + ident)
+    kernel_image_agree = canonical(ker).basis.entries == canonical(img).basis.entries
+
+    lams = _reference_block_sublattices(t)
+    block_basis = Matrix.from_columns([lam.basis.column(k) for lam in lams for k in range(lam.rank)])
+    block_inv = block_basis.inverse()
+    rotated = canonical(Sublattice(n, action.r.a @ lams[0].basis))
+    rotated_block_agree = rotated.basis.entries == canonical(lams[1]).basis.entries
+
+    cg, divisors = _reference_component_group(t, block_basis)
+    omega_matches = False
+    if divisors == (2,):
+        omega_prod = case1_subgroup_generator(action.params.s_shift1, action.params.s_shift2)
+        omega_lift = (t.basis_change.inverse() @ action.product_torus.basis_change).apply(omega_prod.coords)
+        omega_block = TorsionPoint(tuple(block_inv.apply(omega_lift)))
+        omega_matches = omega_block in cg.elements and not omega_block.is_zero()
+
+    return StructureReport(
+        kernel_image_agree=kernel_image_agree,
+        rotated_block_agree=rotated_block_agree,
+        component_divisors=divisors,
+        omega_matches=omega_matches,
+        inclusion=d4_family._inclusion_report(action, lams, block_basis, block_inv),
+    )
+
+
+def test_structure_report_matches_the_subtorus_reference(survivor_actions):
+    # the normal form over TAU_GRID, the 72 survivors, and the frame
+    # actions of every stable H at g <= 2 in both cases with seeded
+    # shifts; each again with r and s swapped, which is the only way
+    # kernel_image_agree and rotated_block_agree fail
+    rng = random.Random(1414)
+    actions = [build_normal_form(tau, tau_prime) for tau, tau_prime in TAU_GRID] + survivor_actions
+
+    def shift(q):
+        return point(Fraction(rng.randrange(q), q), Fraction(rng.randrange(q), q))
+
+    family, _ = subgroup_family(2)
+    stable = [key for key in family if classify._span_rotation_stable(key)]
+    assert len(stable) == 50
+    for case, key in itertools.product((CaseTag.CASE1, CaseTag.CASE2), stable):
+        gens = classify._subgroup_generator_points(key)
+        params = D4Parameters(
+            tau=TAU_HALF_I,
+            tau_prime=TAU_2I,
+            s_shift1=shift(2),
+            s_shift2=shift(2),
+            r_shift=shift(4),
+            s_shift3=shift(4) if case is CaseTag.CASE2 else None,
+            subgroup_gens=gens,
+        )
+        actions.append(quotient_frame(case, TAU_HALF_I, TAU_2I, gens).action(params))
+    actions += [replace(a, r=a.s, s=a.r) for a in actions]
+
+    seen = set()
+    for action in actions:
+        got = structure_report(action)
+        assert got == reference_structure_report(action), action.params
+        seen.update((field, value) for field, value in vars(got).items() if type(value) is bool)
+        seen.add(("component_divisors", got.component_divisors))
+    flags = ("kernel_image_agree", "rotated_block_agree", "omega_matches")
+    assert {(f, v) for f in flags for v in (True, False)} <= seen, seen
+    assert sum(field == "component_divisors" for field, _ in seen) > 1
 
 
 def test_case1_subgroup_is_the_shift_sum_on_two_factors():

@@ -14,23 +14,27 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from linear_oracles import gauss_jordan_inverse, lattice_membership, rational_rank, rational_solve
+from linear_oracles import (
+    canonical,
+    gauss_jordan_inverse,
+    image_saturation,
+    lattice_membership,
+    rational_rank,
+    rational_solve,
+)
 
 from hyptor import exact_linear
 from hyptor.exact_linear import (
     AffineSolveResult,
     DimensionError,
     Matrix,
-    NotUnimodularError,
     SingularMatrixError,
     Sublattice,
     column_hnf,
     hnf,
-    image_saturation,
     kernel_sublattice,
     snf,
     solve_affine_mod_lattice,
-    unimodular_inverse,
 )
 
 # ---------------------------------------------------------------------------
@@ -196,7 +200,7 @@ def test_integral_results_are_stored_as_int():
 
 def test_integer_only_routines_reject_fractions():
     half = Matrix.from_rows([[Fraction(1, 2), 0], [0, 1]])
-    for fn in (hnf, column_hnf, snf, kernel_sublattice, image_saturation):
+    for fn in (hnf, column_hnf, snf, kernel_sublattice):
         with pytest.raises(ValueError):
             fn(half)
     with pytest.raises(ValueError):
@@ -494,19 +498,8 @@ def test_rational_solve_matches_numpy():
 
 
 # ---------------------------------------------------------------------------
-# unimodular inverse, sublattices
+# sublattices
 # ---------------------------------------------------------------------------
-
-
-def test_unimodular_inverse_roundtrip():
-    rng = random.Random(41)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        g = rand_unimodular(rng, n)
-        ginv = unimodular_inverse(g)
-        assert (g @ ginv).entries == Matrix.identity(n).entries
-    with pytest.raises(NotUnimodularError):
-        unimodular_inverse(Matrix.from_rows([[2, 0], [0, 1]]))
 
 
 def test_sublattice_rejects_dependent_columns():
@@ -577,6 +570,6 @@ def test_sublattice_canonical_equality():
         if rational_rank(basis) != r:
             continue
         g = rand_unimodular(rng, r)
-        lat1 = Sublattice(n, basis).canonical()
-        lat2 = Sublattice(n, basis @ g).canonical()
+        lat1 = canonical(Sublattice(n, basis))
+        lat2 = canonical(Sublattice(n, basis @ g))
         assert lat1.basis.entries == lat2.basis.entries
