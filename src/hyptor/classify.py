@@ -28,8 +28,10 @@ are computed once per census; each subgroup only solves the parity
 conditions over F2.  The sweeps prune with the engine route and
 re-verify every survivor object-level, each from its own shifts on
 the quotient frame of its subgroup, with the closed-form conditions
-as an independent check in Case 1; cross_validate runs both routes on
-every grid tuple and reports disagreements.
+as an independent check in Case 1.  cross_validate runs both routes on
+every grid tuple and reports disagreements: the closed-form conditions
+tuple by tuple, and on the engine side the same truth tables the sweep
+reads, taken over the grid as a finite group.
 
 The lattice:r stage is decided on bitmasks, before any engine is
 built: a subgroup passes it exactly when its span is closed under the
@@ -116,12 +118,17 @@ _REASONS = {CaseTag.CASE1: CASE1_REASONS, CaseTag.CASE2: CASE2_REASONS}
 
 _BLOCK_MASKS = (0b000011, 0b001100, 0b110000)
 
+# The parameter columns of each case, as slots of a flat form: a1, a2
+# and c3 in Case 1, whose a3 is zero, and a1, a2, a3, c3 in Case 2.
+_COLUMNS = {CaseTag.CASE1: (0, 1, 2, 3, 6, 7), CaseTag.CASE2: tuple(range(8))}
+
 # Largest accepted denominator bound.  A census solves its relations
 # rather than scanning the grid, so its cost hardly depends on the
 # bound: at 128 a fresh `classify --workers 1` process takes about
 # 0.5 s (Case 1) or 0.4 s (Case 2) wall and 19 MB on a 2-core Xeon
 # guest (Python 3.11), start-up included.  cross_validate visits every
-# grid tuple.
+# grid tuple, and reads its engine side off the census's truth tables
+# over a subgroup's whole grid, so its memory grows with the grid too.
 MAX_DENOMINATOR = 128
 
 
@@ -145,6 +152,10 @@ class SearchSpace:
     tau_prime: EllipticCurveParam = EllipticCurveParam(Fraction(0), Fraction(2))
 
     def __post_init__(self) -> None:
+        for name in ("shift_denominator", "third_denominator", "h_generators_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, not {value!r}")
         if self.shift_denominator < 1 or self.third_denominator < 1:
             raise ValueError("denominator bounds must be positive")
         if max(self.shift_denominator, self.third_denominator) > MAX_DENOMINATOR:
@@ -156,21 +167,13 @@ class SearchSpace:
     def scale(self) -> int:
         return lcm(2, self.shift_denominator, self.third_denominator)
 
-    def shift_grid(self) -> list[tuple[int, int]]:
-        """Scaled coordinates of the a-grid, lexicographic order."""
-        step = self.scale // self.shift_denominator
-        q = self.shift_denominator
-        return [(i * step, j * step) for i in range(q) for j in range(q)]
-
-    def third_grid(self) -> list[tuple[int, int]]:
-        step = self.scale // self.third_denominator
-        q = self.third_denominator
-        return [(i * step, j * step) for i in range(q) for j in range(q)]
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        """The torsion bound of each of the case's parameter columns."""
+        return tuple(self.shift_denominator if c < 4 else self.third_denominator for c in _COLUMNS[self.case])
 
     def grid_size(self) -> int:
-        na = self.shift_denominator ** 2
-        nt = self.third_denominator ** 2
-        return na * na * nt * (nt if self.case is CaseTag.CASE2 else 1)
+        return prod(self.moduli)
 
 
 def _span(masks: tuple[int, ...]) -> frozenset[int]:
@@ -567,37 +570,9 @@ def _build_h_engine(forms: _CaseForms, span_key: tuple[int, ...]) -> _HEngine:
     )
 
 
-def _form_value(f: tuple[int, ...], a1, a2, a3, c3) -> int:
-    """The form on the scaled tuple; it is integral when this is 0 mod D."""
-    return (
-        f[0] * a1[0]
-        + f[1] * a1[1]
-        + f[2] * a2[0]
-        + f[3] * a2[1]
-        + f[4] * a3[0]
-        + f[5] * a3[1]
-        + f[6] * c3[0]
-        + f[7] * c3[1]
-    )
-
-
-_ZERO2 = (0, 0)
-
-
-def _forms_hold(forms, a1, a2, a3, c3, scale) -> bool:
-    """Every form is integral on the tuple: for relation forms, the
-    relation holds; for a word's obstruction forms, it has a fixed
-    point."""
-    return all(_form_value(f, a1, a2, a3, c3) % scale == 0 for f in forms)
-
-
 # ---------------------------------------------------------------------------
 # The sweep: the relations solved by Smith forms.
 # ---------------------------------------------------------------------------
-
-# The parameter columns of each case, as slots of a flat form: a1, a2
-# and c3 in Case 1, whose a3 is zero, and a1, a2, a3, c3 in Case 2.
-_COLUMNS = {CaseTag.CASE1: (0, 1, 2, 3, 6, 7), CaseTag.CASE2: tuple(range(8))}
 
 
 def _restrict(forms, cols) -> list[tuple[int, ...]]:
@@ -631,9 +606,10 @@ def _relation_solutions(rows, n: int):
 
 
 def _values(row, solutions) -> list[int]:
-    """The row at every point of R_H, in units of 1/L; the point
-    sum k_i g_i has index sum k_i d_0 ... d_(i-1).  The row is a
-    homomorphism on R_H, so its values follow from the generators'."""
+    """The row at every point of a finite group (L, [(d_i, g_i), ...])
+    such as R_H or the grid, in units of 1/L; the point sum k_i g_i has
+    index sum k_i d_0 ... d_(i-1).  The row is a homomorphism on the
+    group, so its values follow from the generators'."""
     big, gens = solutions
     values = [0]
     for d, g in gens:
@@ -643,7 +619,7 @@ def _values(row, solutions) -> list[int]:
 
 
 def _holds(rows, solutions) -> list[bool]:
-    """Whether every row is integral, at each point of R_H."""
+    """Whether every row is integral, at each point of the group."""
     values = [_values(row, solutions) for row in rows]
     return [not any(v) for v in zip(*values)] if values else [True] * prod(d for d, _ in solutions[1])
 
@@ -658,7 +634,7 @@ def _sweep_h(engine: _HEngine, space: SearchSpace):
     fixed-point stages.
     """
     cols = _COLUMNS[space.case]
-    moduli = tuple(space.shift_denominator if c < 4 else space.third_denominator for c in cols)
+    moduli = space.moduli
     unit = [tuple(int(i == j) for i in range(len(cols))) for j in range(len(cols))]
     rel = engine.relation_forms
     solutions = _relation_solutions(_restrict(rel["r4"] + rel["s2"] + rel["rsrs"], cols), len(cols))
@@ -837,16 +813,30 @@ class AgreementReport:
         return self.disagreements == 0 and self.object_disagreements == 0
 
 
+def _grid_group(space: SearchSpace):
+    """The grid as a finite group of exponent space.scale, in
+    _relation_solutions' form: one cyclic generator of order q_j per
+    parameter column.  The first generator steps fastest (see _values),
+    so the columns enter second coordinate first, in the order a2, a3,
+    a1, c3, and the points run in grid order, as the sweep lists its
+    survivors."""
+    cols, scale = _COLUMNS[space.case], space.scale
+    moduli = dict(zip(cols, space.moduli))
+    order = (3, 2, 5, 4, 1, 0, 7, 6)
+    return scale, [(moduli[c], [scale // moduli[c] * (j == c) for j in cols]) for c in order if c in moduli]
+
+
 def _cross_validate_h(task):
     """Worker entry point: both routes on every tuple of one subgroup's
-    slice, for a task (space, span_key, base_index, sample_step).
+    slice, for a task (space, forms, span_key, base_index, sample_step).
 
     Returns (tuples, disagreements, examples, object_samples,
     object_disagreements).  The closed-form route evaluates the
-    membership and exclusion conditions on H's elements; the engine
-    route evaluates the Smith-form obstruction rows.  A deterministic
-    thin sample, spread over the whole family by absolute tuple index,
-    is additionally rebuilt object-level.
+    membership and exclusion conditions on H's elements, tuple by tuple;
+    the engine route reads the census's truth tables of the relation and
+    obstruction forms over the grid.  A deterministic thin sample,
+    spread over the whole family by absolute tuple index, is
+    additionally rebuilt object-level.
     """
     space, forms, span_key, base_index, sample_step = task
     scale = space.scale
@@ -854,65 +844,53 @@ def _cross_validate_h(task):
     frame = quotient_frame(space.case, space.tau, space.tau_prime, _subgroup_generator_points(span_key))
     # H's elements from their bitmasks, in coordinates times scale
     elements = tuple(tuple(scale // 2 if (m >> i) & 1 else 0 for i in range(6)) for m in span_key)
-    a_grid = space.shift_grid()
-    c_grid = space.third_grid()
-    fw = engine.word_forms
-    zero = _ZERO2
-
-    rel = engine.relation_forms
-    grid_total = len(a_grid) ** 2 * len(c_grid)
+    cols = _COLUMNS[space.case]
+    grid = _grid_group(space)
+    rel = {name: _holds(_restrict(f, cols), grid) for name, f in engine.relation_forms.items()}
+    fixed = {w: _holds(_restrict(f, cols), grid) for w, f in engine.word_forms.items()}
+    # the scaled coordinates of every grid point
+    coords = [_values(tuple(int(i == j) for i in range(len(cols))), grid) for j in range(len(cols))]
 
     disagreements = 0
     examples: list[str] = []
     object_samples = 0
     object_bad = 0
-    idx = base_index
-    for c3 in c_grid:
-        eng_r4 = _forms_hold(rel["r4"], zero, zero, zero, c3, scale)
-        eng_r_fixed = _forms_hold(fw["r"], zero, zero, zero, c3, scale)
-        eng_r3_fixed = _forms_hold(fw["rrr"], zero, zero, zero, c3, scale)
-        eng_r2_fixed = _forms_hold(fw["rr"], zero, zero, zero, c3, scale)
-        for a1 in a_grid:
-            eng_s2 = _forms_hold(rel["s2"], a1, zero, zero, zero, scale)
-            for a2 in a_grid:
-                flags = scaled_freeness_conditions(elements, a1, a2, c3, scale)
-                eng_rs2 = _forms_hold(rel["rsrs"], a1, a2, zero, zero, scale)
-                eng_s_fixed = _forms_hold(fw["s"], a1, a2, zero, c3, scale)
-                eng_rs_fixed = _forms_hold(fw["rs"], a1, a2, zero, c3, scale)
-                pairs = (
-                    ("rel_r4_member", flags.rel_r4_member, eng_r4),
-                    ("rel_s2_member", flags.rel_s2_member, eng_s2),
-                    ("rel_rs2_member", flags.rel_rs2_member, eng_rs2),
-                    ("excl_r_free", flags.excl_r_free, not eng_r_fixed),
-                    ("excl_r_free/r3", flags.excl_r_free, not eng_r3_fixed),
-                    ("excl_r2_free", flags.excl_r2_free, not eng_r2_fixed),
-                    ("excl_s_free", flags.excl_s_free, not eng_s_fixed),
-                    ("excl_rs_free", flags.excl_rs_free, not eng_rs_fixed),
-                )
-                bad = [name for name, closed, eng in pairs if closed != eng]
-                if flags.equivalence_flags_pass:
-                    # The remaining two reflections must then be free too.
-                    if _forms_hold(fw["rrs"], a1, a2, zero, c3, scale):
-                        bad.append("r2s_free_implied")
-                    if _forms_hold(fw["sr"], a1, a2, zero, c3, scale):
-                        bad.append("r3s_free_implied")
-                if bad:
-                    disagreements += 1
-                    if len(examples) < 10:
-                        examples.append(
-                            f"H={span_key} a1={a1} a2={a2} c3={c3}: {', '.join(bad)}"
-                        )
-                if idx % sample_step == 0:
-                    object_samples += 1
-                    if not _object_sample_agrees(frame, a1, a2, c3, scale, flags, engine):
-                        object_bad += 1
-                idx += 1
-    return grid_total, disagreements, tuple(examples), object_samples, object_bad
+    for p, x in enumerate(zip(*coords)):
+        a1, a2, c3 = x[0:2], x[2:4], x[4:6]
+        flags = scaled_freeness_conditions(elements, a1, a2, c3, scale)
+        pairs = (
+            ("rel_r4_member", flags.rel_r4_member, rel["r4"][p]),
+            ("rel_s2_member", flags.rel_s2_member, rel["s2"][p]),
+            ("rel_rs2_member", flags.rel_rs2_member, rel["rsrs"][p]),
+            ("excl_r_free", flags.excl_r_free, not fixed["r"][p]),
+            ("excl_r_free/r3", flags.excl_r_free, not fixed["rrr"][p]),
+            ("excl_r2_free", flags.excl_r2_free, not fixed["rr"][p]),
+            ("excl_s_free", flags.excl_s_free, not fixed["s"][p]),
+            ("excl_rs_free", flags.excl_rs_free, not fixed["rs"][p]),
+        )
+        bad = [name for name, closed, eng in pairs if closed != eng]
+        if flags.equivalence_flags_pass:
+            # The remaining two reflections must then be free too.
+            if fixed["rrs"][p]:
+                bad.append("r2s_free_implied")
+            if fixed["sr"][p]:
+                bad.append("r3s_free_implied")
+        if bad:
+            disagreements += 1
+            if len(examples) < 10:
+                examples.append(f"H={span_key} a1={a1} a2={a2} c3={c3}: {', '.join(bad)}")
+        if (base_index + p) % sample_step == 0:
+            object_samples += 1
+            eng_ok = all(v[p] for v in rel.values()) and not any(v[p] for v in fixed.values())
+            if not _object_sample_agrees(frame, a1, a2, c3, scale, flags, eng_ok):
+                object_bad += 1
+    return len(coords[0]), disagreements, tuple(examples), object_samples, object_bad
 
 
-def _object_sample_agrees(frame: QuotientFrame | BuildRejection, a1, a2, c3, scale, flags, engine) -> bool:
-    """Full-arithmetic rebuild of one tuple agrees with both routes; a
-    subgroup whose frame is rejected disagrees with the engine."""
+def _object_sample_agrees(frame: QuotientFrame | BuildRejection, a1, a2, c3, scale, flags, eng_ok: bool) -> bool:
+    """Full-arithmetic rebuild of one tuple agrees with both routes, the
+    engine's verdict eng_ok included; a subgroup whose frame is rejected
+    disagrees with the engine."""
     if isinstance(frame, BuildRejection):
         return False
     params = D4Parameters(
@@ -927,17 +905,7 @@ def _object_sample_agrees(frame: QuotientFrame | BuildRejection, a1, a2, c3, sca
     obj_ok = check_action(built).ok
     if check_freeness_conditions(built) != flags or not flags.factors_embed:
         return False
-    fast_ok = flags.equivalence_flags_pass
-    a3 = _ZERO2
-    eng_ok = (
-        _forms_hold(engine.relation_forms["r4"], _ZERO2, _ZERO2, a3, c3, scale)
-        and _forms_hold(engine.relation_forms["s2"], a1, _ZERO2, a3, _ZERO2, scale)
-        and _forms_hold(engine.relation_forms["rsrs"], a1, a2, a3, _ZERO2, scale)
-        and all(
-            not _forms_hold(engine.word_forms[w], a1, a2, a3, c3, scale) for w in GROUP_WORDS
-        )
-    )
-    return obj_ok == fast_ok and obj_ok == eng_ok
+    return obj_ok == flags.equivalence_flags_pass and obj_ok == eng_ok
 
 
 def cross_validate(

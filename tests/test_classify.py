@@ -5,6 +5,7 @@ directly, before any sweep runs, so the sweep's output is compared
 against an independently derived target.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from hyptor import classify, d4_family
+from hyptor.affine_actions import check_relations, evaluate_word, generate_group, has_fixed_point
 from hyptor.classify import (
     CaseTag,
     SearchSpace,
@@ -263,6 +265,18 @@ def test_invalid_space_arguments():
         enumerate_case2(SPACE_224_G1)
 
 
+def test_search_space_refuses_non_int_bounds():
+    # 1.5 generators would run the g <= 1 census and report 1.5
+    for name in ("shift_denominator", "third_denominator", "h_generators_max"):
+        for bad in (1.5, 2.0, True, False, Fraction(2), "2"):
+            with pytest.raises(TypeError, match=name):
+                SearchSpace(case=CaseTag.CASE1, **{name: bad})
+    # a1, a2 (and a3 in Case 2), then c3: one torsion bound per column
+    assert SearchSpace(CaseTag.CASE1, 2, 8).moduli == (2, 2, 2, 2, 8, 8)
+    assert SearchSpace(CaseTag.CASE2, 2, 8).moduli == (2, 2, 2, 2, 8, 8, 8, 8)
+    assert SearchSpace(CaseTag.CASE2, 2, 8).grid_size() == 2**4 * 8**4
+
+
 def test_worker_count_is_bounded(monkeypatch):
     # never start processes here: the bound is what keeps a huge
     # request from asking the system for that many
@@ -350,23 +364,36 @@ def test_rotation_stable_mask_decides_lattice_stage_three_generators():
     _assert_mask_decides_lattice_stage(3)
 
 
+def _forms_hold(forms, a1, a2, a3, c3, scale):
+    """Every form is integral on one scaled tuple: for relation forms,
+    the relation holds; for a word's obstruction forms, it has a fixed
+    point.  The per-tuple evaluator the census's truth tables replace."""
+    point = (*a1, *a2, *a3, *c3)
+    return all(sum(map(operator.mul, f, point)) % scale == 0 for f in forms)
+
+
+def _scaled_grid(q, scale):
+    """Scaled coordinates of the q-torsion of one curve, lexicographic."""
+    step = scale // q
+    return [(i * step, j * step) for i in range(q) for j in range(q)]
+
+
 def _reference_sweep(engine, space):
     """The enumerating sweep: every grid tuple tested stage by stage."""
     scale = space.scale
-    a_grid = space.shift_grid()
-    c_grid = space.third_grid()
-    a3_grid = c_grid if space.case is CaseTag.CASE2 else [classify._ZERO2]
+    zero = (0, 0)
+    a_grid = _scaled_grid(space.shift_denominator, scale)
+    c_grid = _scaled_grid(space.third_denominator, scale)
+    a3_grid = c_grid if space.case is CaseTag.CASE2 else [zero]
     reasons = classify._REASONS[space.case]
     na = len(a_grid)
     counts = {r: 0 for r in reasons}
     survivors = []
-    _forms_hold = classify._forms_hold
 
     rel_r4 = engine.relation_forms["r4"]
     rel_s2 = engine.relation_forms["s2"]
     rel_rs2 = engine.relation_forms["rsrs"]
     fw = engine.word_forms
-    zero = classify._ZERO2
     r2_stage = reasons[7]
 
     r4_ok = [_forms_hold(rel_r4, zero, zero, zero, c3, scale) for c3 in c_grid]
@@ -754,6 +781,59 @@ def test_relation_solutions_do_not_depend_on_the_grid(stable_engines):
     assert len(points) == 1
 
 
+def _object_level_disagreements(case, keys, step):
+    """Every step-th point of each R_H, rebuilt on H's quotient frame:
+    the relations hold, and each group word has a fixed point exactly
+    where the engine's truth table says so.  Returns the points checked,
+    the disagreeing (key, point, word) triples, and the free points."""
+    forms = classify._case_forms(case)
+    cols = classify._COLUMNS[case]
+    unit = [tuple(int(i == j) for i in range(len(cols))) for j in range(len(cols))]
+    checked, bad, free = 0, [], 0
+    for key in keys:
+        engine = classify._build_h_engine(forms, key)
+        rel = engine.relation_forms
+        solutions = classify._relation_solutions(classify._restrict(rel["r4"] + rel["s2"] + rel["rsrs"], cols), len(cols))
+        fixed = {w: classify._holds(classify._restrict(f, cols), solutions) for w, f in engine.word_forms.items()}
+        coords = [classify._values(e, solutions) for e in unit]
+        frame = quotient_frame(case, TAU_I, TAU_2I, classify._subgroup_generator_points(key))
+        assert not isinstance(frame, BuildRejection)
+        for p in range(0, len(coords[0]), step):
+            x = {c: Fraction(v[p], solutions[0]) for c, v in zip(cols, coords)}
+
+            def shift(c):
+                return TorsionPoint((x.get(c, 0), x.get(c + 1, 0)))
+
+            a3 = shift(4) if case is CaseTag.CASE2 else None
+            params = d4_family.D4Parameters(TAU_I, TAU_2I, shift(0), shift(2), shift(6), a3, frame.subgroup.generators)
+            action = frame.action(params)
+            group = generate_group({"r": action.r, "s": action.s})
+            assert group.order == 8, (key, p)
+            assert all(check_relations(group, [w for _, w in d4_family.RELATION_WORDS]).values()), (key, p)
+            has_fixed = {w: has_fixed_point(evaluate_word(group, w)).exists for w in d4_family.GROUP_WORDS}
+            bad += [(key, p, w) for w, f in has_fixed.items() if f != fixed[w][p]]
+            free += not any(has_fixed.values())
+            checked += 1
+    return checked, bad, free
+
+
+def test_case2_words_agree_with_the_object_level_on_relation_solutions():
+    # the only decision route of Case 2 is the engine: each word's
+    # truth table against has_fixed_point on the rebuilt action
+    keys = _stable_keys(1)
+    assert len(keys) == 13
+    checked, bad, free = _object_level_disagreements(CaseTag.CASE2, keys, 8)
+    assert (checked, bad, free) == (200, [], 0)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("case, points, free", [(CaseTag.CASE1, 5504, 72), (CaseTag.CASE2, 9536, 0)])
+def test_words_agree_with_the_object_level_on_every_relation_solution(case, points, free):
+    keys = _stable_keys(2)
+    assert len(keys) == 50
+    assert _object_level_disagreements(case, keys, 1) == (points, [], free)
+
+
 @pytest.mark.extended
 @pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
 def test_smith_sweep_matches_enumerating_sweep_three_generators(case):
@@ -808,6 +888,41 @@ def test_cross_validate_rejects_case2():
     space = SearchSpace(case=CaseTag.CASE2, shift_denominator=2)
     with pytest.raises(ValueError):
         cross_validate(space)
+
+
+def test_cross_validate_reports_a_closed_form_fault(monkeypatch):
+    # flip the rs exclusion on a slice of the grid: the engine route and
+    # the object-level samples that land there must both object
+    original = classify.scaled_freeness_conditions
+
+    def faulty(elements, a1, a2, c3, scale):
+        flags = original(elements, a1, a2, c3, scale)
+        if tuple(a1) == (2, 0) and c3[1] == 1:
+            flags = dataclasses.replace(flags, excl_rs_free=not flags.excl_rs_free)
+        return flags
+
+    monkeypatch.setattr(classify, "scaled_freeness_conditions", faulty)
+    report = cross_validate(SearchSpace(CaseTag.CASE1, 4, 4, h_generators_max=1), workers=1)
+    assert (report.total, report.disagreements) == (13 * 4096, 832)
+    assert (report.object_samples, report.object_disagreements) == (93, 2)
+    assert len(report.examples) == 10
+    assert report.examples[0] == "H=(0,) a1=(2, 0) a2=(0, 0) c3=(0, 1): excl_rs_free"
+    assert not report.all_agree
+
+
+def test_cross_validate_reports_an_engine_fault(monkeypatch):
+    # the engine with the obstruction forms of s and rs swapped
+    original = classify._build_h_engine
+
+    def swapped(forms, span_key):
+        engine = original(forms, span_key)
+        words = dict(engine.word_forms, s=engine.word_forms["rs"], rs=engine.word_forms["s"])
+        return classify._HEngine(engine.relation_forms, words)
+
+    monkeypatch.setattr(classify, "_build_h_engine", swapped)
+    report = cross_validate(SearchSpace(CaseTag.CASE1, 2, 4, h_generators_max=1), workers=1)
+    assert report.disagreements > 0
+    assert not report.all_agree
 
 
 # ---------------------------------------------------------------------------

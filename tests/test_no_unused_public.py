@@ -10,6 +10,10 @@ A public method of a public class (properties aside) must be read as an
 attribute somewhere in the package, whether or not its class is
 exported: ``obj.name`` or ``Class.name`` in any module counts, an
 assignment to ``obj.name`` does not.
+
+A private top-level function, class or constant (one leading
+underscore, dunders aside) must be read by some module of the package:
+a deleted routine's helpers and constants do not stay behind.
 """
 
 import ast
@@ -64,6 +68,35 @@ def unused_public_names(sources: dict[str, str], exported: set[str]) -> list[str
     return sorted(unused)
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _top_level_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a def or class, or the
+    plain names an assignment binds."""
+    if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """"module.name" of every private top-level def, class or constant
+    that no module reads, sorted."""
+    defined = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, name) for node in tree.body for name in _top_level_names(node) if _is_private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
 def test_guard_flags_each_unused_name():
     sources = {
         "a": "def used(): pass\ndef dead(): pass\nclass Dead: pass\ndef _private(): pass\ndef exported(): pass\n",
@@ -98,3 +131,20 @@ def test_every_public_name_is_used_or_exported():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert sources
     assert unused_public_names(sources, set(hyptor.__all__)) == []
+
+
+def test_guard_flags_each_unused_private_name():
+    sources = {
+        "a": (
+            "_USED = 1\n_DEAD = 2\n_TYPED: int = 3\n_X, _Y = 1, 2\n__all__ = []\n"
+            "def _helper(): return _USED + _X\ndef _dead(): pass\nclass _Dead: pass\n"
+            "def public(): return _helper()\n"
+        ),
+        "b": "from .a import _Dead\nfrom . import a\nvalue = a._Y\na._DEAD = 0\n",
+    }
+    assert unused_private_names(sources) == ["a._DEAD", "a._Dead", "a._TYPED", "a._dead"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unused_private_names(sources) == []
