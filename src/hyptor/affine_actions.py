@@ -4,24 +4,26 @@ An automorphism is a pair (A, t): a unimodular integer matrix on the
 lattice coordinates commuting with the complex structure, plus a
 torsion translation part.  The fixed-point question for (A, t) is the
 solvability of (A - I) x = -t modulo the lattice and is decided exactly
-through the Smith form, never by search; both answers come with a
-witness that can be re-checked by plain arithmetic.  Only the group
-closure composes maps; words and relations are read from its table.
+through the Smith form, never by search, and in int arithmetic; both
+answers come with a witness that can be re-checked by plain
+arithmetic.  Only the group closure composes maps; words and relations
+are read from its table.
 
 The closure splits in two.  The linear parts of a group and their
 product table depend only on the generators' linear parts, so they are
 closed once per tuple of linear parts and kept in a small bounded memo
 that knows no torus and no J.  Each call then searches the
-translations alone: with D the common denominator of the generators'
+translations alone: with D the lcm of the orders of the generators'
 translations, the translation of word . g is A_word (D t_g) + D t_word
 reduced mod D in int arithmetic, and only the elements found are built
-as maps, their fractions once at the end.  Every automorphism built
-gets a verdict on its linear part (integral, unimodular, commuting
-with J), but the verdict depends on the linear part and J alone, so it
-is computed once per pair and kept in a small bounded memo; a failing
-matrix raises on every construction, since the memo keeps no
-exceptions.  The fixed-point test reads A - I from a memo keyed on the
-linear part as well.
+as maps, each translation a TorsionPoint read from its integers over
+D.  Every automorphism built gets a verdict on its linear part
+(integral, unimodular, commuting with J), but the verdict depends on
+the linear part and J alone, so it is computed once per pair and kept
+in a small bounded memo keyed on the torus's denominator-cleared J,
+whose key hashes ints; a failing matrix raises on every construction,
+since the memo keeps no exceptions.  The fixed-point test reads A - I
+from a memo keyed on the linear part as well.
 """
 
 from __future__ import annotations
@@ -43,18 +45,18 @@ from .torus import ComplexTorus, HolomorphyError, TorsionPoint
 
 
 @lru_cache(maxsize=256)
-def _linear_part_verdict(a: Matrix, j: Matrix) -> None:
+def _linear_part_verdict(a: Matrix, j_cleared: Matrix) -> None:
     """Raise unless a is an integer, unimodular matrix commuting with J.
 
-    Commuting with the denominator-cleared J is the same condition and
-    keeps the check in integer arithmetic.
+    The key is the torus's denominator-cleared J: commuting with it is
+    the same condition, the check stays in integer arithmetic, and the
+    key hashes ints.
     """
     if not a.is_integral():
         raise NotUnimodularError("linear part must be an integer matrix")
     if abs(a.det()) != 1:
         raise NotUnimodularError("linear part must be unimodular")
-    j_int, _ = j.scaled_integer()
-    if (a @ j_int).entries != (j_int @ a).entries:
+    if (a @ j_cleared).entries != (j_cleared @ a).entries:
         raise HolomorphyError("linear part does not commute with J")
 
 
@@ -84,10 +86,10 @@ class AffineAut:
             raise DimensionError("linear part must be 2g x 2g")
         if len(self.t) != n:
             raise DimensionError("translation part must have length 2g")
-        _linear_part_verdict(self.a, self.torus.j)
+        _linear_part_verdict(self.a, self.torus.j_cleared)
 
     def apply(self, p: TorsionPoint) -> TorsionPoint:
-        return TorsionPoint(self.a.apply(p.coords)).add(self.t)
+        return p.image(self.a).add(self.t)
 
 
 def identity_aut(t: ComplexTorus) -> AffineAut:
@@ -129,18 +131,18 @@ def _minus_identity(a: Matrix) -> Matrix:
 def has_fixed_point(f: AffineAut) -> FixedPointResult:
     """Exact fixed-point decision for an affine automorphism.
 
-    Solves (A - I) x = -t + m over rational x, integral m.  A returned
-    fixed point is canonicalized into [0, 1)^(2g) and re-checked; a
-    negative answer carries the Smith-form obstruction row.
+    Solves (A - I) x = -t + m over rational x, integral m, with -t as
+    ints over the order of t.  A returned fixed point is re-checked in
+    int; a negative answer carries the Smith-form obstruction row.
     """
-    b = tuple(-c for c in f.t.coords)
-    res = solve_affine_mod_lattice(_minus_identity(f.a), b)
+    d = f.t.order()
+    res = solve_affine_mod_lattice(_minus_identity(f.a), tuple(-x for x in f.t.scaled(d)), d)
     if not res.solvable:
         return FixedPointResult(
             exists=False,
             obstruction=Obstruction(res.obstruction_index, res.obstruction_row, res.obstruction_value),
         )
-    x = TorsionPoint(res.x)
+    x = TorsionPoint.from_scaled(res.x, res.denominator)
     if f.apply(x) != x:
         raise RuntimeError("internal error: claimed fixed point does not verify")
     return FixedPointResult(exists=True, point=x.coords)
@@ -224,8 +226,8 @@ def generate_group(gens: Mapping[str, AffineAut], cap: int = 64) -> GeneratedGro
     generator once, and the results are kept as the product table.
 
     The linear parts come from ``_linear_closure``; the search itself
-    runs on keys (linear index, D * translation mod D), D the common
-    denominator of the generators' translations, so word . g has the
+    runs on keys (linear index, D * translation mod D), D the lcm of the
+    orders of the generators' translations, so word . g has the
     linear index after[word][g] and the translation A_word t_g + t_word
     in int arithmetic.  Only the elements found are built as maps.
     """
@@ -237,8 +239,8 @@ def generate_group(gens: Mapping[str, AffineAut], cap: int = 64) -> GeneratedGro
             raise TorusMismatchError("generators live on different tori")
     names = sorted(gens)
     core = _linear_closure(tuple(gens[name].a for name in names), cap)
-    d = lcm(*(c.denominator for name in names for c in gens[name].t.coords))
-    shifts = [tuple(c.numerator * (d // c.denominator) for c in gens[name].t.coords) for name in names]
+    d = lcm(*(gens[name].t.order() for name in names))
+    shifts = [gens[name].t.scaled(d) for name in names]
     start = (0, (0,) * torus.rank)
     seen: dict[tuple, str] = {start: "e"}
     keys: dict[str, tuple] = {"e": start}
@@ -265,11 +267,10 @@ def generate_group(gens: Mapping[str, AffineAut], cap: int = 64) -> GeneratedGro
         frontier = nxt
     words = sorted(keys, key=lambda w: (0 if w == "e" else len(w), w))
     index = {w: i for i, w in enumerate(words)}
-    fraction = {x: Fraction(x, d) for x in {x for _, t in keys.values() for x in t}}
     auts = {"e": identity_aut(torus)}
     for w in words[1:]:
         lin, t = keys[w]
-        auts[w] = AffineAut(torus, core.matrices[lin], TorsionPoint(tuple(map(fraction.get, t))))
+        auts[w] = AffineAut(torus, core.matrices[lin], TorsionPoint.from_scaled(t, d))
     return GeneratedGroup(
         tuple(GroupElement(w, auts[w]) for w in words),
         tuple(names),

@@ -252,12 +252,9 @@ def subgroup_family(g_max: int) -> tuple[list[tuple[int, ...]], int]:
     return kept, excluded
 
 
-def _mask_point(mask: int) -> TorsionPoint:
-    return TorsionPoint(tuple(Fraction(1, 2) if (mask >> i) & 1 else Fraction(0) for i in range(6)))
-
-
 def _subgroup_generator_points(span_key: tuple[int, ...]) -> tuple[TorsionPoint, ...]:
-    return tuple(_mask_point(m) for m in _canonical_generators(span_key))
+    # bit i of a mask is twice coordinate i of its 2-torsion point
+    return tuple(TorsionPoint.from_scaled([(m >> i) & 1 for i in range(6)], 2) for m in _canonical_generators(span_key))
 
 
 @dataclass(frozen=True)
@@ -301,18 +298,11 @@ def is_expected_survivor(s: Survivor) -> bool:
         return False
     if a1.add(a2).is_zero() or c3.order() != 4:
         return False
-    span = _span(tuple(_point_mask(g) for g in s.h_generators))
-    return span == _span((_point_mask(case1_subgroup_generator(a1, a2)),))
-
-
-def _point_mask(p: TorsionPoint) -> int:
-    mask = 0
-    for i, c in enumerate(p.coords):
-        if c == Fraction(1, 2):
-            mask |= 1 << i
-        elif c != 0:
-            raise ValueError("not a 2-torsion point")
-    return mask
+    # scaled(2) refuses a point that is not 2-torsion
+    omega, *gens = (
+        sum(x << i for i, x in enumerate(g.scaled(2))) for g in (case1_subgroup_generator(a1, a2), *s.h_generators)
+    )
+    return _span(tuple(gens)) == _span((omega,))
 
 
 @dataclass(frozen=True)
@@ -671,10 +661,6 @@ def _sweep_h(engine: _HEngine, space: SearchSpace):
     return counts, survivors
 
 
-def _scaled_point(pair: tuple[int, int], scale: int) -> TorsionPoint:
-    return TorsionPoint((Fraction(pair[0], scale), Fraction(pair[1], scale)))
-
-
 def _sweep_task(task):
     """Worker entry point: one subgroup's slice of the sweep, and the
     seconds its engine took to build."""
@@ -741,7 +727,7 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
             counts[r] += n
         gens = _subgroup_generator_points(key)
         for scaled in raw:
-            a1, a2, a3, c3 = (_scaled_point(x, scale) for x in scaled)
+            a1, a2, a3, c3 = (TorsionPoint.from_scaled(x, scale) for x in scaled)
             a3 = a3 if space.case is CaseTag.CASE2 else None
             survivors.append(Survivor(space.case, a1=a1, a2=a2, c3=c3, a3=a3, h_generators=gens))
 
@@ -896,9 +882,9 @@ def _object_sample_agrees(frame: QuotientFrame | BuildRejection, a1, a2, c3, sca
     params = D4Parameters(
         tau=frame.tau,
         tau_prime=frame.tau_prime,
-        s_shift1=_scaled_point(a1, scale),
-        s_shift2=_scaled_point(a2, scale),
-        r_shift=_scaled_point(c3, scale),
+        s_shift1=TorsionPoint.from_scaled(a1, scale),
+        s_shift2=TorsionPoint.from_scaled(a2, scale),
+        r_shift=TorsionPoint.from_scaled(c3, scale),
         subgroup_gens=frame.subgroup.generators,
     )
     built = frame.action(params)

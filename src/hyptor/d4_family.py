@@ -163,10 +163,8 @@ def normal_form_parameters(tau: EllipticCurveParam, tau_prime: EllipticCurvePara
 
 def embed_block(p: TorsionPoint, block: int) -> TorsionPoint:
     """Place a curve point into factor block 0, 1 or 2 of the product."""
-    coords = [Fraction(0)] * 6
-    coords[2 * block] = p.coords[0]
-    coords[2 * block + 1] = p.coords[1]
-    return TorsionPoint(tuple(coords))
+    d = p.order()
+    return TorsionPoint.from_scaled((0, 0) * block + p.scaled(d) + (0, 0) * (2 - block), d)
 
 
 @dataclass(frozen=True)
@@ -223,20 +221,13 @@ class QuotientFrame:
         ):
             raise ValueError("parameters name another tau, tau' or H than the frame")
         _check_third_shift(self.case, params)
-        s3 = params.s_shift3.coords if params.s_shift3 is not None else (0, 0)
-        t_r = (0, 0, 0, 0, *params.r_shift.coords)
-        t_s = (*params.s_shift1.coords, *params.s_shift2.coords, *s3)
-        r = AffineAut(self.torus, self.r_linear, self._on_quotient(t_r))
-        s = AffineAut(self.torus, self.s_linear, self._on_quotient(t_s))
+        t_s = embed_block(params.s_shift1, 0).add(embed_block(params.s_shift2, 1))
+        if params.s_shift3 is not None:
+            t_s = t_s.add(embed_block(params.s_shift3, 2))
+        # to_quotient is integral: the product lattice lies in the quotient's
+        r = AffineAut(self.torus, self.r_linear, embed_block(params.r_shift, 2).image(self.to_quotient))
+        s = AffineAut(self.torus, self.s_linear, t_s.image(self.to_quotient))
         return D4Action(self.case, params, self.product_torus, self.subgroup, self.torus, r, s)
-
-    def _on_quotient(self, coords) -> TorsionPoint:
-        """A point given in product coordinates, in quotient coordinates:
-        to_quotient applied to the coordinates times their common
-        denominator d, reduced mod d, then divided by d."""
-        d = lcm(*(c.denominator for c in coords))
-        image = self.to_quotient.apply([c.numerator * (d // c.denominator) for c in coords])
-        return TorsionPoint(tuple(Fraction(x % d, d) for x in image))
 
 
 def _check_third_shift(case: CaseTag, params: D4Parameters) -> None:
@@ -390,17 +381,14 @@ def check_freeness_conditions(action: D4Action) -> FreenessConditionReport:
 
     H's elements are read from the built action and the shifts from its
     parameters; all of them are scaled to integers by the lcm of their
-    denominators for scaled_freeness_conditions.
+    orders for scaled_freeness_conditions.
     """
     p = action.params
-    points = (p.s_shift1, p.s_shift2, p.r_shift, *action.subgroup.elements)
-    scale = lcm(*(c.denominator for pt in points for c in pt.coords))
-
-    def scaled(pt: TorsionPoint) -> tuple[int, ...]:
-        return tuple(int(c * scale) for c in pt.coords)
-
-    elements = [scaled(d) for d in action.subgroup.elements]
-    return scaled_freeness_conditions(elements, scaled(p.s_shift1), scaled(p.s_shift2), scaled(p.r_shift), scale)
+    shifts = (p.s_shift1, p.s_shift2, p.r_shift)
+    elements = action.subgroup.elements
+    scale = lcm(*(pt.order() for pt in (*shifts, *elements)))
+    a1, a2, c3 = (pt.scaled(scale) for pt in shifts)
+    return scaled_freeness_conditions([pt.scaled(scale) for pt in elements], a1, a2, c3, scale)
 
 
 def scaled_freeness_conditions(elements, a1, a2, c3, scale: int) -> FreenessConditionReport:

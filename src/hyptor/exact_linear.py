@@ -19,15 +19,13 @@ Provided here:
   unimodular transform (``U @ M == H`` resp. ``M @ V == H``).
 * ``snf``: Smith normal form ``U @ M @ V == D`` with nonnegative diagonal
   in divisibility order and zero entries trailing.
-* ``solve_affine_mod_lattice``: decides whether ``A x = b + m`` has a
-  rational solution ``x`` with integral ``m``, returning either a witness
-  pair or a one-row unimodular obstruction certificate.  The
-  obstruction test runs in integers: b is cleared to delta * b once
-  (delta its common denominator), and a zero row of the Smith form
-  obstructs exactly when its entry of U (delta b) is not divisible by
-  delta.  The Smith form of each denominator-cleared A comes from a
-  small bounded memo private to this function; ``snf`` itself keeps
-  no memo.
+* ``solve_affine_mod_lattice``: decides whether ``A x = b / delta + m``
+  has a rational solution ``x`` with integral ``m``, for an integer
+  matrix A and integers b over an int delta, returning either a witness
+  pair or a one-row unimodular obstruction certificate.  It runs in
+  integers; only the obstruction value is a Fraction.  The Smith form
+  of each A comes from a small bounded memo private to this function;
+  ``snf`` itself keeps no memo.
 * ``Sublattice``, whose independence check reads the Smith rank, and
   ``kernel_sublattice``, the saturated integer kernel of a matrix in
   column Hermite form.
@@ -43,7 +41,6 @@ from operator import mul
 from typing import Sequence
 
 Entry = int | Fraction
-Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
 
@@ -474,18 +471,19 @@ def snf(m: Matrix) -> SmithDecomposition:
 
 @dataclass(frozen=True)
 class AffineSolveResult:
-    """Outcome of ``solve_affine_mod_lattice``.
+    """Outcome of ``solve_affine_mod_lattice`` for ``A x = b / delta + m``.
 
-    For a solvable system, ``x`` and ``m`` satisfy ``A x == b + m``
-    exactly with m integral.  Otherwise ``obstruction_row`` is an
-    integer row u (a row of the unimodular U from the Smith form of the
-    denominator-cleared A) with ``u @ A == 0`` while
-    ``obstruction_value = u . b`` is not an integer, which proves
-    unsolvability.
+    For a solvable system, ``x`` holds integer numerators over
+    ``denominator`` and ``A x == b / delta + m`` holds exactly with m
+    integral.  Otherwise ``obstruction_row`` is an integer row u (a row
+    of the unimodular U from the Smith form of A) with ``u @ A == 0``
+    while ``obstruction_value = u . b / delta`` is not an integer, which
+    proves unsolvability.
     """
 
     solvable: bool
-    x: Vec | None = None
+    x: IntVec | None = None
+    denominator: int | None = None
     m: IntVec | None = None
     obstruction_index: int | None = None
     obstruction_row: IntVec | None = None
@@ -493,33 +491,34 @@ class AffineSolveResult:
 
 
 @lru_cache(maxsize=256)
-def _cleared_smith_form(a_int: Matrix) -> SmithDecomposition:
-    """The Smith form of a denominator-cleared system matrix, computed
-    once per matrix: the fixed-point questions of a group's elements
-    repeat few linear parts."""
-    return snf(a_int)
+def _system_smith_form(a: Matrix) -> SmithDecomposition:
+    """The Smith form of a system matrix, computed once per matrix: the
+    fixed-point questions of a group's elements repeat few linear
+    parts."""
+    return snf(a)
 
 
-def solve_affine_mod_lattice(a: Matrix, b: Sequence) -> AffineSolveResult:
-    """Decide ``exists x rational, m integral with a x = b + m``.
+def solve_affine_mod_lattice(a: Matrix, b: Sequence[int], delta: int) -> AffineSolveResult:
+    """Decide ``exists x rational, m integral with a x = b / delta + m``
+    for an integer matrix a and integers b, in integer arithmetic.
 
-    Method: clear denominators of a (the substitution x -> x/alpha keeps
-    the solution space), take the Smith form U A' V = D, and inspect
-    c = U b.  The system is solvable iff c_i is an integer for every
-    zero row i of D; the first failing row is returned as the
-    obstruction certificate.  c is kept as the integers delta * c_i,
-    for delta the common denominator of b.
+    Method: take the Smith form U A V = D and inspect c = U b.  The
+    system is solvable iff delta divides c_i for every zero row i of D;
+    the first failing row is returned as the obstruction certificate.
+    Otherwise y_i = c_i / (delta d_i) on the nonzero rows, and x = V y
+    is kept as integers over delta e, e the last nonzero d_i, which
+    every d_i divides.
     """
     if a.rows != a.cols:
         raise DimensionError("square matrix required")
     n = a.rows
     if len(b) != n:
         raise DimensionError("right-hand side length mismatch")
-    bvec = tuple(Fraction(x) for x in b)
-    delta = lcm(*(x.denominator for x in bvec))
-    a_int, alpha = a.scaled_integer()
-    dec = _cleared_smith_form(a_int)
-    c = dec.u.apply(tuple(x.numerator * (delta // x.denominator) for x in bvec))
+    if not all(type(x) is int for x in (*b, delta)) or delta < 1:
+        raise TypeError("the right-hand side must be ints over a positive int denominator")
+    # snf refuses a rational A, and the memo keeps no exceptions
+    dec = _system_smith_form(a)
+    c = dec.u.apply(b)
     for i in dec.zero_rows:
         if c[i] % delta:
             return AffineSolveResult(
@@ -528,20 +527,14 @@ def solve_affine_mod_lattice(a: Matrix, b: Sequence) -> AffineSolveResult:
                 obstruction_row=dec.u.row(i),
                 obstruction_value=Fraction(c[i], delta),
             )
-    # construct a witness: y_i = c_i / d_i on the nonzero rows
-    y = [Fraction(0)] * n
-    for i in range(n):
-        di = dec.d.at(i, i)
-        if di != 0:
-            y[i] = Fraction(c[i], delta * di)
-    xi = dec.v.apply(tuple(y))
-    x = tuple(alpha * t for t in xi)
-    ax = a.apply(x)
-    m = tuple(ax[i] - bvec[i] for i in range(n))
-    for t in m:
-        if Fraction(t).denominator != 1:
-            raise RuntimeError("internal error: witness residual not integral")
-    return AffineSolveResult(solvable=True, x=x, m=tuple(int(t) for t in m))
+    divisors = dec.elementary_divisors
+    e = divisors[-1] if divisors else 1
+    denominator = delta * e
+    x = dec.v.apply((*(c[i] * (e // di) for i, di in enumerate(divisors)), *(0,) * (n - len(divisors))))
+    m = [divmod(ax - bi * e, denominator) for ax, bi in zip(a.apply(x), b)]
+    if any(r for _, r in m):
+        raise RuntimeError("internal error: witness residual not integral")
+    return AffineSolveResult(solvable=True, x=x, denominator=denominator, m=tuple(q for q, _ in m))
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,17 @@ the basis (1, tau); products are block diagonal; quotients by finite
 subgroups re-present the points of the enlarged lattice in a new basis
 recorded in ``basis_change``.
 
-Coordinates of torsion points are always taken in [0, 1) componentwise.
+A torsion point is held as integer numerators in [0, d) over its order
+d, so its coordinates lie in [0, 1) and its group law runs in int.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
+from operator import add
 from typing import Sequence
 
 from .exact_linear import DimensionError, Matrix, column_hnf
@@ -71,54 +74,84 @@ class ComplexTorus:
     def rank(self) -> int:
         return 2 * self.g
 
+    @cached_property
+    def j_cleared(self) -> Matrix:
+        """J times the lcm of its denominators, once per torus: an integer
+        matrix that commutes with the same matrices as J."""
+        return self.j.scaled_integer()[0]
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class TorsionPoint:
-    """Point of finite order, coordinates canonicalized into [0, 1).
-
-    Coordinates are ints or Fractions, stored as Fractions; one that
-    already lies in [0, 1) is kept as it is.  Anything else, a float or
-    a bool included, raises TypeError.
+    """Point of finite order: integer numerators in [0, d) over its order
+    d, a canonical form, so equality, hashing and the group law run in
+    int.  The constructor takes coordinates, ints or Fractions (anything
+    else, a float or a bool included, raises TypeError); ``from_scaled``
+    is the one way in from integers and ``scaled`` the one way out.
     """
 
-    coords: tuple[Fraction, ...]
+    _numerators: tuple[int, ...]
+    _order: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(map(_torsion_coordinate, self.coords)))
+    def __init__(self, coords: Sequence[int | Fraction]) -> None:
+        coords = tuple(coords)
+        for c in coords:
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise TypeError(f"torsion coordinate must be an int or a Fraction, not {c!r}")
+        d = lcm(*(c.denominator for c in coords))
+        self._set(tuple(c.numerator * (d // c.denominator) for c in coords), d)
+
+    def _set(self, numerators: Sequence[int], d: int) -> None:
+        if d < 1:
+            raise ValueError("denominator must be positive")
+        reduced = [x % d for x in numerators]
+        g = gcd(d, *reduced)
+        object.__setattr__(self, "_numerators", tuple(x // g for x in reduced))
+        object.__setattr__(self, "_order", d // g)
+
+    @classmethod
+    def from_scaled(cls, numerators: Sequence[int], d: int) -> "TorsionPoint":
+        """The point with coordinates numerators / d, for ints."""
+        p = cls.__new__(cls)
+        p._set(numerators, d)
+        return p
+
+    def scaled(self, d: int) -> tuple[int, ...]:
+        """d times the coordinates, as ints; d a multiple of the order."""
+        q, r = divmod(d, self._order)
+        if r:
+            raise ValueError(f"{d} is not a multiple of the order {self._order}")
+        return self._numerators if q == 1 else tuple(q * x for x in self._numerators)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self._order) for x in self._numerators)
 
     @classmethod
     def zero(cls, n: int) -> "TorsionPoint":
-        return cls((Fraction(0),) * n)
+        return cls.from_scaled((0,) * n, 1)
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self._numerators)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return self._order == 1
 
     def order(self) -> int:
-        return lcm(*(c.denominator for c in self.coords)) if self.coords else 1
+        return self._order
 
     def add(self, other: "TorsionPoint") -> "TorsionPoint":
         if len(other) != len(self):
             raise DimensionError("point length mismatch")
-        return TorsionPoint(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        d = lcm(self._order, other._order)
+        return TorsionPoint.from_scaled(tuple(map(add, self.scaled(d), other.scaled(d))), d)
 
     def scale(self, n: int) -> "TorsionPoint":
-        return TorsionPoint(tuple(n * a for a in self.coords))
+        return TorsionPoint.from_scaled(tuple(n * x for x in self._numerators), self._order)
 
-
-def _torsion_coordinate(c) -> Fraction:
-    if type(c) is Fraction and 0 <= c.numerator < c.denominator:
-        return c
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise TypeError(f"torsion coordinate must be an int or a Fraction, not {c!r}")
-    return Fraction(c) % 1
-
-
-def point(*coords) -> TorsionPoint:
-    """Convenience constructor from ints / Fractions / strings."""
-    return TorsionPoint(tuple(Fraction(c) if isinstance(c, str) else c for c in coords))
+    def image(self, m: Matrix) -> "TorsionPoint":
+        """The image under an integer matrix m, reduced mod 1."""
+        return TorsionPoint.from_scaled(m.apply(self._numerators), self._order)
 
 
 @dataclass(frozen=True)
@@ -193,22 +226,6 @@ def product(factors: Sequence[ComplexTorus]) -> ComplexTorus:
     return ComplexTorus(g, Matrix.from_rows(jrows), Matrix.from_rows(brows), tuple(blocks))
 
 
-def _extended_lattice_basis(n: int, gens: Sequence[TorsionPoint]) -> Matrix:
-    """Column basis of Z^n + sum Z * lift(gen), by column Hermite form.
-
-    The generators are folded in one at a time, each Hermite form taking
-    the n basis columns and one lift, so the cost is linear in the number
-    of generators; the last form is canonical for the lattice."""
-    d = lcm(1, *(c.denominator for gpt in gens for c in gpt.coords))
-    basis = Matrix.identity(n).scale(d)
-    for gpt in gens:
-        cols = [basis.column(j) for j in range(n)]
-        h, _ = column_hnf(Matrix.from_columns([*cols, [c.numerator * (d // c.denominator) for c in gpt.coords]]))
-        # d Z^n lies in the lattice, so the zero column is the last
-        basis = h.submatrix_columns(range(n))
-    return basis.scale(Fraction(1, d))
-
-
 def quotient_by_finite_subgroup(t: ComplexTorus, h: FiniteSubgroup) -> ComplexTorus:
     """Torus T / H: same vector space, lattice enlarged by the lifts of H.
 
@@ -218,7 +235,16 @@ def quotient_by_finite_subgroup(t: ComplexTorus, h: FiniteSubgroup) -> ComplexTo
     """
     if h.ambient != t:
         raise ValueError("subgroup does not live on this torus")
-    b = _extended_lattice_basis(t.rank, h.generators)
+    # Hermite forms of d Z^n and one lift at a time, d the lcm of the
+    # orders, so the cost is linear in the number of generators; d Z^n
+    # lies in the lattice, so each form's last column is zero
+    n = t.rank
+    d = lcm(*(gpt.order() for gpt in h.generators))
+    basis = Matrix.identity(n).scale(d)
+    for gpt in h.generators:
+        cols = [basis.column(j) for j in range(n)]
+        basis = column_hnf(Matrix.from_columns([*cols, gpt.scaled(d)]))[0].submatrix_columns(range(n))
+    b = basis.scale(Fraction(1, d))
     if (Fraction(1) / abs(b.det())) != h.order:
         raise RuntimeError("internal error: quotient index mismatch")
     binv = b.inverse()

@@ -7,6 +7,8 @@ automorphisms, ``reference_generate_group`` is the closure that
 composes every element with every generator, and the fixtures evaluate
 words letter by letter, so a test can check a built action, the table
 or the closure itself against a route that shares none of them.
+``point`` builds a torsion point from strings such as "1/2", and
+``survivor_actions`` holds the 72 Case-1 census survivors.
 """
 
 from fractions import Fraction
@@ -23,8 +25,15 @@ from hyptor.affine_actions import (
     TorusMismatchError,
     identity_aut,
 )
+from hyptor.classify import SearchSpace, enumerate_case1
+from hyptor.d4_family import CaseTag, quotient_frame
 from hyptor.exact_linear import Matrix
-from hyptor.torus import TorsionPoint
+from hyptor.torus import EllipticCurveParam, TorsionPoint
+
+
+def point(*coords):
+    """A torsion point from ints, Fractions and strings such as "1/2"."""
+    return TorsionPoint(tuple(Fraction(c) if isinstance(c, str) else c for c in coords))
 
 
 def compose(f, g):
@@ -122,3 +131,19 @@ def compose_word():
 @pytest.fixture
 def direct_relations():
     return _direct_relations
+
+
+@pytest.fixture(scope="session")
+def survivor_actions():
+    """The 72 Case-1 census survivors built at (i, 2i), one frame per H."""
+    tau, tau_prime = EllipticCurveParam(0, 1), EllipticCurveParam(0, 2)
+    report = enumerate_case1(SearchSpace(CaseTag.CASE1, tau=tau, tau_prime=tau_prime))
+    assert len(report.survivors) == 72
+    frames = {}
+    actions = []
+    for survivor in report.survivors:
+        gens = survivor.h_generators
+        if gens not in frames:
+            frames[gens] = quotient_frame(CaseTag.CASE1, tau, tau_prime, gens)
+        actions.append(frames[gens].action(survivor.parameters(tau, tau_prime)))
+    return actions

@@ -6,13 +6,23 @@ form.  The Gauss-Jordan routines reduce over ``Fraction`` instead, pivot
 by pivot, and so give an independent route to the inverse, the rank, a
 solution of a linear system and lattice membership.  ``canonical`` and
 ``image_saturation`` give lattices in column Hermite form, so that two
-lattices can be compared by their bases.
+lattices can be compared by their bases.  ``fraction_solve_affine``
+decides ``A x = b + m`` with ``U b`` in ``Fraction`` arithmetic, the
+route the library's integer solver replaced.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
-from hyptor.exact_linear import DimensionError, Matrix, SingularMatrixError, Sublattice, column_hnf, snf
+from hyptor.exact_linear import (
+    AffineSolveResult,
+    DimensionError,
+    Matrix,
+    SingularMatrixError,
+    Sublattice,
+    column_hnf,
+    snf,
+)
 
 
 def gauss_jordan(a: list[list], width: int) -> list[tuple[int, int]]:
@@ -108,3 +118,30 @@ def image_saturation(a: Matrix) -> Sublattice:
     uinv = dec.u.inverse()
     assert uinv.is_integral()
     return canonical(Sublattice(a.rows, uinv.submatrix_columns(list(range(r)))))
+
+
+def fraction_solve_affine(a: Matrix, b) -> AffineSolveResult:
+    """Reference for solve_affine_mod_lattice: c = U b in Fraction
+    arithmetic, with a fresh Smith form on every call; the witness x is
+    returned as Fractions, with no denominator."""
+    n = a.rows
+    bvec = tuple(Fraction(x) for x in b)
+    a_int, alpha = a.scaled_integer()
+    dec = snf(a_int)
+    c = dec.u.apply(bvec)
+    for i in dec.zero_rows:
+        if Fraction(c[i]).denominator != 1:
+            return AffineSolveResult(
+                solvable=False,
+                obstruction_index=i,
+                obstruction_row=dec.u.row(i),
+                obstruction_value=Fraction(c[i]),
+            )
+    y = [Fraction(0)] * n
+    for i in range(n):
+        di = dec.d.at(i, i)
+        if di != 0:
+            y[i] = Fraction(c[i], di)
+    x = tuple(alpha * t for t in dec.v.apply(tuple(y)))
+    ax = a.apply(x)
+    return AffineSolveResult(solvable=True, x=x, m=tuple(int(ax[i] - bvec[i]) for i in range(n)))

@@ -14,12 +14,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import compose, reference_generate_group
+from conftest import compose, point, reference_generate_group
+from linear_oracles import fraction_solve_affine
 
 from hyptor import affine_actions, classify
 from hyptor.affine_actions import (
     AffineAut,
+    FixedPointResult,
     GroupGenerationError,
+    Obstruction,
     TorusMismatchError,
     UnknownLetterError,
     check_relations,
@@ -45,7 +48,6 @@ from hyptor.torus import (
     HolomorphyError,
     TorsionPoint,
     elliptic_curve,
-    point,
     product,
 )
 
@@ -353,11 +355,12 @@ def test_closure_matches_the_reference_on_the_survivors():
         assert _same_closure({"r": action.r, "s": action.s}) == "order 8"
 
 
-def test_closure_matches_the_reference_on_every_stable_frame():
-    # every rotation-stable H at g <= 2 in both cases, with seeded
-    # shifts: free and non-free actions, groups of other orders, and a
-    # rotation shift of order 17 that takes the group past the cap
-    rng = random.Random(1313)
+def _stable_frame_actions(seed):
+    """The frame actions of every rotation-stable H at g <= 2 in both
+    cases, four per frame, with seeded shifts of denominators up to 2, 4,
+    8 and 17: free and non-free actions, groups of other orders, and
+    rotation shifts of order 17 that take the group past the cap."""
+    rng = random.Random(seed)
     tau, tau_prime = EllipticCurveParam(0, 1), EllipticCurveParam(0, 2)
     family, _ = classify.subgroup_family(2)
     stable = [key for key in family if classify._span_rotation_stable(key)]
@@ -366,7 +369,6 @@ def test_closure_matches_the_reference_on_every_stable_frame():
     def shift(q):
         return point(Fraction(rng.randrange(q), q), Fraction(rng.randrange(q), q))
 
-    outcomes = Counter()
     for case in (CaseTag.CASE1, CaseTag.CASE2):
         for key in stable:
             gens = classify._subgroup_generator_points(key)
@@ -381,15 +383,50 @@ def test_closure_matches_the_reference_on_every_stable_frame():
                     s_shift3=shift(min(q, 4)) if case is CaseTag.CASE2 else None,
                     subgroup_gens=gens,
                 )
-                action = frame.action(params)
-                rs = {"r": action.r, "s": action.s}
-                outcome = _same_closure(rs)
-                if outcome == "order 8" and not is_free_action(generate_group(rs)).free:
-                    outcome += ", not free"
-                outcomes[outcome] += 1
+                yield frame.action(params)
+
+
+def test_closure_matches_the_reference_on_every_stable_frame():
+    outcomes = Counter()
+    for action in _stable_frame_actions(1313):
+        rs = {"r": action.r, "s": action.s}
+        outcome = _same_closure(rs)
+        if outcome == "order 8" and not is_free_action(generate_group(rs)).free:
+            outcome += ", not free"
+        outcomes[outcome] += 1
     assert outcomes["generated more than 64 elements"] > 0
     assert outcomes["order 8, not free"] > 0
     assert outcomes["order 16"] > 0
+
+
+def reference_has_fixed_point(f: AffineAut) -> FixedPointResult:
+    """The fixed-point decision by the Fraction route: (A - I) x = -t + m
+    solved with fraction_solve_affine, the fixed point reduced mod 1."""
+    res = fraction_solve_affine(f.a - Matrix.identity(f.a.rows), tuple(-c for c in f.t.coords))
+    if not res.solvable:
+        return FixedPointResult(
+            exists=False,
+            obstruction=Obstruction(res.obstruction_index, res.obstruction_row, res.obstruction_value),
+        )
+    return FixedPointResult(exists=True, point=tuple(c % 1 for c in res.x))
+
+
+def test_fixed_point_decision_matches_the_fraction_reference(survivor_actions):
+    # every nonidentity element of the survivors' groups (all free), and
+    # of the stable frame actions' groups, where fixed points occur
+    outcomes = Counter()
+    groups = [generate_group({"r": a.r, "s": a.s}) for a in survivor_actions]
+    for action in _stable_frame_actions(1616):
+        try:
+            groups.append(generate_group({"r": action.r, "s": action.s}))
+        except GroupGenerationError:
+            outcomes["past the cap"] += 1
+    for g in groups:
+        for e in g.nonidentity():
+            got = has_fixed_point(e.aut)
+            assert got == reference_has_fixed_point(e.aut), (e.word, e.aut)
+            outcomes[got.exists] += 1
+    assert outcomes[False] >= 72 * 7 and outcomes[True] > 0 and outcomes["past the cap"] > 0, outcomes
 
 
 def _laplace_det(rows):

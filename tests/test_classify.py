@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import point
 
 from hyptor import classify, d4_family
 from hyptor.affine_actions import check_relations, evaluate_word, generate_group, has_fixed_point
@@ -31,7 +32,7 @@ from hyptor.classify import (
 )
 from hyptor.d4_family import BuildRejection, quotient_frame
 from hyptor.exact_linear import Matrix, hnf, snf
-from hyptor.torus import EllipticCurveParam, TorsionPoint, point
+from hyptor.torus import EllipticCurveParam, TorsionPoint
 
 TAU_I = EllipticCurveParam(Fraction(0), Fraction(1))
 TAU_2I = EllipticCurveParam(Fraction(0), Fraction(2))

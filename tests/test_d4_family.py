@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import reference_generate_group
+from conftest import point, reference_generate_group
 from linear_oracles import canonical, image_saturation, lattice_membership, rational_rank
 
 from hyptor import classify, exact_linear
@@ -44,7 +44,7 @@ from hyptor.d4_family import (
     structure_report,
 )
 from hyptor.certificates import build_certificate, verify_certificate
-from hyptor.classify import SearchSpace, enumerate_case1, subgroup_family
+from hyptor.classify import subgroup_family
 from hyptor.exact_linear import Matrix, Sublattice, kernel_sublattice, snf
 from hyptor.torus import (
     ComplexTorus,
@@ -52,7 +52,6 @@ from hyptor.torus import (
     FiniteSubgroup,
     TorsionPoint,
     elliptic_curve,
-    point,
     product,
 )
 
@@ -583,7 +582,7 @@ def test_verify_certificate_smith_forms(monkeypatch):
     # 3 inverses and the inclusion bound
     action = build_normal_form(TAU_I, TAU_2I)
     doc = build_certificate(action)
-    exact_linear._cleared_smith_form.cache_clear()
+    exact_linear._system_smith_form.cache_clear()
     calls = []
     original = exact_linear.snf
 
@@ -661,19 +660,32 @@ def test_block_lattices_are_the_subspace_intersections():
     assert compared == 300
 
 
-@pytest.fixture(scope="module")
-def survivor_actions():
-    """The 72 Case-1 census survivors built at (i, 2i), one frame per H."""
-    report = enumerate_case1(SearchSpace(CaseTag.CASE1))
-    assert len(report.survivors) == 72
-    frames = {}
-    actions = []
-    for survivor in report.survivors:
-        gens = survivor.h_generators
-        if gens not in frames:
-            frames[gens] = quotient_frame(CaseTag.CASE1, TAU_I, TAU_2I, gens)
-        actions.append(frames[gens].action(survivor.parameters(TAU_I, TAU_2I)))
-    return actions
+def test_check_action_builds_no_fraction_but_the_obstruction_values(survivor_actions, monkeypatch):
+    # after one check of each survivor, which fills the per-torus cleared
+    # J and the memos, a check builds one Fraction per nonidentity
+    # element, its obstruction value, and hashes none: points,
+    # translations and the linear-part memo key are all int
+    for action in survivor_actions:
+        assert check_action(action).ok
+    built, hashed = [], []
+    new, hash_ = Fraction.__new__, Fraction.__hash__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def counting_hash(self):
+        hashed.append(self)
+        return hash_(self)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    for action in survivor_actions:
+        before = len(built)
+        report = check_action(action)
+        assert report.ok and len(report.freeness.witnesses) == 7
+        assert len(built) - before <= 7
+    assert hashed == []
 
 
 def test_splitting_check_agrees_with_the_membership_loop(survivor_actions):

@@ -7,6 +7,7 @@ Gauss-Jordan elimination (linear_oracles), which the library no longer
 uses.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from linear_oracles import (
     canonical,
+    fraction_solve_affine,
     gauss_jordan_inverse,
     image_saturation,
     lattice_membership,
@@ -76,14 +78,15 @@ def minor_gcd_divisors(m: Matrix):
     return tuple(divisors)
 
 
-def grid_solvable(a: Matrix, b, box: int, denominator: int) -> bool:
+def grid_solvable(a: Matrix, b, denominator: int) -> bool:
     """Exhaustive search for x with a x = b + (integer vector).
 
-    Scans x with coordinates k/denominator over [0, box).  Complete only
-    when box and denominator are chosen per instance (see callers).
+    Scans x with coordinates k/denominator over [0, 1), which suffices
+    for an integer matrix a.  Complete only when denominator is chosen
+    per instance (see the caller).
     """
     n = a.rows
-    coords = [Fraction(k, denominator) for k in range(box * denominator)]
+    coords = [Fraction(k, denominator) for k in range(denominator)]
     bvec = [Fraction(t) for t in b]
     for x in itertools.product(coords, repeat=n):
         ax = a.apply(x)
@@ -346,7 +349,8 @@ def test_solve_affine_matches_grid_search():
         n = rng.randint(1, 3)
         a = rand_int_matrix(rng, n, n, -3, 3)
         den_b = rng.choice((1, 2, 3, 4))
-        b = [Fraction(rng.randint(-4, 4), den_b) for _ in range(n)]
+        b = [rng.randint(-4, 4) for _ in range(n)]
+        b_frac = [Fraction(x, den_b) for x in b]
         # completeness: a solution, if any, exists with denominator
         # dividing lcm(divisors) * den(b); integer linear part means
         # solutions are invariant mod Z^n, so box = 1
@@ -356,13 +360,13 @@ def test_solve_affine_matches_grid_search():
         if g**n > 30000:
             continue
         checked += 1
-        res = solve_affine_mod_lattice(a, b)
-        assert res.solvable == grid_solvable(a, b, 1, g)
+        res = solve_affine_mod_lattice(a, b, den_b)
+        assert res.solvable == grid_solvable(a, b_frac, g)
         if res.solvable:
-            ax = a.apply(res.x)
+            ax = a.apply(tuple(Fraction(x, res.denominator) for x in res.x))
             for i in range(n):
-                assert (ax[i] - b[i]).denominator == 1
-                assert ax[i] - b[i] == res.m[i]
+                assert (ax[i] - b_frac[i]).denominator == 1
+                assert ax[i] - b_frac[i] == res.m[i]
         else:
             # obstruction row certifies unsolvability
             u = res.obstruction_row
@@ -370,73 +374,27 @@ def test_solve_affine_matches_grid_search():
             assert all(x == 0 for x in lhs)
             assert res.obstruction_value.denominator != 1
             assert res.obstruction_value == sum(
-                Fraction(u[i]) * b[i] for i in range(n)
+                Fraction(u[i]) * b_frac[i] for i in range(n)
             )
 
 
-def test_solve_affine_rational_linear_part():
-    rng = random.Random(32)
-    checked = 0
-    while checked < 120:
-        n = rng.randint(1, 2)
-        den_a = rng.choice((1, 2))
-        a = Matrix.from_rows(
-            [
-                [Fraction(rng.randint(-3, 3), den_a) for _ in range(n)]
-                for _ in range(n)
-            ]
-        )
-        den_b = rng.choice((1, 2, 4))
-        b = [Fraction(rng.randint(-3, 3), den_b) for _ in range(n)]
-        a_int, s = a.scaled_integer()
-        divisors = minor_gcd_divisors(a_int)
-        lcm_d = math.lcm(*divisors) if divisors else 1
-        # x is only invariant under s * Z^n here, so scan a box of side s
-        g = lcm_d * den_b
-        if (s * g) ** n > 40000:
-            continue
-        checked += 1
-        res = solve_affine_mod_lattice(a, b)
-        assert res.solvable == grid_solvable(a, b, s, g)
+def test_solve_affine_refuses_a_rational_linear_part():
+    # the solver takes an integer matrix and ints over a positive int;
+    # fixed-point questions only ever ask about the integral A - I
+    with pytest.raises(ValueError, match="integer matrix"):
+        solve_affine_mod_lattice(Matrix.from_rows([[4, Fraction(1, 8)], [0, 4]]), (1, 1), 8)
+    ident = Matrix.identity(2)
+    for b, delta in (((Fraction(1, 2), 0), 1), ((1, 0), Fraction(2)), ((True, 0), 2), ((1, 0), 0), ((1, 0), -2)):
+        with pytest.raises(TypeError):
+            solve_affine_mod_lattice(ident, b, delta)
 
 
-def test_solve_affine_naive_grid_is_incomplete():
-    # Solvable, but every solution needs denominator far beyond the
-    # inputs' denominators: searching on the inputs' grid finds nothing.
-    a = Matrix.from_rows([[4, Fraction(1, 8)], [0, 4]])
-    b = (Fraction(1, 8), Fraction(1, 8))
-    res = solve_affine_mod_lattice(a, b)
-    assert res.solvable
-    ax = a.apply(res.x)
-    assert all((ax[i] - b[i]).denominator == 1 for i in range(2))
-    assert not grid_solvable(a, b, 8, 8)
-    assert max(Fraction(t).denominator for t in res.x) > 8
-
-
-def fraction_solve_affine(a: Matrix, b) -> AffineSolveResult:
-    """Reference for solve_affine_mod_lattice: c = U b in Fraction
-    arithmetic, with a fresh Smith form on every call."""
-    n = a.rows
-    bvec = tuple(Fraction(x) for x in b)
-    a_int, alpha = a.scaled_integer()
-    dec = snf(a_int)
-    c = dec.u.apply(bvec)
-    for i in dec.zero_rows:
-        if Fraction(c[i]).denominator != 1:
-            return AffineSolveResult(
-                solvable=False,
-                obstruction_index=i,
-                obstruction_row=dec.u.row(i),
-                obstruction_value=Fraction(c[i]),
-            )
-    y = [Fraction(0)] * n
-    for i in range(n):
-        di = dec.d.at(i, i)
-        if di != 0:
-            y[i] = Fraction(c[i], di)
-    x = tuple(alpha * t for t in dec.v.apply(tuple(y)))
-    ax = a.apply(x)
-    return AffineSolveResult(solvable=True, x=x, m=tuple(int(ax[i] - bvec[i]) for i in range(n)))
+def with_fraction_witness(res: AffineSolveResult) -> AffineSolveResult:
+    """The solver's result with its witness as Fractions, in the form of
+    fraction_solve_affine."""
+    if not res.solvable:
+        return res
+    return dataclasses.replace(res, x=tuple(Fraction(x, res.denominator) for x in res.x), denominator=None)
 
 
 def test_integer_obstruction_test_matches_fraction_reference():
@@ -451,14 +409,14 @@ def test_integer_obstruction_test_matches_fraction_reference():
         if trial % 4 == 0:
             a = rand_int_matrix(rng, n, n, -3, 3)
         den = rng.randint(1, 12)
-        b = tuple(Fraction(rng.randint(-3 * den, 3 * den), den) for _ in range(n))
-        got = solve_affine_mod_lattice(a, b)
-        want = fraction_solve_affine(a, b)
-        assert got == want, (a, b)
+        b = tuple(rng.randint(-3 * den, 3 * den) for _ in range(n))
+        got = solve_affine_mod_lattice(a, b, den)
+        want = fraction_solve_affine(a, tuple(Fraction(x, den) for x in b))
+        assert with_fraction_witness(got) == want, (a, b)
         # the same verdict again, now from the Smith-form memo
-        assert solve_affine_mod_lattice(a, b) == want
+        assert solve_affine_mod_lattice(a, b, den) == got
         if got.solvable:
-            assert all(type(t) is Fraction for t in got.x)
+            assert all(type(t) is int for t in (*got.x, got.denominator, *got.m))
         else:
             assert type(got.obstruction_value) is Fraction
         outcomes[got.solvable] += 1
@@ -466,7 +424,7 @@ def test_integer_obstruction_test_matches_fraction_reference():
 
 
 def test_smith_form_memo_is_bounded_and_private():
-    info = exact_linear._cleared_smith_form.cache_info()
+    info = exact_linear._system_smith_form.cache_info()
     assert info.maxsize is not None and info.maxsize > 0
     # snf itself keeps no memo: other callers compute their own forms
     assert not hasattr(exact_linear.snf, "cache_info")
@@ -475,10 +433,10 @@ def test_smith_form_memo_is_bounded_and_private():
 def test_solve_affine_dimension_errors():
     a = Matrix.from_rows([[1, 2]])
     with pytest.raises(DimensionError):
-        solve_affine_mod_lattice(a, (1,))
+        solve_affine_mod_lattice(a, (1,), 1)
     sq = Matrix.from_rows([[1, 0], [0, 1]])
     with pytest.raises(DimensionError):
-        solve_affine_mod_lattice(sq, (1,))
+        solve_affine_mod_lattice(sq, (1,), 1)
 
 
 def test_rational_solve_matches_numpy():

@@ -11,9 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import point
 
 from hyptor.exact_linear import Matrix
-from hyptor.torus import TorsionPoint, point
+from hyptor.torus import TorsionPoint
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyptor"
 
@@ -75,6 +76,3 @@ def test_torsion_point_refuses_floats_and_bools():
     p = TorsionPoint((Fraction(5, 4), -1, Fraction(-1, 3), 0))
     assert p.coords == (Fraction(1, 4), 0, Fraction(2, 3), 0)
     assert all(type(c) is Fraction for c in p.coords)
-    # a reduced Fraction is kept as it is
-    half = Fraction(1, 2)
-    assert TorsionPoint((half, Fraction(0))).coords[0] is half

@@ -5,6 +5,10 @@ class (a name without a leading underscore) must either be read
 somewhere in the package, its own module included, or be exported by
 ``hyptor.__all__``.  An import alone does not count as a use, so a name
 that only ``__init__`` imports is caught unless it is also exported.
+An attribute read ``x.name`` counts as a use of a top-level ``name``
+only when x is a module: a name bound by ``import``, or by ``from ...
+import`` of a module of the package.  ``res.point`` on a result object
+does not keep a function ``point`` alive.
 
 A public method of a public class (properties aside) must be read as an
 attribute somewhere in the package, whether or not its class is
@@ -36,6 +40,26 @@ def _is_property(node: ast.AST) -> bool:
     return False
 
 
+def _module_attribute_reads(tree: ast.AST, modules: set[str]) -> set[str]:
+    """The attributes read as ``x.name`` or ``x.y.name`` with x bound in
+    the tree by ``import``, or by ``from ... import`` of one of modules."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            bound |= {alias.asname or alias.name for alias in node.names if alias.name in modules}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                reads.add(node.attr)
+    return reads
+
+
 def unused_public_names(sources: dict[str, str], exported: set[str]) -> list[str]:
     """"module.name" of every public top-level def or class that no
     module reads and that is not exported, and "module.Class.method" of
@@ -56,13 +80,12 @@ def unused_public_names(sources: dict[str, str], exported: set[str]) -> list[str
                     for item in node.body
                     if isinstance(item, _FUNCTIONS) and not item.name.startswith("_") and not _is_property(item)
                 )
+        used |= _module_attribute_reads(tree, set(sources))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-                if isinstance(node.ctx, ast.Load):
-                    read_attributes.add(node.attr)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read_attributes.add(node.attr)
     unused = [f"{module}.{name}" for module, name in defined if name not in used and name not in exported]
     unused += [f"{module}.{cls}.{name}" for module, cls, name in methods if name not in read_attributes]
     return sorted(unused)
@@ -89,11 +112,8 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
     for module, source in sources.items():
         tree = ast.parse(source)
         defined += [(module, name) for node in tree.body for name in _top_level_names(node) if _is_private(name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+        read |= _module_attribute_reads(tree, set(sources))
+        read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted(f"{module}.{name}" for module, name in defined if name not in read)
 
 
@@ -101,7 +121,10 @@ def test_guard_flags_each_unused_name():
     sources = {
         "a": "def used(): pass\ndef dead(): pass\nclass Dead: pass\ndef _private(): pass\ndef exported(): pass\n",
         "b": "from .a import used, Dead\nfrom . import a\n\nvalue = used() + a.used()\n",
-        "c": "class Base: pass\nclass Child(Base): pass\ndef by_attribute(): pass\nx = module.by_attribute\n",
+        "c": (
+            "import module\nclass Base: pass\nclass Child(Base): pass\ndef by_attribute(): pass\n"
+            "x = module.by_attribute\n"
+        ),
         "d": (
             "class Point:\n"
             "    def read(self): pass\n"
@@ -116,6 +139,8 @@ def test_guard_flags_each_unused_name():
             "    def dead(self): pass\n"
             "p = Point()\np.read()\np.stored = 1\n"
         ),
+        # an attribute of a result object shares the name of a function
+        "e": "def point(): pass\ndef solve(): pass\nres = solve()\nx = res.point\n",
     }
     assert unused_public_names(sources, {"exported", "Point"}) == [
         "a.Dead",
@@ -124,6 +149,7 @@ def test_guard_flags_each_unused_name():
         "d.Point.dead",
         "d.Point.stored",
         "d.Point.unused_constructor",
+        "e.point",
     ]
 
 
@@ -138,11 +164,11 @@ def test_guard_flags_each_unused_private_name():
         "a": (
             "_USED = 1\n_DEAD = 2\n_TYPED: int = 3\n_X, _Y = 1, 2\n__all__ = []\n"
             "def _helper(): return _USED + _X\ndef _dead(): pass\nclass _Dead: pass\n"
-            "def public(): return _helper()\n"
+            "def public(): return _helper()\ndef _stale(): pass\n"
         ),
-        "b": "from .a import _Dead\nfrom . import a\nvalue = a._Y\na._DEAD = 0\n",
+        "b": "from .a import _Dead\nfrom . import a\nvalue = a._Y\na._DEAD = 0\nres = a.public()\nx = res._stale\n",
     }
-    assert unused_private_names(sources) == ["a._DEAD", "a._Dead", "a._TYPED", "a._dead"]
+    assert unused_private_names(sources) == ["a._DEAD", "a._Dead", "a._TYPED", "a._dead", "a._stale"]
 
 
 def test_every_private_name_is_read():

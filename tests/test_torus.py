@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import point
 
 from hyptor.exact_linear import Matrix
 from hyptor.torus import (
@@ -17,7 +18,6 @@ from hyptor.torus import (
     TorsionPoint,
     coordinate_change,
     elliptic_curve,
-    point,
     product,
     quotient_by_finite_subgroup,
 )
@@ -66,6 +66,37 @@ def test_torsion_point_canonicalization_and_arithmetic():
     assert TorsionPoint.zero(6).order() == 1
     q = point("1/2", 0)
     assert p.add(q).coords == (Fraction(0), Fraction(3, 4))
+
+
+def test_torsion_point_canonical_form():
+    # one point from Fractions, from out-of-range coordinates and from
+    # scaled integers, canonical or not: equal, with equal hashes
+    p = TorsionPoint((Fraction(1, 2), Fraction(1, 3), 0))
+    same = [
+        TorsionPoint((Fraction(-3, 2), Fraction(7, 3), 5)),
+        TorsionPoint.from_scaled((3, 2, 0), 6),
+        TorsionPoint.from_scaled((15, -4, 12), 6),
+        TorsionPoint.from_scaled((6, 4, 0), 12),
+    ]
+    for q in same:
+        assert q == p and hash(q) == hash(p)
+    assert p.order() == 6 and p.coords == (Fraction(1, 2), Fraction(1, 3), Fraction(0))
+    assert p.scaled(6) == (3, 2, 0) and p.scaled(12) == (6, 4, 0)
+    with pytest.raises(ValueError):
+        p.scaled(4)
+    # ints alone give the zero point, of order 1
+    for zero in (TorsionPoint((3, -2)), TorsionPoint.from_scaled((6, -4), 2), TorsionPoint.zero(2)):
+        assert zero == TorsionPoint((0, 0)) and hash(zero) == hash(TorsionPoint((0, 0)))
+        assert zero.is_zero() and zero.order() == 1
+    assert TorsionPoint.from_scaled((1, 3), 4) != TorsionPoint.from_scaled((1, 3), 8)
+    for coords in ((0.5, 0), (True, 0), (0, False)):
+        with pytest.raises(TypeError):
+            TorsionPoint(coords)
+    for numerators, d in (((0.5, 0), 2), ((1, 0), 2.0)):
+        with pytest.raises(TypeError):
+            TorsionPoint.from_scaled(numerators, d)
+    with pytest.raises(ValueError):
+        TorsionPoint.from_scaled((1, 0), 0)
 
 
 def test_finite_subgroup_closure_and_invariants():
