@@ -92,10 +92,6 @@ class AffineAut:
         return p.image(self.a).add(self.t)
 
 
-def identity_aut(t: ComplexTorus) -> AffineAut:
-    return AffineAut(t, Matrix.identity(t.rank), TorsionPoint.zero(t.rank))
-
-
 def is_translation(f: AffineAut) -> bool:
     """Nontrivial pure translation."""
     return f.a.is_identity() and not f.t.is_zero()
@@ -267,12 +263,13 @@ def generate_group(gens: Mapping[str, AffineAut], cap: int = 64) -> GeneratedGro
         frontier = nxt
     words = sorted(keys, key=lambda w: (0 if w == "e" else len(w), w))
     index = {w: i for i, w in enumerate(words)}
-    auts = {"e": identity_aut(torus)}
-    for w in words[1:]:
+    elements = []
+    for w in words:
+        # "e" has the key (0, zero shift): the core's identity, matrices[0]
         lin, t = keys[w]
-        auts[w] = AffineAut(torus, core.matrices[lin], TorsionPoint.from_scaled(t, d))
+        elements.append(GroupElement(w, AffineAut(torus, core.matrices[lin], TorsionPoint.from_scaled(t, d))))
     return GeneratedGroup(
-        tuple(GroupElement(w, auts[w]) for w in words),
+        tuple(elements),
         tuple(names),
         tuple(tuple(index[p] for p in products[w]) for w in words),
     )

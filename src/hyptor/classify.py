@@ -41,6 +41,13 @@ congruences in the shifts, solved by Smith forms (H. Cohen, A Course
 in Computational Algebraic Number Theory, 2.4): their common solutions
 form a finite group R_H, and only its points on the grid reach the
 fixed-point stages, so a sweep's cost does not grow with the grid.
+The grid counts, R_H and its points on the grid depend only on the
+stacked relation rows, which the stable subgroups largely share: a
+census solves each distinct system once, in a memo that lives as long
+as the census (tasks sent to worker processes carry their own copies).  The fixed-point
+stages run in canonical order, one at a time, and a stage's truth
+tables are built only while points remain; in Case 2 the half-turn
+stage takes every point, so the reflections' tables are never built.
 Scaled tuples carry D*p for a point p, D the lcm of the bounds and 2.
 """
 
@@ -124,9 +131,9 @@ _COLUMNS = {CaseTag.CASE1: (0, 1, 2, 3, 6, 7), CaseTag.CASE2: tuple(range(8))}
 
 # Largest accepted denominator bound.  A census solves its relations
 # rather than scanning the grid, so its cost hardly depends on the
-# bound: at 128 a fresh `classify --workers 1` process takes about
-# 0.5 s (Case 1) or 0.4 s (Case 2) wall and 19 MB on a 2-core Xeon
-# guest (Python 3.11), start-up included.  cross_validate visits every
+# bound: at 128 a fresh `classify --workers 1` process takes 0.2-0.3 s
+# wall in either case and 19 MB on a 2-core Xeon guest (Python 3.11),
+# start-up included.  cross_validate visits every
 # grid tuple, and reads its engine side off the census's truth tables
 # over a subgroup's whole grid, so its memory grows with the grid too.
 MAX_DENOMINATOR = 128
@@ -311,6 +318,8 @@ class CensusStats:
     phases.  Diagnostics only; they are not part of the census
     artifact, and the times differ from run to run.
 
+    relation_systems counts the distinct systems of relation rows over
+    the stable subgroups, each solved once by a census with one worker;
     relation_solutions counts the tuples that satisfy all three
     relations, the sum of |R_H ∩ grid| over the stable subgroups;
     reverification_frames counts the distinct subgroups H among the
@@ -322,6 +331,7 @@ class CensusStats:
     subgroups: int
     lattice_r_by_mask: int
     engine_builds: int
+    relation_systems: int
     relation_solutions: int
     survivors_reverified: int
     reverification_frames: int
@@ -336,6 +346,7 @@ class CensusStats:
                 "subgroups": self.subgroups,
                 "lattice_r_by_mask": self.lattice_r_by_mask,
                 "engine_builds": self.engine_builds,
+                "relation_systems": self.relation_systems,
                 "relation_solutions": self.relation_solutions,
                 "survivors_reverified": self.survivors_reverified,
                 "reverification_frames": self.reverification_frames,
@@ -408,8 +419,14 @@ def _survivor_dict(s: Survivor) -> dict:
 
 
 def _row_times(v, rows) -> tuple[int, ...]:
-    """The integer row v times the matrix with the given rows."""
-    return tuple(sum(x * r[j] for x, r in zip(v, rows) if x) for j in range(len(rows[0])))
+    """The integer row v times the matrix with the given rows: one pass
+    over the row of each nonzero entry of v."""
+    out = [0] * len(rows[0])
+    for x, r in zip(v, rows):
+        if x:
+            for j, y in enumerate(r):
+                out[j] += x * y
+    return tuple(out)
 
 
 def _word_matrices(case: CaseTag, words: list[str]) -> dict[str, tuple[Matrix, Matrix, Matrix]]:
@@ -565,9 +582,17 @@ def _build_h_engine(forms: _CaseForms, span_key: tuple[int, ...]) -> _HEngine:
 # ---------------------------------------------------------------------------
 
 
-def _restrict(forms, cols) -> list[tuple[int, ...]]:
-    """The forms on the columns, without repeats or zero rows."""
-    return sorted({tuple(f[c] for c in cols) for f in forms} - {(0,) * len(cols)})
+def _restrict(forms, cols) -> tuple[tuple[int, ...], ...]:
+    """The forms on the columns, without repeats or zero rows, sorted:
+    equal systems of forms restrict to equal tuples."""
+    return tuple(sorted({tuple(f[c] for c in cols) for f in forms} - {(0,) * len(cols)}))
+
+
+def _relation_system(engine: _HEngine, cols) -> tuple[tuple[int, ...], ...]:
+    """The stacked rows of all three relations on the columns, which
+    determine R_H."""
+    rel = engine.relation_forms
+    return _restrict(rel["r4"] + rel["s2"] + rel["rsrs"], cols)
 
 
 def _grid_count(rows, moduli: tuple[int, ...]) -> int:
@@ -614,47 +639,70 @@ def _holds(rows, solutions) -> list[bool]:
     return [not any(v) for v in zip(*values)] if values else [True] * prod(d for d, _ in solutions[1])
 
 
-def _sweep_h(engine: _HEngine, space: SearchSpace):
+def _once(memo: dict, key, compute):
+    """memo[key], computed by compute() on the first request."""
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+# The fixed-point stages after the relations, in canonical order, with
+# the words each one decides: a point leaves at the first stage one of
+# whose words has a fixed point there.
+_WORD_STAGES = (("r", "rrr"), ("rr",), ("s",), ("rs",), ("rrs",), ("sr",))
+
+
+def _sweep_h(engine: _HEngine, space: SearchSpace, memo: dict | None = None):
     """One subgroup's slice of the grid, decided by the engine's forms.
 
     Returns the failure count of every stage and the surviving scaled
     tuples (a1, a2, a3, c3) in grid order: by c3, then a1, a3 and a2.
     A relation stage counts the grid points that the relations before
     it admit and it does not; only R_H's points on the grid meet the
-    fixed-point stages.
+    fixed-point stages, one stage at a time, and a stage's truth tables
+    are built only while points remain.
+
+    The grid counts, R_H and its points on the grid depend only on the
+    stacked relation rows, which many subgroups share: memo, one per
+    census, keeps them keyed on those rows, so equal systems are solved
+    once.
     """
+    memo = {} if memo is None else memo
     cols = _COLUMNS[space.case]
     moduli = space.moduli
     unit = [tuple(int(i == j) for i in range(len(cols))) for j in range(len(cols))]
     rel = engine.relation_forms
-    solutions = _relation_solutions(_restrict(rel["r4"] + rel["s2"] + rel["rsrs"], cols), len(cols))
-    grid = [tuple(q * x for x in e) for q, e in zip(moduli, unit)]
-    points = [p for p, ok in enumerate(_holds(grid, solutions)) if ok]
+    r4 = _restrict(rel["r4"], cols)
+    r4_s2 = _restrict(rel["r4"] + rel["s2"], cols)
+    system = _relation_system(engine, cols)
+
+    def solve():
+        solutions = _relation_solutions(system, len(cols))
+        grid = [tuple(q * x for x in e) for q, e in zip(moduli, unit)]
+        return solutions, [p for p, ok in enumerate(_holds(grid, solutions)) if ok]
+
+    solutions, points = _once(memo, ("solve", system, moduli), solve)
+    in_r4 = _once(memo, ("count", r4, moduli), lambda: _grid_count(r4, moduli))
+    in_r4_s2 = _once(memo, ("count", r4_s2, moduli), lambda: _grid_count(r4_s2, moduli))
 
     reasons = _REASONS[space.case]
     counts = {r: 0 for r in reasons}
-    in_r4 = _grid_count(_restrict(rel["r4"], cols), moduli)
-    in_r4_s2 = _grid_count(_restrict(rel["r4"] + rel["s2"], cols), moduli)
     counts["relation:r4"] = prod(moduli) - in_r4
     counts["relation:s2"] = in_r4 - in_r4_s2
     counts["relation:rsrs"] = in_r4_s2 - len(points)
 
-    fixed = {w: _holds(_restrict(forms, cols), solutions) for w, forms in engine.word_forms.items()}
     # In Case 1 the half-turn stage names the element; in Case 2 the
     # conflict that hands it a fixed point.
-    stages = [(reasons[6], [a or b for a, b in zip(fixed["r"], fixed["rrr"])])]
-    stages += [(name, fixed[word]) for name, word in zip(reasons[7:], ("rr", "s", "rs", "rrs", "sr"))]
-    found = []
-    for p in points:
-        for name, hold in stages:
-            if hold[p]:
-                counts[name] += 1
-                break
-        else:
-            found.append(p)
-    coords = [_values(e, solutions) for e in unit] if found else []
+    for name, words in zip(reasons[6:], _WORD_STAGES):
+        if not points:
+            break
+        tables = [_holds(_restrict(engine.word_forms[w], cols), solutions) for w in words]
+        kept = [p for p in points if not any(t[p] for t in tables)]
+        counts[name] = len(points) - len(kept)
+        points = kept
+    coords = [_values(e, solutions) for e in unit] if points else []
     survivors = []
-    for p in found:
+    for p in points:
         x = {c: v[p] * space.scale // solutions[0] for c, v in zip(cols, coords)}
         survivors.append(tuple((x.get(c, 0), x.get(c + 1, 0)) for c in (0, 2, 4, 6)))
     survivors.sort(key=lambda t: (t[3], t[0], t[2], t[1]))
@@ -662,13 +710,14 @@ def _sweep_h(engine: _HEngine, space: SearchSpace):
 
 
 def _sweep_task(task):
-    """Worker entry point: one subgroup's slice of the sweep, and the
-    seconds its engine took to build."""
-    space, forms, span_key = task
+    """Worker entry point: one subgroup's slice of the sweep, its
+    relation system, and the seconds its engine took to build."""
+    space, forms, span_key, memo = task
     start = time.perf_counter()
     engine = _build_h_engine(forms, span_key)
     built = time.perf_counter()
-    return (*_sweep_h(engine, space), built - start)
+    counts, survivors = _sweep_h(engine, space, memo)
+    return counts, survivors, _relation_system(engine, _COLUMNS[space.case]), built - start
 
 
 def _worker_count(requested: int, tasks: int) -> int:
@@ -716,13 +765,16 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
 
     forms = _case_forms(space.case)
     forms_s = time.perf_counter() - family_done
-    results = _run_tasks(_sweep_task, [(space, forms, key) for key in stable], workers)
+    # the memo of relation systems lives as long as this census; tasks
+    # sent to worker processes carry their own copies
+    memo: dict = {}
+    results = _run_tasks(_sweep_task, [(space, forms, key, memo) for key in stable], workers)
 
     counts = {r: 0 for r in _REASONS[space.case]}
     counts["lattice:r"] = (len(family) - len(stable)) * space.grid_size()
     survivors: list[Survivor] = []
     scale = space.scale
-    for key, (h_counts, raw, _) in zip(stable, results):
+    for key, (h_counts, raw, _, _) in zip(stable, results):
         for r, n in h_counts.items():
             counts[r] += n
         gens = _subgroup_generator_points(key)
@@ -744,12 +796,13 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
         subgroups=len(family),
         lattice_r_by_mask=len(family) - len(stable),
         engine_builds=len(stable),
+        relation_systems=len({system for _, _, system, _ in results}),
         relation_solutions=len(stable) * space.grid_size() - sum(counts[r] for r in _REASONS[space.case][2:5]),
         survivors_reverified=len(survivors),
         reverification_frames=len({s.h_generators for s in survivors}),
         family_s=family_done - start,
         sweep_s=sweep_done - family_done,
-        engines_s=forms_s + sum(engine_s for _, _, engine_s in results),
+        engines_s=forms_s + sum(engine_s for *_, engine_s in results),
         reverification_s=time.perf_counter() - sweep_done,
     )
     return CensusReport(

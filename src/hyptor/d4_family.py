@@ -366,11 +366,19 @@ class FreenessConditionReport:
     @property
     def equivalence_flags_pass(self) -> bool:
         """The seven flags matched against the generic engine verdict."""
-        return all(v for k, v in self.as_dict().items() if k != "factors_embed")
+        return (
+            self.rel_r4_member
+            and self.rel_s2_member
+            and self.rel_rs2_member
+            and self.excl_r_free
+            and self.excl_r2_free
+            and self.excl_s_free
+            and self.excl_rs_free
+        )
 
     @property
     def all_pass(self) -> bool:
-        return all(self.as_dict().values())
+        return self.factors_embed and self.equivalence_flags_pass
 
     def as_dict(self) -> dict[str, bool]:
         return asdict(self)

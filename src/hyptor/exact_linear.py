@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -330,19 +330,20 @@ class SmithDecomposition:
     """Smith normal form data: ``u @ m @ v == d``.
 
     d is diagonal with nonnegative entries in divisibility order
-    (zeros trailing); u, v are unimodular.
+    (zeros trailing); u, v are unimodular.  The views of d are computed
+    once per decomposition; equality and hashing read d, u and v only.
     """
 
     d: Matrix
     u: Matrix
     v: Matrix
 
-    @property
+    @cached_property
     def diagonal(self) -> IntVec:
         n = min(self.d.rows, self.d.cols)
         return tuple(self.d.at(i, i) for i in range(n))
 
-    @property
+    @cached_property
     def elementary_divisors(self) -> IntVec:
         return tuple(x for x in self.diagonal if x != 0)
 
@@ -350,7 +351,7 @@ class SmithDecomposition:
     def rank(self) -> int:
         return len(self.elementary_divisors)
 
-    @property
+    @cached_property
     def zero_rows(self) -> tuple[int, ...]:
         """Row indices of d whose entire row is zero."""
         n = min(self.d.rows, self.d.cols)

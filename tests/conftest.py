@@ -3,10 +3,11 @@
 The library reads words and relations from the product table its group
 closure keeps, and closes the linear parts apart from the translations.
 The helpers here compose maps directly: ``compose`` multiplies two
-automorphisms, ``reference_generate_group`` is the closure that
-composes every element with every generator, and the fixtures evaluate
-words letter by letter, so a test can check a built action, the table
-or the closure itself against a route that shares none of them.
+automorphisms, ``identity_aut`` is the identity map of a torus,
+``reference_generate_group`` is the closure that composes every element
+with every generator, and the fixtures evaluate words letter by letter,
+so a test can check a built action, the table or the closure itself
+against a route that shares none of them.
 ``point`` builds a torsion point from strings such as "1/2", and
 ``survivor_actions`` holds the 72 Case-1 census survivors.
 """
@@ -23,7 +24,6 @@ from hyptor.affine_actions import (
     GroupElement,
     GroupGenerationError,
     TorusMismatchError,
-    identity_aut,
 )
 from hyptor.classify import SearchSpace, enumerate_case1
 from hyptor.d4_family import CaseTag, quotient_frame
@@ -34,6 +34,11 @@ from hyptor.torus import EllipticCurveParam, TorsionPoint
 def point(*coords):
     """A torsion point from ints, Fractions and strings such as "1/2"."""
     return TorsionPoint(tuple(Fraction(c) if isinstance(c, str) else c for c in coords))
+
+
+def identity_aut(torus):
+    """The identity map of a torus."""
+    return AffineAut(torus, Matrix.identity(torus.rank), TorsionPoint.zero(torus.rank))
 
 
 def compose(f, g):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import compose, point, reference_generate_group
+from conftest import compose, identity_aut, point, reference_generate_group
 from linear_oracles import fraction_solve_affine
 
 from hyptor import affine_actions, classify
@@ -30,7 +30,6 @@ from hyptor.affine_actions import (
     evaluate_word,
     generate_group,
     has_fixed_point,
-    identity_aut,
     is_free_action,
     is_translation,
 )

@@ -56,6 +56,20 @@ def test_record_summarizes_pairs_and_judges_the_claim(tmp_path):
     assert not doc["workloads"]["v"]["claim"]["met"]
 
 
+def test_record_keeps_the_per_layer_metrics_of_traced_runs(tmp_path):
+    runs = []
+    for side, calls in (("p", 323.2), ("c", 203.3)):
+        metrics = {"exact_linear.snf.calls": {"value": calls, "unit": "count"}}
+        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+        runs.append(tmp_path / f"{side}.json")
+        runs[-1].write_text(json.dumps(result))
+    out = tmp_path / "o.json"
+    argv = ["--label", "t", "--workload", "w", "--command", "c", "--out", str(out)]
+    assert bench_record.main(argv + ["--parent", str(runs[0]), "--change", str(runs[1])]) == 0
+    snf = json.loads(out.read_text())["workloads"]["w"]["metrics"]["exact_linear.snf.calls"]
+    assert (snf["parent"]["median"], snf["change"]["median"], snf["pairs_won"]) == (323.2, 203.3, 1)
+
+
 def test_record_refuses_unpaired_runs(tmp_path, capsys):
     p = _write(tmp_path / "p.json", 0.2, 1.0, details=False)
     argv = ["--label", "t", "--workload", "w", "--command", "c", "--out", str(tmp_path / "o.json")]

@@ -214,6 +214,7 @@ def test_case1_full_grid_g2_counts():
         "subgroups": 460,
         "lattice_r_by_mask": 410,
         "engine_builds": 50,
+        "relation_systems": 21,
         "relation_solutions": 5504,
         "survivors_reverified": 72,
         "reverification_frames": 3,
@@ -706,6 +707,23 @@ def test_prefix_pass_gives_the_per_word_forms(monkeypatch, case):
     assert classify._case_forms(case) == forms
 
 
+def test_row_times_matches_the_column_sums():
+    # the old form, one sum per output column, is the oracle
+    def column_sums(v, rows):
+        return tuple(sum(x * r[j] for x, r in zip(v, rows) if x) for j in range(len(rows[0])))
+
+    rng = random.Random(1717)
+    for width in (6, 8):
+        for height in (1, 2, 6):
+            for _ in range(200):
+                entries = (0, 0, 1, -1, 3, -7, 2**70, -(2**65))
+                rows = [tuple(rng.choice(entries) for _ in range(width)) for _ in range(height)]
+                v = tuple(rng.choice((0, 0, 0, 1, 2, -1, -5, 2**40)) for _ in range(height))
+                assert classify._row_times(v, rows) == column_sums(v, rows), (v, rows)
+            zero = (0,) * height
+            assert classify._row_times(zero, rows) == (0,) * width
+
+
 def test_engine_refuses_a_rotation_unstable_span():
     family, _ = subgroup_family(1)
     unstable = [key for key in family if not classify._span_rotation_stable(key)]
@@ -732,21 +750,102 @@ def test_case_forms_refuse_a_family_that_is_not_dihedral(monkeypatch):
             classify._case_forms(CaseTag.CASE1)
 
 
-def test_engine_route_computes_its_own_smith_forms(monkeypatch):
-    # the fixed-point solver's Smith-form memo is its own: the census
-    # takes one Smith form per group word, 7 in all, and R_H and two
-    # grid counts per stable subgroup
-    calls = []
+def _distinct_relation_stacks(engines, case):
+    """How many distinct r^4, r^4 + s^2 and full relation stacks the
+    engines restrict to on the case's parameter columns."""
+    cols = classify._COLUMNS[case]
+    stacks = [set(), set(), set()]
+    for engine in engines:
+        rel = engine.relation_forms
+        for seen, names in zip(stacks, (("r4",), ("r4", "s2"), ("r4", "s2", "rsrs"))):
+            seen.add(classify._restrict([f for name in names for f in rel[name]], cols))
+    return tuple(map(len, stacks))
 
-    def counting(m):
-        calls.append(m)
+
+def _census_work(monkeypatch, case, q):
+    """Run one census with one worker; return its classify.snf calls and
+    its truth tables, and the report."""
+    snf_calls, tables = [], []
+
+    def counting_snf(m):
+        snf_calls.append(m)
         return snf(m)
 
-    monkeypatch.setattr(classify, "snf", counting)
-    report = enumerate_case1(SearchSpace(case=CaseTag.CASE1, shift_denominator=4, third_denominator=4))
+    def counting_holds(rows, solutions, holds=classify._holds):
+        tables.append(rows)
+        return holds(rows, solutions)
+
+    monkeypatch.setattr(classify, "snf", counting_snf)
+    monkeypatch.setattr(classify, "_holds", counting_holds)
+    run = enumerate_case1 if case is CaseTag.CASE1 else enumerate_case2
+    report = run(SearchSpace(case=case, shift_denominator=q, third_denominator=q))
+    monkeypatch.undo()
+    return len(snf_calls), len(tables), report
+
+
+def test_engine_route_computes_its_own_smith_forms(monkeypatch, stable_engines):
+    # the fixed-point solver's Smith-form memo is its own: the census
+    # takes one Smith form per group word, 7 in all, and one per
+    # distinct relation system of the 50 stable subgroups: the r^4 and
+    # r^4 + s^2 stacks to count, and the full stacks to solve
+    assert _distinct_relation_stacks(stable_engines[CaseTag.CASE1], CaseTag.CASE1) == (1, 8, 21)
+    calls, _, report = _census_work(monkeypatch, CaseTag.CASE1, 4)
     assert len(report.survivors) == 72
     assert report.stats.engine_builds == 50
-    assert len(calls) == 7 + 50 * 3
+    assert report.stats.relation_systems == 21
+    assert calls == 7 + 1 + 8 + 21 == 37
+
+
+def test_case2_census_solves_each_relation_system_once(monkeypatch, stable_engines):
+    # in Case 2 the stable subgroups share the r^4 stack only: 46 of
+    # the r^4 + s^2 stacks and all 50 full stacks differ
+    assert _distinct_relation_stacks(stable_engines[CaseTag.CASE2], CaseTag.CASE2) == (1, 46, 50)
+    calls, _, report = _census_work(monkeypatch, CaseTag.CASE2, 8)
+    assert report.survivors == ()
+    assert report.stats.relation_systems == 50
+    assert calls == 7 + 1 + 46 + 50 == 104
+
+
+@pytest.mark.parametrize("case, q", [(CaseTag.CASE1, 4), (CaseTag.CASE2, 8)])
+def test_no_memo_outlives_a_census(monkeypatch, case, q):
+    # a second census in the same process repeats all the work of the
+    # first: the relation systems are solved afresh, and every table
+    # is built again
+    calls, tables, report = _census_work(monkeypatch, case, q)
+    assert _census_work(monkeypatch, case, q) == (calls, tables, report)
+    # one grid table per distinct system, then the stage tables: in
+    # Case 2 those of r, r^3 and r^2 for each of the 50 subgroups
+    assert (calls, tables) == {CaseTag.CASE1: (37, 21 + 222), CaseTag.CASE2: (104, 50 + 3 * 50)}[case]
+
+
+def _words_read(monkeypatch, case, q):
+    """The group words whose forms one census reads off its engines."""
+    read = set()
+
+    class Reads(dict):
+        def __getitem__(self, word):
+            read.add(word)
+            return super().__getitem__(word)
+
+    build = classify._build_h_engine
+
+    def recording(forms, span_key):
+        engine = build(forms, span_key)
+        return classify._HEngine(engine.relation_forms, Reads(engine.word_forms))
+
+    monkeypatch.setattr(classify, "_build_h_engine", recording)
+    run = enumerate_case1 if case is CaseTag.CASE1 else enumerate_case2
+    run(SearchSpace(case=case, shift_denominator=q, third_denominator=q))
+    monkeypatch.undo()
+    return read
+
+
+def test_case2_census_builds_no_reflection_tables(monkeypatch):
+    # the r^2 stage takes every point the rotation stage leaves, so the
+    # tables of s, rs, r^2 s and r^3 s are never built; Case 1 has
+    # points left for every stage
+    assert _words_read(monkeypatch, CaseTag.CASE2, 8) == {"r", "rrr", "rr"}
+    assert _words_read(monkeypatch, CaseTag.CASE1, 4) == set(d4_family.GROUP_WORDS)
 
 
 def _relation_passing(counts, space):

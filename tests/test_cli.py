@@ -337,6 +337,7 @@ def test_classify_stats_file_leaves_census_unchanged(tmp_path, capsys):
         "subgroups": 55,
         "lattice_r_by_mask": 42,
         "engine_builds": 13,
+        "relation_systems": 7,
         "relation_solutions": 1024,
         "survivors_reverified": 72,
         "reverification_frames": 3,

@@ -425,6 +425,16 @@ def test_freeness_conditions_match_object_level(direct_relations):
     assert checked_free > 0 and checked_unfree > 0
 
 
+def test_freeness_report_summaries_match_its_dict():
+    # all_pass and equivalence_flags_pass read the eight fields
+    # directly; as_dict, which the CLI serializes, is the oracle
+    for flags in itertools.product((False, True), repeat=8):
+        report = FreenessConditionReport(*flags)
+        as_dict = report.as_dict()
+        assert report.all_pass is all(as_dict.values())
+        assert report.equivalence_flags_pass is all(v for k, v in as_dict.items() if k != "factors_embed")
+
+
 def reference_freeness_conditions(params: D4Parameters) -> FreenessConditionReport:
     """The conditions on torsion points of a freshly built product, as
     check_freeness_conditions evaluated them before it moved to integer

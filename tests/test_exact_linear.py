@@ -322,6 +322,24 @@ def test_snf_regression_cycling_matrix():
     assert dec.elementary_divisors == minor_gcd_divisors(m)
 
 
+def test_smith_views_are_read_off_d_once(monkeypatch):
+    m = Matrix.from_rows([[2, 4, 0], [0, 6, 0], [0, 0, 0]])
+    dec = snf(m)
+    views = (dec.diagonal, dec.elementary_divisors, dec.rank, dec.zero_rows)
+    assert views == ((2, 6, 0), (2, 6), 2, (2,))
+
+    def refused(*args):
+        raise AssertionError("d walked again")
+
+    monkeypatch.setattr(Matrix, "at", refused)
+    assert (dec.diagonal, dec.elementary_divisors, dec.rank, dec.zero_rows) == views
+    monkeypatch.undo()
+    # a fresh decomposition without cached views equals and hashes as
+    # the one with them: both read d, u and v only
+    fresh = snf(m)
+    assert fresh == dec and hash(fresh) == hash(dec)
+
+
 def test_rank_matches_numpy():
     rng = random.Random(23)
     for _ in range(80):

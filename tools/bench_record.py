@@ -7,10 +7,10 @@
 Each result file is what one run of benchmarks/run.py left: either the
 JSON object it prints last or the details file it writes under
 benchmarks/out/.  The i-th parent file and the i-th change file form a
-pair, run back to back.  For every end-to-end metric named in
-BENCHMARK.json the record keeps, per side, the median and quartiles of
-the runs, and the number of pairs in which the change read better
-(ties count for neither side).  Each side also gets its operations
+pair, run back to back.  For every metric named in BENCHMARK.json,
+end-to-end or, in runs with --trace 1, per-layer, the record keeps, per
+side, the median and quartiles of the runs, and the number of pairs in
+which the change read better (ties count for neither side).  Each side also gets its operations
 attempted and failed, summed over its runs, and whether every run
 passed its self-checks.  A claimed metric gets the verdict of the claim
 rule: the change wins at least nine tenths of the pairs, the medians
@@ -136,7 +136,8 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, help="default: BENCH_<label>.json at the repository root")
     args = p.parse_args(argv)
 
-    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
+    benchmark = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    spec = benchmark["end_to_end"] + benchmark["per_layer"]
     try:
         entry = compare([_run(f) for f in args.parent], [_run(f) for f in args.change], spec, args.claim)
     except (OSError, KeyError, ValueError) as exc:
