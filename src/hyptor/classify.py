@@ -862,22 +862,24 @@ def _grid_group(space: SearchSpace):
     cols, scale = _COLUMNS[space.case], space.scale
     moduli = dict(zip(cols, space.moduli))
     order = (3, 2, 5, 4, 1, 0, 7, 6)
-    return scale, [(moduli[c], [scale // moduli[c] * (j == c) for j in cols]) for c in order if c in moduli]
+    return scale, tuple((moduli[c], tuple(scale // moduli[c] * (j == c) for j in cols)) for c in order if c in moduli)
 
 
 def _cross_validate_h(task):
     """Worker entry point: both routes on every tuple of one subgroup's
-    slice, for a task (space, forms, span_key, base_index, sample_step).
+    slice, for a task (space, forms, span_key, base_index, sample_step,
+    memo).
 
     Returns (tuples, disagreements, examples, object_samples,
     object_disagreements).  The closed-form route evaluates the
     membership and exclusion conditions on H's elements, tuple by tuple;
     the engine route reads the census's truth tables of the relation and
-    obstruction forms over the grid.  A deterministic thin sample,
+    obstruction forms over the grid, kept in memo, one per call of
+    cross_validate, by rows and grid.  A deterministic thin sample,
     spread over the whole family by absolute tuple index, is
     additionally rebuilt object-level.
     """
-    space, forms, span_key, base_index, sample_step = task
+    space, forms, span_key, base_index, sample_step, memo = task
     scale = space.scale
     engine = _build_h_engine(forms, span_key)
     frame = quotient_frame(space.case, space.tau, space.tau_prime, _subgroup_generator_points(span_key))
@@ -885,8 +887,13 @@ def _cross_validate_h(task):
     elements = tuple(tuple(scale // 2 if (m >> i) & 1 else 0 for i in range(6)) for m in span_key)
     cols = _COLUMNS[space.case]
     grid = _grid_group(space)
-    rel = {name: _holds(_restrict(f, cols), grid) for name, f in engine.relation_forms.items()}
-    fixed = {w: _holds(_restrict(f, cols), grid) for w, f in engine.word_forms.items()}
+
+    def table(forms):
+        key = (_restrict(forms, cols), grid)
+        return _once(memo, key, lambda: _holds(*key))
+
+    rel = {name: table(f) for name, f in engine.relation_forms.items()}
+    fixed = {w: table(f) for w, f in engine.word_forms.items()}
     # the scaled coordinates of every grid point
     coords = [_values(tuple(int(i == j) for i in range(len(cols))), grid) for j in range(len(cols))]
 
@@ -965,7 +972,9 @@ def cross_validate(
     stable = [(i, key) for i, key in enumerate(family) if _span_rotation_stable(key)]
     sample_step = max(1, (len(stable) * grid) // object_sample_target)
     forms = _case_forms(space.case)
-    tasks = [(space, forms, key, i * grid, sample_step) for i, key in stable]
+    # truth tables for this call; worker processes get copies
+    memo: dict = {}
+    tasks = [(space, forms, key, i * grid, sample_step, memo) for i, key in stable]
     results = _run_tasks(_cross_validate_h, tasks, workers)
     total = 0
     disagreements = 0

@@ -23,13 +23,13 @@ from __future__ import annotations
 import enum
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .exact_linear import (
     Matrix,
     Sublattice,
+    inverse_numerators,
     kernel_sublattice,
-    snf,
 )
 from .torus import (
     ComplexTorus,
@@ -257,21 +257,20 @@ def quotient_frame(
     e_prime = elliptic_curve(tau_prime)
     t_prod = product([e, e, e_prime])
     h = FiniteSubgroup(t_prod, subgroup_gens)
-    t_quot = quotient_by_finite_subgroup(t_prod, h)
+    t_quot, c = quotient_by_finite_subgroup(t_prod, h)
 
     mats = case_matrices(case)
-    c = coordinate_change(t_prod, t_quot)
-    # the product's basis change is the identity, so the quotient's is
-    # already the quotient-to-product matrix
-    c_inv = t_quot.basis_change
+    # the quotient-to-product matrix B / d, the product's basis change being I
+    b, d = t_quot.basis_change.scaled_integer()
     linear = {}
     for name, m in (("r", mats.rotation_lattice), ("s", mats.reflection_lattice)):
-        linear[name] = c @ m @ c_inv
-        if not linear[name].is_integral():
+        num = c @ m @ b
+        if any(x % d for x in num.entries):
             return BuildRejection(
                 f"lattice_not_preserved:{name}",
                 f"linear part of {name} does not stabilize the enlarged lattice",
             )
+        linear[name] = Matrix(num.rows, num.cols, tuple(x // d for x in num.entries))
     return QuotientFrame(case, tau, tau_prime, t_prod, h, t_quot, c, linear["r"], linear["s"])
 
 
@@ -473,12 +472,12 @@ def block_sublattices(t_quot: ComplexTorus) -> tuple[Sublattice, ...]:
     return tuple(out)
 
 
-def _block_sum(t_quot: ComplexTorus) -> tuple[tuple[Sublattice, ...], Matrix, Matrix]:
-    """The block lattices, a basis of their sum, block by block, and
-    that basis's inverse."""
+def _block_sum(t_quot: ComplexTorus) -> tuple[tuple[Sublattice, ...], tuple[Matrix, int, tuple[int, ...]]]:
+    """The block lattices, and inverse_numerators of a basis of their
+    sum, block by block."""
     lams = block_sublattices(t_quot)
     basis = Matrix.from_columns([lam.basis.column(k) for lam in lams for k in range(lam.rank)])
-    return lams, basis, basis.inverse()
+    return lams, inverse_numerators(basis)
 
 
 def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
@@ -493,9 +492,10 @@ def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
     Lambda_3: applied to a basis vector v with w = (I - S) v, these are
     the summands of 2 v = (I + S) v + w and 2 w = (I + R^2) w +
     (I - R^2) w, w being integral as S is.  block_denominators[b] is
-    the largest denominator in block b's rows of the inverse of the
-    block-sum basis; it is bounded by 2 on each block, and the
-    component group of the block sum has exponent dividing 2.
+    the largest denominator e / gcd(x, e) in block b's rows x of the
+    inverse N / e of the block-sum basis; it is bounded by 2 on each
+    block, and the component group of the block sum, read off the same
+    Smith form, has exponent dividing 2.
     """
     return _inclusion_report(action, *_block_sum(action.torus))
 
@@ -509,24 +509,26 @@ def _block_spans(lams) -> list[range]:
     return spans
 
 
-def _in_block(block_inv: Matrix, spans, m: Matrix, b: int) -> bool:
-    """Whether every column of m lies in Lambda_b: its block coordinates
-    are integers and vanish off block b."""
-    coords = block_inv @ m
-    return coords.is_integral() and not any(any(coords.row(i)) for i in range(coords.rows) if i not in spans[b])
+def _in_block(inverse, spans, m: Matrix, b: int) -> bool:
+    """Whether every column of the integer matrix m lies in Lambda_b:
+    its block coordinates N m / e are integers and vanish off block b."""
+    numerators, e, _ = inverse
+    coords = numerators @ m
+    off_block = (x for i in range(coords.rows) if i not in spans[b] for x in coords.row(i))
+    return not any(x % e for x in coords.entries) and not any(off_block)
 
 
-def _inclusion_report(action: D4Action, lams, block_basis: Matrix, block_inv: Matrix) -> LatticeInclusionReport:
+def _inclusion_report(action: D4Action, lams, inverse) -> LatticeInclusionReport:
     ident = Matrix.identity(action.torus.rank)
     s_cur = action.s.a
     r2_cur = action.r.a @ action.r.a
     w = ident - s_cur
     targets = (ident + s_cur, (ident - r2_cur) @ w, (ident + r2_cur) @ w)
     spans = _block_spans(lams)
-    splitting_ok = all(_in_block(block_inv, spans, m, b) for b, m in enumerate(targets))
-    denoms = [max((e.denominator for i in span for e in block_inv.row(i)), default=1) for span in spans]
-    dec = snf(block_basis)
-    divisors = tuple(d for d in dec.elementary_divisors if d > 1)
+    splitting_ok = all(_in_block(inverse, spans, m, b) for b, m in enumerate(targets))
+    numerators, e, diagonal = inverse
+    denoms = [max((e // gcd(x, e) for i in span for x in numerators.row(i)), default=1) for span in spans]
+    divisors = tuple(d for d in diagonal if d > 1)
     exponent = divisors[-1] if divisors else 1
     return LatticeInclusionReport(
         splitting_ok=splitting_ok,
@@ -582,9 +584,9 @@ def structure_report(action: D4Action) -> StructureReport:
     coordinates are not all integers.
     """
     t = action.torus
-    lams, block_basis, block_inv = _block_sum(t)
-    inclusion = _inclusion_report(action, lams, block_basis, block_inv)
-    rotated_block_agree = _in_block(block_inv, _block_spans(lams), action.r.a @ lams[0].basis, 1)
+    lams, inverse = _block_sum(t)
+    inclusion = _inclusion_report(action, lams, inverse)
+    rotated_block_agree = _in_block(inverse, _block_spans(lams), action.r.a @ lams[0].basis, 1)
 
     # omega's raw lift to quotient coordinates, not a torsion point:
     # reduction mod 1 would kill it too early
@@ -592,7 +594,8 @@ def structure_report(action: D4Action) -> StructureReport:
     if inclusion.quotient_divisors == (2,):
         omega_prod = case1_subgroup_generator(action.params.s_shift1, action.params.s_shift2)
         omega_lift = coordinate_change(action.product_torus, t) @ Matrix.from_columns([omega_prod.coords])
-        omega_matches = omega_lift.is_integral() and not (block_inv @ omega_lift).is_integral()
+        numerators, e, _ = inverse
+        omega_matches = omega_lift.is_integral() and any(x % e for x in (numerators @ omega_lift).entries)
 
     return StructureReport(
         kernel_image_agree=(action.s.a @ action.s.a).is_identity(),

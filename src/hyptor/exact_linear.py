@@ -12,9 +12,11 @@ plain multiplication.
 
 Provided here:
 
-* ``Matrix.det`` by fraction-free Bareiss elimination and
-  ``Matrix.inverse`` from the Smith form of the denominator-cleared
-  matrix; no elimination runs over ``Fraction``.
+* ``Matrix.det`` by fraction-free Bareiss elimination, and
+  ``inverse_numerators``, an integer matrix's inverse as integers over
+  one denominator from its Smith form, which ``Matrix.inverse`` applies
+  to the denominator-cleared matrix; no elimination runs over
+  ``Fraction``.
 * ``hnf`` / ``column_hnf``: row and column Hermite normal forms with the
   unimodular transform (``U @ M == H`` resp. ``M @ V == H``).
 * ``snf``: Smith normal form ``U @ M @ V == D`` with nonnegative diagonal
@@ -26,9 +28,9 @@ Provided here:
   integers; only the obstruction value is a Fraction.  The Smith form
   of each A comes from a small bounded memo private to this function;
   ``snf`` itself keeps no memo.
-* ``Sublattice``, whose independence check reads the Smith rank, and
-  ``kernel_sublattice``, the saturated integer kernel of a matrix in
-  column Hermite form.
+* ``Sublattice``, whose independence check reads the column Hermite
+  form, and ``kernel_sublattice``, the saturated integer kernel of a
+  matrix in column Hermite form.
 """
 
 from __future__ import annotations
@@ -193,9 +195,12 @@ class Matrix:
         return lcm(*(e.denominator for e in self.entries))
 
     def scaled_integer(self) -> tuple["Matrix", int]:
-        """Return (d * self, d) for d the denominator lcm."""
+        """Return (d * self, d) for d the denominator lcm, scaled in int."""
         d = self.denominator_lcm()
-        return (self if d == 1 else self.scale(d)), d
+        if d == 1:
+            return self, 1
+        entries = tuple(e * d if type(e) is int else e.numerator * (d // e.denominator) for e in self.entries)
+        return Matrix(self.rows, self.cols, entries), d
 
     def det(self) -> Entry:
         """Determinant by fraction-free Bareiss elimination on the
@@ -225,20 +230,10 @@ class Matrix:
         return det if d == 1 else _entry(Fraction(det, d**n))
 
     def inverse(self) -> "Matrix":
-        """Exact inverse from the Smith form of the denominator-cleared
-        matrix: with U (d A) V = D, A^-1 = d V D^-1 U.  Every diagonal
-        entry of D divides the last one, e, so D^-1 = diag(e / D_i) / e
-        and the product stays in integers until the final scaling."""
-        if self.rows != self.cols:
-            raise DimensionError("inverse of a non-square matrix")
+        """Exact inverse d N / e, with N over e the inverse of d A."""
         scaled, d = self.scaled_integer()
-        dec = snf(scaled)
-        if dec.rank != self.rows:
-            raise SingularMatrixError("matrix is singular")
-        e = dec.diagonal[-1]
-        col_scale = [e // x for x in dec.diagonal]
-        v = Matrix.from_rows([[x * f for x, f in zip(dec.v.row(i), col_scale)] for i in range(self.rows)])
-        return (v @ dec.u).scale(_entry(Fraction(d, e)))
+        numerators, e, _ = inverse_numerators(scaled)
+        return numerators.scale(_entry(Fraction(d, e)))
 
 
 def _add_row(a: list[list[int]], u: list[list[int]], src: int, dst: int, f: int) -> None:
@@ -470,6 +465,19 @@ def snf(m: Matrix) -> SmithDecomposition:
     return SmithDecomposition(d, uu, vv)
 
 
+def inverse_numerators(m: Matrix) -> tuple[Matrix, int, IntVec]:
+    """(N, e, diagonal) for an invertible integer matrix m: its Smith
+    diagonal D_i, the last one e, and N = e m^-1 = V diag(e / D_i) U
+    from U m V = D, an integer matrix since every D_i divides e."""
+    if m.rows != m.cols:
+        raise DimensionError("inverse of a non-square matrix")
+    dec = snf(m)
+    if dec.rank != m.rows:
+        raise SingularMatrixError("matrix is singular")
+    e = dec.diagonal[-1]
+    return dec.v @ Matrix.diagonal([e // x for x in dec.diagonal]) @ dec.u, e, dec.diagonal
+
+
 @dataclass(frozen=True)
 class AffineSolveResult:
     """Outcome of ``solve_affine_mod_lattice`` for ``A x = b / delta + m``.
@@ -551,7 +559,9 @@ class Sublattice:
             raise DimensionError("basis rows must equal ambient rank")
         if not self.basis.is_integral():
             raise ValueError("sublattice basis must be an integer matrix")
-        if self.basis.cols > 0 and snf(self.basis).rank != self.basis.cols:
+        # independent exactly when the column Hermite form, whose zero
+        # columns trail, has a nonzero last column
+        if self.basis.cols > 0 and not any(column_hnf(self.basis)[0].column(self.basis.cols - 1)):
             raise ValueError("basis columns are not independent over the rationals")
 
     @property

@@ -3,74 +3,53 @@
 For a finite group acting freely on a complex torus, the Hodge numbers
 of the quotient are the dimensions of the invariant forms, read off the
 holomorphic eigenvalues of the linear parts by averaging over the
-group.  All arithmetic is in Q(i), exactly.
+group.  All arithmetic is in Z[i], over one common denominator, exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .exact_linear import Matrix
 
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Element of Q(i), exact."""
-
-    re: Fraction
-    im: Fraction
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def scaled(self, f: Fraction) -> "GaussianRational":
-        return GaussianRational(self.re * f, self.im * f)
+def _gmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """The product of Gaussian integers a + b i given as pairs (a, b)."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-_G_ZERO = GaussianRational(Fraction(0), Fraction(0))
-_G_ONE = GaussianRational(Fraction(1), Fraction(0))
-
-
-def _holomorphic_power_sums(a: Matrix, j: Matrix) -> list[GaussianRational]:
-    """Power sums p_1, p_2, p_3 of the eigenvalues on the holomorphic side.
+def _holomorphic_power_sums(a: Matrix, j_cleared: Matrix, d: int) -> list[tuple[int, int]]:
+    """2 d times the power sums p_1, p_2, p_3 of the eigenvalues on the
+    holomorphic side, for J = j_cleared / d.
 
     The +i eigenspace of J has projector (I - iJ)/2, so the trace of
-    A^k there is (tr A^k - i tr(A^k J)) / 2.  tr(A^k J) is the sum of
-    (A^k)_il J_li, read against the entries of J's transpose, so that
-    no product A^k J is formed.
+    A^k there is (d tr A^k - i tr(A^k j_cleared)) / (2 d).
+    tr(A^k j_cleared) is the sum of (A^k)_il (j_cleared)_li, read
+    against the entries of the transpose, so that no product A^k J is
+    formed.
     """
-    j_t = j.transpose().entries
-    out = []
-    power = a
-    for k in range(3):
-        if k:
-            power = power @ a
-        tr_a = sum(power.at(i, i) for i in range(power.rows))
-        tr_aj = sum(map(mul, power.entries, j_t))
-        out.append(GaussianRational(Fraction(tr_a, 2), Fraction(-tr_aj, 2)))
-    return out
+    j_t = j_cleared.transpose().entries
+    powers = [a, a @ a]
+    powers.append(powers[1] @ a)
+    return [(d * sum(p.at(i, i) for i in range(p.rows)), -sum(map(mul, p.entries, j_t))) for p in powers]
 
 
-def _elementary_symmetric(p: list[GaussianRational]) -> list[GaussianRational]:
-    """e_0..e_3 from p_1..p_3 by Newton's identities."""
-    e1 = p[0]
-    e2 = (e1 * p[0] - p[1]).scaled(Fraction(1, 2))
-    e3 = (p[2] - e1 * p[1] + e2 * p[0]).scaled(Fraction(1, 3))
-    return [_G_ONE, e1, e2, e3]
+def _elementary_symmetric(a: Matrix, j: Matrix) -> tuple[list[tuple[int, int]], int]:
+    """M e_0..M e_3 of the holomorphic eigenvalues, and their denominator M.
+
+    With p_k = P_k / D, D = 2 d and J = j_cleared / d, Newton's
+    identities e_1 = p_1, e_2 = (e_1 p_1 - p_2) / 2 and
+    e_3 = (p_3 - e_1 p_2 + e_2 p_1) / 3 put all four over M = 6 D^3.
+    """
+    j_cleared, d = j.scaled_integer()
+    p1, p2, p3 = _holomorphic_power_sums(a, j_cleared, d)
+    den = 2 * d
+    p1p1 = _gmul(p1, p1)
+    e1 = tuple(6 * den * den * x for x in p1)
+    e2 = tuple(3 * den * (x - den * y) for x, y in zip(p1p1, p2))
+    e3 = tuple(x - 3 * den * y + 2 * den * den * z for x, y, z in zip(_gmul(p1p1, p1), _gmul(p1, p2), p3))
+    return [(6 * den**3, 0), e1, e2, e3], 6 * den**3
 
 
 @dataclass(frozen=True)
@@ -117,26 +96,25 @@ def hodge_numbers(elements: list[tuple[Matrix, Matrix]]) -> InvariantReport:
     Each entry pairs an element's lattice matrix with the complex
     structure of the torus it acts on.  h^{p,q} is the average over the
     group of e_p(eigenvalues) times the conjugate of e_q(eigenvalues),
-    computed exactly; a non-integer anywhere is a hard error.
+    summed as Gaussian integers over one common denominator; a
+    non-integer anywhere is a hard error.
     """
-    order = len(elements)
-    sym = []
-    for a, j in elements:
-        p = _holomorphic_power_sums(a, j)
-        sym.append(_elementary_symmetric(p))
+    sym = [_elementary_symmetric(a, j) for a, j in elements]
+    common = lcm(*(m for _, m in sym))
+    sym = [[(x * (common // m), y * (common // m)) for x, y in e] for e, m in sym]
+    denominator = len(elements) * common * common
     hodge_rows = []
     for p in range(4):
         row = []
         for q in range(4):
-            total = _G_ZERO
-            for e in sym:
-                total = total + e[p] * e[q].conjugate()
-            total = total.scaled(Fraction(1, order))
-            if total.im != 0 or total.re.denominator != 1:
+            # e_p times the conjugate of e_q
+            re = sum(e[p][0] * e[q][0] + e[p][1] * e[q][1] for e in sym)
+            im = sum(e[p][1] * e[q][0] - e[p][0] * e[q][1] for e in sym)
+            if im != 0 or re % denominator:
                 raise RuntimeError(
-                    f"internal error: h^{{{p},{q}}} is not an integer: {total}"
+                    f"internal error: h^{{{p},{q}}} is not an integer: ({re} + {im}i) / {denominator}"
                 )
-            row.append(int(total.re))
+            row.append(re // denominator)
         hodge_rows.append(tuple(row))
     hodge = tuple(hodge_rows)
     betti = tuple(

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import add
 from typing import Sequence
 
-from .exact_linear import DimensionError, Matrix, column_hnf
+from .exact_linear import DimensionError, Matrix, column_hnf, inverse_numerators
 
 
 class HolomorphyError(ValueError):
@@ -49,13 +48,16 @@ class ComplexTorus:
     coordinates of the reference lattice this torus was built from
     (identity for primitive constructions, composed through quotients).
     blocks records which reference coordinates belong to which factor
-    of the underlying product.
+    of the underlying product.  The integer j_cleared = j_denominator * J
+    commutes with the same matrices as J, and J * J = -I is checked on it.
     """
 
     g: int
     j: Matrix
     basis_change: Matrix
     blocks: tuple[tuple[int, int], ...]
+    j_cleared: Matrix = field(init=False, repr=False, compare=False)
+    j_denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = 2 * self.g
@@ -63,22 +65,17 @@ class ComplexTorus:
             raise DimensionError("J must be 2g x 2g")
         if self.basis_change.rows != n or self.basis_change.cols != n:
             raise DimensionError("basis_change must be 2g x 2g")
-        jj = self.j @ self.j
-        minus_one = Matrix.identity(n).scale(-1)
-        if jj.entries != minus_one.entries:
+        j_cleared, d = self.j.scaled_integer()
+        if (j_cleared @ j_cleared).entries != Matrix.identity(n).scale(-d * d).entries:
             raise ValueError("J * J != -I")
         if self.basis_change.det() == 0:
             raise ValueError("basis_change is singular")
+        object.__setattr__(self, "j_cleared", j_cleared)
+        object.__setattr__(self, "j_denominator", d)
 
     @property
     def rank(self) -> int:
         return 2 * self.g
-
-    @cached_property
-    def j_cleared(self) -> Matrix:
-        """J times the lcm of its denominators, once per torus: an integer
-        matrix that commutes with the same matrices as J."""
-        return self.j.scaled_integer()[0]
 
 
 @dataclass(frozen=True, init=False)
@@ -226,12 +223,14 @@ def product(factors: Sequence[ComplexTorus]) -> ComplexTorus:
     return ComplexTorus(g, Matrix.from_rows(jrows), Matrix.from_rows(brows), tuple(blocks))
 
 
-def quotient_by_finite_subgroup(t: ComplexTorus, h: FiniteSubgroup) -> ComplexTorus:
+def quotient_by_finite_subgroup(t: ComplexTorus, h: FiniteSubgroup) -> tuple[ComplexTorus, Matrix]:
     """Torus T / H: same vector space, lattice enlarged by the lifts of H.
 
-    The new basis B (current coordinates) satisfies |det B| = 1/|H|;
-    the returned torus has J rewritten as B^{-1} J B and basis_change
-    composed with B.
+    Returns the quotient and C, the integer matrix of T -> T / H on
+    lattice coordinates.  The new basis is B / d, B an integer Hermite
+    basis and d the lcm of the generators' orders, with
+    |det B| * |H| = d^n; C = d B^-1, J becomes C J_cleared B / (d d_J)
+    and basis_change is composed with B / d.
     """
     if h.ambient != t:
         raise ValueError("subgroup does not live on this torus")
@@ -244,12 +243,13 @@ def quotient_by_finite_subgroup(t: ComplexTorus, h: FiniteSubgroup) -> ComplexTo
     for gpt in h.generators:
         cols = [basis.column(j) for j in range(n)]
         basis = column_hnf(Matrix.from_columns([*cols, gpt.scaled(d)]))[0].submatrix_columns(range(n))
-    b = basis.scale(Fraction(1, d))
-    if (Fraction(1) / abs(b.det())) != h.order:
+    if abs(basis.det()) * h.order != d**n:
         raise RuntimeError("internal error: quotient index mismatch")
-    binv = b.inverse()
-    j_new = binv @ t.j @ b
-    return ComplexTorus(t.g, j_new, t.basis_change @ b, t.blocks)
+    # B's elementary divisors divide d, since d Z^n lies in its span
+    numerators, e, _ = inverse_numerators(basis)
+    c = numerators.scale(d // e)
+    j_new = (c @ t.j_cleared @ basis).scale(Fraction(1, d * t.j_denominator))
+    return ComplexTorus(t.g, j_new, (t.basis_change @ basis).scale(Fraction(1, d)), t.blocks), c
 
 
 def coordinate_change(t_from: ComplexTorus, t_to: ComplexTorus) -> Matrix:

@@ -984,6 +984,26 @@ def test_cross_validate_worker_invariance():
     assert one == two
 
 
+def test_cross_validate_builds_each_distinct_table_once(monkeypatch):
+    # at (2, 4, g <= 2) the 50 stable subgroups ask for 500 relation and
+    # word tables, of which 58 are distinct; the memo lives for one call
+    tables = []
+    original = classify._holds
+
+    def counting(rows, grid):
+        tables.append((rows, grid))
+        return original(rows, grid)
+
+    monkeypatch.setattr(classify, "_holds", counting)
+    space = SearchSpace(CaseTag.CASE1, 2, 4, h_generators_max=2)
+    first = cross_validate(space)
+    assert first.all_agree and first.total == 12800
+    assert len(tables) == len(set(tables)) == 58
+    tables.clear()
+    assert cross_validate(space) == first
+    assert len(tables) == 58
+
+
 def test_cross_validate_rejects_case2():
     space = SearchSpace(case=CaseTag.CASE2, shift_denominator=2)
     with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import pytest
 from conftest import point, reference_generate_group
 from linear_oracles import canonical, image_saturation, lattice_membership, rational_rank
 
-from hyptor import classify, exact_linear
+from hyptor import classify, exact_linear, torus
 from hyptor.affine_actions import (
     GroupGenerationError,
     contains_no_translations,
@@ -159,6 +159,21 @@ def test_build_rejections():
     out = build_general(CaseTag.CASE1, skew)
     assert isinstance(out, BuildRejection)
     assert out.reason == "lattice_not_preserved:r"
+
+
+def test_integer_paths_keep_the_j_and_lattice_checks():
+    # J * J = -3/4 I: the cleared check reads (2 J)^2 = -3 I, not -4 I
+    with pytest.raises(ValueError, match=r"J \* J != -I"):
+        ComplexTorus(1, Matrix.from_rows([[Fraction(1, 2), -1], [1, Fraction(-1, 2)]]), Matrix.identity(2), ((0, 2),))
+    # the J of tau = 1/2 + i is accepted and cleared by 4
+    j = Matrix.from_rows([[Fraction(-1, 2), Fraction(-5, 4)], [1, Fraction(1, 2)]])
+    curve = ComplexTorus(1, j, Matrix.identity(2), ((0, 2),))
+    assert curve == elliptic_curve(TAU_HALF_I)
+    assert (curve.j_cleared, curve.j_denominator) == (j.scale(4), 4)
+    # H supported in the first factor: C R B is not divisible by d
+    frame = quotient_frame(CaseTag.CASE1, TAU_HALF_I, TAU_2I, (point("1/2", 0, 0, 0, 0, 0),))
+    assert isinstance(frame, BuildRejection)
+    assert frame.reason == "lattice_not_preserved:r"
 
 
 def _gens(*masks):
@@ -536,15 +551,34 @@ def test_structure_report_normal_form():
 
 
 def _count_inverses(monkeypatch) -> list:
+    """The integer matrices inverted, by Matrix.inverse or directly: all
+    of them go through inverse_numerators."""
     inverses = []
-    original_inverse = Matrix.inverse
+    original = exact_linear.inverse_numerators
 
-    def counting_inverse(m):
+    def counting(m):
         inverses.append(m)
-        return original_inverse(m)
+        return original(m)
 
-    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    for module in (exact_linear, torus, d4_family):
+        monkeypatch.setattr(module, "inverse_numerators", counting)
     return inverses
+
+
+def _count_smith_forms(monkeypatch) -> list:
+    """The matrices put in Smith form; snf is imported by name in no
+    module of the certificate path but exact_linear."""
+    calls = []
+    original = exact_linear.snf
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for module in (d4_family, torus):
+        assert not hasattr(module, "snf")
+    monkeypatch.setattr(exact_linear, "snf", counting)
+    return calls
 
 
 def test_structure_report_finds_the_block_lattices_once(monkeypatch):
@@ -558,11 +592,15 @@ def test_structure_report_finds_the_block_lattices_once(monkeypatch):
     monkeypatch.setattr(d4_family, "block_sublattices", counting)
     action = build_normal_form(TAU_I, TAU_2I)
     inverses = _count_inverses(monkeypatch)
+    smith = _count_smith_forms(monkeypatch)
     rep = structure_report(action)
     assert len(calls) == 1
     # the basis change for the omega lift and the block-sum basis
     assert len(inverses) == 2
     assert len({m.entries for m in inverses}) == 2
+    # 3 block kernels and the 2 inverses: the block-sum basis's one
+    # Smith form also gives the component group's divisors
+    assert len(smith) == 5
     assert rep.inclusion == lattice_inclusion_check(action)
     assert len(calls) == 2
 
@@ -580,30 +618,23 @@ def test_lattice_audit_solves_no_memberships(monkeypatch):
     assert len(inverses) == 1
     inverses.clear()
     assert verify_certificate(doc).ok
-    # the quotient basis twice, in the quotient itself and for the
-    # product-to-quotient change, and the block-sum basis once
-    assert len(inverses) == 3
+    # the quotient basis once, in the quotient itself, which hands the
+    # product-to-quotient change to the frame, and the block-sum basis
+    assert len(inverses) == 2
     assert len({m.entries for m in inverses}) == 2
 
 
 def test_verify_certificate_smith_forms(monkeypatch):
     # with the solver's memo cleared: 7 fixed-point solves, 3 block
-    # kernels (one Sublattice each), their 3 independence checks, the
-    # 3 inverses and the inclusion bound
+    # kernels (one Sublattice each, whose independence check reads a
+    # Hermite form), the quotient basis's inverse, and the block-sum
+    # basis's inverse, whose Smith form also gives the inclusion bound
     action = build_normal_form(TAU_I, TAU_2I)
     doc = build_certificate(action)
     exact_linear._system_smith_form.cache_clear()
-    calls = []
-    original = exact_linear.snf
-
-    def counting(m):
-        calls.append(m)
-        return original(m)
-
-    for module in (exact_linear, d4_family):
-        monkeypatch.setattr(module, "snf", counting)
+    calls = _count_smith_forms(monkeypatch)
     assert verify_certificate(doc).ok
-    assert len(calls) == 17
+    assert len(calls) == 12
 
 
 def _reference_block_sublattices(t_quot):
@@ -701,12 +732,12 @@ def test_check_action_builds_no_fraction_but_the_obstruction_values(survivor_act
 def test_splitting_check_agrees_with_the_membership_loop(survivor_actions):
     outcomes = {True: 0, False: 0}
     for action in survivor_actions:
-        lams, _, _ = d4_family._block_sum(action.torus)
+        lams, _ = d4_family._block_sum(action.torus)
         for order in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
             blocks = tuple(lams[b] for b in order)
             basis = Matrix.from_columns([lam.basis.column(k) for lam in blocks for k in range(lam.rank)])
             block_inv = basis.inverse()
-            rep = d4_family._inclusion_report(action, blocks, basis, block_inv)
+            rep = d4_family._inclusion_report(action, blocks, exact_linear.inverse_numerators(basis))
             want = _reference_splitting(action, blocks)
             assert rep.splitting_ok == want, (action.params, order)
             assert list(rep.block_denominators) == _reference_block_denominators(blocks, block_inv)
@@ -761,7 +792,7 @@ def reference_structure_report(action: D4Action) -> StructureReport:
         rotated_block_agree=rotated_block_agree,
         component_divisors=divisors,
         omega_matches=omega_matches,
-        inclusion=d4_family._inclusion_report(action, lams, block_basis, block_inv),
+        inclusion=d4_family._inclusion_report(action, lams, exact_linear.inverse_numerators(block_basis)),
     )
 
 

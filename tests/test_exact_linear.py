@@ -34,6 +34,7 @@ from hyptor.exact_linear import (
     Sublattice,
     column_hnf,
     hnf,
+    inverse_numerators,
     kernel_sublattice,
     snf,
     solve_affine_mod_lattice,
@@ -151,6 +152,27 @@ def test_inverse_roundtrip_and_singular():
         assert m.inverse() @ m == Matrix.identity(n)
 
 
+def test_inverse_numerators_are_the_inverse_over_the_last_divisor():
+    rng = random.Random(18)
+    checked = 0
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        m = Matrix(n, n, tuple(rng.randint(-6, 6) for _ in range(n * n)))
+        if m.det() == 0:
+            with pytest.raises(SingularMatrixError):
+                inverse_numerators(m)
+            continue
+        numerators, e, diagonal = inverse_numerators(m)
+        assert numerators.is_integral()
+        assert diagonal == snf(m).diagonal and e == diagonal[-1]
+        assert m @ numerators == Matrix.identity(n).scale(e) == numerators @ m
+        assert numerators.scale(Fraction(1, e)) == m.inverse()
+        checked += 1
+    assert checked > 40
+    with pytest.raises(DimensionError):
+        inverse_numerators(Matrix.from_rows([[1, 2]]))
+
+
 def rand_singular_rational_matrix(rng, n) -> Matrix:
     """A rational n x n matrix of rank below n: one row is a rational
     combination of the others (or zero when n is 1)."""
@@ -203,7 +225,7 @@ def test_integral_results_are_stored_as_int():
 
 def test_integer_only_routines_reject_fractions():
     half = Matrix.from_rows([[Fraction(1, 2), 0], [0, 1]])
-    for fn in (hnf, column_hnf, snf, kernel_sublattice):
+    for fn in (hnf, column_hnf, snf, kernel_sublattice, inverse_numerators):
         with pytest.raises(ValueError):
             fn(half)
     with pytest.raises(ValueError):

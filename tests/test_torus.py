@@ -139,12 +139,13 @@ def omega_subgroup(t: ComplexTorus) -> FiniteSubgroup:
 def test_quotient_enlarges_lattice():
     t = product([elliptic_curve(TAUS[0])] * 2 + [elliptic_curve(TAUS[2])])
     h = omega_subgroup(t)
-    q = quotient_by_finite_subgroup(t, h)
+    q, c = quotient_by_finite_subgroup(t, h)
     # index = |H|: the new basis has determinant 1/2
     assert abs(q.basis_change.det()) == Fraction(1, 2)
-    # old lattice sits inside the new one: product -> quotient is integral
-    c = coordinate_change(t, q)
+    # old lattice sits inside the new one: the projection is integral
+    # and is the change from product to quotient coordinates
     assert c.is_integral()
+    assert c == coordinate_change(t, q)
     # J transported correctly
     lhs = q.basis_change @ q.j
     rhs = t.j @ q.basis_change
@@ -158,7 +159,7 @@ def test_quotient_roundtrip_lands_in_subgroup_orbit():
     rng = random.Random(7)
     t = product([elliptic_curve(TAUS[0])] * 2 + [elliptic_curve(TAUS[2])])
     h = omega_subgroup(t)
-    q = quotient_by_finite_subgroup(t, h)
+    q, _ = quotient_by_finite_subgroup(t, h)
     down_map = coordinate_change(t, q)
     up_map = coordinate_change(q, t)
     for _ in range(30):
