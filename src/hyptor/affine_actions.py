@@ -102,11 +102,9 @@ class Obstruction:
     """Certified reason that (A - I) x = -t has no solution mod Z^(2g).
 
     row is an integer row with row @ (A - I) == 0 while value = row . (-t)
-    is not an integer; index records which zero row of the Smith form
-    produced it.
+    is not an integer.
     """
 
-    index: int
     row: tuple[int, ...]
     value: Fraction
 
@@ -136,7 +134,7 @@ def has_fixed_point(f: AffineAut) -> FixedPointResult:
     if not res.solvable:
         return FixedPointResult(
             exists=False,
-            obstruction=Obstruction(res.obstruction_index, res.obstruction_row, res.obstruction_value),
+            obstruction=Obstruction(res.obstruction_row, res.obstruction_value),
         )
     x = TorsionPoint.from_scaled(res.x, res.denominator)
     if f.apply(x) != x:
@@ -302,8 +300,6 @@ def check_relations(group: GeneratedGroup, relations: Sequence[str]) -> dict[str
 @dataclass(frozen=True)
 class FreenessWitness:
     word: str
-    a: Matrix
-    t: TorsionPoint
     obstruction: Obstruction
 
 
@@ -335,7 +331,7 @@ def is_free_action(g: GeneratedGroup) -> FreenessCertificate:
                 witnesses=tuple(witnesses),
                 failure=FixedPointFailure(e.word, res.point),
             )
-        witnesses.append(FreenessWitness(e.word, e.aut.a, e.aut.t, res.obstruction))
+        witnesses.append(FreenessWitness(e.word, res.obstruction))
     return FreenessCertificate(free=True, witnesses=tuple(witnesses))
 
 

@@ -149,6 +149,9 @@ class SearchSpace:
     for bound q is the full q-torsion (coordinates i/q).  Reproducing
     the classification needs bounds of at least (2, 4); smaller bounds
     are allowed and give degenerate sweeps with empty survivor sets.
+    h_generators_max bounds the rank of H; at 4 the sweep covers every
+    admissible H, since a subgroup of rank 5 or 6 meets each factor's
+    2-torsion.
     """
 
     case: CaseTag
@@ -167,8 +170,8 @@ class SearchSpace:
             raise ValueError("denominator bounds must be positive")
         if max(self.shift_denominator, self.third_denominator) > MAX_DENOMINATOR:
             raise ValueError(f"denominator bounds must be at most {MAX_DENOMINATOR}")
-        if not 0 <= self.h_generators_max <= 3:
-            raise ValueError("subgroup family supports at most 3 generators")
+        if not 0 <= self.h_generators_max <= 4:
+            raise ValueError("subgroup family supports at most 4 generators")
 
     @property
     def scale(self) -> int:
@@ -195,18 +198,6 @@ def _violates_embedding(span: frozenset[int]) -> bool:
     return any(m != 0 and any(m & ~b == 0 for b in _BLOCK_MASKS) for m in span)
 
 
-def _canonical_generators(span_key: tuple[int, ...]) -> tuple[int, ...]:
-    """Deterministic F2 basis of the span, by Gaussian elimination."""
-    basis: list[int] = []
-    for m in span_key:
-        v = m
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    return tuple(basis)
-
-
 def _rotated_mask(m: int) -> int:
     """Image of a 2-torsion bitmask under the rotation's lattice action.
 
@@ -216,52 +207,49 @@ def _rotated_mask(m: int) -> int:
     return ((m >> 2) & 0b0011) | ((m & 0b0011) << 2) | (m & 0b110000)
 
 
-def _span_rotation_stable(span_key: tuple[int, ...]) -> bool:
+def _span_rotation_stable(basis: tuple[int, ...]) -> bool:
     """Whether build_general passes H's lattice stage, for any tau and
     tau'.  The reflection fixes all 2-torsion, so only the rotation can
     fail to preserve the enlarged lattice, and it preserves it exactly
     when it maps H onto itself."""
-    members = set(span_key)
-    return all(_rotated_mask(m) in members for m in span_key)
+    members = _span(basis)
+    return all(_rotated_mask(m) in members for m in basis)
 
 
 def subgroup_family(g_max: int) -> tuple[list[tuple[int, ...]], int]:
     """All exponent-2 subgroups of the product with <= g_max generators.
 
-    Subgroups are bit masks over the six half-coordinates, listed as
-    sorted element tuples in canonical order (size, then elements).
-    Returns the admissible family together with the number of
+    Subgroups are bit masks over the six half-coordinates.  Each is
+    returned as its reduced echelon basis, not as its elements: one
+    generator per pivot (its highest set bit, clear in every other
+    generator), by increasing pivot, which is also the greedy basis of
+    the sorted elements.  The walk meets every subgroup once, rank by
+    rank, and lists the admissible ones in canonical order (size, then
+    sorted elements).  Returns them together with the number of
     subgroups dropped for containing a nonzero single-factor element
     (those present the product of a smaller quotient, not this family).
+    A subgroup of rank 5 or 6 is always dropped, so g_max = 4 gives the
+    whole family.
     """
-    candidates: list[tuple[int, ...]] = [()]
-    vectors = range(1, 64)
-    if g_max >= 1:
-        candidates += [(v,) for v in vectors]
-    if g_max >= 2:
-        candidates += list(itertools.combinations(vectors, 2))
-    if g_max >= 3:
-        candidates += list(itertools.combinations(vectors, 3))
-    seen: set[tuple[int, ...]] = set()
-    kept: list[tuple[int, ...]] = []
+    kept: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     excluded = 0
-    for gens in candidates:
-        span = _span(gens)
-        key = tuple(sorted(span))
-        if key in seen:
-            continue
-        seen.add(key)
-        if _violates_embedding(span):
-            excluded += 1
-        else:
-            kept.append(key)
-    kept.sort(key=lambda k: (len(k), k))
-    return kept, excluded
+    for rank in range(min(g_max, 6) + 1):
+        for pivots in itertools.combinations(range(6), rank):
+            taken = sum(1 << p for p in pivots)
+            rows = [[(1 << p) | m for m in range(1 << p) if not m & taken] for p in pivots]
+            for basis in itertools.product(*rows):
+                span = _span(basis)
+                if _violates_embedding(span):
+                    excluded += 1
+                else:
+                    kept.append((tuple(sorted(span)), basis))
+    kept.sort(key=lambda k: (len(k[0]), k[0]))
+    return [basis for _, basis in kept], excluded
 
 
-def _subgroup_generator_points(span_key: tuple[int, ...]) -> tuple[TorsionPoint, ...]:
+def _subgroup_generator_points(basis: tuple[int, ...]) -> tuple[TorsionPoint, ...]:
     # bit i of a mask is twice coordinate i of its 2-torsion point
-    return tuple(TorsionPoint.from_scaled([(m >> i) & 1 for i in range(6)], 2) for m in _canonical_generators(span_key))
+    return tuple(TorsionPoint.from_scaled([(m >> i) & 1 for i in range(6)], 2) for m in basis)
 
 
 @dataclass(frozen=True)
@@ -556,13 +544,13 @@ class _HEngine:
     word_forms: dict[str, tuple[tuple[int, ...], ...]]
 
 
-def _build_h_engine(forms: _CaseForms, span_key: tuple[int, ...]) -> _HEngine:
-    """Obstruction and relation forms of one rotation-stable subgroup.
+def _build_h_engine(forms: _CaseForms, gens: tuple[int, ...]) -> _HEngine:
+    """Obstruction and relation forms of one rotation-stable subgroup,
+    given by its basis.
 
     Raises RuntimeError when a generator does not map the dual lattice
     onto itself, that is, when the rotation does not map H onto itself.
     """
-    gens = _canonical_generators(span_key)
     dual = _even_combinations(tuple(1 << i for i in range(6)), gens)
     for g in forms.generators:
         if any(_parities(_odd_mask(_row_times(v, g)), gens) for v in dual):
@@ -712,9 +700,9 @@ def _sweep_h(engine: _HEngine, space: SearchSpace, memo: dict | None = None):
 def _sweep_task(task):
     """Worker entry point: one subgroup's slice of the sweep, its
     relation system, and the seconds its engine took to build."""
-    space, forms, span_key, memo = task
+    space, forms, basis, memo = task
     start = time.perf_counter()
-    engine = _build_h_engine(forms, span_key)
+    engine = _build_h_engine(forms, basis)
     built = time.perf_counter()
     counts, survivors = _sweep_h(engine, space, memo)
     return counts, survivors, _relation_system(engine, _COLUMNS[space.case]), built - start
@@ -760,7 +748,7 @@ def _reverify_survivors(space: SearchSpace, survivors: list[Survivor]) -> bool:
 def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
     start = time.perf_counter()
     family, excluded = subgroup_family(space.h_generators_max)
-    stable = [key for key in family if _span_rotation_stable(key)]
+    stable = [basis for basis in family if _span_rotation_stable(basis)]
     family_done = time.perf_counter()
 
     forms = _case_forms(space.case)
@@ -768,16 +756,16 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
     # the memo of relation systems lives as long as this census; tasks
     # sent to worker processes carry their own copies
     memo: dict = {}
-    results = _run_tasks(_sweep_task, [(space, forms, key, memo) for key in stable], workers)
+    results = _run_tasks(_sweep_task, [(space, forms, basis, memo) for basis in stable], workers)
 
     counts = {r: 0 for r in _REASONS[space.case]}
     counts["lattice:r"] = (len(family) - len(stable)) * space.grid_size()
     survivors: list[Survivor] = []
     scale = space.scale
-    for key, (h_counts, raw, _, _) in zip(stable, results):
+    for basis, (h_counts, raw, _, _) in zip(stable, results):
         for r, n in h_counts.items():
             counts[r] += n
-        gens = _subgroup_generator_points(key)
+        gens = _subgroup_generator_points(basis)
         for scaled in raw:
             a1, a2, a3, c3 = (TorsionPoint.from_scaled(x, scale) for x in scaled)
             a3 = a3 if space.case is CaseTag.CASE2 else None
@@ -867,7 +855,7 @@ def _grid_group(space: SearchSpace):
 
 def _cross_validate_h(task):
     """Worker entry point: both routes on every tuple of one subgroup's
-    slice, for a task (space, forms, span_key, base_index, sample_step,
+    slice, for a task (space, forms, basis, base_index, sample_step,
     memo).
 
     Returns (tuples, disagreements, examples, object_samples,
@@ -879,12 +867,13 @@ def _cross_validate_h(task):
     spread over the whole family by absolute tuple index, is
     additionally rebuilt object-level.
     """
-    space, forms, span_key, base_index, sample_step, memo = task
+    space, forms, basis, base_index, sample_step, memo = task
     scale = space.scale
-    engine = _build_h_engine(forms, span_key)
-    frame = quotient_frame(space.case, space.tau, space.tau_prime, _subgroup_generator_points(span_key))
+    engine = _build_h_engine(forms, basis)
+    frame = quotient_frame(space.case, space.tau, space.tau_prime, _subgroup_generator_points(basis))
     # H's elements from their bitmasks, in coordinates times scale
-    elements = tuple(tuple(scale // 2 if (m >> i) & 1 else 0 for i in range(6)) for m in span_key)
+    span = tuple(sorted(_span(basis)))
+    elements = tuple(tuple(scale // 2 if (m >> i) & 1 else 0 for i in range(6)) for m in span)
     cols = _COLUMNS[space.case]
     grid = _grid_group(space)
 
@@ -924,7 +913,7 @@ def _cross_validate_h(task):
         if bad:
             disagreements += 1
             if len(examples) < 10:
-                examples.append(f"H={span_key} a1={a1} a2={a2} c3={c3}: {', '.join(bad)}")
+                examples.append(f"H={span} a1={a1} a2={a2} c3={c3}: {', '.join(bad)}")
         if (base_index + p) % sample_step == 0:
             object_samples += 1
             eng_ok = all(v[p] for v in rel.values()) and not any(v[p] for v in fixed.values())
@@ -969,12 +958,12 @@ def cross_validate(
         raise ValueError("object_sample_target must be positive")
     family, _ = subgroup_family(space.h_generators_max)
     grid = space.grid_size()
-    stable = [(i, key) for i, key in enumerate(family) if _span_rotation_stable(key)]
+    stable = [(i, basis) for i, basis in enumerate(family) if _span_rotation_stable(basis)]
     sample_step = max(1, (len(stable) * grid) // object_sample_target)
     forms = _case_forms(space.case)
     # truth tables for this call; worker processes get copies
     memo: dict = {}
-    tasks = [(space, forms, key, i * grid, sample_step, memo) for i, key in stable]
+    tasks = [(space, forms, basis, i * grid, sample_step, memo) for i, basis in stable]
     results = _run_tasks(_cross_validate_h, tasks, workers)
     total = 0
     disagreements = 0

@@ -36,7 +36,6 @@ from .torus import (
     EllipticCurveParam,
     FiniteSubgroup,
     TorsionPoint,
-    coordinate_change,
     elliptic_curve,
     product,
     quotient_by_finite_subgroup,
@@ -169,11 +168,12 @@ def embed_block(p: TorsionPoint, block: int) -> TorsionPoint:
 
 @dataclass(frozen=True)
 class D4Action:
-    """A constructed family member: quotient torus plus both generators."""
+    """A constructed family member: quotient torus plus both generators.
+    to_quotient converts product coordinates to quotient coordinates."""
 
     case: CaseTag
     params: D4Parameters
-    product_torus: ComplexTorus
+    to_quotient: Matrix
     subgroup: FiniteSubgroup
     torus: ComplexTorus
     r: AffineAut
@@ -185,14 +185,13 @@ class BuildRejection:
     """Soft rejection of a parameter tuple, with a stable reason tag."""
 
     reason: str
-    detail: str
 
 
 @dataclass(frozen=True)
 class QuotientFrame:
     """Everything of a family member but its shifts.
 
-    The product E x E x E', the subgroup H, the quotient T = product/H,
+    The subgroup H of the product E x E x E', the quotient T = product/H,
     the product-to-quotient change of basis and the linear parts of r
     and s on T depend on (case, tau, tau', H) alone, so the members that
     share them share one frame.
@@ -201,7 +200,6 @@ class QuotientFrame:
     case: CaseTag
     tau: EllipticCurveParam
     tau_prime: EllipticCurveParam
-    product_torus: ComplexTorus
     subgroup: FiniteSubgroup
     torus: ComplexTorus
     to_quotient: Matrix
@@ -227,7 +225,7 @@ class QuotientFrame:
         # to_quotient is integral: the product lattice lies in the quotient's
         r = AffineAut(self.torus, self.r_linear, embed_block(params.r_shift, 2).image(self.to_quotient))
         s = AffineAut(self.torus, self.s_linear, t_s.image(self.to_quotient))
-        return D4Action(self.case, params, self.product_torus, self.subgroup, self.torus, r, s)
+        return D4Action(self.case, params, self.to_quotient, self.subgroup, self.torus, r, s)
 
 
 def _check_third_shift(case: CaseTag, params: D4Parameters) -> None:
@@ -251,7 +249,7 @@ def quotient_frame(
     """
     for gpt in subgroup_gens:
         if not gpt.scale(2).is_zero():
-            return BuildRejection("subgroup_not_exponent_two", f"generator {gpt.coords} has order > 2")
+            return BuildRejection("subgroup_not_exponent_two")
 
     e = elliptic_curve(tau)
     e_prime = elliptic_curve(tau_prime)
@@ -266,12 +264,9 @@ def quotient_frame(
     for name, m in (("r", mats.rotation_lattice), ("s", mats.reflection_lattice)):
         num = c @ m @ b
         if any(x % d for x in num.entries):
-            return BuildRejection(
-                f"lattice_not_preserved:{name}",
-                f"linear part of {name} does not stabilize the enlarged lattice",
-            )
+            return BuildRejection(f"lattice_not_preserved:{name}")
         linear[name] = Matrix(num.rows, num.cols, tuple(x // d for x in num.entries))
-    return QuotientFrame(case, tau, tau_prime, t_prod, h, t_quot, c, linear["r"], linear["s"])
+    return QuotientFrame(case, tau, tau_prime, h, t_quot, c, linear["r"], linear["s"])
 
 
 def build_general(case: CaseTag, params: D4Parameters) -> D4Action | BuildRejection:
@@ -593,7 +588,7 @@ def structure_report(action: D4Action) -> StructureReport:
     omega_matches = False
     if inclusion.quotient_divisors == (2,):
         omega_prod = case1_subgroup_generator(action.params.s_shift1, action.params.s_shift2)
-        omega_lift = coordinate_change(action.product_torus, t) @ Matrix.from_columns([omega_prod.coords])
+        omega_lift = action.to_quotient @ Matrix.from_columns([omega_prod.coords])
         numerators, e, _ = inverse
         omega_matches = omega_lift.is_integral() and any(x % e for x in (numerators @ omega_lift).entries)
 

@@ -494,7 +494,6 @@ class AffineSolveResult:
     x: IntVec | None = None
     denominator: int | None = None
     m: IntVec | None = None
-    obstruction_index: int | None = None
     obstruction_row: IntVec | None = None
     obstruction_value: Fraction | None = None
 
@@ -532,7 +531,6 @@ def solve_affine_mod_lattice(a: Matrix, b: Sequence[int], delta: int) -> AffineS
         if c[i] % delta:
             return AffineSolveResult(
                 solvable=False,
-                obstruction_index=i,
                 obstruction_row=dec.u.row(i),
                 obstruction_value=Fraction(c[i], delta),
             )

@@ -133,7 +133,6 @@ def fraction_solve_affine(a: Matrix, b) -> AffineSolveResult:
         if Fraction(c[i]).denominator != 1:
             return AffineSolveResult(
                 solvable=False,
-                obstruction_index=i,
                 obstruction_row=dec.u.row(i),
                 obstruction_value=Fraction(c[i]),
             )

@@ -405,7 +405,7 @@ def reference_has_fixed_point(f: AffineAut) -> FixedPointResult:
     if not res.solvable:
         return FixedPointResult(
             exists=False,
-            obstruction=Obstruction(res.obstruction_index, res.obstruction_row, res.obstruction_value),
+            obstruction=Obstruction(res.obstruction_row, res.obstruction_value),
         )
     return FixedPointResult(exists=True, point=tuple(c % 1 for c in res.x))
 

@@ -9,8 +9,8 @@ through cli.main and must end with exit code 0, 1 or 2: no exception
 may escape.
 
 Draws that pass validation stay small (--max-denominator at most 2,
---h-generators-max at most 1, at most 2 workers), so the whole run
-takes a few seconds.  Large worker counts are checked through
+at most 2 workers), so the whole run takes a few seconds, also with
+--h-generators-max 4, the whole admissible family.  Large worker counts are checked through
 classify._worker_count alone, which starts no process.
 """
 
@@ -31,7 +31,7 @@ DRAWS = 400
 # other malformed value.
 CASES = (["1", "2", "case1", "case2"], ["3", "", "CASE1", "١", " 1", "1\n"])
 DENOMINATORS = (["1", "2"], ["0", "-1", "129", "1.5", "2e0", "x", "", "9" * 5000, "+2", "٢"])
-H_GENERATORS = (["0", "1"], ["-1", "4", "x", "٠"])
+H_GENERATORS = (["0", "1", "4"], ["-1", "5", "x", "٠"])
 WORKER_FLAGS = (["1", "2"], ["0", "-2", "1e3", "", "٢", " 2 "])
 WORKER_ENVS = ([None, "1", "2"], ["", "0", "-1", "1e3", " 1 ", "٢", "１"])
 TAUS = (["0/1+1/1i", "-1/2+1/1i"], ["01/2+1/1i", "0/1+1/1i\n", "0/1-1/1i", "1/2+2/4i", "1/2"])

@@ -77,59 +77,73 @@ def test_oracle_counts_72():
     assert len(expected_case1_tuples()) == 72
 
 
-def brute_force_family(g_max: int):
-    """Independent recount of the subgroup family via frozenset spans."""
-    masks = list(range(1, 64))
+def combinations_family(g_max: int):
+    """The subgroup family by spans of generator combinations: the span
+    of every set of at most g_max nonzero masks, each span kept once.
+    Returns the admissible spans as sorted element tuples in canonical
+    order (size, then elements), and the number of spans with a nonzero
+    element inside one factor's block."""
     block = [0b000011, 0b001100, 0b110000]
 
     def span(gens):
         out = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in gens:
-                    w = v ^ g
-                    if w not in out:
-                        out.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return frozenset(out)
+        for g in gens:
+            out |= {v ^ g for v in out}
+        return tuple(sorted(out))
 
-    spans = {span(())}
-    if g_max >= 1:
-        for m in masks:
-            spans.add(span((m,)))
-    if g_max >= 2:
-        for a, b in itertools.combinations(masks, 2):
-            spans.add(span((a, b)))
-    if g_max >= 3:
-        for gens in itertools.combinations(masks, 3):
-            spans.add(span(gens))
-    kept = excluded = 0
-    for s in spans:
-        bad = any(
-            v != 0 and any(v | b == b for b in block)
-            for v in s
-        )
-        if bad:
-            excluded += 1
-        else:
-            kept += 1
-    return kept, excluded
+    spans = {span(gens) for g in range(g_max + 1) for gens in itertools.combinations(range(1, 64), g)}
+    kept = [s for s in spans if not any(v != 0 and any(v | b == b for b in block) for v in s)]
+    return sorted(kept, key=lambda k: (len(k), k)), len(spans) - len(kept)
+
+
+def greedy_generators(span_key: tuple[int, ...]) -> tuple[int, ...]:
+    """A basis of the span by Gaussian elimination over its sorted
+    elements: each element that the basis so far does not reduce to
+    zero joins it."""
+    basis: list[int] = []
+    for m in span_key:
+        v = m
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return tuple(basis)
+
+
+def _sorted_span(basis):
+    return tuple(sorted(classify._span(basis)))
 
 
 def test_subgroup_family_counts_match_brute_force():
-    for g_max in (0, 1, 2):
+    # the echelon walk lists the spans of the combinations, in order
+    for g_max in (0, 1, 2, 3):
         family, excl = subgroup_family(g_max)
-        kept_b, excl_b = brute_force_family(g_max)
-        assert len(family) == kept_b
-        assert excl == excl_b
+        assert ([_sorted_span(b) for b in family], excl) == combinations_family(g_max)
     family2, excl2 = subgroup_family(2)
     assert (len(family2), excl2) == (460, 255)
-    # deterministic ordering: sorted by size then key
-    sizes = [len(k) for k in family2]
-    assert sizes == sorted(sizes)
+    family3, excl3 = subgroup_family(3)
+    assert (len(family3), excl3) == (892, 1218)
+
+
+def test_echelon_bases_are_the_greedy_generators(monkeypatch):
+    # with no subgroup excluded, the walk lists every subspace of rank
+    # <= 4 once, and its basis is the greedy basis of its sorted span
+    monkeypatch.setattr(classify, "_violates_embedding", lambda span: False)
+    bases, excluded = subgroup_family(4)
+    assert (len(bases), excluded) == (1 + 63 + 651 + 1395 + 651, 0)
+    spans = [_sorted_span(b) for b in bases]
+    assert len(set(spans)) == len(bases)
+    assert all(len(span) == 2 ** len(b) for span, b in zip(spans, bases))
+    assert all(greedy_generators(span) == b for span, b in zip(spans, bases))
+
+
+def test_subgroup_family_is_complete_at_rank_four():
+    # a subgroup of rank 5 or 6 meets every block, so it is excluded
+    family4, excluded4 = subgroup_family(4)
+    family6, excluded6 = subgroup_family(6)
+    assert family6 == family4
+    assert (len(family4), excluded4, excluded6) == (928, 1833, 1833 + 63 + 1)
+    assert sum(map(classify._span_rotation_stable, family4)) == 92
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +273,9 @@ def test_invalid_space_arguments():
         SearchSpace(case=CaseTag.CASE2, third_denominator=classify.MAX_DENOMINATOR + 1)
     # a space at the bound is accepted; building it allocates nothing
     SearchSpace(case=CaseTag.CASE2, shift_denominator=classify.MAX_DENOMINATOR, third_denominator=classify.MAX_DENOMINATOR)
-    with pytest.raises(ValueError):
-        SearchSpace(case=CaseTag.CASE1, h_generators_max=4)
+    SearchSpace(case=CaseTag.CASE1, h_generators_max=4)
+    with pytest.raises(ValueError, match="at most 4"):
+        SearchSpace(case=CaseTag.CASE1, h_generators_max=5)
     with pytest.raises(ValueError):
         enumerate_case1(SearchSpace(case=CaseTag.CASE2, shift_denominator=2))
     with pytest.raises(ValueError):
@@ -927,20 +942,36 @@ def test_case2_words_agree_with_the_object_level_on_relation_solutions():
 
 
 @pytest.mark.extended
-@pytest.mark.parametrize("case, points, free", [(CaseTag.CASE1, 5504, 72), (CaseTag.CASE2, 9536, 0)])
-def test_words_agree_with_the_object_level_on_every_relation_solution(case, points, free):
-    keys = _stable_keys(2)
-    assert len(keys) == 50
+@pytest.mark.parametrize(
+    "g_max, stable, case, points, free",
+    [
+        (2, 50, CaseTag.CASE1, 5504, 72),
+        (2, 50, CaseTag.CASE2, 9536, 0),
+        (4, 92, CaseTag.CASE1, 12800, 72),
+        (4, 92, CaseTag.CASE2, 34112, 0),
+    ],
+)
+def test_words_agree_with_the_object_level_on_every_relation_solution(g_max, stable, case, points, free):
+    keys = _stable_keys(g_max)
+    assert len(keys) == stable
     assert _object_level_disagreements(case, keys, 1) == (points, [], free)
 
 
 @pytest.mark.extended
-@pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
-def test_smith_sweep_matches_enumerating_sweep_three_generators(case):
-    stable = _stable_keys(3)
-    assert len(stable) == 86
-    engines = _mask_engines(case, stable)
-    assert sum(_solution_count(e, case) for e in engines) == {CaseTag.CASE1: 11264, CaseTag.CASE2: 27968}[case]
+@pytest.mark.parametrize(
+    "g_max, stable, case, solutions",
+    [
+        (3, 86, CaseTag.CASE1, 11264),
+        (3, 86, CaseTag.CASE2, 27968),
+        (4, 92, CaseTag.CASE1, 12800),
+        (4, 92, CaseTag.CASE2, 34112),
+    ],
+)
+def test_smith_sweep_matches_enumerating_sweep_on_larger_families(g_max, stable, case, solutions):
+    keys = _stable_keys(g_max)
+    assert len(keys) == stable
+    engines = _mask_engines(case, keys)
+    assert sum(_solution_count(e, case) for e in engines) == solutions
     for q_a, q_t in itertools.product(range(1, 5), repeat=2):
         space = SearchSpace(case=case, shift_denominator=q_a, third_denominator=q_t)
         for engine in engines:
@@ -1056,11 +1087,11 @@ def test_case1_denominator4_routes_agree_at_scale():
         case=CaseTag.CASE1,
         shift_denominator=4,
         third_denominator=4,
-        h_generators_max=2,
+        h_generators_max=4,
         tau=TAU_I,
         tau_prime=TAU_2I,
     )
     agreement = cross_validate(space)
     assert agreement.all_agree, agreement.examples
-    assert agreement.total == 50 * 16 * 16 * 16
+    assert agreement.total == 92 * 16 * 16 * 16
     assert len(enumerate_case1(space).survivors) == 72

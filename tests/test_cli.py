@@ -346,6 +346,26 @@ def test_classify_stats_file_leaves_census_unchanged(tmp_path, capsys):
     assert all(t >= 0 for t in doc["phase_seconds"].values())
 
 
+@pytest.mark.parametrize(
+    "case, q, solutions, survivors",
+    [("1", "4", 12800, 72), ("2", "8", 34112, 0)],
+)
+def test_classify_sweeps_the_whole_admissible_family(tmp_path, capsys, case, q, solutions, survivors):
+    # rank 4 is the largest rank of an admissible H; exit 0 says every
+    # Case-1 survivor has the expected shape, and Case 2 has none
+    stats = tmp_path / "stats.json"
+    argv = ["classify", "--case", case, "--max-denominator", q, "--h-generators-max", "4", "--stats", str(stats)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["h_family"]["size"] == 928
+    assert doc["survivor_count"] == survivors
+    counters = json.loads(stats.read_text())["counters"]
+    assert (counters["subgroups"], counters["engine_builds"]) == (928, 92)
+    assert counters["relation_solutions"] == solutions
+    assert counters["survivors_reverified"] == survivors
+
+
 def test_classify_case2_refuted(capsys):
     code, out, _ = run(
         capsys,

@@ -123,12 +123,17 @@ def test_normal_form_free_on_tau_grid(direct_relations):
         assert contains_no_translations(grp).ok
 
 
+def _product_torus(params: D4Parameters) -> ComplexTorus:
+    return product([elliptic_curve(params.tau), elliptic_curve(params.tau), elliptic_curve(params.tau_prime)])
+
+
 def test_normal_form_quotient_has_integer_inclusion():
     from hyptor.torus import coordinate_change
 
     action = build_normal_form(TAU_I, TAU_2I)
-    c = coordinate_change(action.product_torus, action.torus)
+    c = coordinate_change(_product_torus(action.params), action.torus)
     assert c.is_integral()
+    assert c == action.to_quotient
     assert abs(action.torus.basis_change.det()) == Fraction(1, 2)
 
 
@@ -595,12 +600,12 @@ def test_structure_report_finds_the_block_lattices_once(monkeypatch):
     smith = _count_smith_forms(monkeypatch)
     rep = structure_report(action)
     assert len(calls) == 1
-    # the basis change for the omega lift and the block-sum basis
-    assert len(inverses) == 2
-    assert len({m.entries for m in inverses}) == 2
-    # 3 block kernels and the 2 inverses: the block-sum basis's one
-    # Smith form also gives the component group's divisors
-    assert len(smith) == 5
+    # only the block-sum basis: the omega lift reads the frame's
+    # product-to-quotient change
+    assert len(inverses) == 1
+    # 3 block kernels and the inverse: the block-sum basis's one Smith
+    # form also gives the component group's divisors
+    assert len(smith) == 4
     assert rep.inclusion == lattice_inclusion_check(action)
     assert len(calls) == 2
 
@@ -783,7 +788,7 @@ def reference_structure_report(action: D4Action) -> StructureReport:
     omega_matches = False
     if divisors == (2,):
         omega_prod = case1_subgroup_generator(action.params.s_shift1, action.params.s_shift2)
-        omega_lift = (t.basis_change.inverse() @ action.product_torus.basis_change).apply(omega_prod.coords)
+        omega_lift = (t.basis_change.inverse() @ _product_torus(action.params).basis_change).apply(omega_prod.coords)
         omega_block = TorsionPoint(tuple(block_inv.apply(omega_lift)))
         omega_matches = omega_block in cg.elements and not omega_block.is_zero()
 

@@ -18,6 +18,12 @@ assignment to ``obj.name`` does not.
 A private top-level function, class or constant (one leading
 underscore, dunders aside) must be read by some module of the package:
 a deleted routine's helpers and constants do not stay behind.
+
+A field of a dataclass of the package must be read as an attribute,
+``obj.name``, by a module of the package or of the tests, unless its
+class serializes itself with ``asdict``: a result field that is only
+stored is dead weight.  A method call ``obj.name(...)`` is not a read
+of a field ``name``.
 """
 
 import ast
@@ -26,6 +32,7 @@ from pathlib import Path
 import hyptor
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyptor"
+TESTS = Path(__file__).resolve().parent
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -174,3 +181,81 @@ def test_guard_flags_each_unused_private_name():
 def test_every_private_name_is_read():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated with dataclass, bare or called, by name or attribute."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _field_reads(tree: ast.AST) -> set[str]:
+    """The names read as ``x.name``, method calls ``x.name(...)`` aside."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in called
+    }
+
+
+def stored_only_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """"module.Class.field" of every field of a dataclass in sources that
+    no source or reader reads as an attribute, where the class does not
+    call asdict, sorted."""
+    fields = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read |= _field_reads(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
+                continue
+            if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "asdict" for n in ast.walk(node)):
+                continue
+            fields += [
+                (module, node.name, item.target.id)
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+    for source in readers:
+        read |= _field_reads(ast.parse(source))
+    return sorted(f"{module}.{cls}.{name}" for module, cls, name in fields if name not in read)
+
+
+def _package_and_tests() -> tuple[dict[str, str], list[str]]:
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    tests = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))]
+    assert sources and tests
+    return sources, tests
+
+
+def test_guard_flags_each_stored_only_field():
+    sources = {
+        "a": (
+            "from dataclasses import asdict, dataclass\n"
+            "import dataclasses\n"
+            "@dataclass(frozen=True)\nclass Result:\n    ok: bool\n    index: int\n    row: tuple\n"
+            "    def total(self): return self.ok\n"
+            "@dataclasses.dataclass\nclass Stored:\n    kept: int\n"
+            "@dataclass\nclass Flags:\n    flag: bool\n    def as_dict(self): return asdict(self)\n"
+            "class Plain:\n    unread: int = 0\n"
+            "r = Result(True, 0, ())\ni = (1, 2).index(2)\nr.row = ()\n"
+        ),
+    }
+    assert stored_only_fields(sources, ["x = r.ok.real\n"]) == ["a.Result.index", "a.Result.row", "a.Stored.kept"]
+    # the field that recorded which Smith row gave an obstruction, put
+    # back on the package's Obstruction: the tuples' .index(...) calls
+    # do not keep it alive
+    package, tests = _package_and_tests()
+    stored = "    row: tuple[int, ...]\n    value: Fraction\n"
+    assert package["affine_actions"].count(stored) == 1
+    package["affine_actions"] = package["affine_actions"].replace(stored, "    index: int\n" + stored)
+    assert stored_only_fields(package, tests) == ["affine_actions.Obstruction.index"]
+
+
+def test_every_dataclass_field_is_read():
+    assert stored_only_fields(*_package_and_tests()) == []
