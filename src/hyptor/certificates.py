@@ -150,14 +150,15 @@ def parse_parameters(data) -> D4Parameters:
     gens_data = data.get("subgroup_generators")
     if not isinstance(gens_data, list):
         raise ValueError("missing subgroup generators")
-    s3 = data.get("s_shift3")
+    # a present key is a third shift, null included: only Case 2 has one
+    s3 = parse_point(data["s_shift3"], 2) if "s_shift3" in data else None
     return D4Parameters(
         tau=parse_complex(data.get("tau")),
         tau_prime=parse_complex(data.get("tau_prime")),
         s_shift1=parse_point(data.get("s_shift1"), 2),
         s_shift2=parse_point(data.get("s_shift2"), 2),
         r_shift=parse_point(data.get("r_shift"), 2),
-        s_shift3=None if s3 is None else parse_point(s3, 2),
+        s_shift3=s3,
         subgroup_gens=tuple(parse_point(g, 6) for g in gens_data),
     )
 

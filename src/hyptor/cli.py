@@ -41,8 +41,6 @@ from .d4_family import (
 from .invariants import hodge_numbers
 from .torus import TorsionPoint
 
-WORKERS_ENV = "HYPTOR_WORKERS"
-
 # Human phrasing for each failed construction condition, keyed by the
 # flag names of the freeness-condition report.
 _CONDITION_PHRASES = {
@@ -208,18 +206,6 @@ def _int(text: str) -> int:
 _int.__name__ = "int"  # argparse names the type in its error message
 
 
-def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get(WORKERS_ENV)
-    if env is None:
-        return 1
-    try:
-        return _int(env)
-    except ValueError:
-        raise ValueError(f"invalid {WORKERS_ENV} value {env!r}")
-
-
 def cmd_classify(args) -> int:
     try:
         case = {"1": CaseTag.CASE1, "2": CaseTag.CASE2, "case1": CaseTag.CASE1, "case2": CaseTag.CASE2}[
@@ -229,8 +215,7 @@ def cmd_classify(args) -> int:
         _err(f"unknown case {args.case!r}")
         return 2
     try:
-        workers = _resolve_workers(args)
-        if workers < 1:
+        if args.workers < 1:
             raise ValueError("workers must be at least 1")
         space = SearchSpace(
             case=case,
@@ -245,12 +230,12 @@ def cmd_classify(args) -> int:
         return 2
 
     if case is CaseTag.CASE1:
-        report = enumerate_case1(space, workers=workers)
+        report = enumerate_case1(space, workers=args.workers)
         expected = bool(report.survivors) and all(
             is_expected_survivor(s) for s in report.survivors
         )
     else:
-        report = enumerate_case2(space, workers=workers)
+        report = enumerate_case2(space, workers=args.workers)
         expected = not report.survivors
 
     if args.stats:
@@ -282,8 +267,7 @@ def cmd_invariants(args) -> int:
             _err(f"  - {f}")
         return 1
 
-    j = result.action.torus.j
-    report = hodge_numbers([(g.aut.a, j) for g in result.group.elements])
+    report = hodge_numbers([g.aut.a for g in result.group.elements], result.action.torus)
 
     lines = ["Hodge numbers h^{p,q} (rows p = 0..3, columns q = 0..3):"]
     for row in report.hodge:
@@ -351,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--case", required=True, help="1 or 2")
     p_cls.add_argument("--max-denominator", type=_int, default=4)
     p_cls.add_argument("--h-generators-max", type=_int, default=2)
-    p_cls.add_argument("--workers", type=_int, default=None)
+    p_cls.add_argument("--workers", type=_int, default=1)
     p_cls.add_argument("--tau", default="0/1+1/1i", help="first curve parameter")
     p_cls.add_argument("--tau-prime", default="0/1+2/1i", help="third curve parameter")
     p_cls.add_argument("--stats", help="write the census counters and phase timings to this JSON file")

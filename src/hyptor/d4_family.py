@@ -25,12 +25,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact_linear import (
-    Matrix,
-    Sublattice,
-    inverse_numerators,
-    kernel_sublattice,
-)
+from .exact_linear import Matrix, inverse_numerators, kernel_sublattice
 from .torus import (
     ComplexTorus,
     EllipticCurveParam,
@@ -229,7 +224,7 @@ class QuotientFrame:
 
 
 def _check_third_shift(case: CaseTag, params: D4Parameters) -> None:
-    if case is CaseTag.CASE1 and params.s_shift3 is not None and not params.s_shift3.is_zero():
+    if case is CaseTag.CASE1 and params.s_shift3 is not None:
         raise ValueError("s_shift3 must be absent in Case 1 (origin normalization)")
     if case is CaseTag.CASE2 and params.s_shift3 is None:
         raise ValueError("s_shift3 is required in Case 2")
@@ -450,14 +445,14 @@ class LatticeInclusionReport:
     exponent_ok: bool
 
 
-def block_sublattices(t_quot: ComplexTorus) -> tuple[Sublattice, ...]:
-    """Lattices of the coordinate subtori inside the quotient lattice.
+def block_sublattices(t_quot: ComplexTorus) -> tuple[Matrix, ...]:
+    """Bases of the lattices of the coordinate subtori inside the
+    quotient lattice, as integer basis columns.
 
     A lattice vector x lies in block i's subtorus exactly when
     basis_change @ x vanishes on the reference coordinates of the other
     blocks, so block i's lattice is the integer kernel of those rows of
-    basis_change, scaled to integers: one Smith form per block.  The
-    bases are canonical.
+    basis_change, scaled to integers: one Smith form per block.
     """
     bc = t_quot.basis_change
     out = []
@@ -467,11 +462,11 @@ def block_sublattices(t_quot: ComplexTorus) -> tuple[Sublattice, ...]:
     return tuple(out)
 
 
-def _block_sum(t_quot: ComplexTorus) -> tuple[tuple[Sublattice, ...], tuple[Matrix, int, tuple[int, ...]]]:
+def _block_sum(t_quot: ComplexTorus) -> tuple[tuple[Matrix, ...], tuple[Matrix, int, tuple[int, ...]]]:
     """The block lattices, and inverse_numerators of a basis of their
     sum, block by block."""
     lams = block_sublattices(t_quot)
-    basis = Matrix.from_columns([lam.basis.column(k) for lam in lams for k in range(lam.rank)])
+    basis = Matrix.from_columns([lam.column(k) for lam in lams for k in range(lam.cols)])
     return lams, inverse_numerators(basis)
 
 
@@ -491,6 +486,13 @@ def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
     inverse N / e of the block-sum basis; it is bounded by 2 on each
     block, and the component group of the block sum, read off the same
     Smith form, has exponent dividing 2.
+
+    No field depends on the bases chosen for the block lattices.  The
+    memberships and the Smith divisors of the block sum are lattice
+    invariants.  The lattice modulo the block sum is a quotient of H,
+    which quotient_frame only builds at exponent 2, so e divides 2; a
+    block's largest denominator is then the lcm of its denominators,
+    which a unimodular change of that block's basis keeps.
     """
     return _inclusion_report(action, *_block_sum(action.torus))
 
@@ -499,8 +501,8 @@ def _block_spans(lams) -> list[range]:
     """The rows of each block in block coordinates."""
     spans, start = [], 0
     for lam in lams:
-        spans.append(range(start, start + lam.rank))
-        start += lam.rank
+        spans.append(range(start, start + lam.cols))
+        start += lam.cols
     return spans
 
 
@@ -544,9 +546,9 @@ class StructureReport:
     rotated_block_agree: the rotation carries the first block lattice
     onto the second block, which equals the intersection of the second
     coordinate subspace with the lattice.
-    component_divisors / omega_matches: the component group of the
-    block sum, and whether it is generated by the image of the expected
-    2-torsion point.
+    omega_matches: whether the component group of the block sum, whose
+    divisors are inclusion.quotient_divisors, is generated by the image
+    of the expected 2-torsion point.
 
     kernel_image_agree and rotated_block_agree hold on every action that
     can be built: S is an integral involution, and quotient_frame
@@ -556,7 +558,6 @@ class StructureReport:
 
     kernel_image_agree: bool
     rotated_block_agree: bool
-    component_divisors: tuple[int, ...]
     omega_matches: bool
     inclusion: LatticeInclusionReport
 
@@ -581,7 +582,7 @@ def structure_report(action: D4Action) -> StructureReport:
     t = action.torus
     lams, inverse = _block_sum(t)
     inclusion = _inclusion_report(action, lams, inverse)
-    rotated_block_agree = _in_block(inverse, _block_spans(lams), action.r.a @ lams[0].basis, 1)
+    rotated_block_agree = _in_block(inverse, _block_spans(lams), action.r.a @ lams[0], 1)
 
     # omega's raw lift to quotient coordinates, not a torsion point:
     # reduction mod 1 would kill it too early
@@ -595,7 +596,6 @@ def structure_report(action: D4Action) -> StructureReport:
     return StructureReport(
         kernel_image_agree=(action.s.a @ action.s.a).is_identity(),
         rotated_block_agree=rotated_block_agree,
-        component_divisors=inclusion.quotient_divisors,
         omega_matches=omega_matches,
         inclusion=inclusion,
     )

@@ -28,9 +28,10 @@ Provided here:
   integers; only the obstruction value is a Fraction.  The Smith form
   of each A comes from a small bounded memo private to this function;
   ``snf`` itself keeps no memo.
-* ``Sublattice``, whose independence check reads the column Hermite
-  form, and ``kernel_sublattice``, the saturated integer kernel of a
-  matrix in column Hermite form.
+* ``kernel_sublattice``: a basis of the saturated integer kernel of a
+  matrix, read off its Smith form (H. Cohen, *A Course in Computational
+  Algebraic Number Theory*, 2.4).  A lattice is passed around as a
+  plain integer ``Matrix`` of independent basis columns.
 """
 
 from __future__ import annotations
@@ -544,39 +545,12 @@ def solve_affine_mod_lattice(a: Matrix, b: Sequence[int], delta: int) -> AffineS
     return AffineSolveResult(solvable=True, x=x, denominator=denominator, m=tuple(q for q, _ in m))
 
 
-@dataclass(frozen=True)
-class Sublattice:
-    """A sublattice of Z^n given by independent integer basis columns,
-    stored exactly as provided."""
-
-    ambient_rank: int
-    basis: Matrix
-
-    def __post_init__(self) -> None:
-        if self.basis.rows != self.ambient_rank:
-            raise DimensionError("basis rows must equal ambient rank")
-        if not self.basis.is_integral():
-            raise ValueError("sublattice basis must be an integer matrix")
-        # independent exactly when the column Hermite form, whose zero
-        # columns trail, has a nonzero last column
-        if self.basis.cols > 0 and not any(column_hnf(self.basis)[0].column(self.basis.cols - 1)):
-            raise ValueError("basis columns are not independent over the rationals")
-
-    @property
-    def rank(self) -> int:
-        return self.basis.cols
-
-
-def kernel_sublattice(a: Matrix) -> Sublattice:
-    """Saturated lattice of integer kernel vectors of a.
+def kernel_sublattice(a: Matrix) -> Matrix:
+    """A basis of the saturated lattice of integer kernel vectors of a.
 
     The columns of V at the zero diagonal positions of the Smith form
-    span ker over Q and are part of a unimodular matrix, hence the
-    lattice they generate is already saturated.  They are returned in
-    column Hermite form, a canonical basis of the lattice, and only
-    that one Sublattice is built.
+    span ker over Q and are part of the unimodular V, so they are
+    independent and the lattice they generate is saturated.
     """
     dec = snf(a)
-    cols = dec.v.submatrix_columns(range(dec.rank, a.cols))
-    # the Hermite form of independent columns has no zero column
-    return Sublattice(a.cols, column_hnf(cols)[0] if cols.cols else cols)
+    return dec.v.submatrix_columns(range(dec.rank, a.cols))

@@ -9,10 +9,10 @@ group.  All arithmetic is in Z[i], over one common denominator, exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from operator import mul
 
 from .exact_linear import Matrix
+from .torus import ComplexTorus
 
 def _gmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     """The product of Gaussian integers a + b i given as pairs (a, b)."""
@@ -35,21 +35,20 @@ def _holomorphic_power_sums(a: Matrix, j_cleared: Matrix, d: int) -> list[tuple[
     return [(d * sum(p.at(i, i) for i in range(p.rows)), -sum(map(mul, p.entries, j_t))) for p in powers]
 
 
-def _elementary_symmetric(a: Matrix, j: Matrix) -> tuple[list[tuple[int, int]], int]:
-    """M e_0..M e_3 of the holomorphic eigenvalues, and their denominator M.
+def _elementary_symmetric(a: Matrix, j_cleared: Matrix, d: int) -> list[tuple[int, int]]:
+    """M e_0..M e_3 of the holomorphic eigenvalues, M = 6 (2 d)^3.
 
     With p_k = P_k / D, D = 2 d and J = j_cleared / d, Newton's
     identities e_1 = p_1, e_2 = (e_1 p_1 - p_2) / 2 and
     e_3 = (p_3 - e_1 p_2 + e_2 p_1) / 3 put all four over M = 6 D^3.
     """
-    j_cleared, d = j.scaled_integer()
     p1, p2, p3 = _holomorphic_power_sums(a, j_cleared, d)
     den = 2 * d
     p1p1 = _gmul(p1, p1)
     e1 = tuple(6 * den * den * x for x in p1)
     e2 = tuple(3 * den * (x - den * y) for x, y in zip(p1p1, p2))
     e3 = tuple(x - 3 * den * y + 2 * den * den * z for x, y, z in zip(_gmul(p1p1, p1), _gmul(p1, p2), p3))
-    return [(6 * den**3, 0), e1, e2, e3], 6 * den**3
+    return [(6 * den**3, 0), e1, e2, e3]
 
 
 @dataclass(frozen=True)
@@ -90,19 +89,20 @@ class InvariantReport:
         }
 
 
-def hodge_numbers(elements: list[tuple[Matrix, Matrix]]) -> InvariantReport:
-    """Invariants from the lattice linear parts of a finite free group.
+def hodge_numbers(linear_parts: list[Matrix], torus: ComplexTorus) -> InvariantReport:
+    """Invariants from the lattice linear parts of a finite group acting
+    freely on torus.
 
-    Each entry pairs an element's lattice matrix with the complex
-    structure of the torus it acts on.  h^{p,q} is the average over the
-    group of e_p(eigenvalues) times the conjugate of e_q(eigenvalues),
-    summed as Gaussian integers over one common denominator; a
-    non-integer anywhere is a hard error.
+    h^{p,q} is the average over the group of e_p(eigenvalues) times the
+    conjugate of e_q(eigenvalues), summed as Gaussian integers over the
+    one denominator M = 6 (2 d)^3 that the torus's cleared complex
+    structure j_cleared / d gives every element; a non-integer anywhere
+    is a hard error.
     """
-    sym = [_elementary_symmetric(a, j) for a, j in elements]
-    common = lcm(*(m for _, m in sym))
-    sym = [[(x * (common // m), y * (common // m)) for x, y in e] for e, m in sym]
-    denominator = len(elements) * common * common
+    d = torus.j_denominator
+    sym = [_elementary_symmetric(a, torus.j_cleared, d) for a in linear_parts]
+    common = 6 * (2 * d) ** 3
+    denominator = len(linear_parts) * common * common
     hodge_rows = []
     for p in range(4):
         row = []

@@ -28,12 +28,17 @@ class HolomorphyError(ValueError):
 
 @dataclass(frozen=True)
 class EllipticCurveParam:
-    """Upper half plane parameter tau = tau_re + tau_im * i, exact."""
+    """Upper half plane parameter tau = tau_re + tau_im * i, exact: each
+    part an int or a Fraction (anything else, a float or a bool
+    included, raises TypeError), stored as a Fraction."""
 
     tau_re: Fraction
     tau_im: Fraction
 
     def __post_init__(self) -> None:
+        for x in (self.tau_re, self.tau_im):
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise TypeError(f"tau must have int or Fraction parts, not {x!r}")
         object.__setattr__(self, "tau_re", Fraction(self.tau_re))
         object.__setattr__(self, "tau_im", Fraction(self.tau_im))
         if self.tau_im <= 0:

@@ -8,7 +8,8 @@ automorphisms, ``identity_aut`` is the identity map of a torus,
 with every generator, and the fixtures evaluate words letter by letter,
 so a test can check a built action, the table or the closure itself
 against a route that shares none of them.
-``point`` builds a torsion point from strings such as "1/2", and
+``point`` builds a torsion point from strings such as "1/2",
+``rand_unimodular`` a seeded unimodular matrix, and
 ``survivor_actions`` holds the 72 Case-1 census survivors.
 """
 
@@ -34,6 +35,20 @@ from hyptor.torus import EllipticCurveParam, TorsionPoint
 def point(*coords):
     """A torsion point from ints, Fractions and strings such as "1/2"."""
     return TorsionPoint(tuple(Fraction(c) if isinstance(c, str) else c for c in coords))
+
+
+def rand_unimodular(rng, n) -> Matrix:
+    """Product of random elementary row operations on the identity."""
+    m = Matrix.identity(n).to_rows()
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        f = rng.randint(-2, 2)
+        m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+    if rng.random() < 0.5:
+        rng.shuffle(m)
+    return Matrix.from_rows(m)
 
 
 def identity_aut(torus):

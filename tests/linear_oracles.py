@@ -4,9 +4,11 @@ test oracles.
 The library does all of its elimination in integers, through the Smith
 form.  The Gauss-Jordan routines reduce over ``Fraction`` instead, pivot
 by pivot, and so give an independent route to the inverse, the rank, a
-solution of a linear system and lattice membership.  ``canonical`` and
-``image_saturation`` give lattices in column Hermite form, so that two
-lattices can be compared by their bases.  ``fraction_solve_affine``
+solution of a linear system and lattice membership.  A lattice is a
+plain integer ``Matrix`` of independent basis columns, as in the
+library.  ``canonical`` and ``image_saturation`` give lattices in
+column Hermite form, so that two lattices can be compared by their
+bases.  ``fraction_solve_affine``
 decides ``A x = b + m`` with ``U b`` in ``Fraction`` arithmetic, the
 route the library's integer solver replaced.
 """
@@ -19,7 +21,6 @@ from hyptor.exact_linear import (
     DimensionError,
     Matrix,
     SingularMatrixError,
-    Sublattice,
     column_hnf,
     snf,
 )
@@ -79,17 +80,15 @@ def rational_solve(m: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
-def lattice_membership(v: Sequence, lat: Sublattice) -> tuple[bool, tuple[int, ...] | None]:
-    """Decide v in the integer span of lat's basis; returns coordinates.
-
-    The coordinates refer to the basis exactly as stored in lat.
-    """
-    if len(v) != lat.ambient_rank:
+def lattice_membership(v: Sequence, basis: Matrix) -> tuple[bool, tuple[int, ...] | None]:
+    """Decide v in the integer span of the independent columns of basis;
+    returns the coordinates against those columns."""
+    if len(v) != basis.rows:
         raise DimensionError("vector length mismatch")
-    if lat.rank == 0:
+    if basis.cols == 0:
         ok = all(Fraction(x) == 0 for x in v)
         return (ok, () if ok else None)
-    sol = rational_solve(lat.basis, v)
+    sol = rational_solve(basis, v)
     if sol is None:
         return False, None
     # solution of an independent-column system is unique
@@ -98,26 +97,26 @@ def lattice_membership(v: Sequence, lat: Sublattice) -> tuple[bool, tuple[int, .
     return True, tuple(int(c) for c in sol)
 
 
-def canonical(lat: Sublattice) -> Sublattice:
-    """lat with its basis in column Hermite form, so that equal lattices
-    compare equal."""
-    if lat.rank == 0:
-        return lat
-    h, _ = column_hnf(lat.basis)
+def canonical(basis: Matrix) -> Matrix:
+    """The column Hermite form of basis without its zero columns, so that
+    equal lattices compare equal."""
+    if basis.cols == 0:
+        return basis
+    h, _ = column_hnf(basis)
     nz = [j for j in range(h.cols) if any(h.at(i, j) != 0 for i in range(h.rows))]
-    return Sublattice(lat.ambient_rank, h.submatrix_columns(nz))
+    return h.submatrix_columns(nz)
 
 
-def image_saturation(a: Matrix) -> Sublattice:
+def image_saturation(a: Matrix) -> Matrix:
     """Saturation of the column span of a inside Z^rows, canonical: the
     first rank columns of the inverse of the Smith form's U."""
     dec = snf(a)
     r = dec.rank
     if r == 0:
-        return Sublattice(a.rows, Matrix(a.rows, 0, ()))
+        return Matrix(a.rows, 0, ())
     uinv = dec.u.inverse()
     assert uinv.is_integral()
-    return canonical(Sublattice(a.rows, uinv.submatrix_columns(list(range(r)))))
+    return canonical(uinv.submatrix_columns(list(range(r))))
 
 
 def fraction_solve_affine(a: Matrix, b) -> AffineSolveResult:

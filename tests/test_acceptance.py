@@ -227,7 +227,7 @@ def test_c5_survivor_structure():
         for s in report.survivors:
             built = build_general(CaseTag.CASE1, s.parameters(TAU_I, TAU_2I))
             rep = structure_report(built)
-            assert rep.component_divisors == (2,)
+            assert rep.inclusion.quotient_divisors == (2,)
             assert rep.omega_matches
             assert rep.kernel_image_agree
             assert rep.rotated_block_agree

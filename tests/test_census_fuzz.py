@@ -1,10 +1,9 @@
 """Seeded fuzzer for the census command line.
 
-Each draw assembles a `classify` argument list, and sometimes a
-HYPTOR_WORKERS value, from spellings a user might type: case aliases,
-borderline and malformed bounds, abbreviated and ambiguous flags,
-negative values after a space, non-canonical rationals, and output
-files in a directory that does not exist.  Every draw runs in process
+Each draw assembles a `classify` argument list from spellings a user
+might type: case aliases, borderline and malformed bounds, abbreviated
+and ambiguous flags, negative values after a space, non-canonical
+rationals, and output files in a directory that does not exist.  Every draw runs in process
 through cli.main and must end with exit code 0, 1 or 2: no exception
 may escape.
 
@@ -20,7 +19,7 @@ import random
 import pytest
 
 from hyptor import classify
-from hyptor.cli import WORKERS_ENV, main
+from hyptor.cli import main
 
 SEED = 20261018
 DRAWS = 400
@@ -33,7 +32,6 @@ CASES = (["1", "2", "case1", "case2"], ["3", "", "CASE1", "١", " 1", "1\n"])
 DENOMINATORS = (["1", "2"], ["0", "-1", "129", "1.5", "2e0", "x", "", "9" * 5000, "+2", "٢"])
 H_GENERATORS = (["0", "1", "4"], ["-1", "5", "x", "٠"])
 WORKER_FLAGS = (["1", "2"], ["0", "-2", "1e3", "", "٢", " 2 "])
-WORKER_ENVS = ([None, "1", "2"], ["", "0", "-1", "1e3", " 1 ", "٢", "１"])
 TAUS = (["0/1+1/1i", "-1/2+1/1i"], ["01/2+1/1i", "0/1+1/1i\n", "0/1-1/1i", "1/2+2/4i", "1/2"])
 FORMATS = (["json", "text"], ["xml"])
 
@@ -62,7 +60,7 @@ def _pair(rng, flag: str, value: str) -> list[str]:
 
 
 def _draw(rng, tmp_path):
-    """An argument list and a HYPTOR_WORKERS value (None: unset).
+    """An argument list.
 
     --max-denominator and --h-generators-max are always given, so no
     draw falls back to the larger default grid.
@@ -82,24 +80,20 @@ def _draw(rng, tmp_path):
             directory = tmp_path / ("missing" if rng.random() < 0.5 else "")
             pairs.append(_pair(rng, flag, str(directory / f"{flag[2:]}.json")))
     rng.shuffle(pairs)
-    return ["classify"] + [arg for pair in pairs for arg in pair], _pick(rng, WORKER_ENVS)
+    return ["classify"] + [arg for pair in pairs for arg in pair]
 
 
-def test_census_command_line_fuzz(tmp_path, monkeypatch, capsys):
+def test_census_command_line_fuzz(tmp_path, capsys):
     rng = random.Random(SEED)
     codes = []
     for _ in range(DRAWS):
-        argv, env = _draw(rng, tmp_path)
-        if env is None:
-            monkeypatch.delenv(WORKERS_ENV, raising=False)
-        else:
-            monkeypatch.setenv(WORKERS_ENV, env)
+        argv = _draw(rng, tmp_path)
         try:
             code = main(argv)
         except BaseException as exc:  # noqa: BLE001 - any escape is the failure
-            pytest.fail(f"{type(exc).__name__} escaped main for {argv!r}, {WORKERS_ENV}={env!r}: {exc}")
+            pytest.fail(f"{type(exc).__name__} escaped main for {argv!r}: {exc}")
         capsys.readouterr()
-        assert code in (0, 1, 2), (argv, env, code)
+        assert code in (0, 1, 2), (argv, code)
         codes.append(code)
     # the draws reach both the census and the argument checks
     assert codes.count(2) > DRAWS // 4

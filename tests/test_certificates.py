@@ -362,6 +362,13 @@ SECTION_TAMPERS = [
         lambda d: d["parameters"]["subgroup_generators"][0].__setitem__(0, "-1/2"),
         "outside [0, 1)",
     ),
+    # a Case-1 document has no third reflection shift, not even zero or null
+    (
+        "case1_s_shift3_zero",
+        lambda d: d["parameters"].__setitem__("s_shift3", ["0/1", "0/1"]),
+        "s_shift3 must be absent in Case 1",
+    ),
+    ("case1_s_shift3_null", lambda d: d["parameters"].__setitem__("s_shift3", None), "expected 2 coordinates"),
 ]
 
 

@@ -6,6 +6,7 @@ against an independently derived target.
 """
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -896,15 +897,13 @@ def test_relation_solutions_do_not_depend_on_the_grid(stable_engines):
     assert len(points) == 1
 
 
-def _object_level_disagreements(case, keys, step):
+def _relation_solution_actions(case, keys, step):
     """Every step-th point of each R_H, rebuilt on H's quotient frame:
-    the relations hold, and each group word has a fixed point exactly
-    where the engine's truth table says so.  Returns the points checked,
-    the disagreeing (key, point, word) triples, and the free points."""
+    yields (key, point index, action, the engine's truth table of each
+    group word over R_H)."""
     forms = classify._case_forms(case)
     cols = classify._COLUMNS[case]
     unit = [tuple(int(i == j) for i in range(len(cols))) for j in range(len(cols))]
-    checked, bad, free = 0, [], 0
     for key in keys:
         engine = classify._build_h_engine(forms, key)
         rel = engine.relation_forms
@@ -921,15 +920,86 @@ def _object_level_disagreements(case, keys, step):
 
             a3 = shift(4) if case is CaseTag.CASE2 else None
             params = d4_family.D4Parameters(TAU_I, TAU_2I, shift(0), shift(2), shift(6), a3, frame.subgroup.generators)
-            action = frame.action(params)
-            group = generate_group({"r": action.r, "s": action.s})
-            assert group.order == 8, (key, p)
-            assert all(check_relations(group, [w for _, w in d4_family.RELATION_WORDS]).values()), (key, p)
-            has_fixed = {w: has_fixed_point(evaluate_word(group, w)).exists for w in d4_family.GROUP_WORDS}
-            bad += [(key, p, w) for w, f in has_fixed.items() if f != fixed[w][p]]
-            free += not any(has_fixed.values())
-            checked += 1
+            yield key, p, frame.action(params), fixed
+
+
+def _object_level_disagreements(case, keys, step):
+    """Every step-th point of each R_H, rebuilt on H's quotient frame:
+    the relations hold, and each group word has a fixed point exactly
+    where the engine's truth table says so.  Returns the points checked,
+    the disagreeing (key, point, word) triples, and the free points."""
+    checked, bad, free = 0, [], 0
+    for key, p, action, fixed in _relation_solution_actions(case, keys, step):
+        group = generate_group({"r": action.r, "s": action.s})
+        assert group.order == 8, (key, p)
+        assert all(check_relations(group, [w for _, w in d4_family.RELATION_WORDS]).values()), (key, p)
+        has_fixed = {w: has_fixed_point(evaluate_word(group, w)).exists for w in d4_family.GROUP_WORDS}
+        bad += [(key, p, w) for w, f in has_fixed.items() if f != fixed[w][p]]
+        free += not any(has_fixed.values())
+        checked += 1
     return checked, bad, free
+
+
+@functools.lru_cache(maxsize=None)
+def _eta_maps(case) -> tuple[Matrix, Matrix]:
+    """(M_s, M_r) with t((rs)^2) - t(s^2) = M_s t_s + M_r t_r on the
+    product, from the case matrices: with rs: z -> R (S z + t_s) + t_r,
+    t(s^2) = (S + I) t_s and t((rs)^2) = (R S + I)(R t_s + t_r)."""
+    mats = d4_family.case_matrices(case)
+    r, s = mats.rotation_lattice, mats.reflection_lattice
+    ident = Matrix.identity(6)
+    rs_plus = r @ s + ident
+    return rs_plus @ r - s - ident, rs_plus
+
+
+def _half_turn_point(action) -> TorsionPoint:
+    """z = (-eta_1 / 2, -eta_2 / 2, 0) in quotient coordinates, for
+    eta = t((rs)^2) - t(s^2) on the product, taken on the shifts'
+    representatives in [0, 1).
+
+    In Case 2, eta = (a2 - a1, -a1 - a2, 2 h').  r^2 maps z to
+    (-z1, -z2, z3 + 2 h'), so r^2(z) - z = eta, which lies in the
+    quotient lattice wherever s^2 and (rs)^2 are the identity there:
+    z is then a fixed point of r^2.
+    """
+    p = action.params
+    a3 = p.s_shift3 or TorsionPoint.zero(2)
+    d = math.lcm(*(pt.order() for pt in (p.s_shift1, p.s_shift2, a3, p.r_shift)))
+    a1, a2, c = p.s_shift1.scaled(d), p.s_shift2.scaled(d), p.r_shift.scaled(d)
+    m_s, m_r = _eta_maps(action.case)
+    eta = tuple(map(operator.add, m_s.apply((*a1, *a2, *a3.scaled(d))), m_r.apply((0, 0, 0, 0, *c))))
+    if action.case is CaseTag.CASE2:
+        assert eta == (a2[0] - a1[0], a2[1] - a1[1], -a1[0] - a2[0], -a1[1] - a2[1], 2 * c[0], 2 * c[1])
+    z = TorsionPoint.from_scaled((*(-x for x in eta[:4]), 0, 0), 2 * d)
+    return z.image(action.to_quotient)
+
+
+def test_case2_half_turn_lemma_fixes_a_point_of_r_squared_on_every_relation_solution():
+    # every Case-2 point of R_H at g <= 2 closes the relations, and the
+    # half-turn lemma's point is fixed by r^2 there: Case 2 has no free
+    # action, without a fixed-point solve
+    keys = _stable_keys(2)
+    assert len(keys) == 50
+    zero = TorsionPoint.zero(6)
+    checked = 0
+    for key, p, action, fixed in _relation_solution_actions(CaseTag.CASE2, keys, 1):
+        r, s = action.r, action.s
+        assert s.apply(s.apply(zero)).is_zero(), (key, p)
+        assert r.apply(s.apply(r.apply(s.apply(zero)))).is_zero(), (key, p)
+        z = _half_turn_point(action)
+        assert r.apply(r.apply(z)) == z, (key, p)
+        # the engine agrees that r^2 has a fixed point
+        assert fixed["rr"][p], (key, p)
+        checked += 1
+    assert checked == 9536
+
+
+def test_half_turn_point_is_not_fixed_at_the_case1_survivors(survivor_actions):
+    # the negative control: at a free Case-1 action r^2 fixes no point
+    assert len(survivor_actions) == 72
+    for action in survivor_actions:
+        z = _half_turn_point(action)
+        assert action.r.apply(action.r.apply(z)) != z, action.params
 
 
 def test_case2_words_agree_with_the_object_level_on_relation_solutions():

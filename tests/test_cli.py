@@ -1,4 +1,4 @@
-"""Command-line behavior: exit codes, artifacts, formats, env handling.
+"""Command-line behavior: exit codes, artifacts, formats, flag spellings.
 
 Drives main(argv) in-process; one subprocess test covers the module
 entry point.  Exit code contract: 0 success or expected outcome, 1
@@ -11,8 +11,8 @@ import sys
 
 import pytest
 
-from hyptor import affine_actions, classify
-from hyptor.cli import WORKERS_ENV, main
+from hyptor import affine_actions, classify, cli
+from hyptor.cli import main
 
 TAU = "0/1+1/1i"
 TAU_PRIME = "0/1+2/1i"
@@ -235,6 +235,20 @@ def test_verify_truncated_json(cert_path, capsys):
     assert "malformed JSON" in err
 
 
+@pytest.mark.parametrize("value", [["0/1", "0/1"], None], ids=["zero", "null"])
+def test_verify_case1_third_shift_is_checked_failure(cert_path, capsys, value):
+    # Case 1 normalizes the third shift away: the key may not appear
+    doc = json.loads(cert_path.read_text())
+    doc["parameters"]["s_shift3"] = value
+    cert_path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["verify", str(cert_path)])
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+    code, _, err = run(capsys, ["invariants", str(cert_path)])
+    assert code == 1
+    assert "refusing" in err
+
+
 # Shifts whose group closes up past the generation cap: r of order 68,
 # s of order 6.
 UNGENERATABLE = [("r_shift", ["1/17", "0/1"]), ("s_shift1", ["1/3", "0/1"])]
@@ -450,15 +464,11 @@ def test_classify_denominator_past_the_bound_exits_2(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("spelling", ["1_2", "٢", "+2", " 2 ", "2 ", "１", "2\n", "²"])
-@pytest.mark.parametrize("target", ["--max-denominator", "--h-generators-max", "--workers", WORKERS_ENV])
-def test_integers_have_one_spelling(monkeypatch, capsys, target, spelling):
+@pytest.mark.parametrize("target", ["--max-denominator", "--h-generators-max", "--workers"])
+def test_integers_have_one_spelling(capsys, target, spelling):
     # int() reads all but "²" as 2 or 12, and str.isdigit() accepts
     # "²"; only ASCII digits with an optional minus sign are accepted
-    argv = ["classify", "--case", "1", "--max-denominator", "1", "--h-generators-max", "0"]
-    if target == WORKERS_ENV:
-        monkeypatch.setenv(WORKERS_ENV, spelling)
-    else:
-        argv += [f"{target}={spelling}"]
+    argv = ["classify", "--case", "1", "--max-denominator", "1", "--h-generators-max", "0", f"{target}={spelling}"]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -466,20 +476,25 @@ def test_integers_have_one_spelling(monkeypatch, capsys, target, spelling):
 
 
 def test_classify_workers_env(monkeypatch, capsys):
-    monkeypatch.setenv(WORKERS_ENV, "not-a-number")
-    code, _, err = run(capsys, ["classify", "--case", "2", "--max-denominator", "1"])
-    assert code == 2
-    assert WORKERS_ENV in err
+    # --workers alone sets the worker count, 1 by default: the retired
+    # HYPTOR_WORKERS variable is not read, whatever it holds
+    requested = []
+    census = cli.enumerate_case2
 
-    # explicit flag wins over a broken environment
-    code, _, _ = run(
-        capsys, ["classify", "--case", "2", "--max-denominator", "1", "--workers", "1"]
-    )
-    assert code == 0
+    def recording(space, workers):
+        requested.append(workers)
+        return census(space, workers=workers)
 
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    code, _, _ = run(capsys, ["classify", "--case", "2", "--max-denominator", "1"])
-    assert code == 0
+    monkeypatch.setattr(cli, "enumerate_case2", recording)
+    argv = ["classify", "--case", "2", "--max-denominator", "1"]
+    monkeypatch.delenv("HYPTOR_WORKERS", raising=False)
+    want = run(capsys, argv)
+    assert want[0] == 0
+    for value in ("not-a-number", "0", "2"):
+        monkeypatch.setenv("HYPTOR_WORKERS", value)
+        assert run(capsys, argv) == want
+    assert run(capsys, [*argv, "--workers", "2"]) == want
+    assert requested == [1, 1, 1, 1, 2]
 
 
 # ------------------------------------------------------------ invariants

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import point, reference_generate_group
+from conftest import point, rand_unimodular, reference_generate_group
 from linear_oracles import canonical, image_saturation, lattice_membership, rational_rank
 
 from hyptor import classify, exact_linear, torus
@@ -45,7 +45,7 @@ from hyptor.d4_family import (
 )
 from hyptor.certificates import build_certificate, verify_certificate
 from hyptor.classify import subgroup_family
-from hyptor.exact_linear import Matrix, Sublattice, kernel_sublattice, snf
+from hyptor.exact_linear import Matrix, kernel_sublattice, snf
 from hyptor.torus import (
     ComplexTorus,
     EllipticCurveParam,
@@ -548,7 +548,7 @@ def test_structure_report_normal_form():
         rep = structure_report(action)
         assert rep.kernel_image_agree
         assert rep.rotated_block_agree
-        assert rep.component_divisors == (2,)
+        assert rep.inclusion.quotient_divisors == (2,)
         assert rep.omega_matches
         assert rep.inclusion.splitting_ok
         assert rep.inclusion.denominator_bound_ok
@@ -631,15 +631,25 @@ def test_lattice_audit_solves_no_memberships(monkeypatch):
 
 def test_verify_certificate_smith_forms(monkeypatch):
     # with the solver's memo cleared: 7 fixed-point solves, 3 block
-    # kernels (one Sublattice each, whose independence check reads a
-    # Hermite form), the quotient basis's inverse, and the block-sum
+    # kernels, the quotient basis's inverse, and the block-sum
     # basis's inverse, whose Smith form also gives the inclusion bound
     action = build_normal_form(TAU_I, TAU_2I)
     doc = build_certificate(action)
     exact_linear._system_smith_form.cache_clear()
     calls = _count_smith_forms(monkeypatch)
+    hermite = []
+    original = exact_linear.column_hnf
+
+    def counting(m):
+        hermite.append(m)
+        return original(m)
+
+    for module in (exact_linear, torus):
+        monkeypatch.setattr(module, "column_hnf", counting)
     assert verify_certificate(doc).ok
     assert len(calls) == 12
+    # the quotient basis only: the block kernels are read off V as they are
+    assert len(hermite) == 1
 
 
 def _reference_block_sublattices(t_quot):
@@ -683,9 +693,9 @@ def _reference_block_denominators(lams, block_inv: Matrix) -> list[int]:
         coords = block_inv.column(jdx)
         pos = 0
         for b, lam in enumerate(lams):
-            for k in range(lam.rank):
+            for k in range(lam.cols):
                 denoms[b] = max(denoms[b], Fraction(coords[pos + k]).denominator)
-            pos += lam.rank
+            pos += lam.cols
     return denoms
 
 
@@ -701,7 +711,7 @@ def test_block_lattices_are_the_subspace_intersections():
         assert not isinstance(frame, BuildRejection)
         got = d4_family.block_sublattices(frame.torus)
         want = _reference_block_sublattices(frame.torus)
-        assert [lam.basis.entries for lam in got] == [canonical(lam).basis.entries for lam in want]
+        assert [canonical(lam).entries for lam in got] == [lam.entries for lam in want]
         compared += 1
     assert compared == 300
 
@@ -740,7 +750,7 @@ def test_splitting_check_agrees_with_the_membership_loop(survivor_actions):
         lams, _ = d4_family._block_sum(action.torus)
         for order in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
             blocks = tuple(lams[b] for b in order)
-            basis = Matrix.from_columns([lam.basis.column(k) for lam in blocks for k in range(lam.rank)])
+            basis = Matrix.from_columns([lam.column(k) for lam in blocks for k in range(lam.cols)])
             block_inv = basis.inverse()
             rep = d4_family._inclusion_report(action, blocks, exact_linear.inverse_numerators(basis))
             want = _reference_splitting(action, blocks)
@@ -769,20 +779,18 @@ def reference_structure_report(action: D4Action) -> StructureReport:
     """The structure report through saturated subtori and the component
     group, compared as canonical lattice bases."""
     t = action.torus
-    n = t.rank
     s_cur = action.s.a
-    ident = Matrix.identity(n)
+    ident = Matrix.identity(t.rank)
     for a in (s_cur - ident, s_cur + ident):
         assert (a @ t.j).entries == (t.j @ a).entries
     ker = kernel_sublattice(s_cur - ident)
     img = image_saturation(s_cur + ident)
-    kernel_image_agree = canonical(ker).basis.entries == canonical(img).basis.entries
+    kernel_image_agree = canonical(ker).entries == img.entries
 
     lams = _reference_block_sublattices(t)
-    block_basis = Matrix.from_columns([lam.basis.column(k) for lam in lams for k in range(lam.rank)])
+    block_basis = Matrix.from_columns([lam.column(k) for lam in lams for k in range(lam.cols)])
     block_inv = block_basis.inverse()
-    rotated = canonical(Sublattice(n, action.r.a @ lams[0].basis))
-    rotated_block_agree = rotated.basis.entries == canonical(lams[1]).basis.entries
+    rotated_block_agree = canonical(action.r.a @ lams[0]).entries == lams[1].entries
 
     cg, divisors = _reference_component_group(t, block_basis)
     omega_matches = False
@@ -792,20 +800,22 @@ def reference_structure_report(action: D4Action) -> StructureReport:
         omega_block = TorsionPoint(tuple(block_inv.apply(omega_lift)))
         omega_matches = omega_block in cg.elements and not omega_block.is_zero()
 
+    inclusion = d4_family._inclusion_report(action, lams, exact_linear.inverse_numerators(block_basis))
+    assert inclusion.quotient_divisors == divisors
     return StructureReport(
         kernel_image_agree=kernel_image_agree,
         rotated_block_agree=rotated_block_agree,
-        component_divisors=divisors,
         omega_matches=omega_matches,
-        inclusion=d4_family._inclusion_report(action, lams, exact_linear.inverse_numerators(block_basis)),
+        inclusion=inclusion,
     )
 
 
-def test_structure_report_matches_the_subtorus_reference(survivor_actions):
-    # the normal form over TAU_GRID, the 72 survivors, and the frame
-    # actions of every stable H at g <= 2 in both cases with seeded
-    # shifts; each again with r and s swapped, which is the only way
-    # kernel_image_agree and rotated_block_agree fail
+@pytest.fixture(scope="module")
+def structure_actions(survivor_actions):
+    """The normal form over TAU_GRID, the 72 survivors, and the frame
+    actions of every stable H at g <= 2 in both cases with seeded
+    shifts; each again with r and s swapped, which is the only way
+    kernel_image_agree and rotated_block_agree fail."""
     rng = random.Random(1414)
     actions = [build_normal_form(tau, tau_prime) for tau, tau_prime in TAU_GRID] + survivor_actions
 
@@ -828,16 +838,50 @@ def test_structure_report_matches_the_subtorus_reference(survivor_actions):
         )
         actions.append(quotient_frame(case, TAU_HALF_I, TAU_2I, gens).action(params))
     actions += [replace(a, r=a.s, s=a.r) for a in actions]
+    assert len(actions) == 356
+    return actions
 
+
+def test_structure_report_matches_the_subtorus_reference(structure_actions):
     seen = set()
-    for action in actions:
+    for action in structure_actions:
         got = structure_report(action)
         assert got == reference_structure_report(action), action.params
         seen.update((field, value) for field, value in vars(got).items() if type(value) is bool)
-        seen.add(("component_divisors", got.component_divisors))
+        seen.add(("quotient_divisors", got.inclusion.quotient_divisors))
     flags = ("kernel_image_agree", "rotated_block_agree", "omega_matches")
     assert {(f, v) for f in flags for v in (True, False)} <= seen, seen
-    assert sum(field == "component_divisors" for field, _ in seen) > 1
+    assert sum(field == "quotient_divisors" for field, _ in seen) > 1
+
+
+def _audits(actions, monkeypatch, rebase) -> list:
+    """lattice_inclusion_check and structure_report of each action, with
+    every block lattice basis replaced by rebase(basis)."""
+    original = d4_family.block_sublattices
+    with monkeypatch.context() as m:
+        m.setattr(d4_family, "block_sublattices", lambda t: tuple(rebase(lam) for lam in original(t)))
+        return [(lattice_inclusion_check(a), structure_report(a)) for a in actions]
+
+
+def test_lattice_audit_does_not_depend_on_the_block_bases(structure_actions, monkeypatch):
+    # the premise of the denominators' invariance: the block sum's
+    # index group has exponent dividing 2 on every action
+    for action in structure_actions:
+        assert d4_family._block_sum(action.torus)[1][1] in (1, 2)
+    rng = random.Random(2020)
+    scrambled = []
+
+    def scramble(lam):
+        out = lam @ rand_unimodular(rng, lam.cols)
+        scrambled.append(canonical(lam).entries != out.entries)
+        return out
+
+    hermite = _audits(structure_actions, monkeypatch, canonical)
+    assert _audits(structure_actions, monkeypatch, scramble) == hermite
+    # two reports per action, three blocks per report, and most of the
+    # scrambled bases differ from the Hermite ones
+    assert len(scrambled) == 6 * len(structure_actions)
+    assert sum(scrambled) > len(scrambled) // 2
 
 
 def test_case1_subgroup_is_the_shift_sum_on_two_factors():

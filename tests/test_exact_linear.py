@@ -15,9 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import rand_unimodular
 from linear_oracles import (
     canonical,
     fraction_solve_affine,
+    gauss_jordan,
     gauss_jordan_inverse,
     image_saturation,
     lattice_membership,
@@ -31,7 +33,6 @@ from hyptor.exact_linear import (
     DimensionError,
     Matrix,
     SingularMatrixError,
-    Sublattice,
     column_hnf,
     hnf,
     inverse_numerators,
@@ -100,20 +101,6 @@ def rand_int_matrix(rng, n, c, lo=-4, hi=4) -> Matrix:
     return Matrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(c)] for _ in range(n)]
     )
-
-
-def rand_unimodular(rng, n) -> Matrix:
-    """Product of random elementary row operations on the identity."""
-    m = Matrix.identity(n).to_rows()
-    for _ in range(3 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        f = rng.randint(-2, 2)
-        m[i] = [a + f * b for a, b in zip(m[i], m[j])]
-    if rng.random() < 0.5:
-        rng.shuffle(m)
-    return Matrix.from_rows(m)
 
 
 def is_unimodular(m: Matrix) -> bool:
@@ -228,8 +215,6 @@ def test_integer_only_routines_reject_fractions():
     for fn in (hnf, column_hnf, snf, kernel_sublattice, inverse_numerators):
         with pytest.raises(ValueError):
             fn(half)
-    with pytest.raises(ValueError):
-        Sublattice(2, half)
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +354,9 @@ def test_rank_matches_numpy():
         m = rand_int_matrix(rng, n, c)
         expected = np.linalg.matrix_rank(np.array(m.to_rows(), dtype=float))
         assert snf(m).rank == expected
-        # Sublattice accepts the columns exactly when they are independent
-        if expected == c:
-            assert Sublattice(n, m).rank == c
-        else:
-            with pytest.raises(ValueError):
-                Sublattice(n, m)
+        # the columns are independent exactly when the column Hermite
+        # form, whose zero columns trail, has a nonzero last column
+        assert any(column_hnf(m)[0].column(c - 1)) == (expected == c)
 
 
 # ---------------------------------------------------------------------------
@@ -500,28 +482,58 @@ def test_rational_solve_matches_numpy():
 # ---------------------------------------------------------------------------
 
 
-def test_sublattice_rejects_dependent_columns():
-    for cols in (
-        [[1, 2], [2, 4]],
-        [[0, 0, 0]],
-        [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
-        [[2, 0], [0, 3], [4, 6]],
-        [[1, 0], [0, 1], [1, 1]],
-    ):
-        with pytest.raises(ValueError, match="not independent"):
-            Sublattice(len(cols[0]), Matrix.from_columns(cols))
-    assert Sublattice(2, Matrix.from_columns([[1, 2], [2, 3]])).rank == 2
-    assert Sublattice(3, Matrix(3, 0, ())).rank == 0
+def _rational_kernel(a: Matrix) -> Matrix:
+    """A basis of the rational kernel of a, from its reduced row echelon
+    form, one column per free variable, scaled to integers."""
+    rows = a.to_rows()
+    pivots = {col: r for r, col in gauss_jordan(rows, a.cols)}
+    cols = []
+    for free in (j for j in range(a.cols) if j not in pivots):
+        v = [Fraction(int(j == free)) for j in range(a.cols)]
+        for col, r in pivots.items():
+            v[col] = -Fraction(rows[r][free])
+        cols.append(v)
+    if not cols:
+        return Matrix(a.cols, 0, ())
+    return Matrix.from_columns(cols).scaled_integer()[0]
+
+
+def test_kernel_sublattice_is_an_independent_saturated_basis():
+    # the dependent column sets a basis check would have to refuse,
+    # as matrices whose kernels are then nonzero, and random matrices
+    rng = random.Random(45)
+    mats = [
+        Matrix.from_columns(cols)
+        for cols in (
+            [[1, 2], [2, 4]],
+            [[0, 0, 0]],
+            [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
+            [[2, 0], [0, 3], [4, 6]],
+            [[1, 0], [0, 1], [1, 1]],
+            [[1, 2], [2, 3]],
+        )
+    ]
+    mats += [rand_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), -4, 4) for _ in range(80)]
+    for a in mats:
+        ker = kernel_sublattice(a)
+        assert ker.rows == a.cols and ker.cols == a.cols - rational_rank(a)
+        if ker.cols == 0:
+            continue
+        assert ker.is_integral() and not any((a @ ker).entries)
+        # independent, and saturated: every elementary divisor is 1
+        assert rational_rank(ker) == ker.cols
+        assert snf(ker).elementary_divisors == (1,) * ker.cols
+        # the same lattice as the saturation of the rational kernel
+        assert canonical(ker).entries == image_saturation(_rational_kernel(a)).entries
 
 
 def test_lattice_membership_basics():
-    basis = Matrix.from_rows([[2, 0], [0, 3]])
-    lat = Sublattice(2, basis)
+    lat = Matrix.from_rows([[2, 0], [0, 3]])
     ok, coords = lattice_membership((4, 3), lat)
     assert ok and coords == (2, 1)
     ok, coords = lattice_membership((1, 0), lat)
     assert not ok and coords is None
-    zero = Sublattice(3, Matrix(3, 0, ()))
+    zero = Matrix(3, 0, ())
     assert lattice_membership((0, 0, 0), zero)[0]
     assert not lattice_membership((1, 0, 0), zero)[0]
 
@@ -533,12 +545,11 @@ def test_lattice_membership_random_roundtrip():
         basis = rand_int_matrix(rng, n, r, -3, 3)
         if rational_rank(basis) != r:
             continue
-        lat = Sublattice(n, basis)
         coeff = [rng.randint(-3, 3) for _ in range(r)]
         v = tuple(
             sum(basis.at(i, j) * coeff[j] for j in range(r)) for i in range(n)
         )
-        ok, coords = lattice_membership(v, lat)
+        ok, coords = lattice_membership(v, basis)
         assert ok and coords == tuple(coeff)
 
 
@@ -548,12 +559,11 @@ def test_kernel_and_image_lattices():
         n, c = rng.randint(1, 4), rng.randint(1, 4)
         a = rand_int_matrix(rng, n, c, -3, 3)
         ker = kernel_sublattice(a)
-        assert ker.rank == c - snf(a).rank
-        for j in range(ker.rank):
-            col = tuple(ker.basis.at(i, j) for i in range(c))
-            assert all(x == 0 for x in a.apply(col))
+        assert ker.cols == c - snf(a).rank
+        for j in range(ker.cols):
+            assert all(x == 0 for x in a.apply(ker.column(j)))
         img = image_saturation(a)
-        assert img.rank == snf(a).rank
+        assert img.cols == snf(a).rank
         # every column of a lies in the saturation
         for j in range(c):
             col = tuple(a.at(i, j) for i in range(n))
@@ -568,6 +578,4 @@ def test_sublattice_canonical_equality():
         if rational_rank(basis) != r:
             continue
         g = rand_unimodular(rng, r)
-        lat1 = canonical(Sublattice(n, basis))
-        lat2 = canonical(Sublattice(n, basis @ g))
-        assert lat1.basis.entries == lat2.basis.entries
+        assert canonical(basis).entries == canonical(basis @ g).entries

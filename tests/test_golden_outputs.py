@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from hyptor.cli import WORKERS_ENV, main
+from hyptor.cli import main
 
 DISTINGUISHED = ["construct", "--tau", "0/1+1/1i", "--tau-prime", "0/1+2/1i"]
 SKEW = [
@@ -67,8 +67,10 @@ TAMPERS = {"inclusion": _tamper_inclusion, "linear": _tamper_linear}
 GOLDEN = {
     "classify-case1-q2-json": "0a078775088d1a8fcc865c9bb789f094ccaf45558f42f127a2214008843bd43f",
     "classify-case1-q4-g3-json": "32d597e012821b3efe9660d5f9d48726fba6a312a5acce4a6399744e923f8db4",
+    "classify-case1-q4-g4-json": "81ba7a1d1eeeba7f4c91eeca42337d629f578016fe9f2b1c3b5efde2c8a37c61",
     "classify-case1-q4-json": "64ec747fc35bc3ff4714b8adc548b93103b7a4633e6b26261ef267e060dc4501",
     "classify-case1-q4-text": "d13cc25add6e61ab04f3d0ef26a670f8c0f23247e89b99602aed0d2eefcfbcda",
+    "classify-case2-q8-g4-json": "c4518749e446ca14aa73caa85c4833ef848191dd8804914c3191d3e7f7ebd8b1",
     "classify-case2-q8-json": "a151883f5cf3775d466ca8938a24a9c26f4fa8afaa7e16760a297b6948791115",
     "construct-distinguished-json": "95c31175ade1ac38738ebcbc067d9b572cfc21152dd0e20e6968ef5b508eb1bc",
     "construct-distinguished-text": "becab7a282a4d745dec0b7a873016b8f508ddc398e76c9dd7add7a63f56a2a31",
@@ -147,7 +149,6 @@ def _argv(name: str, cert_files) -> list[str]:
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_cli_output_bytes_are_pinned(name, cert_files, monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
+def test_cli_output_bytes_are_pinned(name, cert_files):
     code, out, err = _run(_argv(name, cert_files))
     assert _digest(code, out, err) == GOLDEN[name], (code, out[:400], err[:400])

@@ -69,11 +69,11 @@ def _power_sums_by_trace(a: Matrix, j: Matrix) -> list[GaussianRational]:
     return [GaussianRational(Fraction(re, 2 * d), Fraction(im, 2 * d)) for re, im in sums]
 
 
-def reference_hodge_numbers(elements) -> tuple[tuple[int, ...], ...]:
+def reference_hodge_numbers(linear_parts, j: Matrix) -> tuple[tuple[int, ...], ...]:
     """The Hodge table in Q(i): Newton's identities on the product power
     sums, averaged over the group one Fraction at a time."""
     sym = []
-    for a, j in elements:
+    for a in linear_parts:
         p = _product_power_sums(a, j)
         e1 = p[0]
         e2 = (e1 * p[0] - p[1]).scaled(Fraction(1, 2))
@@ -86,17 +86,17 @@ def reference_hodge_numbers(elements) -> tuple[tuple[int, ...], ...]:
             total = GaussianRational(Fraction(0), Fraction(0))
             for e in sym:
                 total = total + e[p] * e[q].conjugate()
-            total = total.scaled(Fraction(1, len(elements)))
+            total = total.scaled(Fraction(1, len(linear_parts)))
             assert total.im == 0 and total.re.denominator == 1, (p, q, total)
             row.append(int(total.re))
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def _elements(action):
+def _linear_parts(action):
     grp = generate_group({"r": action.r, "s": action.s})
     assert grp.order == 8
-    return [(g.aut.a, action.torus.j) for g in grp.elements]
+    return [g.aut.a for g in grp.elements]
 
 
 def test_power_sums_by_trace_match_the_product_form():
@@ -106,7 +106,7 @@ def test_power_sums_by_trace_match_the_product_form():
         action = build_normal_form(tau, tau_prime)
         j = action.torus.j
         assert j.denominator_lcm() > 1
-        for a, _ in _elements(action):
+        for a in _linear_parts(action):
             assert _power_sums_by_trace(a, j) == _product_power_sums(a, j)
             compared += 1
         # matrices of infinite order: the traces are not those of roots of unity
@@ -147,15 +147,16 @@ def test_hodge_numbers_match_the_fraction_oracle_on_the_survivors(tau, tau_prime
         gens = survivor.h_generators
         if gens not in frames:
             frames[gens] = quotient_frame(CaseTag.CASE1, tau, tau_prime, gens)
-        elements = _elements(frames[gens].action(survivor.parameters(tau, tau_prime)))
-        got = hodge_numbers(elements)
-        assert got.hodge == reference_hodge_numbers(elements)
+        action = frames[gens].action(survivor.parameters(tau, tau_prime))
+        linear_parts = _linear_parts(action)
+        got = hodge_numbers(linear_parts, action.torus)
+        assert got.hodge == reference_hodge_numbers(linear_parts, action.torus.j)
         assert got.hodge == ((1, 0, 0, 1), (0, 2, 2, 0), (0, 2, 2, 0), (1, 0, 0, 1))
 
 
 def test_hodge_numbers_builds_no_fraction(monkeypatch):
     action = build_normal_form(*TAU_PAIRS[1])
-    elements = _elements(action)
+    linear_parts = _linear_parts(action)
     built = []
     new = Fraction.__new__
 
@@ -163,8 +164,13 @@ def test_hodge_numbers_builds_no_fraction(monkeypatch):
         built.append(args)
         return new(cls, *args, **kwargs)
 
+    def refused(self):
+        raise AssertionError("the torus's cleared J is cleared again")
+
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    report = hodge_numbers(elements)
+    # every element shares the torus's j_cleared / j_denominator
+    monkeypatch.setattr(Matrix, "scaled_integer", refused)
+    report = hodge_numbers(linear_parts, action.torus)
     assert built == []
     assert report.betti == (1, 0, 2, 6, 2, 0, 1)
 
@@ -172,6 +178,5 @@ def test_hodge_numbers_builds_no_fraction(monkeypatch):
 def test_hodge_numbers_refuses_a_non_integer_average():
     # {1, r, r} is no group: h^{0,1} averages conj(e_1) = 3, 1, 1 to 5/3
     action = build_normal_form(*TAU_PAIRS[0])
-    j = action.torus.j
     with pytest.raises(RuntimeError, match=r"h\^\{0,1\} is not an integer"):
-        hodge_numbers([(Matrix.identity(6), j), (action.r.a, j), (action.r.a, j)])
+        hodge_numbers([Matrix.identity(6), action.r.a, action.r.a], action.torus)

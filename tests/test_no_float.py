@@ -3,7 +3,8 @@
 Statically, every module of the package is parsed and searched for a
 float literal, a call to ``float`` or ``round``, and a true division
 whose left operand is an int literal (``1 / x`` is a float when x is an
-int).  At run time, ``Matrix`` and ``TorsionPoint`` refuse float entries.
+int).  At run time, ``Matrix``, ``TorsionPoint`` and ``EllipticCurveParam``
+refuse float entries.
 """
 
 import ast
@@ -14,7 +15,7 @@ import pytest
 from conftest import point
 
 from hyptor.exact_linear import Matrix
-from hyptor.torus import TorsionPoint
+from hyptor.torus import EllipticCurveParam, TorsionPoint
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyptor"
 
@@ -76,3 +77,13 @@ def test_torsion_point_refuses_floats_and_bools():
     p = TorsionPoint((Fraction(5, 4), -1, Fraction(-1, 3), 0))
     assert p.coords == (Fraction(1, 4), 0, Fraction(2, 3), 0)
     assert all(type(c) is Fraction for c in p.coords)
+
+
+def test_curve_parameter_refuses_floats_bools_and_strings():
+    # Fraction(0.1) would be 3602879701896397/36028797018963968
+    for parts in ((0.1, 1), (0, 2.0), (True, 1), (0, True), ("1/2", 1), (0, "2"), (None, 1)):
+        with pytest.raises(TypeError):
+            EllipticCurveParam(*parts)
+    tau = EllipticCurveParam(1, Fraction(3, 2))
+    assert (tau.tau_re, tau.tau_im) == (1, Fraction(3, 2))
+    assert all(type(x) is Fraction for x in (tau.tau_re, tau.tau_im))
