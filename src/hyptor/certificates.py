@@ -86,6 +86,15 @@ def parse_complex(s) -> EllipticCurveParam:
     return EllipticCurveParam(parse_rational(m.group(1)), parse_rational(m.group(2)))
 
 
+def parse_field(name: str, parse, *args):
+    """parse(*args), with a ValueError's message prefixed by the name of
+    the field or option it came from."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def point_json(p: TorsionPoint) -> list[str]:
     return [rational_str(c) for c in p.coords]
 
@@ -151,15 +160,17 @@ def parse_parameters(data) -> D4Parameters:
     if not isinstance(gens_data, list):
         raise ValueError("missing subgroup generators")
     # a present key is a third shift, null included: only Case 2 has one
-    s3 = parse_point(data["s_shift3"], 2) if "s_shift3" in data else None
+    s3 = parse_field("s_shift3", parse_point, data["s_shift3"], 2) if "s_shift3" in data else None
     return D4Parameters(
-        tau=parse_complex(data.get("tau")),
-        tau_prime=parse_complex(data.get("tau_prime")),
-        s_shift1=parse_point(data.get("s_shift1"), 2),
-        s_shift2=parse_point(data.get("s_shift2"), 2),
-        r_shift=parse_point(data.get("r_shift"), 2),
+        tau=parse_field("tau", parse_complex, data.get("tau")),
+        tau_prime=parse_field("tau_prime", parse_complex, data.get("tau_prime")),
+        s_shift1=parse_field("s_shift1", parse_point, data.get("s_shift1"), 2),
+        s_shift2=parse_field("s_shift2", parse_point, data.get("s_shift2"), 2),
+        r_shift=parse_field("r_shift", parse_point, data.get("r_shift"), 2),
         s_shift3=s3,
-        subgroup_gens=tuple(parse_point(g, 6) for g in gens_data),
+        subgroup_gens=tuple(
+            parse_field(f"subgroup_generators[{i}]", parse_point, g, 6) for i, g in enumerate(gens_data)
+        ),
     )
 
 
@@ -321,7 +332,7 @@ def verify_certificate(doc) -> VerificationResult:
                 continue
             try:
                 lin = parse_integer_matrix(g_doc.get("linear"))
-                trans = parse_point(g_doc.get("translation"), built.torus.rank)
+                trans = parse_field("translation", parse_point, g_doc.get("translation"), built.torus.rank)
             except ValueError as exc:
                 failures.append(f"generators: {name}: {exc}")
                 continue
@@ -347,7 +358,7 @@ def verify_certificate(doc) -> VerificationResult:
                     continue
                 try:
                     lin = parse_integer_matrix(entry.get("linear"))
-                    trans = parse_point(entry.get("translation"), built.torus.rank)
+                    trans = parse_field("translation", parse_point, entry.get("translation"), built.torus.rank)
                 except ValueError as exc:
                     failures.append(f"group: element {word}: {exc}")
                     continue

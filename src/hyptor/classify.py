@@ -22,32 +22,33 @@ Lambda'* = {v in Z^6 : v . h even for every h in H}.  A word w with
 linear part M_w and translation P_w t_r + Q_w t_s in product
 coordinates has a fixed point exactly when v . (P_w t_r + Q_w t_s) is
 an integer for every v in K_w ∩ Lambda'*, K_w the integer left kernel
-of M_w - I; the relation words have M_w = I, so their forms come from
-all of Lambda'*.  M_w, P_w, Q_w and K_w depend on the case alone and
-are computed once per census; each subgroup only solves the parity
+of M_w - I.  M_w, P_w, Q_w and K_w depend on the case alone and are
+computed once per census; each subgroup only solves the parity
 conditions over F2.  The sweeps prune with the engine route and
 re-verify every survivor object-level, each from its own shifts on
 the quotient frame of its subgroup, with the closed-form conditions
 as an independent check in Case 1.  cross_validate runs both routes on
 every grid tuple and reports disagreements: the closed-form conditions
-tuple by tuple, and on the engine side the same truth tables the sweep
-reads, taken over the grid as a finite group.
+tuple by tuple, and on the engine side the sweep's membership test and
+the same truth tables the sweep reads, taken over the grid as a finite
+group.
 
 The lattice:r stage is decided on bitmasks, before any engine is
 built: a subgroup passes it exactly when its span is closed under the
 rotation's block swap, so engines are built for the rotation-stable
-subgroups only.  The relations r^4, s^2 and (rs)^2 are linear
-congruences in the shifts, solved by Smith forms (H. Cohen, A Course
-in Computational Algebraic Number Theory, 2.4): their common solutions
-form a finite group R_H, and only its points on the grid reach the
-fixed-point stages, so a sweep's cost does not grow with the grid.
-The grid counts, R_H and its points on the grid depend only on the
-stacked relation rows, which the stable subgroups largely share: a
-census solves each distinct system once, in a memo that lives as long
-as the census (tasks sent to worker processes carry their own copies).  The fixed-point
-stages run in canonical order, one at a time, and a stage's truth
-tables are built only while points remain; in Case 2 the half-turn
-stage takes every point, so the reflections' tables are never built.
+subgroups only.  A relation word has M_w = I, so it holds on T_H
+exactly when its translation t lies in Lambda': when 2t is integral,
+which does not depend on H, and 2t mod 2 lies in H.  For each stack of
+relations (r^4; r^4 and s^2; all three) a census solves the first
+condition on the grid once, by a Smith form (H. Cohen, A Course in
+Computational Algebraic Number Theory, 2.4), as a finite group; each
+subgroup keeps the points whose parities lie in H by elimination over
+F2.  A census takes ten Smith forms, seven word kernels and three
+stacks, whatever its family.  Only R_H's points on the grid reach the
+fixed-point stages, so a sweep's cost does not grow with the grid;
+the stages run in canonical order, and a stage's truth tables are
+built only while points remain, so in Case 2, where the half-turn
+stage takes every point, the reflections' tables are never built.
 Scaled tuples carry D*p for a point p, D the lcm of the bounds and 2.
 """
 
@@ -131,9 +132,9 @@ _COLUMNS = {CaseTag.CASE1: (0, 1, 2, 3, 6, 7), CaseTag.CASE2: tuple(range(8))}
 
 # Largest accepted denominator bound.  A census solves its relations
 # rather than scanning the grid, so its cost hardly depends on the
-# bound: at 128 a fresh `classify --workers 1` process takes 0.2-0.3 s
-# wall in either case and 19 MB on a 2-core Xeon guest (Python 3.11),
-# start-up included.  cross_validate visits every
+# bound: at 128 a fresh `classify --workers 1` process takes about
+# 0.12 s wall in Case 1 and 0.10 s in Case 2, and 19 MB, on a 2-core
+# Xeon guest (Python 3.11), start-up included.  cross_validate visits every
 # grid tuple, and reads its engine side off the census's truth tables
 # over a subgroup's whole grid, so its memory grows with the grid too.
 MAX_DENOMINATOR = 128
@@ -306,20 +307,23 @@ class CensusStats:
     phases.  Diagnostics only; they are not part of the census
     artifact, and the times differ from run to run.
 
-    relation_systems counts the distinct systems of relation rows over
-    the stable subgroups, each solved once by a census with one worker;
-    relation_solutions counts the tuples that satisfy all three
-    relations, the sum of |R_H ∩ grid| over the stable subgroups;
-    reverification_frames counts the distinct subgroups H among the
-    survivors, one quotient frame each.  engines_s sums the seconds the
-    case's word kernels and the subgroup tasks' engines took to build;
-    with one worker it is part of sweep_s.
+    smith_forms counts the census's Smith forms, one per group word's
+    kernel and one per relation stack's grid group, however many
+    subgroups it sweeps; truth_tables counts the fixed-point stages'
+    tables over the subgroups' relation solutions; relation_solutions
+    counts the tuples that satisfy all three relations, the sum of
+    |R_H ∩ grid| over the stable subgroups; reverification_frames
+    counts the distinct subgroups H among the survivors, one quotient
+    frame each.  engines_s sums the seconds the case's word kernels and
+    relation groups and the subgroup tasks' engines took to build; with
+    one worker it is part of sweep_s.
     """
 
     subgroups: int
     lattice_r_by_mask: int
     engine_builds: int
-    relation_systems: int
+    smith_forms: int
+    truth_tables: int
     relation_solutions: int
     survivors_reverified: int
     reverification_frames: int
@@ -334,7 +338,8 @@ class CensusStats:
                 "subgroups": self.subgroups,
                 "lattice_r_by_mask": self.lattice_r_by_mask,
                 "engine_builds": self.engine_builds,
-                "relation_systems": self.relation_systems,
+                "smith_forms": self.smith_forms,
+                "truth_tables": self.truth_tables,
                 "relation_solutions": self.relation_solutions,
                 "survivors_reverified": self.survivors_reverified,
                 "reverification_frames": self.reverification_frames,
@@ -467,10 +472,11 @@ class _WordKernel:
 
 @dataclass(frozen=True)
 class _CaseForms:
-    """What the engines of one case share: every word's kernel, and the
-    generators' linear parts as integer rows."""
+    """What the engines of one case share: each relation word's
+    translation, one flat form per product coordinate; every group
+    word's kernel; and the generators' linear parts as integer rows."""
 
-    relations: dict[str, _WordKernel]
+    relations: dict[str, tuple[tuple[int, ...], ...]]
     words: dict[str, _WordKernel]
     generators: tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -484,15 +490,15 @@ def _case_forms(case: CaseTag) -> _CaseForms:
     matrices = _word_matrices(case, [w for _, w in RELATION_WORDS] + list(GROUP_WORDS))
     ident = Matrix.identity(6)
 
-    def kernel(word, rows) -> _WordKernel:
+    def flats(word, rows) -> tuple[tuple[int, ...], ...]:
         _, p, q = matrices[word]
-        return _WordKernel(tuple(map(_odd_mask, rows)), tuple(_flat_form(k, p, q) for k in rows))
+        return tuple(_flat_form(k, p, q) for k in rows)
 
     relations = {}
     for name, word in RELATION_WORDS:
         if not matrices[word][0].is_identity():
             raise RuntimeError(f"internal error: relation word {word} has nonidentity linear part")
-        relations[name] = kernel(word, ident.to_rows())
+        relations[name] = flats(word, ident.to_rows())
     words = {}
     seen_linear = {ident.entries}
     for word in GROUP_WORDS:
@@ -501,7 +507,8 @@ def _case_forms(case: CaseTag) -> _CaseForms:
             raise RuntimeError("internal error: repeated linear part in the dihedral family")
         seen_linear.add(m.entries)
         dec = snf(m - ident)
-        words[word] = kernel(word, [dec.u.row(i) for i in dec.zero_rows])
+        rows = [dec.u.row(i) for i in dec.zero_rows]
+        words[word] = _WordKernel(tuple(map(_odd_mask, rows)), flats(word, rows))
     mats = case_matrices(case)
     generators = tuple(tuple(map(tuple, g.to_rows())) for g in (mats.rotation_lattice, mats.reflection_lattice))
     return _CaseForms(relations, words, generators)
@@ -513,20 +520,19 @@ def _parities(mask: int, gens: tuple[int, ...]) -> int:
     return sum(((mask & h).bit_count() & 1) << j for j, h in enumerate(gens))
 
 
-def _even_combinations(masks: tuple[int, ...], gens: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """A basis of {c in Z^m : sum c_i k_i in the dual lattice} for rows
-    k_i with odd-entry masks, by elimination over F2.
+def _even_combinations(vectors: list[int]) -> list[tuple[int, ...]]:
+    """A basis of {c in Z^m : sum c_i v_i = 0 over F2}, for vectors v_i
+    of F2 given as bitmasks, by elimination.
 
-    A row is in the dual exactly when its parity against every
-    generator is even.  Row i of the basis is 2 e_i when k_i's parities
-    are independent of those before it, and otherwise the 0/1 lift of
-    the dependency it closes; the basis is triangular with index 2^rank.
+    Row i of the basis is 2 e_i when v_i is independent of the vectors
+    before it, and otherwise the 0/1 lift of the dependency it closes;
+    the basis is triangular with index 2^rank.
     """
-    m = len(masks)
+    m = len(vectors)
     pivots: list[tuple[int, int]] = []
     out = []
-    for i, k in enumerate(masks):
-        v, combo = _parities(k, gens), 1 << i
+    for i, v in enumerate(vectors):
+        combo = 1 << i
         for b, b_combo in pivots:
             if v ^ b < v:
                 v, combo = v ^ b, combo ^ b_combo
@@ -538,35 +544,25 @@ def _even_combinations(masks: tuple[int, ...], gens: tuple[int, ...]) -> list[tu
     return out
 
 
-@dataclass(frozen=True)
-class _HEngine:
-    relation_forms: dict[str, tuple[tuple[int, ...], ...]]
-    word_forms: dict[str, tuple[tuple[int, ...], ...]]
-
-
-def _build_h_engine(forms: _CaseForms, gens: tuple[int, ...]) -> _HEngine:
-    """Obstruction and relation forms of one rotation-stable subgroup,
-    given by its basis.
+def _build_h_engine(forms: _CaseForms, gens: tuple[int, ...]) -> dict[str, tuple[tuple[int, ...], ...]]:
+    """Obstruction forms v . t_w, v in K_w ∩ Lambda'*, of every group
+    word for one rotation-stable subgroup, given by its basis.
 
     Raises RuntimeError when a generator does not map the dual lattice
     onto itself, that is, when the rotation does not map H onto itself.
     """
-    dual = _even_combinations(tuple(1 << i for i in range(6)), gens)
+    dual = _even_combinations([_parities(1 << i, gens) for i in range(6)])
     for g in forms.generators:
         if any(_parities(_odd_mask(_row_times(v, g)), gens) for v in dual):
             raise RuntimeError("internal error: a generator does not preserve the enlarged lattice")
-
-    def restricted(kernel: _WordKernel) -> tuple[tuple[int, ...], ...]:
-        return tuple(_row_times(c, kernel.flats) for c in _even_combinations(kernel.masks, gens))
-
-    return _HEngine(
-        {name: restricted(k) for name, k in forms.relations.items()},
-        {word: restricted(k) for word, k in forms.words.items()},
-    )
+    return {
+        word: tuple(_row_times(c, k.flats) for c in _even_combinations([_parities(m, gens) for m in k.masks]))
+        for word, k in forms.words.items()
+    }
 
 
 # ---------------------------------------------------------------------------
-# The sweep: the relations solved by Smith forms.
+# The sweep: the relations by membership in the enlarged lattice.
 # ---------------------------------------------------------------------------
 
 
@@ -576,30 +572,13 @@ def _restrict(forms, cols) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted({tuple(f[c] for c in cols) for f in forms} - {(0,) * len(cols)}))
 
 
-def _relation_system(engine: _HEngine, cols) -> tuple[tuple[int, ...], ...]:
-    """The stacked rows of all three relations on the columns, which
-    determine R_H."""
-    rel = engine.relation_forms
-    return _restrict(rel["r4"] + rel["s2"] + rel["rsrs"], cols)
-
-
-def _grid_count(rows, moduli: tuple[int, ...]) -> int:
-    """How many grid points, x_j in (1/q_j)Z/Z, make every row integral:
-    the product of the elementary divisors of the rows stacked on
-    diag(q_j), where a column that no row uses contributes q_j alone."""
-    used = [j for j in range(len(moduli)) if any(r[j] for r in rows)]
-    free = prod(q for j, q in enumerate(moduli) if j not in used)
-    stacked = [[r[j] for j in used] for r in rows] + [[moduli[j] * (i == j) for i in used] for j in used]
-    return free * prod(snf(Matrix.from_rows(stacked)).elementary_divisors) if used else free
-
-
 def _relation_solutions(rows, n: int):
-    """R_H, the x in (R/Z)^n on which every row is integral.
+    """The finite group of x in (R/Z)^n on which every row is integral.
 
     With U F V = diag(d_i) the Smith form of the rows F, F x is
     integral exactly when x = V (k_i / d_i) mod 1.  Returns L, the
-    largest d_i, and R_H's cyclic generators as pairs (d_i, L V e_i /
-    d_i mod L) for d_i > 1.
+    largest d_i, and the group's cyclic generators as pairs (d_i, L V
+    e_i / d_i mod L) for d_i > 1.
     """
     dec = snf(Matrix.from_rows(rows)) if rows else None
     if dec is None or dec.rank != n:
@@ -627,11 +606,57 @@ def _holds(rows, solutions) -> list[bool]:
     return [not any(v) for v in zip(*values)] if values else [True] * prod(d for d, _ in solutions[1])
 
 
-def _once(memo: dict, key, compute):
-    """memo[key], computed by compute() on the first request."""
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
+def _coset(mask: int, basis: tuple[int, ...]) -> int:
+    """A parity mask, six bits per relation, reduced block by block
+    modulo H, given by its reduced echelon basis by increasing pivot:
+    zero exactly when every block lies in H."""
+    for k in range(0, mask.bit_length(), 6):
+        for b in reversed(basis):
+            mask = min(mask, mask ^ (b << k))
+    return mask
+
+
+# The relation stages in canonical order, each with the relations a
+# point must satisfy to pass it.
+_RELATION_STACKS = (("r4",), ("r4", "s2"), ("r4", "s2", "rsrs"))
+
+
+def _relation_groups(forms: _CaseForms, space: SearchSpace):
+    """For each relation stack S, G_S: the grid points at which 2 t_S
+    is integral, t_S the stacked translations, as a finite group in
+    _relation_solutions' form from one Smith form of 2 t_S on diag(q_j),
+    with the parity 2 t_S mod 2 of each cyclic generator, six bits per
+    relation.  Raises RuntimeError when the relations have infinitely
+    many solutions on the real torus."""
+    cols = _COLUMNS[space.case]
+    n = len(cols)
+    full = Matrix.from_rows([[f[c] for c in cols] for name in _RELATION_STACKS[-1] for f in forms.relations[name]])
+    if (full.transpose() @ full).det() == 0:
+        raise RuntimeError("internal error: the relations have infinitely many solutions")
+    grid = tuple(tuple(q * (i == j) for i in range(n)) for j, q in enumerate(space.moduli))
+    groups = []
+    for stack in _RELATION_STACKS:
+        flats = [f for name in stack for f in forms.relations[name]]
+        big, gens = _relation_solutions(_restrict([[2 * x for x in f] for f in flats], cols) + grid, n)
+        rows = [[f[c] for c in cols] for f in flats]
+        masks = tuple(sum((2 * sum(map(mul, r, g)) // big & 1) << i for i, r in enumerate(rows)) for _, g in gens)
+        groups.append(((big, gens), masks))
+    return tuple(groups)
+
+
+def _members(group, basis: tuple[int, ...]):
+    """The points of G_S at which every relation of S holds on T_H, as
+    a finite group in _relation_solutions' form: the kernel of the
+    parity map from G_S to (F2^6 / H)^S.  Row i of _even_combinations
+    of the generators' cosets gives the point sum c_j g_j, of order
+    d_i / c_i in the enumeration; the rows are triangular, so each point
+    of the kernel is listed once."""
+    (big, gens), masks = group
+    columns = list(zip(*(g for _, g in gens)))
+    combos = _even_combinations([_coset(m, basis) for m in masks])
+    return big, [
+        (d // c[i], [sum(map(mul, c, col)) % big for col in columns]) for i, ((d, _), c) in enumerate(zip(gens, combos))
+    ]
 
 
 # The fixed-point stages after the relations, in canonical order, with
@@ -640,72 +665,58 @@ def _once(memo: dict, key, compute):
 _WORD_STAGES = (("r", "rrr"), ("rr",), ("s",), ("rs",), ("rrs",), ("sr",))
 
 
-def _sweep_h(engine: _HEngine, space: SearchSpace, memo: dict | None = None):
-    """One subgroup's slice of the grid, decided by the engine's forms.
+def _sweep_h(words: dict, basis: tuple[int, ...], groups, space: SearchSpace):
+    """One subgroup's slice of the grid: the relation stages by
+    membership, the fixed-point stages by the word forms of its engine.
 
-    Returns the failure count of every stage and the surviving scaled
-    tuples (a1, a2, a3, c3) in grid order: by c3, then a1, a3 and a2.
-    A relation stage counts the grid points that the relations before
-    it admit and it does not; only R_H's points on the grid meet the
-    fixed-point stages, one stage at a time, and a stage's truth tables
-    are built only while points remain.
-
-    The grid counts, R_H and its points on the grid depend only on the
-    stacked relation rows, which many subgroups share: memo, one per
-    census, keeps them keyed on those rows, so equal systems are solved
-    once.
+    Returns the failure count of every stage, the surviving scaled
+    tuples (a1, a2, a3, c3) in grid order: by c3, then a1, a3 and a2,
+    and the number of truth tables built.  A relation stage counts the
+    grid points that the relations before it admit and it does not,
+    from H's share of the census's grid groups, taken with no Smith
+    form.  Only R_H's points on the grid meet the fixed-point stages,
+    one stage at a time, and a stage's truth tables are built only
+    while points remain.
     """
-    memo = {} if memo is None else memo
     cols = _COLUMNS[space.case]
-    moduli = space.moduli
-    unit = [tuple(int(i == j) for i in range(len(cols))) for j in range(len(cols))]
-    rel = engine.relation_forms
-    r4 = _restrict(rel["r4"], cols)
-    r4_s2 = _restrict(rel["r4"] + rel["s2"], cols)
-    system = _relation_system(engine, cols)
-
-    def solve():
-        solutions = _relation_solutions(system, len(cols))
-        grid = [tuple(q * x for x in e) for q, e in zip(moduli, unit)]
-        return solutions, [p for p, ok in enumerate(_holds(grid, solutions)) if ok]
-
-    solutions, points = _once(memo, ("solve", system, moduli), solve)
-    in_r4 = _once(memo, ("count", r4, moduli), lambda: _grid_count(r4, moduli))
-    in_r4_s2 = _once(memo, ("count", r4_s2, moduli), lambda: _grid_count(r4_s2, moduli))
+    *_, solutions = members = [_members(g, basis) for g in groups]
+    sizes = [prod(d for d, _ in m[1]) for m in members]
 
     reasons = _REASONS[space.case]
     counts = {r: 0 for r in reasons}
-    counts["relation:r4"] = prod(moduli) - in_r4
-    counts["relation:s2"] = in_r4 - in_r4_s2
-    counts["relation:rsrs"] = in_r4_s2 - len(points)
+    for stage, before, after in zip(reasons[2:5], [space.grid_size()] + sizes, sizes):
+        counts[stage] = before - after
 
     # In Case 1 the half-turn stage names the element; in Case 2 the
     # conflict that hands it a fixed point.
-    for name, words in zip(reasons[6:], _WORD_STAGES):
+    points = list(range(sizes[2]))
+    tables = 0
+    for name, stage_words in zip(reasons[6:], _WORD_STAGES):
         if not points:
             break
-        tables = [_holds(_restrict(engine.word_forms[w], cols), solutions) for w in words]
-        kept = [p for p in points if not any(t[p] for t in tables)]
+        held = [_holds(_restrict(words[w], cols), solutions) for w in stage_words]
+        tables += len(held)
+        kept = [p for p in points if not any(t[p] for t in held)]
         counts[name] = len(points) - len(kept)
         points = kept
+    unit = [tuple(int(i == j) for i in range(len(cols))) for j in range(len(cols))]
     coords = [_values(e, solutions) for e in unit] if points else []
     survivors = []
     for p in points:
         x = {c: v[p] * space.scale // solutions[0] for c, v in zip(cols, coords)}
         survivors.append(tuple((x.get(c, 0), x.get(c + 1, 0)) for c in (0, 2, 4, 6)))
     survivors.sort(key=lambda t: (t[3], t[0], t[2], t[1]))
-    return counts, survivors
+    return counts, survivors, tables
 
 
 def _sweep_task(task):
-    """Worker entry point: one subgroup's slice of the sweep, its
-    relation system, and the seconds its engine took to build."""
-    space, forms, basis, memo = task
+    """Worker entry point: one subgroup's slice of the sweep, and the
+    seconds its engine took to build."""
+    space, forms, groups, basis = task
     start = time.perf_counter()
-    engine = _build_h_engine(forms, basis)
+    words = _build_h_engine(forms, basis)
     built = time.perf_counter()
-    counts, survivors = _sweep_h(engine, space, memo)
-    return counts, survivors, _relation_system(engine, _COLUMNS[space.case]), built - start
+    return *_sweep_h(words, basis, groups, space), built - start
 
 
 def _worker_count(requested: int, tasks: int) -> int:
@@ -752,11 +763,9 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
     family_done = time.perf_counter()
 
     forms = _case_forms(space.case)
+    groups = _relation_groups(forms, space)
     forms_s = time.perf_counter() - family_done
-    # the memo of relation systems lives as long as this census; tasks
-    # sent to worker processes carry their own copies
-    memo: dict = {}
-    results = _run_tasks(_sweep_task, [(space, forms, basis, memo) for basis in stable], workers)
+    results = _run_tasks(_sweep_task, [(space, forms, groups, basis) for basis in stable], workers)
 
     counts = {r: 0 for r in _REASONS[space.case]}
     counts["lattice:r"] = (len(family) - len(stable)) * space.grid_size()
@@ -784,7 +793,8 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
         subgroups=len(family),
         lattice_r_by_mask=len(family) - len(stable),
         engine_builds=len(stable),
-        relation_systems=len({system for _, _, system, _ in results}),
+        smith_forms=len(forms.words) + len(groups),
+        truth_tables=sum(tables for _, _, tables, _ in results),
         relation_solutions=len(stable) * space.grid_size() - sum(counts[r] for r in _REASONS[space.case][2:5]),
         survivors_reverified=len(survivors),
         reverification_frames=len({s.h_generators for s in survivors}),
@@ -853,23 +863,38 @@ def _grid_group(space: SearchSpace):
     return scale, tuple((moduli[c], tuple(scale // moduli[c] * (j == c) for j in cols)) for c in order if c in moduli)
 
 
+def _grid_parity_masks(forms: _CaseForms, space: SearchSpace) -> dict[str, list[int]]:
+    """Each relation's parity mask 2t mod 2 at every point of
+    _grid_group, or -1 where 2t is not integral: the part of the
+    membership test that does not depend on H."""
+    cols, (big, gens) = _COLUMNS[space.case], _grid_group(space)
+    out = {}
+    for name, flats in forms.relations.items():
+        values = zip(*(_values([f[c] for c in cols], (big, gens)) for f in flats))
+        out[name] = [
+            sum(2 * v // big << i for i, v in enumerate(p)) if not any(2 * v % big for v in p) else -1 for p in values
+        ]
+    return out
+
+
 def _cross_validate_h(task):
     """Worker entry point: both routes on every tuple of one subgroup's
-    slice, for a task (space, forms, basis, base_index, sample_step,
-    memo).
+    slice, for a task (space, forms, parities, basis, base_index,
+    sample_step, memo).
 
     Returns (tuples, disagreements, examples, object_samples,
     object_disagreements).  The closed-form route evaluates the
-    membership and exclusion conditions on H's elements, tuple by tuple;
-    the engine route reads the census's truth tables of the relation and
-    obstruction forms over the grid, kept in memo, one per call of
-    cross_validate, by rows and grid.  A deterministic thin sample,
-    spread over the whole family by absolute tuple index, is
-    additionally rebuilt object-level.
+    membership and exclusion conditions on H's elements, tuple by tuple.
+    The engine route decides the relations by the census's membership
+    test, a grid point's parity mask reduced modulo H, and reads the
+    census's truth tables of the obstruction forms over the grid, kept
+    in memo, one per call of cross_validate, by rows and grid.  A
+    deterministic thin sample, spread over the whole family by absolute
+    tuple index, is additionally rebuilt object-level.
     """
-    space, forms, basis, base_index, sample_step, memo = task
+    space, forms, parities, basis, base_index, sample_step, memo = task
     scale = space.scale
-    engine = _build_h_engine(forms, basis)
+    words = _build_h_engine(forms, basis)
     frame = quotient_frame(space.case, space.tau, space.tau_prime, _subgroup_generator_points(basis))
     # H's elements from their bitmasks, in coordinates times scale
     span = tuple(sorted(_span(basis)))
@@ -879,10 +904,15 @@ def _cross_validate_h(task):
 
     def table(forms):
         key = (_restrict(forms, cols), grid)
-        return _once(memo, key, lambda: _holds(*key))
+        if key not in memo:
+            memo[key] = _holds(*key)
+        return memo[key]
 
-    rel = {name: table(f) for name, f in engine.relation_forms.items()}
-    fixed = {w: table(f) for w, f in engine.word_forms.items()}
+    rel = {}
+    for name, masks in parities.items():
+        in_h = {m: m >= 0 and not _coset(m, basis) for m in set(masks)}
+        rel[name] = [in_h[m] for m in masks]
+    fixed = {w: table(f) for w, f in words.items()}
     # the scaled coordinates of every grid point
     coords = [_values(tuple(int(i == j) for i in range(len(cols))), grid) for j in range(len(cols))]
 
@@ -961,9 +991,10 @@ def cross_validate(
     stable = [(i, basis) for i, basis in enumerate(family) if _span_rotation_stable(basis)]
     sample_step = max(1, (len(stable) * grid) // object_sample_target)
     forms = _case_forms(space.case)
+    parities = _grid_parity_masks(forms, space)
     # truth tables for this call; worker processes get copies
     memo: dict = {}
-    tasks = [(space, forms, basis, i * grid, sample_step, memo) for i, basis in stable]
+    tasks = [(space, forms, parities, basis, i * grid, sample_step, memo) for i, basis in stable]
     results = _run_tasks(_cross_validate_h, tasks, workers)
     total = 0
     disagreements = 0

@@ -10,6 +10,7 @@ input.  Malformed input never produces a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from .certificates import (
     build_certificate,
     complex_str,
     parse_complex,
+    parse_field,
     parse_rational,
     verify_certificate,
 )
@@ -67,17 +69,19 @@ def _err(msg: str) -> None:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".hyptor-", dir=directory)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(prefix=".hyptor-", dir=directory)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # name the file asked for, not the temporary one beside it
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
@@ -113,11 +117,11 @@ def _parse_point2(text: str) -> TorsionPoint:
 
 def cmd_construct(args) -> int:
     try:
-        tau = parse_complex(args.tau)
-        tau_prime = parse_complex(args.tau_prime)
-        h = _parse_point2(args.h)
-        k = _parse_point2(args.k)
-        h_prime = _parse_point2(args.h_prime)
+        tau = parse_field("--tau", parse_complex, args.tau)
+        tau_prime = parse_field("--tau-prime", parse_complex, args.tau_prime)
+        h = parse_field("--h", _parse_point2, args.h)
+        k = parse_field("--k", _parse_point2, args.k)
+        h_prime = parse_field("--h-prime", _parse_point2, args.h_prime)
     except ValueError as exc:
         _err(str(exc))
         return 2
@@ -222,8 +226,8 @@ def cmd_classify(args) -> int:
             shift_denominator=args.max_denominator,
             third_denominator=args.max_denominator,
             h_generators_max=args.h_generators_max,
-            tau=parse_complex(args.tau),
-            tau_prime=parse_complex(args.tau_prime),
+            tau=parse_field("--tau", parse_complex, args.tau),
+            tau_prime=parse_field("--tau-prime", parse_complex, args.tau_prime),
         )
     except ValueError as exc:
         _err(str(exc))

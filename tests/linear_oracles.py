@@ -10,10 +10,14 @@ library.  ``canonical`` and ``image_saturation`` give lattices in
 column Hermite form, so that two lattices can be compared by their
 bases.  ``fraction_solve_affine``
 decides ``A x = b + m`` with ``U b`` in ``Fraction`` arithmetic, the
-route the library's integer solver replaced.
+route the library's integer solver replaced.  ``grid_count`` counts
+the grid points on which integer forms are integral, by the Smith form
+of the forms stacked on the grid's moduli, the route the census took
+before it decided its relations by membership.
 """
 
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from hyptor.exact_linear import (
@@ -143,3 +147,13 @@ def fraction_solve_affine(a: Matrix, b) -> AffineSolveResult:
     x = tuple(alpha * t for t in dec.v.apply(tuple(y)))
     ax = a.apply(x)
     return AffineSolveResult(solvable=True, x=x, m=tuple(int(ax[i] - bvec[i]) for i in range(n)))
+
+
+def grid_count(rows, moduli: tuple[int, ...]) -> int:
+    """How many grid points, x_j in (1/q_j)Z/Z, make every row integral:
+    the product of the elementary divisors of the rows stacked on
+    diag(q_j), where a column that no row uses contributes q_j alone."""
+    used = [j for j in range(len(moduli)) if any(r[j] for r in rows)]
+    free = prod(q for j, q in enumerate(moduli) if j not in used)
+    stacked = [[r[j] for j in used] for r in rows] + [[moduli[j] * (i == j) for i in used] for j in used]
+    return free * prod(snf(Matrix.from_rows(stacked)).elementary_divisors) if used else free

@@ -7,7 +7,9 @@ accepted, never escalated to a format error).
 """
 
 import copy
+import functools
 import json
+import operator
 from dataclasses import replace
 from fractions import Fraction
 
@@ -368,7 +370,11 @@ SECTION_TAMPERS = [
         lambda d: d["parameters"].__setitem__("s_shift3", ["0/1", "0/1"]),
         "s_shift3 must be absent in Case 1",
     ),
-    ("case1_s_shift3_null", lambda d: d["parameters"].__setitem__("s_shift3", None), "expected 2 coordinates"),
+    (
+        "case1_s_shift3_null",
+        lambda d: d["parameters"].__setitem__("s_shift3", None),
+        "parameters: s_shift3: expected 2 coordinates",
+    ),
 ]
 
 
@@ -379,6 +385,27 @@ def test_section_tamper_detected(cert_doc, name, mutate, needle):
     res = verify_certificate(doc)
     assert not res.ok
     assert any(needle in f for f in res.failures), res.failures
+
+
+def test_malformed_points_name_their_field(cert_doc):
+    # every point field fails with the same message; its name says which
+    fields = [
+        (("parameters", "s_shift1"), "parameters: s_shift1: expected 2 coordinates"),
+        (("parameters", "s_shift2"), "parameters: s_shift2: expected 2 coordinates"),
+        (("parameters", "r_shift"), "parameters: r_shift: expected 2 coordinates"),
+        (("parameters", "subgroup_generators", 0), "parameters: subgroup_generators[0]: expected 6 coordinates"),
+        (("generators", "s", "translation"), "generators: s: translation: expected 6 coordinates"),
+        (("group", "elements", 3, "translation"), "group: element rr: translation: expected 6 coordinates"),
+    ]
+    for path, message in fields:
+        for bad in (None, ["1/2"], "1/2,0/1"):
+            doc = copy.deepcopy(cert_doc)
+            parent = functools.reduce(operator.getitem, path[:-1], doc)
+            parent[path[-1]] = bad
+            assert verify_certificate(doc).failures == (message,), (path, bad)
+    doc = copy.deepcopy(cert_doc)
+    doc["parameters"]["tau_prime"] = "1/2+-1/1i"
+    assert verify_certificate(doc).failures == ("parameters: tau_prime: tau must have positive imaginary part",)
 
 
 def test_case_tamper_detected(cert_doc):

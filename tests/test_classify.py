@@ -5,6 +5,7 @@ directly, before any sweep runs, so the sweep's output is compared
 against an independently derived target.
 """
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import point
+from linear_oracles import grid_count
 
 from hyptor import classify, d4_family
 from hyptor.affine_actions import check_relations, evaluate_word, generate_group, has_fixed_point
@@ -229,7 +231,8 @@ def test_case1_full_grid_g2_counts():
         "subgroups": 460,
         "lattice_r_by_mask": 410,
         "engine_builds": 50,
-        "relation_systems": 21,
+        "smith_forms": 10,
+        "truth_tables": 222,
         "relation_solutions": 5504,
         "survivors_reverified": 72,
         "reverification_frames": 3,
@@ -456,6 +459,83 @@ def _reference_sweep(engine, space):
     return counts, survivors
 
 
+# An engine as the enumerating sweep reads it: the dual-lattice relation
+# forms and the word forms.
+Engine = collections.namedtuple("Engine", "relation_forms word_forms")
+
+
+def _dual_basis(basis):
+    """A basis of Lambda'* = {v in Z^6 : v . h even for every h in H},
+    found by brute force over F2^6 rather than by the engine's
+    elimination: an echelon basis of H's orthogonal complement as 0/1
+    rows, and 2 e_i off its pivots."""
+    perp = greedy_generators(tuple(w for w in range(64) if all((w & h).bit_count() % 2 == 0 for h in basis)))
+    pivots = {w.bit_length() - 1 for w in perp}
+    odd = [tuple((w >> i) & 1 for i in range(6)) for w in perp]
+    return odd + [tuple(2 * (i == j) for i in range(6)) for j in range(6) if j not in pivots]
+
+
+def _dual_relation_forms(relations, basis):
+    """The relation forms v . t_rho, v in a basis of Lambda'*, that the
+    census solved by Smith form before it decided membership."""
+    return {
+        name: tuple(tuple(sum(x * f[j] for x, f in zip(v, flats)) for j in range(8)) for v in _dual_basis(basis))
+        for name, flats in relations.items()
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _census_groups(space):
+    return classify._relation_groups(classify._case_forms(space.case), space)
+
+
+def _sweep(key, words, space):
+    """The census's sweep of one subgroup, without its table count."""
+    return classify._sweep_h(words, key, _census_groups(space), space)[:2]
+
+
+def _unit_coords(solutions, n):
+    return [classify._values(tuple(int(i == j) for i in range(n)), solutions) for j in range(n)]
+
+
+def _old_relation_stage(relation_forms, space):
+    """The relation stage as the census ran it before membership, kept
+    as an oracle: the r^4 and r^4 + s^2 grid counts by the Smith form of
+    the dual-lattice forms on diag(q_j), and R_H by _relation_solutions
+    on the full stack with the indices of its points on the grid."""
+    cols = classify._COLUMNS[space.case]
+    rel = relation_forms
+    counts = [grid_count(classify._restrict(rel["r4"], cols), space.moduli)]
+    counts.append(grid_count(classify._restrict(rel["r4"] + rel["s2"], cols), space.moduli))
+    solutions = classify._relation_solutions(classify._restrict(rel["r4"] + rel["s2"] + rel["rsrs"], cols), len(cols))
+    grid = [tuple(q * (i == j) for i in range(len(cols))) for j, q in enumerate(space.moduli)]
+    return counts, solutions, [p for p, ok in enumerate(classify._holds(grid, solutions)) if ok]
+
+
+def _old_route_sweep(engine, space):
+    """The census's sweep before membership: _old_relation_stage, then
+    the fixed-point stages on R_H's points on the grid."""
+    cols = classify._COLUMNS[space.case]
+    (in_r4, in_r4_s2), solutions, points = _old_relation_stage(engine.relation_forms, space)
+    reasons = classify._REASONS[space.case]
+    counts = {r: 0 for r in reasons}
+    counts["relation:r4"] = space.grid_size() - in_r4
+    counts["relation:s2"] = in_r4 - in_r4_s2
+    counts["relation:rsrs"] = in_r4_s2 - len(points)
+    for name, words in zip(reasons[6:], classify._WORD_STAGES):
+        tables = [classify._holds(classify._restrict(engine.word_forms[w], cols), solutions) for w in words]
+        kept = [p for p in points if not any(t[p] for t in tables)]
+        counts[name] = len(points) - len(kept)
+        points = kept
+    coords = _unit_coords(solutions, len(cols))
+    survivors = []
+    for p in points:
+        x = {c: v[p] * space.scale // solutions[0] for c, v in zip(cols, coords)}
+        survivors.append(tuple((x.get(c, 0), x.get(c + 1, 0)) for c in (0, 2, 4, 6)))
+    survivors.sort(key=lambda t: (t[3], t[0], t[2], t[1]))
+    return counts, survivors
+
+
 def _brute_grid_count(rows, moduli):
     """Grid points x_j = m_j / q_j on which every row is integral."""
     big = math.lcm(*moduli)
@@ -484,7 +564,7 @@ def test_smith_helpers_match_brute_force():
         if rng.random() < 0.3:
             # a rank-deficient stack
             rows = rows[:1] + [tuple(2 * x for x in rows[0])]
-        assert classify._grid_count(rows, moduli) == _brute_grid_count(rows, moduli), (rows, moduli)
+        assert grid_count(rows, moduli) == _brute_grid_count(rows, moduli), (rows, moduli)
 
     checked = 0
     while checked < 40:
@@ -525,50 +605,63 @@ def test_smith_helpers_match_brute_force():
         classify._relation_solutions([], 2)
 
 
-def _random_engine(rng, case):
-    """Random forms with the engine's support: r^4, r and r^3 on c3
-    alone, s^2 on a1 and a3, the rest on every parameter (Case 1 has no
-    a3), as the enumerating sweep expects."""
+def _random_case(rng, case):
+    """Random relation translations and word forms with the engine's
+    support: r^4, r and r^3 on c3 alone, s^2 on a1 and a3, the rest on
+    every parameter (Case 1 has no a3), as the enumerating sweep
+    expects.  A relation gets one flat form per product coordinate:
+    half of them zero, the rest even, and in half the relations one
+    entry made odd, so that 2t mod 2 must lie in H on the half-points."""
     slots = {"c3": (6, 7), "s2": (0, 1, 4, 5), "all": tuple(range(8))}
     if case is CaseTag.CASE1:
         slots = {k: tuple(j for j in v if j not in (4, 5)) for k, v in slots.items()}
 
-    def forms(support, count, even):
-        return tuple(
-            tuple(rng.randint(-3, 3) * (2 if even else 1) if j in support else 0 for j in range(8))
-            for _ in range(count)
-        )
+    def forms(support, count, entries):
+        return tuple(tuple(rng.choice(entries) if j in support else 0 for j in range(8)) for _ in range(count))
 
-    relations = {
-        "r4": forms(slots["c3"], 2, True),
-        "s2": forms(slots["s2"], 3, True),
-        "rsrs": forms(slots["all"], 4, True),
-    }
+    def flats(support):
+        rows = [list(r) if rng.random() < 0.5 else [0] * 8 for r in forms(support, 6, range(-6, 7, 2))]
+        if rng.random() < 0.5:
+            rows[rng.randrange(6)][rng.choice(support)] += 1
+        return tuple(map(tuple, rows))
+
+    relations = {name: flats(slots[support]) for name, support in (("r4", "c3"), ("s2", "s2"), ("rsrs", "all"))}
     words = {
-        w: forms(slots["c3"] if w in ("r", "rrr") else slots["all"], rng.randint(1, 2), False)
+        w: forms(slots["c3"] if w in ("r", "rrr") else slots["all"], rng.randint(1, 2), range(-3, 4))
         for w in classify.GROUP_WORDS
     }
-    return classify._HEngine(relations, words)
+    return relations, words
+
+
+def _random_h(rng):
+    """A random subgroup of the 2-torsion, by its reduced echelon basis."""
+    return greedy_generators(_sorted_span(tuple(rng.randrange(64) for _ in range(rng.randint(0, 4)))))
 
 
 def test_smith_sweep_matches_enumerating_sweep_on_random_forms():
-    # many survivors, off-grid solutions and a3 in play: the grid filter
-    # and the survivors' order show here, not on the family's engines
+    # many survivors, off-grid solutions, odd moduli and a3 in play: the
+    # membership test against the dual-lattice forms on random flats and
+    # random subgroups, and the survivors' order, show here, not on the
+    # family's engines
     rng = random.Random(11)
     seen = {CaseTag.CASE1: 0, CaseTag.CASE2: 0}
     found = {CaseTag.CASE1: 0, CaseTag.CASE2: 0}
-    off_grid = 0
+    off_grid = deficient = 0
     for case, grids in (
         (CaseTag.CASE1, [(1, 4), (2, 3), (3, 2), (4, 4)]),
-        (CaseTag.CASE2, [(1, 2), (2, 2), (2, 1)]),
+        (CaseTag.CASE2, [(1, 2), (2, 2), (2, 1), (3, 2)]),
     ):
-        while seen[case] < 12:
-            engine = _random_engine(rng, case)
+        while seen[case] < 24:
+            relations, words = _random_case(rng, case)
+            basis = _random_h(rng)
+            forms = classify._CaseForms(relations, {}, ())
+            engine = Engine(_dual_relation_forms(relations, basis), words)
             cols = classify._COLUMNS[case]
             rows = classify._restrict(sum(engine.relation_forms.values(), ()), cols)
             if len(rows) < len(cols) or snf(Matrix.from_rows(rows)).rank < len(cols):
-                with pytest.raises(RuntimeError):
-                    classify._sweep_h(engine, SearchSpace(case=case))
+                with pytest.raises(RuntimeError, match="infinitely many"):
+                    classify._relation_groups(forms, SearchSpace(case=case))
+                deficient += 1
                 continue
             size = _solution_count(engine, case)
             if size > 4096:
@@ -576,12 +669,14 @@ def test_smith_sweep_matches_enumerating_sweep_on_random_forms():
             seen[case] += 1
             for q_a, q_t in grids:
                 space = SearchSpace(case=case, shift_denominator=q_a, third_denominator=q_t)
-                counts, survivors = classify._sweep_h(engine, space)
+                groups = classify._relation_groups(forms, space)
+                counts, survivors, _ = classify._sweep_h(words, basis, groups, space)
                 assert (counts, survivors) == _reference_sweep(engine, space), (case, q_a, q_t)
                 found[case] += len(survivors)
                 off_grid += size - _relation_passing(counts, space)
     assert min(found.values()) > 50
     assert off_grid > 0
+    assert deficient > 0
 
 
 def _stable_keys(g_max):
@@ -590,8 +685,10 @@ def _stable_keys(g_max):
 
 
 def _mask_engines(case, keys):
+    """The census's word forms of each subgroup, with the dual-lattice
+    relation forms the enumerating sweep reads."""
     forms = classify._case_forms(case)
-    return [classify._build_h_engine(forms, key) for key in keys]
+    return [Engine(_dual_relation_forms(forms.relations, key), classify._build_h_engine(forms, key)) for key in keys]
 
 
 @pytest.fixture(scope="module")
@@ -607,8 +704,46 @@ def stable_engines():
 def test_smith_sweep_matches_enumerating_sweep(stable_engines, case):
     for q_a, q_t in itertools.product(range(1, 5), repeat=2):
         space = SearchSpace(case=case, shift_denominator=q_a, third_denominator=q_t)
-        for engine in stable_engines[case]:
-            assert classify._sweep_h(engine, space) == _reference_sweep(engine, space), (q_a, q_t)
+        for key, engine in zip(_stable_keys(2), stable_engines[case], strict=True):
+            assert _sweep(key, engine.word_forms, space) == _reference_sweep(engine, space), (q_a, q_t)
+
+
+_MEMBERSHIP_GRIDS = list(itertools.product(range(1, 5), repeat=2)) + [(3, 6), (6, 4), (8, 8), (16, 16)]
+
+
+@pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
+def test_membership_decides_the_relations_as_the_dual_lattice_forms(case):
+    # the lemma: t lies in Lambda' = Z^6 + H/2 exactly when v . t is
+    # integral for every v in Lambda'*, since Lambda'* contains 2 Z^6 and
+    # Lambda'* / 2 Z^6 is H's orthogonal complement.  On every stable
+    # subgroup, the grid counts and R_H on the grid by membership equal
+    # those of the dual-lattice forms, by the route the census took
+    # before: a Smith form per count, and R_H solved, then filtered
+    keys = _stable_keys(4)
+    assert len(keys) == 92
+    cols = classify._COLUMNS[case]
+    n = len(cols)
+    forms = classify._case_forms(case)
+    count = functools.lru_cache(maxsize=None)(grid_count)
+    dual = []
+    for key in keys:
+        rel = _dual_relation_forms(forms.relations, key)
+        stacks = [classify._restrict([f for n in names for f in rel[n]], cols) for names in classify._RELATION_STACKS]
+        dual.append((stacks, classify._relation_solutions(stacks[-1], n)))
+    for q_a, q_t in _MEMBERSHIP_GRIDS:
+        space = SearchSpace(case=case, shift_denominator=q_a, third_denominator=q_t)
+        groups = classify._relation_groups(forms, space)
+        grid = [tuple(q * (i == j) for i in range(n)) for j, q in enumerate(space.moduli)]
+        for key, (stacks, solutions) in zip(keys, dual):
+            members = [classify._members(g, key) for g in groups]
+            sizes = [math.prod(d for d, _ in m[1]) for m in members]
+            assert sizes[:2] == [count(stack, space.moduli) for stack in stacks[:2]], (key, q_a, q_t)
+            on_grid = classify._holds(grid, solutions)
+            old = zip(*_unit_coords(solutions, n))
+            old = {tuple(x * space.scale // solutions[0] for x in p) for p, ok in zip(old, on_grid) if ok}
+            new = [tuple(x * space.scale // members[2][0] for x in p) for p in zip(*_unit_coords(members[2], n))]
+            assert len(new) == sizes[2] == len(set(new)), (key, q_a, q_t)
+            assert set(new) == old, (key, q_a, q_t)
 
 
 def _word_matrices_per_word(case, a_quot, word):
@@ -661,7 +796,7 @@ def _frame_engine(case, span_key):
         dec = snf(aq - ident)
         kernel = [(Matrix.from_rows([dec.u.row(i)]) @ b_inv).row(0) for i in dec.zero_rows]
         word_forms[word] = tuple(flat(v, p, q) for v in kernel)
-    return classify._HEngine(relation_forms, word_forms)
+    return Engine(relation_forms, word_forms)
 
 
 def _row_lattice(forms):
@@ -684,6 +819,8 @@ def frame_engines():
 def test_mask_engine_spans_the_frame_engine_lattices(frame_engines, case):
     reference = frame_engines[case]
     assert len(_stable_keys(2)) == 50 and set(_stable_keys(2)) <= set(reference)
+    # the relation forms of the frame against the brute-force dual basis,
+    # and the word forms of the frame against the census's
     for key, engine in zip(reference, _mask_engines(case, list(reference)), strict=True):
         for name, forms in reference[key].relation_forms.items():
             assert _row_lattice(engine.relation_forms[name]) == _row_lattice(forms), (key, name)
@@ -697,11 +834,13 @@ _ORACLE_GRIDS = list(itertools.product(range(1, 5), repeat=2)) + [(8, 8), (16, 1
 
 @pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
 def test_mask_engine_sweeps_as_the_frame_engine(stable_engines, frame_engines, case):
+    # the frame's relation forms reach the relation stage through the
+    # route the census took before membership
     for q_a, q_t in _ORACLE_GRIDS:
         space = SearchSpace(case=case, shift_denominator=q_a, third_denominator=q_t)
         for key, engine in zip(_stable_keys(2), stable_engines[case], strict=True):
-            reference = classify._sweep_h(frame_engines[case][key], space)
-            assert classify._sweep_h(engine, space) == reference, (key, q_a, q_t)
+            reference = _old_route_sweep(frame_engines[case][key], space)
+            assert _sweep(key, engine.word_forms, space) == reference, (key, q_a, q_t)
 
 
 @pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
@@ -766,19 +905,7 @@ def test_case_forms_refuse_a_family_that_is_not_dihedral(monkeypatch):
             classify._case_forms(CaseTag.CASE1)
 
 
-def _distinct_relation_stacks(engines, case):
-    """How many distinct r^4, r^4 + s^2 and full relation stacks the
-    engines restrict to on the case's parameter columns."""
-    cols = classify._COLUMNS[case]
-    stacks = [set(), set(), set()]
-    for engine in engines:
-        rel = engine.relation_forms
-        for seen, names in zip(stacks, (("r4",), ("r4", "s2"), ("r4", "s2", "rsrs"))):
-            seen.add(classify._restrict([f for name in names for f in rel[name]], cols))
-    return tuple(map(len, stacks))
-
-
-def _census_work(monkeypatch, case, q):
+def _census_work(monkeypatch, case, q, g=2):
     """Run one census with one worker; return its classify.snf calls and
     its truth tables, and the report."""
     snf_calls, tables = [], []
@@ -794,44 +921,50 @@ def _census_work(monkeypatch, case, q):
     monkeypatch.setattr(classify, "snf", counting_snf)
     monkeypatch.setattr(classify, "_holds", counting_holds)
     run = enumerate_case1 if case is CaseTag.CASE1 else enumerate_case2
-    report = run(SearchSpace(case=case, shift_denominator=q, third_denominator=q))
+    report = run(SearchSpace(case=case, shift_denominator=q, third_denominator=q, h_generators_max=g))
     monkeypatch.undo()
     return len(snf_calls), len(tables), report
 
 
-def test_engine_route_computes_its_own_smith_forms(monkeypatch, stable_engines):
+def test_engine_route_computes_its_own_smith_forms(monkeypatch):
     # the fixed-point solver's Smith-form memo is its own: the census
-    # takes one Smith form per group word, 7 in all, and one per
-    # distinct relation system of the 50 stable subgroups: the r^4 and
-    # r^4 + s^2 stacks to count, and the full stacks to solve
-    assert _distinct_relation_stacks(stable_engines[CaseTag.CASE1], CaseTag.CASE1) == (1, 8, 21)
-    calls, _, report = _census_work(monkeypatch, CaseTag.CASE1, 4)
+    # takes one Smith form per group word, 7 in all, and one per relation
+    # stack, 3, and --stats counts them where they happen
+    calls, tables, report = _census_work(monkeypatch, CaseTag.CASE1, 4)
     assert len(report.survivors) == 72
     assert report.stats.engine_builds == 50
-    assert report.stats.relation_systems == 21
-    assert calls == 7 + 1 + 8 + 21 == 37
+    assert (report.stats.smith_forms, report.stats.truth_tables) == (calls, tables) == (7 + 3, 222)
 
 
-def test_case2_census_solves_each_relation_system_once(monkeypatch, stable_engines):
-    # in Case 2 the stable subgroups share the r^4 stack only: 46 of
-    # the r^4 + s^2 stacks and all 50 full stacks differ
-    assert _distinct_relation_stacks(stable_engines[CaseTag.CASE2], CaseTag.CASE2) == (1, 46, 50)
-    calls, _, report = _census_work(monkeypatch, CaseTag.CASE2, 8)
+def test_case2_census_solves_each_relation_system_once(monkeypatch):
+    # each relation stack is solved once for all 50 stable subgroups,
+    # where one Smith form per distinct system of dual-lattice forms took
+    # 7 + 1 + 46 + 50 = 104
+    calls, tables, report = _census_work(monkeypatch, CaseTag.CASE2, 8)
     assert report.survivors == ()
-    assert report.stats.relation_systems == 50
-    assert calls == 7 + 1 + 46 + 50 == 104
+    assert (report.stats.smith_forms, report.stats.truth_tables) == (calls, tables) == (10, 150)
+
+
+@pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
+@pytest.mark.parametrize("q, g", [(1, 0), (2, 1), (3, 2), (8, 3), (4, 4)])
+def test_every_census_takes_ten_smith_forms(monkeypatch, case, q, g):
+    calls, tables, report = _census_work(monkeypatch, case, q, g)
+    assert (report.stats.smith_forms, report.stats.truth_tables) == (calls, tables)
+    assert calls == 10
+    if (q, g) == (4, 4):
+        assert tables == {CaseTag.CASE1: 366, CaseTag.CASE2: 276}[case]
 
 
 @pytest.mark.parametrize("case, q", [(CaseTag.CASE1, 4), (CaseTag.CASE2, 8)])
 def test_no_memo_outlives_a_census(monkeypatch, case, q):
     # a second census in the same process repeats all the work of the
-    # first: the relation systems are solved afresh, and every table
-    # is built again
+    # first: the relation stacks are solved afresh, and every table is
+    # built again
     calls, tables, report = _census_work(monkeypatch, case, q)
     assert _census_work(monkeypatch, case, q) == (calls, tables, report)
-    # one grid table per distinct system, then the stage tables: in
-    # Case 2 those of r, r^3 and r^2 for each of the 50 subgroups
-    assert (calls, tables) == {CaseTag.CASE1: (37, 21 + 222), CaseTag.CASE2: (104, 50 + 3 * 50)}[case]
+    # the stage tables only: in Case 2 those of r, r^3 and r^2 for each
+    # of the 50 subgroups
+    assert (calls, tables) == {CaseTag.CASE1: (10, 222), CaseTag.CASE2: (10, 3 * 50)}[case]
 
 
 def _words_read(monkeypatch, case, q):
@@ -846,8 +979,7 @@ def _words_read(monkeypatch, case, q):
     build = classify._build_h_engine
 
     def recording(forms, span_key):
-        engine = build(forms, span_key)
-        return classify._HEngine(engine.relation_forms, Reads(engine.word_forms))
+        return Reads(build(forms, span_key))
 
     monkeypatch.setattr(classify, "_build_h_engine", recording)
     run = enumerate_case1 if case is CaseTag.CASE1 else enumerate_case2
@@ -885,8 +1017,8 @@ def test_relation_solutions_do_not_depend_on_the_grid(stable_engines):
         for case in (CaseTag.CASE1, CaseTag.CASE2):
             space = SearchSpace(case=case, shift_denominator=q, third_denominator=q)
             found = []
-            for engine in stable_engines[case]:
-                counts, survivors = classify._sweep_h(engine, space)
+            for key, engine in zip(_stable_keys(2), stable_engines[case], strict=True):
+                counts, survivors = _sweep(key, engine.word_forms, space)
                 assert _relation_passing(counts, space) == _solution_count(engine, case), (case, q)
                 found += [tuple(Fraction(x, space.scale) for pair in s for x in pair) for s in survivors]
             if case is CaseTag.CASE1:
@@ -905,10 +1037,10 @@ def _relation_solution_actions(case, keys, step):
     cols = classify._COLUMNS[case]
     unit = [tuple(int(i == j) for i in range(len(cols))) for j in range(len(cols))]
     for key in keys:
-        engine = classify._build_h_engine(forms, key)
-        rel = engine.relation_forms
+        rel = _dual_relation_forms(forms.relations, key)
         solutions = classify._relation_solutions(classify._restrict(rel["r4"] + rel["s2"] + rel["rsrs"], cols), len(cols))
-        fixed = {w: classify._holds(classify._restrict(f, cols), solutions) for w, f in engine.word_forms.items()}
+        words = classify._build_h_engine(forms, key)
+        fixed = {w: classify._holds(classify._restrict(f, cols), solutions) for w, f in words.items()}
         coords = [classify._values(e, solutions) for e in unit]
         frame = quotient_frame(case, TAU_I, TAU_2I, classify._subgroup_generator_points(key))
         assert not isinstance(frame, BuildRejection)
@@ -1044,8 +1176,8 @@ def test_smith_sweep_matches_enumerating_sweep_on_larger_families(g_max, stable,
     assert sum(_solution_count(e, case) for e in engines) == solutions
     for q_a, q_t in itertools.product(range(1, 5), repeat=2):
         space = SearchSpace(case=case, shift_denominator=q_a, third_denominator=q_t)
-        for engine in engines:
-            assert classify._sweep_h(engine, space) == _reference_sweep(engine, space), (q_a, q_t)
+        for key, engine in zip(keys, engines, strict=True):
+            assert _sweep(key, engine.word_forms, space) == _reference_sweep(engine, space), (q_a, q_t)
 
 
 # ---------------------------------------------------------------------------
@@ -1086,8 +1218,9 @@ def test_cross_validate_worker_invariance():
 
 
 def test_cross_validate_builds_each_distinct_table_once(monkeypatch):
-    # at (2, 4, g <= 2) the 50 stable subgroups ask for 500 relation and
-    # word tables, of which 58 are distinct; the memo lives for one call
+    # at (2, 4, g <= 2) the 50 stable subgroups ask for 350 word tables,
+    # of which 32 are distinct, and decide the relations by membership,
+    # with no table; the memo lives for one call
     tables = []
     original = classify._holds
 
@@ -1099,10 +1232,10 @@ def test_cross_validate_builds_each_distinct_table_once(monkeypatch):
     space = SearchSpace(CaseTag.CASE1, 2, 4, h_generators_max=2)
     first = cross_validate(space)
     assert first.all_agree and first.total == 12800
-    assert len(tables) == len(set(tables)) == 58
+    assert len(tables) == len(set(tables)) == 32
     tables.clear()
     assert cross_validate(space) == first
-    assert len(tables) == 58
+    assert len(tables) == 32
 
 
 def test_cross_validate_rejects_case2():
@@ -1136,9 +1269,8 @@ def test_cross_validate_reports_an_engine_fault(monkeypatch):
     original = classify._build_h_engine
 
     def swapped(forms, span_key):
-        engine = original(forms, span_key)
-        words = dict(engine.word_forms, s=engine.word_forms["rs"], rs=engine.word_forms["s"])
-        return classify._HEngine(engine.relation_forms, words)
+        words = original(forms, span_key)
+        return dict(words, s=words["rs"], rs=words["s"])
 
     monkeypatch.setattr(classify, "_build_h_engine", swapped)
     report = cross_validate(SearchSpace(CaseTag.CASE1, 2, 4, h_generators_max=1), workers=1)

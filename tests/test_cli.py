@@ -91,6 +91,24 @@ def test_construct_tau_lower_half_plane(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["construct", "classify"])
+def test_curve_errors_name_their_option(capsys, command):
+    # the same message comes from either curve; the option tells them apart
+    base = ["construct"] if command == "construct" else ["classify", "--case", "1", "--h-generators-max", "0"]
+    for option, bad in (("--tau", "1/2+-1/1i"), ("--tau-prime", "1/2+-1/1i"), ("--tau-prime", "i")):
+        curves = {"--tau": TAU, "--tau-prime": TAU_PRIME, option: bad}
+        code, out, err = run(capsys, base + [x for item in curves.items() for x in item])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {option}: "), err
+
+
+def test_construct_shift_errors_name_their_option(capsys):
+    for option in ("--h", "--k", "--h-prime"):
+        code, _, err = run(capsys, ["construct", "--tau", TAU, "--tau-prime", TAU_PRIME, option, "1/2"])
+        assert code == 2
+        assert err.startswith(f"error: {option}: expected two comma-separated rationals"), err
+
+
 def test_negative_values_parse_in_both_spellings(capsys):
     values = {
         "--tau": "-1/2+1/1i",
@@ -156,6 +174,23 @@ def test_construct_non_two_torsion_h(capsys):
     )
     assert code == 1
     assert "2-torsion" in err
+
+
+@pytest.mark.parametrize("option", ["--out", "--stats"])
+def test_write_errors_name_the_requested_path(tmp_path, capsys, option):
+    # the temporary file beside the target is an implementation detail:
+    # the error names the target, and no temporary file is left
+    census = ["classify", "--case", "1", "--h-generators-max", "0", option]
+    target = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run(capsys, census + [str(target)])
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    code, out, err = run(capsys, census + [str(directory)])
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 21] Is a directory: '{directory}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
 
 
 def test_construct_unwritable_out(tmp_path, capsys):
@@ -351,7 +386,8 @@ def test_classify_stats_file_leaves_census_unchanged(tmp_path, capsys):
         "subgroups": 55,
         "lattice_r_by_mask": 42,
         "engine_builds": 13,
-        "relation_systems": 7,
+        "smith_forms": 10,
+        "truth_tables": 71,
         "relation_solutions": 1024,
         "survivors_reverified": 72,
         "reverification_frames": 3,
