@@ -43,13 +43,22 @@ relations (r^4; r^4 and s^2; all three) a census solves the first
 condition on the grid once, by a Smith form (H. Cohen, A Course in
 Computational Algebraic Number Theory, 2.4), as a finite group; each
 subgroup keeps the points whose parities lie in H by elimination over
-F2.  A census takes ten Smith forms, seven word kernels and three
-stacks, whatever its family.  Only R_H's points on the grid reach the
-fixed-point stages, so a sweep's cost does not grow with the grid;
-the stages run in canonical order, and a stage's truth tables are
-built only while points remain, so in Case 2, where the half-turn
-stage takes every point, the reflections' tables are never built.
-Scaled tuples carry D*p for a point p, D the lcm of the bounds and 2.
+F2; of the first two stacks it needs only the orders.
+
+If g fixes x, then h g h^-1 fixes h(x), and r^3 = r^-1 fixes what r
+fixes; r^2 s = r s r^-1 is conjugate to s and r^3 s = r (rs) r^-1 to
+rs.  So a census decides only r, r^2, s and rs, one word per conjugacy
+class, and the r^2 s and r^3 s stages stay in the report with zero
+counts; cross_validate and the survivors' re-verification still check
+all seven words.  A census takes seven Smith forms, four word kernels
+and three stacks, whatever its family.  Only R_H's points on the grid
+reach the fixed-point stages, so a sweep's cost does not grow with the
+grid.  A truth table is an integer bitmask over those points, and the
+stages run in canonical order on the mask of the points still alive,
+building tables only while points remain, so in Case 2, where the
+half-turn stage takes every point, the reflections' tables are never
+built.  Scaled tuples carry D*p for a point p, D the lcm of the bounds
+and 2.
 """
 
 from __future__ import annotations
@@ -307,16 +316,16 @@ class CensusStats:
     phases.  Diagnostics only; they are not part of the census
     artifact, and the times differ from run to run.
 
-    smith_forms counts the census's Smith forms, one per group word's
-    kernel and one per relation stack's grid group, however many
-    subgroups it sweeps; truth_tables counts the fixed-point stages'
-    tables over the subgroups' relation solutions; relation_solutions
-    counts the tuples that satisfy all three relations, the sum of
-    |R_H ∩ grid| over the stable subgroups; reverification_frames
-    counts the distinct subgroups H among the survivors, one quotient
-    frame each.  engines_s sums the seconds the case's word kernels and
-    relation groups and the subgroup tasks' engines took to build; with
-    one worker it is part of sweep_s.
+    smith_forms counts the census's Smith forms, one per kernel of the
+    stage words r, r^2, s and rs and one per relation stack's grid
+    group, seven however many subgroups it sweeps; truth_tables counts
+    the fixed-point stages' tables over the subgroups' relation
+    solutions; relation_solutions counts the tuples that satisfy all
+    three relations, the sum of |R_H ∩ grid| over the stable subgroups;
+    reverification_frames counts the distinct subgroups H among the
+    survivors, one quotient frame each.  engines_s sums the seconds the
+    case's word kernels and relation groups and the subgroup tasks'
+    engines took to build; with one worker it is part of sweep_s.
     """
 
     subgroups: int
@@ -481,11 +490,13 @@ class _CaseForms:
     generators: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _case_forms(case: CaseTag) -> _CaseForms:
-    """One prefix pass and one Smith form of M_w - I per group word.
+def _case_forms(case: CaseTag, words: tuple[str, ...] = GROUP_WORDS) -> _CaseForms:
+    """One prefix pass, and one Smith form of M_w - I per group word in
+    words: all seven by default, the census's four stage words in a
+    census.
 
     Raises RuntimeError unless the relation words have identity linear
-    part and the group words pairwise distinct nonidentity ones.
+    part and all seven group words pairwise distinct nonidentity ones.
     """
     matrices = _word_matrices(case, [w for _, w in RELATION_WORDS] + list(GROUP_WORDS))
     ident = Matrix.identity(6)
@@ -499,19 +510,20 @@ def _case_forms(case: CaseTag) -> _CaseForms:
         if not matrices[word][0].is_identity():
             raise RuntimeError(f"internal error: relation word {word} has nonidentity linear part")
         relations[name] = flats(word, ident.to_rows())
-    words = {}
     seen_linear = {ident.entries}
     for word in GROUP_WORDS:
         m = matrices[word][0]
         if m.entries in seen_linear:
             raise RuntimeError("internal error: repeated linear part in the dihedral family")
         seen_linear.add(m.entries)
-        dec = snf(m - ident)
+    kernels = {}
+    for word in words:
+        dec = snf(matrices[word][0] - ident)
         rows = [dec.u.row(i) for i in dec.zero_rows]
-        words[word] = _WordKernel(tuple(map(_odd_mask, rows)), flats(word, rows))
+        kernels[word] = _WordKernel(tuple(map(_odd_mask, rows)), flats(word, rows))
     mats = case_matrices(case)
     generators = tuple(tuple(map(tuple, g.to_rows())) for g in (mats.rotation_lattice, mats.reflection_lattice))
-    return _CaseForms(relations, words, generators)
+    return _CaseForms(relations, kernels, generators)
 
 
 def _parities(mask: int, gens: tuple[int, ...]) -> int:
@@ -600,10 +612,30 @@ def _values(row, solutions) -> list[int]:
     return values
 
 
-def _holds(rows, solutions) -> list[bool]:
-    """Whether every row is integral, at each point of the group."""
-    values = [_values(row, solutions) for row in rows]
-    return [not any(v) for v in zip(*values)] if values else [True] * prod(d for d, _ in solutions[1])
+def _table(rows, solutions) -> int:
+    """The points of a finite group (L, [(d_i, g_i), ...]) at which
+    every row is integral, as a bitmask: bit p for the point of index p
+    in _values' order.
+
+    Each row's points are grouped by value, one cyclic generator at a
+    time: the points x + k g, k < d, are the block of the points x so
+    far shifted by k times its size, with values k (row . g) more.
+    """
+    big, gens = solutions
+    held = (1 << prod(d for d, _ in gens)) - 1
+    for row in rows:
+        by_value = {0: 1}
+        size = 1
+        for d, g in gens:
+            step = sum(map(mul, row, g)) % big
+            out: dict[int, int] = {}
+            for k in range(d):
+                for v, mask in by_value.items():
+                    key = (v + k * step) % big
+                    out[key] = out.get(key, 0) | mask << k * size
+            by_value, size = out, size * d
+        held &= by_value.get(0, 0)
+    return held
 
 
 def _coset(mask: int, basis: tuple[int, ...]) -> int:
@@ -644,6 +676,21 @@ def _relation_groups(forms: _CaseForms, space: SearchSpace):
     return tuple(groups)
 
 
+def _order(group, basis: tuple[int, ...]) -> int:
+    """The number of points of G_S at which every relation of S holds
+    on T_H: |G_S| over the size of the parity map's image in
+    (F2^6 / H)^S, 2 to the rank of the generators' cosets."""
+    (_, gens), masks = group
+    pivots: list[int] = []
+    for m in masks:
+        v = _coset(m, basis)
+        for b in pivots:
+            v = min(v, v ^ b)
+        if v:
+            pivots.append(v)
+    return prod(d for d, _ in gens) >> len(pivots)
+
+
 def _members(group, basis: tuple[int, ...]):
     """The points of G_S at which every relation of S holds on T_H, as
     a finite group in _relation_solutions' form: the kernel of the
@@ -661,8 +708,11 @@ def _members(group, basis: tuple[int, ...]):
 
 # The fixed-point stages after the relations, in canonical order, with
 # the words each one decides: a point leaves at the first stage one of
-# whose words has a fixed point there.
-_WORD_STAGES = (("r", "rrr"), ("rr",), ("s",), ("rs",), ("rrs",), ("sr",))
+# whose words has a fixed point there.  By the conjugacy lemma (see
+# above) r^3, r^2 s and r^3 s would take no point, so their stages are
+# empty.
+_WORD_STAGES = (("r",), ("rr",), ("s",), ("rs",), (), ())
+_STAGE_WORDS = tuple(w for words in _WORD_STAGES for w in words)
 
 
 def _sweep_h(words: dict, basis: tuple[int, ...], groups, space: SearchSpace):
@@ -673,14 +723,15 @@ def _sweep_h(words: dict, basis: tuple[int, ...], groups, space: SearchSpace):
     tuples (a1, a2, a3, c3) in grid order: by c3, then a1, a3 and a2,
     and the number of truth tables built.  A relation stage counts the
     grid points that the relations before it admit and it does not,
-    from H's share of the census's grid groups, taken with no Smith
-    form.  Only R_H's points on the grid meet the fixed-point stages,
-    one stage at a time, and a stage's truth tables are built only
-    while points remain.
+    from the orders of H's share of the census's grid groups, taken
+    with no Smith form.  Only R_H's points on the grid meet the
+    fixed-point stages, as the bits of one mask, one stage at a time,
+    and a stage's truth tables are built only while points remain.
     """
     cols = _COLUMNS[space.case]
-    *_, solutions = members = [_members(g, basis) for g in groups]
-    sizes = [prod(d for d, _ in m[1]) for m in members]
+    *stacks, full = groups
+    solutions = _members(full, basis)
+    sizes = [_order(g, basis) for g in stacks] + [prod(d for d, _ in solutions[1])]
 
     reasons = _REASONS[space.case]
     counts = {r: 0 for r in reasons}
@@ -689,16 +740,18 @@ def _sweep_h(words: dict, basis: tuple[int, ...], groups, space: SearchSpace):
 
     # In Case 1 the half-turn stage names the element; in Case 2 the
     # conflict that hands it a fixed point.
-    points = list(range(sizes[2]))
+    alive = (1 << sizes[2]) - 1
     tables = 0
     for name, stage_words in zip(reasons[6:], _WORD_STAGES):
-        if not points:
+        if not alive:
             break
-        held = [_holds(_restrict(words[w], cols), solutions) for w in stage_words]
-        tables += len(held)
-        kept = [p for p in points if not any(t[p] for t in held)]
-        counts[name] = len(points) - len(kept)
-        points = kept
+        held = 0
+        for w in stage_words:
+            held |= _table(_restrict(words[w], cols), solutions)
+        tables += len(stage_words)
+        counts[name] = (alive & held).bit_count()
+        alive &= ~held
+    points = [p for p in range(sizes[2]) if alive >> p & 1] if alive else []
     unit = [tuple(int(i == j) for i in range(len(cols))) for j in range(len(cols))]
     coords = [_values(e, solutions) for e in unit] if points else []
     survivors = []
@@ -762,7 +815,7 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
     stable = [basis for basis in family if _span_rotation_stable(basis)]
     family_done = time.perf_counter()
 
-    forms = _case_forms(space.case)
+    forms = _case_forms(space.case, _STAGE_WORDS)
     groups = _relation_groups(forms, space)
     forms_s = time.perf_counter() - family_done
     results = _run_tasks(_sweep_task, [(space, forms, groups, basis) for basis in stable], workers)
@@ -903,9 +956,11 @@ def _cross_validate_h(task):
     grid = _grid_group(space)
 
     def table(forms):
+        # the truth table's bits, point p at index p, read out once so
+        # that testing a point does not shift the whole mask
         key = (_restrict(forms, cols), grid)
         if key not in memo:
-            memo[key] = _holds(*key)
+            memo[key] = [b == "1" for b in reversed(f"{_table(*key):0{space.grid_size()}b}")]
         return memo[key]
 
     rel = {}

@@ -13,11 +13,14 @@ decides ``A x = b + m`` with ``U b`` in ``Fraction`` arithmetic, the
 route the library's integer solver replaced.  ``grid_count`` counts
 the grid points on which integer forms are integral, by the Smith form
 of the forms stacked on the grid's moduli, the route the census took
-before it decided its relations by membership.
+before it decided its relations by membership.  ``holds`` evaluates
+integer forms at every point of a finite group, one point at a time,
+the truth tables the census's bitmasks replaced.
 """
 
 from fractions import Fraction
 from math import prod
+from operator import mul
 from typing import Sequence
 
 from hyptor.exact_linear import (
@@ -157,3 +160,15 @@ def grid_count(rows, moduli: tuple[int, ...]) -> int:
     free = prod(q for j, q in enumerate(moduli) if j not in used)
     stacked = [[r[j] for j in used] for r in rows] + [[moduli[j] * (i == j) for i in used] for j in used]
     return free * prod(snf(Matrix.from_rows(stacked)).elementary_divisors) if used else free
+
+
+def holds(rows, solutions) -> list[bool]:
+    """Whether every row is integral, at each point of a finite group
+    (L, [(d_i, g_i), ...]) in units of 1/L: every point sum k_i g_i is
+    built, the first generator's coefficient varying fastest, and each
+    row evaluated on it."""
+    big, gens = solutions
+    points = [(0,) * len(gens[0][1])] if gens else [()]
+    for d, g in gens:
+        points = [tuple(x + k * y for x, y in zip(pt, g)) for k in range(d) for pt in points]
+    return [all(sum(map(mul, row, pt)) % big == 0 for row in rows) for pt in points]

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import point
-from linear_oracles import grid_count
+from linear_oracles import grid_count, holds
 
 from hyptor import classify, d4_family
 from hyptor.affine_actions import check_relations, evaluate_word, generate_group, has_fixed_point
@@ -231,8 +231,8 @@ def test_case1_full_grid_g2_counts():
         "subgroups": 460,
         "lattice_r_by_mask": 410,
         "engine_builds": 50,
-        "smith_forms": 10,
-        "truth_tables": 222,
+        "smith_forms": 7,
+        "truth_tables": 166,
         "relation_solutions": 5504,
         "survivors_reverified": 72,
         "reverification_frames": 3,
@@ -498,6 +498,11 @@ def _unit_coords(solutions, n):
     return [classify._values(tuple(int(i == j) for i in range(n)), solutions) for j in range(n)]
 
 
+def _bits(mask, size):
+    """A truth table bitmask as one bool per point."""
+    return [bool(mask >> p & 1) for p in range(size)]
+
+
 def _old_relation_stage(relation_forms, space):
     """The relation stage as the census ran it before membership, kept
     as an oracle: the r^4 and r^4 + s^2 grid counts by the Smith form of
@@ -509,12 +514,19 @@ def _old_relation_stage(relation_forms, space):
     counts.append(grid_count(classify._restrict(rel["r4"] + rel["s2"], cols), space.moduli))
     solutions = classify._relation_solutions(classify._restrict(rel["r4"] + rel["s2"] + rel["rsrs"], cols), len(cols))
     grid = [tuple(q * (i == j) for i in range(len(cols))) for j, q in enumerate(space.moduli)]
-    return counts, solutions, [p for p, ok in enumerate(classify._holds(grid, solutions)) if ok]
+    on_grid = classify._table(grid, solutions)
+    return counts, solutions, [p for p in range(on_grid.bit_length()) if on_grid >> p & 1]
+
+
+# The fixed-point stages as the census ran them before it decided one
+# word per conjugacy class: all seven words.
+_SEVEN_WORD_STAGES = (("r", "rrr"), ("rr",), ("s",), ("rs",), ("rrs",), ("sr",))
 
 
 def _old_route_sweep(engine, space):
     """The census's sweep before membership: _old_relation_stage, then
-    the fixed-point stages on R_H's points on the grid."""
+    the fixed-point stages of all seven words on R_H's points on the
+    grid."""
     cols = classify._COLUMNS[space.case]
     (in_r4, in_r4_s2), solutions, points = _old_relation_stage(engine.relation_forms, space)
     reasons = classify._REASONS[space.case]
@@ -522,9 +534,11 @@ def _old_route_sweep(engine, space):
     counts["relation:r4"] = space.grid_size() - in_r4
     counts["relation:s2"] = in_r4 - in_r4_s2
     counts["relation:rsrs"] = in_r4_s2 - len(points)
-    for name, words in zip(reasons[6:], classify._WORD_STAGES):
-        tables = [classify._holds(classify._restrict(engine.word_forms[w], cols), solutions) for w in words]
-        kept = [p for p in points if not any(t[p] for t in tables)]
+    for name, words in zip(reasons[6:], _SEVEN_WORD_STAGES):
+        held = 0
+        for w in words:
+            held |= classify._table(classify._restrict(engine.word_forms[w], cols), solutions)
+        kept = [p for p in points if not held >> p & 1]
         counts[name] = len(points) - len(kept)
         points = kept
     coords = _unit_coords(solutions, len(cols))
@@ -591,18 +605,54 @@ def test_smith_helpers_match_brute_force():
         assert set(points) == expected, rows
         # a row holds exactly where it is integral
         for rows_held in ([_random_rows(rng, 1, n)[0]], _random_rows(rng, 2, n)):
-            held = classify._holds(rows_held, solutions)
+            held = _bits(classify._table(rows_held, solutions), len(points))
             for x, ok in zip(points, held):
                 assert ok == all(sum(map(operator.mul, r, x)).denominator == 1 for r in rows_held)
         # the grid filter keeps the points with q_j x_j integral
         moduli = tuple(rng.randint(1, 4) for _ in range(n))
         grid = [tuple(q * x for x in e) for q, e in zip(moduli, unit)]
-        on_grid = classify._holds(grid, solutions)
+        on_grid = holds(grid, solutions)
         assert sum(on_grid) == sum(all((q * c).denominator == 1 for q, c in zip(moduli, x)) for x in points)
     with pytest.raises(RuntimeError):
         classify._relation_solutions([(1, 2, 0), (2, 4, 0)], 3)
     with pytest.raises(RuntimeError):
         classify._relation_solutions([], 2)
+
+
+def _random_group(rng, big, count):
+    """A random finite group in _relation_solutions' form, with count
+    cyclic generators of orders dividing big: g = (big / d) c for a
+    random c, so d g is 0 mod big.  Points of different indices may
+    coincide, which the table must not mind."""
+    orders = [d for d in range(2, big + 1) if big % d == 0]
+    gens = []
+    for _ in range(count):
+        d = rng.choice(orders)
+        gens.append((d, tuple(big // d * rng.randrange(d) for _ in range(3))))
+    return big, gens
+
+
+def test_bitset_table_matches_the_pointwise_oracle():
+    rng = random.Random(2202)
+    shapes = collections.Counter()
+    for big in (1, 2, 3, 4, 6, 8, 12, 16):
+        for _ in range(60):
+            solutions = _random_group(rng, big, rng.randint(0, 4) if big > 1 else 0)
+            size = math.prod(d for d, _ in solutions[1])
+            rows = _random_rows(rng, rng.randint(0, 3), 3)
+            table = classify._table(rows, solutions)
+            assert table >> size == 0, (rows, solutions)
+            assert _bits(table, size) == holds(rows, solutions), (rows, solutions)
+            orders = {d for d, _ in solutions[1]}
+            shapes["trivial group" if not orders else "one generator" if len(solutions[1]) == 1 else "more"] += 1
+            shapes["mixed orders"] += len(orders) > 1
+            shapes["no rows"] += not rows
+            shapes["some held, some not"] += 0 < table.bit_count() < size
+        # no rows hold everywhere, and the trivial group has one point
+        solutions = _random_group(rng, big, 3) if big > 1 else (1, [])
+        assert classify._table([], solutions) == (1 << math.prod(d for d, _ in solutions[1])) - 1
+        assert classify._table([(1, 2, 3)], (big, [])) == 1
+    assert min(shapes.values()) >= 20, shapes
 
 
 def _random_case(rng, case):
@@ -627,10 +677,12 @@ def _random_case(rng, case):
 
     relations = {name: flats(slots[support]) for name, support in (("r4", "c3"), ("s2", "s2"), ("rsrs", "all"))}
     words = {
-        w: forms(slots["c3"] if w in ("r", "rrr") else slots["all"], rng.randint(1, 2), range(-3, 4))
-        for w in classify.GROUP_WORDS
+        w: forms(slots["c3"] if w == "r" else slots["all"], rng.randint(1, 2), range(-3, 4))
+        for w in ("r", "rr", "s", "rs")
     }
-    return relations, words
+    # conjugate words have the same fixed points, as the census assumes
+    # and the enumerating sweep, which decides all seven, does not
+    return relations, dict(words, rrr=words["r"], rrs=words["s"], sr=words["rs"])
 
 
 def _random_h(rng):
@@ -737,8 +789,10 @@ def test_membership_decides_the_relations_as_the_dual_lattice_forms(case):
         for key, (stacks, solutions) in zip(keys, dual):
             members = [classify._members(g, key) for g in groups]
             sizes = [math.prod(d for d, _ in m[1]) for m in members]
+            # the sweep reads only the orders of the first two stacks
+            assert [classify._order(g, key) for g in groups] == sizes, (key, q_a, q_t)
             assert sizes[:2] == [count(stack, space.moduli) for stack in stacks[:2]], (key, q_a, q_t)
-            on_grid = classify._holds(grid, solutions)
+            on_grid = _bits(classify._table(grid, solutions), math.prod(d for d, _ in solutions[1]))
             old = zip(*_unit_coords(solutions, n))
             old = {tuple(x * space.scale // solutions[0] for x in p) for p, ok in zip(old, on_grid) if ok}
             new = [tuple(x * space.scale // members[2][0] for x in p) for p in zip(*_unit_coords(members[2], n))]
@@ -907,19 +961,19 @@ def test_case_forms_refuse_a_family_that_is_not_dihedral(monkeypatch):
 
 def _census_work(monkeypatch, case, q, g=2):
     """Run one census with one worker; return its classify.snf calls and
-    its truth tables, and the report."""
+    its truth tables (classify._table calls), and the report."""
     snf_calls, tables = [], []
 
     def counting_snf(m):
         snf_calls.append(m)
         return snf(m)
 
-    def counting_holds(rows, solutions, holds=classify._holds):
+    def counting_table(rows, solutions, table=classify._table):
         tables.append(rows)
-        return holds(rows, solutions)
+        return table(rows, solutions)
 
     monkeypatch.setattr(classify, "snf", counting_snf)
-    monkeypatch.setattr(classify, "_holds", counting_holds)
+    monkeypatch.setattr(classify, "_table", counting_table)
     run = enumerate_case1 if case is CaseTag.CASE1 else enumerate_case2
     report = run(SearchSpace(case=case, shift_denominator=q, third_denominator=q, h_generators_max=g))
     monkeypatch.undo()
@@ -928,12 +982,13 @@ def _census_work(monkeypatch, case, q, g=2):
 
 def test_engine_route_computes_its_own_smith_forms(monkeypatch):
     # the fixed-point solver's Smith-form memo is its own: the census
-    # takes one Smith form per group word, 7 in all, and one per relation
-    # stack, 3, and --stats counts them where they happen
+    # takes one Smith form per stage word, 4 of the 7 group words, and
+    # one per relation stack, 3, and --stats counts them where they
+    # happen
     calls, tables, report = _census_work(monkeypatch, CaseTag.CASE1, 4)
     assert len(report.survivors) == 72
     assert report.stats.engine_builds == 50
-    assert (report.stats.smith_forms, report.stats.truth_tables) == (calls, tables) == (7 + 3, 222)
+    assert (report.stats.smith_forms, report.stats.truth_tables) == (calls, tables) == (4 + 3, 166)
 
 
 def test_case2_census_solves_each_relation_system_once(monkeypatch):
@@ -942,17 +997,19 @@ def test_case2_census_solves_each_relation_system_once(monkeypatch):
     # 7 + 1 + 46 + 50 = 104
     calls, tables, report = _census_work(monkeypatch, CaseTag.CASE2, 8)
     assert report.survivors == ()
-    assert (report.stats.smith_forms, report.stats.truth_tables) == (calls, tables) == (10, 150)
+    assert (report.stats.smith_forms, report.stats.truth_tables) == (calls, tables) == (7, 100)
 
 
 @pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
 @pytest.mark.parametrize("q, g", [(1, 0), (2, 1), (3, 2), (8, 3), (4, 4)])
 def test_every_census_takes_ten_smith_forms(monkeypatch, case, q, g):
+    # named when a census took ten: the kernels of r^3, r^2 s and r^3 s
+    # are no longer taken, which leaves seven
     calls, tables, report = _census_work(monkeypatch, case, q, g)
     assert (report.stats.smith_forms, report.stats.truth_tables) == (calls, tables)
-    assert calls == 10
+    assert calls == 7
     if (q, g) == (4, 4):
-        assert tables == {CaseTag.CASE1: 366, CaseTag.CASE2: 276}[case]
+        assert tables == {CaseTag.CASE1: 268, CaseTag.CASE2: 184}[case]
 
 
 @pytest.mark.parametrize("case, q", [(CaseTag.CASE1, 4), (CaseTag.CASE2, 8)])
@@ -962,9 +1019,9 @@ def test_no_memo_outlives_a_census(monkeypatch, case, q):
     # built again
     calls, tables, report = _census_work(monkeypatch, case, q)
     assert _census_work(monkeypatch, case, q) == (calls, tables, report)
-    # the stage tables only: in Case 2 those of r, r^3 and r^2 for each
-    # of the 50 subgroups
-    assert (calls, tables) == {CaseTag.CASE1: (10, 222), CaseTag.CASE2: (10, 3 * 50)}[case]
+    # the stage tables only: in Case 2 those of r and r^2 for each of
+    # the 50 subgroups
+    assert (calls, tables) == {CaseTag.CASE1: (7, 166), CaseTag.CASE2: (7, 2 * 50)}[case]
 
 
 def _words_read(monkeypatch, case, q):
@@ -990,10 +1047,10 @@ def _words_read(monkeypatch, case, q):
 
 def test_case2_census_builds_no_reflection_tables(monkeypatch):
     # the r^2 stage takes every point the rotation stage leaves, so the
-    # tables of s, rs, r^2 s and r^3 s are never built; Case 1 has
-    # points left for every stage
-    assert _words_read(monkeypatch, CaseTag.CASE2, 8) == {"r", "rrr", "rr"}
-    assert _words_read(monkeypatch, CaseTag.CASE1, 4) == set(d4_family.GROUP_WORDS)
+    # tables of s and rs are never built; Case 1 has points left for
+    # every stage, and no census reads r^3, r^2 s or r^3 s
+    assert _words_read(monkeypatch, CaseTag.CASE2, 8) == {"r", "rr"}
+    assert _words_read(monkeypatch, CaseTag.CASE1, 4) == {"r", "rr", "s", "rs"}
 
 
 def _relation_passing(counts, space):
@@ -1032,7 +1089,7 @@ def test_relation_solutions_do_not_depend_on_the_grid(stable_engines):
 def _relation_solution_actions(case, keys, step):
     """Every step-th point of each R_H, rebuilt on H's quotient frame:
     yields (key, point index, action, the engine's truth table of each
-    group word over R_H)."""
+    of the seven group words over R_H, as the census's bitmask)."""
     forms = classify._case_forms(case)
     cols = classify._COLUMNS[case]
     unit = [tuple(int(i == j) for i in range(len(cols))) for j in range(len(cols))]
@@ -1040,7 +1097,7 @@ def _relation_solution_actions(case, keys, step):
         rel = _dual_relation_forms(forms.relations, key)
         solutions = classify._relation_solutions(classify._restrict(rel["r4"] + rel["s2"] + rel["rsrs"], cols), len(cols))
         words = classify._build_h_engine(forms, key)
-        fixed = {w: classify._holds(classify._restrict(f, cols), solutions) for w, f in words.items()}
+        fixed = {w: classify._table(classify._restrict(f, cols), solutions) for w, f in words.items()}
         coords = [classify._values(e, solutions) for e in unit]
         frame = quotient_frame(case, TAU_I, TAU_2I, classify._subgroup_generator_points(key))
         assert not isinstance(frame, BuildRejection)
@@ -1066,7 +1123,7 @@ def _object_level_disagreements(case, keys, step):
         assert group.order == 8, (key, p)
         assert all(check_relations(group, [w for _, w in d4_family.RELATION_WORDS]).values()), (key, p)
         has_fixed = {w: has_fixed_point(evaluate_word(group, w)).exists for w in d4_family.GROUP_WORDS}
-        bad += [(key, p, w) for w, f in has_fixed.items() if f != fixed[w][p]]
+        bad += [(key, p, w) for w, f in has_fixed.items() if f != fixed[w] >> p & 1]
         free += not any(has_fixed.values())
         checked += 1
     return checked, bad, free
@@ -1121,9 +1178,49 @@ def test_case2_half_turn_lemma_fixes_a_point_of_r_squared_on_every_relation_solu
         z = _half_turn_point(action)
         assert r.apply(r.apply(z)) == z, (key, p)
         # the engine agrees that r^2 has a fixed point
-        assert fixed["rr"][p], (key, p)
+        assert fixed["rr"] >> p & 1, (key, p)
         checked += 1
     assert checked == 9536
+
+
+# The words the census leaves out, each with the word it decides by:
+# r^3 = r^-1 fixes what r fixes, r^2 s = r s r^-1 and r^3 s = r (rs) r^-1.
+# If g fixes x, then h g h^-1 fixes h(x).
+_CONJUGATE_WORDS = (("rrr", "r"), ("rrs", "s"), ("sr", "rs"))
+
+
+def _conjugacy_lemma(case, keys):
+    """At every point of each R_H, rebuilt on H's quotient frame, the
+    object-level fixed points of each dropped word against its
+    conjugate's, and of r^2 against s as the control.  Returns the
+    points checked, the disagreeing (key, point, word) triples, and the
+    points at which r^2 and s disagree."""
+    checked, bad, control = 0, [], 0
+    for key, p, action, _ in _relation_solution_actions(case, keys, 1):
+        group = generate_group({"r": action.r, "s": action.s})
+        fixed = {w: has_fixed_point(evaluate_word(group, w)).exists for w in d4_family.GROUP_WORDS}
+        bad += [(key, p, w) for w, conjugate in _CONJUGATE_WORDS if fixed[w] != fixed[conjugate]]
+        control += fixed["rr"] != fixed["s"]
+        checked += 1
+    return checked, bad, control
+
+
+@pytest.mark.parametrize(
+    "g_max, case, points",
+    [
+        (2, CaseTag.CASE1, 5504),
+        (2, CaseTag.CASE2, 9536),
+        pytest.param(4, CaseTag.CASE1, 12800, marks=pytest.mark.extended),
+        pytest.param(4, CaseTag.CASE2, 34112, marks=pytest.mark.extended),
+    ],
+)
+def test_conjugate_words_have_fixed_points_together(g_max, case, points):
+    # the lemma the census's one word per conjugacy class rests on,
+    # object-level, without the engine; r^2 and s are not conjugate and
+    # disagree somewhere, so the check can fail
+    checked, bad, control = _conjugacy_lemma(case, _stable_keys(g_max))
+    assert (checked, bad) == (points, [])
+    assert control > 0
 
 
 def test_half_turn_point_is_not_fixed_at_the_case1_survivors(survivor_actions):
@@ -1222,13 +1319,13 @@ def test_cross_validate_builds_each_distinct_table_once(monkeypatch):
     # of which 32 are distinct, and decide the relations by membership,
     # with no table; the memo lives for one call
     tables = []
-    original = classify._holds
+    original = classify._table
 
     def counting(rows, grid):
         tables.append((rows, grid))
         return original(rows, grid)
 
-    monkeypatch.setattr(classify, "_holds", counting)
+    monkeypatch.setattr(classify, "_table", counting)
     space = SearchSpace(CaseTag.CASE1, 2, 4, h_generators_max=2)
     first = cross_validate(space)
     assert first.all_agree and first.total == 12800

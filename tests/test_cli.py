@@ -386,8 +386,8 @@ def test_classify_stats_file_leaves_census_unchanged(tmp_path, capsys):
         "subgroups": 55,
         "lattice_r_by_mask": 42,
         "engine_builds": 13,
-        "smith_forms": 10,
-        "truth_tables": 71,
+        "smith_forms": 7,
+        "truth_tables": 52,
         "relation_solutions": 1024,
         "survivors_reverified": 72,
         "reverification_frames": 3,
