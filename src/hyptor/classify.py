@@ -55,10 +55,10 @@ and three stacks, whatever its family.  Only R_H's points on the grid
 reach the fixed-point stages, so a sweep's cost does not grow with the
 grid.  A truth table is an integer bitmask over those points, and the
 stages run in canonical order on the mask of the points still alive,
-building tables only while points remain, so in Case 2, where the
-half-turn stage takes every point, the reflections' tables are never
-built.  Scaled tuples carry D*p for a point p, D the lcm of the bounds
-and 2.
+building a stage's word forms and tables only while points remain, so
+in Case 2, where the half-turn stage takes every point, the
+reflections' forms and tables are never built.  Scaled tuples carry
+D*p for a point p, D the lcm of the bounds and 2.
 """
 
 from __future__ import annotations
@@ -556,21 +556,44 @@ def _even_combinations(vectors: list[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def _build_h_engine(forms: _CaseForms, gens: tuple[int, ...]) -> dict[str, tuple[tuple[int, ...], ...]]:
-    """Obstruction forms v . t_w, v in K_w ∩ Lambda'*, of every group
-    word for one rotation-stable subgroup, given by its basis.
+def _word_forms(forms: _CaseForms, word: str, gens: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Obstruction forms v . t_w, v in K_w ∩ Lambda'*, of one group
+    word for the subgroup H with the given basis."""
+    k = forms.words[word]
+    return tuple(_row_times(c, k.flats) for c in _even_combinations([_parities(m, gens) for m in k.masks]))
+
+
+class _Engine(dict):
+    """One rotation-stable subgroup's engine, given by its basis: the
+    word forms of each group word of the case's forms, each built when
+    first read, and the seconds spent building the engine so far.
 
     Raises RuntimeError when a generator does not map the dual lattice
     onto itself, that is, when the rotation does not map H onto itself.
     """
-    dual = _even_combinations([_parities(1 << i, gens) for i in range(6)])
-    for g in forms.generators:
-        if any(_parities(_odd_mask(_row_times(v, g)), gens) for v in dual):
-            raise RuntimeError("internal error: a generator does not preserve the enlarged lattice")
-    return {
-        word: tuple(_row_times(c, k.flats) for c in _even_combinations([_parities(m, gens) for m in k.masks]))
-        for word, k in forms.words.items()
-    }
+
+    def __init__(self, forms: _CaseForms, gens: tuple[int, ...]) -> None:
+        super().__init__()
+        start = time.perf_counter()
+        dual = _even_combinations([_parities(1 << i, gens) for i in range(6)])
+        for g in forms.generators:
+            if any(_parities(_odd_mask(_row_times(v, g)), gens) for v in dual):
+                raise RuntimeError("internal error: a generator does not preserve the enlarged lattice")
+        self.forms, self.gens = forms, gens
+        self.seconds = time.perf_counter() - start
+
+    def __missing__(self, word: str) -> tuple[tuple[int, ...], ...]:
+        start = time.perf_counter()
+        self[word] = built = _word_forms(self.forms, word, self.gens)
+        self.seconds += time.perf_counter() - start
+        return built
+
+
+def _build_h_engine(forms: _CaseForms, gens: tuple[int, ...]) -> dict[str, tuple[tuple[int, ...], ...]]:
+    """The word forms of every group word of the case's forms for one
+    rotation-stable subgroup, given by its basis; raises as _Engine."""
+    engine = _Engine(forms, gens)
+    return {word: engine[word] for word in forms.words}
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +749,8 @@ def _sweep_h(words: dict, basis: tuple[int, ...], groups, space: SearchSpace):
     from the orders of H's share of the census's grid groups, taken
     with no Smith form.  Only R_H's points on the grid meet the
     fixed-point stages, as the bits of one mask, one stage at a time,
-    and a stage's truth tables are built only while points remain.
+    and a stage reads its words' forms and builds their truth tables
+    only while points remain.
     """
     cols = _COLUMNS[space.case]
     *stacks, full = groups
@@ -764,12 +788,11 @@ def _sweep_h(words: dict, basis: tuple[int, ...], groups, space: SearchSpace):
 
 def _sweep_task(task):
     """Worker entry point: one subgroup's slice of the sweep, and the
-    seconds its engine took to build."""
+    seconds spent building its engine, the word forms it read included."""
     space, forms, groups, basis = task
-    start = time.perf_counter()
-    words = _build_h_engine(forms, basis)
-    built = time.perf_counter()
-    return *_sweep_h(words, basis, groups, space), built - start
+    engine = _Engine(forms, basis)
+    counts, survivors, tables = _sweep_h(engine, basis, groups, space)
+    return counts, survivors, tables, engine.seconds
 
 
 def _worker_count(requested: int, tasks: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
@@ -307,6 +308,7 @@ def _join_negative_values(argv) -> list[str]:
     return out
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyptor",
@@ -355,6 +357,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command from argv (sys.argv[1:] by default) and return
+    its exit code.
+
+    The parser is built on the first call, not at import, and every
+    later call in the process reuses it.  Reuse is safe: parse_args
+    keeps no state between calls, since it fills a new namespace each
+    time, the subcommand's defaults a fresh one of their own, and
+    argparse looks up sys.stdout and sys.stderr only when it writes,
+    so redirected streams still receive its usage and errors.
+    """
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]

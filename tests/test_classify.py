@@ -1025,20 +1025,15 @@ def test_no_memo_outlives_a_census(monkeypatch, case, q):
 
 
 def _words_read(monkeypatch, case, q):
-    """The group words whose forms one census reads off its engines."""
+    """The group words whose forms one census builds for its engines."""
     read = set()
+    build = classify._word_forms
 
-    class Reads(dict):
-        def __getitem__(self, word):
-            read.add(word)
-            return super().__getitem__(word)
+    def recording(forms, word, gens):
+        read.add(word)
+        return build(forms, word, gens)
 
-    build = classify._build_h_engine
-
-    def recording(forms, span_key):
-        return Reads(build(forms, span_key))
-
-    monkeypatch.setattr(classify, "_build_h_engine", recording)
+    monkeypatch.setattr(classify, "_word_forms", recording)
     run = enumerate_case1 if case is CaseTag.CASE1 else enumerate_case2
     run(SearchSpace(case=case, shift_denominator=q, third_denominator=q))
     monkeypatch.undo()
@@ -1047,8 +1042,8 @@ def _words_read(monkeypatch, case, q):
 
 def test_case2_census_builds_no_reflection_tables(monkeypatch):
     # the r^2 stage takes every point the rotation stage leaves, so the
-    # tables of s and rs are never built; Case 1 has points left for
-    # every stage, and no census reads r^3, r^2 s or r^3 s
+    # forms and tables of s and rs are never built; Case 1 has points
+    # left for every stage, and no census builds r^3, r^2 s or r^3 s
     assert _words_read(monkeypatch, CaseTag.CASE2, 8) == {"r", "rr"}
     assert _words_read(monkeypatch, CaseTag.CASE1, 4) == {"r", "rr", "s", "rs"}
 

@@ -572,6 +572,43 @@ def test_unknown_arguments():
     assert main([]) == 2
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # one parser serves every call of the process; a call after a parse
+    # error, a census or --help prints what its first run printed
+    cert, stats = tmp_path / "cert.json", tmp_path / "stats.json"
+    calls = [
+        ["construct", "--tau", TAU],
+        ["construct", "--tau", TAU, "--tau-prime", TAU_PRIME, "--format", "text", "--out", str(cert)],
+        ["classify", "--case", "2", "--max-denominator", "8", "--h-generators-max", "1", "--stats", str(stats)],
+        ["verify", str(cert), "--format", "text"],
+        ["construct", "--help"],
+    ]
+    cli._build_parser.cache_clear()
+    first = [run(capsys, argv) for argv in calls]
+    certificate = cert.read_text()
+    assert [code for code, _, _ in first] == [2, 0, 0, 0, 0]
+    assert first[0][2].startswith("usage: hyptor construct") and "--tau-prime" in first[0][2]
+    assert first[4][1].startswith("usage: hyptor construct") and first[4][2] == ""
+    assert [run(capsys, argv) for argv in calls[:2]] == first[:2]
+    assert cert.read_text() == certificate
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_import_builds_no_parser():
+    # the parser is built by the first main call, so a process that only
+    # imports the CLI does not pay for it
+    code = (
+        "import argparse; built = []; init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(self); init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import hyptor.cli; print(len(built))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
 def test_import_loads_no_process_pool():
     # classify imports the pool only when it starts one, so construct,
     # verify and invariants do not pay for loading multiprocessing
