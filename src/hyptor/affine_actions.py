@@ -28,12 +28,11 @@ from a memo keyed on the linear part as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .exact_linear import (
     DimensionError,
@@ -72,21 +71,25 @@ class UnknownLetterError(KeyError):
     """A relation word uses a letter with no assigned generator."""
 
 
-@dataclass(frozen=True)
 class AffineAut:
     """Affine automorphism z -> A z + t of a torus."""
 
-    torus: ComplexTorus
-    a: Matrix
-    t: TorsionPoint
+    __slots__ = ("torus", "a", "t")
 
-    def __post_init__(self) -> None:
-        n = self.torus.rank
-        if self.a.rows != n or self.a.cols != n:
+    def __init__(self, torus: ComplexTorus, a: Matrix, t: TorsionPoint) -> None:
+        n = torus.rank
+        if a.rows != n or a.cols != n:
             raise DimensionError("linear part must be 2g x 2g")
-        if len(self.t) != n:
+        if len(t) != n:
             raise DimensionError("translation part must have length 2g")
-        _linear_part_verdict(self.a, self.torus.j_cleared)
+        _linear_part_verdict(a, torus.j_cleared)
+        self.torus, self.a, self.t = torus, a, t
+
+    def __eq__(self, other) -> bool:
+        return type(other) is AffineAut and (self.torus, self.a, self.t) == (other.torus, other.a, other.t)
+
+    def __hash__(self) -> int:
+        return hash((self.torus, self.a, self.t))
 
     def apply(self, p: TorsionPoint) -> TorsionPoint:
         return p.image(self.a).add(self.t)
@@ -97,8 +100,7 @@ def is_translation(f: AffineAut) -> bool:
     return f.a.is_identity() and not f.t.is_zero()
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     """Certified reason that (A - I) x = -t has no solution mod Z^(2g).
 
     row is an integer row with row @ (A - I) == 0 while value = row . (-t)
@@ -109,8 +111,7 @@ class Obstruction:
     value: Fraction
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     exists: bool
     point: tuple[Fraction, ...] | None = None
     obstruction: Obstruction | None = None
@@ -142,14 +143,12 @@ def has_fixed_point(f: AffineAut) -> FixedPointResult:
     return FixedPointResult(exists=True, point=x.coords)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     word: str
     aut: AffineAut
 
 
-@dataclass(frozen=True)
-class GeneratedGroup:
+class GeneratedGroup(NamedTuple):
     """Finite group closure of named generators, with its product table.
 
     Elements are ordered by word length then lexicographically, with the
@@ -169,8 +168,7 @@ class GeneratedGroup:
         return tuple(e for e in self.elements if e.word != "e")
 
 
-@dataclass(frozen=True)
-class _LinearCore:
+class _LinearCore(NamedTuple):
     """The linear parts of a group and their product table.
 
     matrices[0] is the identity, the others follow in breadth-first
@@ -297,20 +295,17 @@ def check_relations(group: GeneratedGroup, relations: Sequence[str]) -> dict[str
     return {rel: _word_index(group, rel) == 0 for rel in relations}
 
 
-@dataclass(frozen=True)
-class FreenessWitness:
+class FreenessWitness(NamedTuple):
     word: str
     obstruction: Obstruction
 
 
-@dataclass(frozen=True)
-class FixedPointFailure:
+class FixedPointFailure(NamedTuple):
     word: str
     point: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class FreenessCertificate:
+class FreenessCertificate(NamedTuple):
     free: bool
     witnesses: tuple[FreenessWitness, ...]
     failure: FixedPointFailure | None = None
@@ -335,8 +330,7 @@ def is_free_action(g: GeneratedGroup) -> FreenessCertificate:
     return FreenessCertificate(free=True, witnesses=tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class TranslationCheck:
+class TranslationCheck(NamedTuple):
     ok: bool
     offending_word: str | None = None
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .affine_actions import GeneratedGroup, evaluate_word
 from .d4_family import (
@@ -250,8 +250,7 @@ def _inclusion_json(action: D4Action) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Outcome of checking a certificate against a fresh rebuild.
 
     action and group are the rebuilt, certified objects when the

@@ -66,10 +66,10 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from .certificates import complex_str, point_json
 from .d4_family import (
@@ -149,7 +149,6 @@ _COLUMNS = {CaseTag.CASE1: (0, 1, 2, 3, 6, 7), CaseTag.CASE2: tuple(range(8))}
 MAX_DENOMINATOR = 128
 
 
-@dataclass(frozen=True)
 class SearchSpace:
     """Grid description for one sweep.
 
@@ -164,14 +163,19 @@ class SearchSpace:
     2-torsion.
     """
 
-    case: CaseTag
-    shift_denominator: int = 4
-    third_denominator: int = 4
-    h_generators_max: int = 2
-    tau: EllipticCurveParam = EllipticCurveParam(Fraction(0), Fraction(1))
-    tau_prime: EllipticCurveParam = EllipticCurveParam(Fraction(0), Fraction(2))
+    __slots__ = ("case", "shift_denominator", "third_denominator", "h_generators_max", "tau", "tau_prime")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        case: CaseTag,
+        shift_denominator: int = 4,
+        third_denominator: int = 4,
+        h_generators_max: int = 2,
+        tau: EllipticCurveParam = EllipticCurveParam(Fraction(0), Fraction(1)),
+        tau_prime: EllipticCurveParam = EllipticCurveParam(Fraction(0), Fraction(2)),
+    ) -> None:
+        self.case, self.shift_denominator, self.third_denominator = case, shift_denominator, third_denominator
+        self.h_generators_max, self.tau, self.tau_prime = h_generators_max, tau, tau_prime
         for name in ("shift_denominator", "third_denominator", "h_generators_max"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -182,6 +186,15 @@ class SearchSpace:
             raise ValueError(f"denominator bounds must be at most {MAX_DENOMINATOR}")
         if not 0 <= self.h_generators_max <= 4:
             raise ValueError("subgroup family supports at most 4 generators")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is SearchSpace and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def scale(self) -> int:
@@ -262,8 +275,7 @@ def _subgroup_generator_points(basis: tuple[int, ...]) -> tuple[TorsionPoint, ..
     return tuple(TorsionPoint.from_scaled([(m >> i) & 1 for i in range(6)], 2) for m in basis)
 
 
-@dataclass(frozen=True)
-class Survivor:
+class Survivor(NamedTuple):
     """One surviving parameter tuple, ready to rebuild from."""
 
     case: CaseTag
@@ -310,8 +322,7 @@ def is_expected_survivor(s: Survivor) -> bool:
     return _span(tuple(gens)) == _span((omega,))
 
 
-@dataclass(frozen=True)
-class CensusStats:
+class CensusStats(NamedTuple):
     """How a sweep was computed: counters and the wall seconds of its
     phases.  Diagnostics only; they are not part of the census
     artifact, and the times differ from run to run.
@@ -362,8 +373,7 @@ class CensusStats:
         }
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Outcome of one sweep.
 
     survivors + sum(failure_counts) = total, with every tuple of the
@@ -381,7 +391,13 @@ class CensusReport:
     h_family_size: int
     h_family_excluded: int
     survivors_reverified: bool
-    stats: CensusStats | None = field(default=None, compare=False)
+    stats: CensusStats | None = None
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CensusReport) and self[:-1] == other[:-1]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     def to_json_dict(self) -> dict:
         return {
@@ -470,8 +486,7 @@ def _odd_mask(v) -> int:
     return sum(1 << i for i, x in enumerate(v) if x % 2)
 
 
-@dataclass(frozen=True)
-class _WordKernel:
+class _WordKernel(NamedTuple):
     """K_w, the saturated integer left kernel of M_w - I for a word w:
     its basis rows' odd-entry masks and their flat forms."""
 
@@ -479,8 +494,7 @@ class _WordKernel:
     flats: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class _CaseForms:
+class _CaseForms(NamedTuple):
     """What the engines of one case share: each relation word's
     translation, one flat form per product coordinate; every group
     word's kernel; and the generators' linear parts as integer rows."""
@@ -911,8 +925,7 @@ def enumerate_case2(space: SearchSpace, workers: int = 1) -> CensusReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     """Outcome of comparing the two decision routes on every tuple."""
 
     total: int

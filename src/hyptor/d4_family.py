@@ -21,9 +21,9 @@ block swap and sign flips as -I on a block.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .exact_linear import Matrix, inverse_numerators, kernel_sublattice
 from .torus import (
@@ -67,8 +67,7 @@ class CaseTag(enum.Enum):
     CASE2 = "case2"
 
 
-@dataclass(frozen=True)
-class CaseMatrices:
+class CaseMatrices(NamedTuple):
     """Complex 3x3 and lattice 6x6 matrices of the two generators."""
 
     rotation_complex: tuple[tuple[int, ...], ...]
@@ -98,7 +97,6 @@ def case_matrices(case: CaseTag) -> CaseMatrices:
     return CaseMatrices(_ROTATION_COMPLEX, refl_complex, _ROTATION_LATTICE, refl_lattice)
 
 
-@dataclass(frozen=True)
 class D4Parameters:
     """Translation data of the family.
 
@@ -109,15 +107,20 @@ class D4Parameters:
     Case 1, where the origin normalization removes it.
     """
 
-    tau: EllipticCurveParam
-    tau_prime: EllipticCurveParam
-    s_shift1: TorsionPoint
-    s_shift2: TorsionPoint
-    r_shift: TorsionPoint
-    s_shift3: TorsionPoint | None = None
-    subgroup_gens: tuple[TorsionPoint, ...] = ()
+    __slots__ = ("tau", "tau_prime", "s_shift1", "s_shift2", "r_shift", "s_shift3", "subgroup_gens")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        tau: EllipticCurveParam,
+        tau_prime: EllipticCurveParam,
+        s_shift1: TorsionPoint,
+        s_shift2: TorsionPoint,
+        r_shift: TorsionPoint,
+        s_shift3: TorsionPoint | None = None,
+        subgroup_gens: tuple[TorsionPoint, ...] = (),
+    ) -> None:
+        self.tau, self.tau_prime, self.s_shift1, self.s_shift2 = tau, tau_prime, s_shift1, s_shift2
+        self.r_shift, self.s_shift3, self.subgroup_gens = r_shift, s_shift3, subgroup_gens
         for name in ("s_shift1", "s_shift2", "r_shift"):
             if len(getattr(self, name)) != 2:
                 raise ValueError(f"{name} must be a point of a single curve")
@@ -126,6 +129,9 @@ class D4Parameters:
         for gpt in self.subgroup_gens:
             if len(gpt) != 6:
                 raise ValueError("subgroup generators must be points of the product")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is D4Parameters and all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 def case1_subgroup_generator(h: TorsionPoint, k: TorsionPoint) -> TorsionPoint:
@@ -161,8 +167,7 @@ def embed_block(p: TorsionPoint, block: int) -> TorsionPoint:
     return TorsionPoint.from_scaled((0, 0) * block + p.scaled(d) + (0, 0) * (2 - block), d)
 
 
-@dataclass(frozen=True)
-class D4Action:
+class D4Action(NamedTuple):
     """A constructed family member: quotient torus plus both generators.
     to_quotient converts product coordinates to quotient coordinates."""
 
@@ -175,15 +180,13 @@ class D4Action:
     s: AffineAut
 
 
-@dataclass(frozen=True)
-class BuildRejection:
+class BuildRejection(NamedTuple):
     """Soft rejection of a parameter tuple, with a stable reason tag."""
 
     reason: str
 
 
-@dataclass(frozen=True)
-class QuotientFrame:
+class QuotientFrame(NamedTuple):
     """Everything of a family member but its shifts.
 
     The subgroup H of the product E x E x E', the quotient T = product/H,
@@ -283,8 +286,7 @@ def build_normal_form(tau: EllipticCurveParam, tau_prime: EllipticCurveParam) ->
     return out
 
 
-@dataclass(frozen=True)
-class ActionReport:
+class ActionReport(NamedTuple):
     """Object-level checks of a built action.
 
     group is None when the generators close up to more elements than
@@ -331,8 +333,7 @@ def check_action(action: D4Action) -> ActionReport:
     return ActionReport(grp, relations, relations_ok, freeness, translations, failure)
 
 
-@dataclass(frozen=True)
-class FreenessConditionReport:
+class FreenessConditionReport(NamedTuple):
     """Membership and exclusion conditions on H for a Case-1 tuple.
 
     The three memberships are equivalent to the three defining
@@ -370,7 +371,7 @@ class FreenessConditionReport:
         return self.factors_embed and self.equivalence_flags_pass
 
     def as_dict(self) -> dict[str, bool]:
-        return asdict(self)
+        return self._asdict()
 
 
 def check_freeness_conditions(action: D4Action) -> FreenessConditionReport:
@@ -426,8 +427,7 @@ def scaled_freeness_conditions(elements, a1, a2, c3, scale: int) -> FreenessCond
     )
 
 
-@dataclass(frozen=True)
-class LatticeInclusionReport:
+class LatticeInclusionReport(NamedTuple):
     """Decomposition bounds of the quotient lattice against its blocks.
 
     block_denominators[i] is the largest denominator in the block-i
@@ -537,8 +537,7 @@ def _inclusion_report(action: D4Action, lams, inverse) -> LatticeInclusionReport
     )
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Structural facts about a constructed action used for auditing.
 
     kernel_image_agree: the connected fixed locus of the reflection

@@ -36,12 +36,11 @@ Provided here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Entry = int | Fraction
 IntVec = tuple[int, ...]
@@ -83,22 +82,26 @@ def _entry(x) -> Entry:
     raise TypeError(f"matrix entry must be an int or a Fraction, not {x!r}")
 
 
-@dataclass(frozen=True)
 class Matrix:
     """Immutable exact matrix stored row-major; see the module docstring
     for the entry rule."""
 
-    rows: int
-    cols: int
-    entries: tuple[Entry, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 0:
-            raise DimensionError(f"bad shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple[Entry, ...]) -> None:
+        if rows < 1 or cols < 0:
+            raise DimensionError(f"bad shape {rows}x{cols}")
+        if len(entries) != rows * cols:
             raise DimensionError("entry count does not match shape")
-        if not all(type(e) is int for e in self.entries):
-            object.__setattr__(self, "entries", tuple(map(_entry, self.entries)))
+        if not all(type(e) is int for e in entries):
+            entries = tuple(map(_entry, entries))
+        self.rows, self.cols, self.entries = rows, cols, entries
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Matrix and (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Entry]]) -> "Matrix":
@@ -321,39 +324,34 @@ def column_hnf(m: Matrix) -> tuple[Matrix, Matrix]:
     return ht.transpose(), ut.transpose()
 
 
-@dataclass(frozen=True)
 class SmithDecomposition:
     """Smith normal form data: ``u @ m @ v == d``.
 
     d is diagonal with nonnegative entries in divisibility order
-    (zeros trailing); u, v are unimodular.  The views of d are computed
-    once per decomposition; equality and hashing read d, u and v only.
+    (zeros trailing); u, v are unimodular.  The views of d are read off
+    it once, at construction: its diagonal, the nonzero elementary
+    divisors, and zero_rows, the indices of d's entirely zero rows.
+    Equality and hashing read d, u and v only.
     """
 
-    d: Matrix
-    u: Matrix
-    v: Matrix
+    __slots__ = ("d", "u", "v", "diagonal", "elementary_divisors", "zero_rows")
 
-    @cached_property
-    def diagonal(self) -> IntVec:
-        n = min(self.d.rows, self.d.cols)
-        return tuple(self.d.at(i, i) for i in range(n))
-
-    @cached_property
-    def elementary_divisors(self) -> IntVec:
-        return tuple(x for x in self.diagonal if x != 0)
+    def __init__(self, d: Matrix, u: Matrix, v: Matrix) -> None:
+        self.d, self.u, self.v = d, u, v
+        n = min(d.rows, d.cols)
+        self.diagonal = tuple(d.at(i, i) for i in range(n))
+        self.elementary_divisors = tuple(x for x in self.diagonal if x != 0)
+        self.zero_rows = (*(i for i, x in enumerate(self.diagonal) if x == 0), *range(n, d.rows))
 
     @property
     def rank(self) -> int:
         return len(self.elementary_divisors)
 
-    @cached_property
-    def zero_rows(self) -> tuple[int, ...]:
-        """Row indices of d whose entire row is zero."""
-        n = min(self.d.rows, self.d.cols)
-        out = [i for i in range(n) if self.d.at(i, i) == 0]
-        out.extend(range(n, self.d.rows))
-        return tuple(out)
+    def __eq__(self, other) -> bool:
+        return type(other) is SmithDecomposition and (self.d, self.u, self.v) == (other.d, other.u, other.v)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.u, self.v))
 
 
 def snf(m: Matrix) -> SmithDecomposition:
@@ -479,8 +477,7 @@ def inverse_numerators(m: Matrix) -> tuple[Matrix, int, IntVec]:
     return dec.v @ Matrix.diagonal([e // x for x in dec.diagonal]) @ dec.u, e, dec.diagonal
 
 
-@dataclass(frozen=True)
-class AffineSolveResult:
+class AffineSolveResult(NamedTuple):
     """Outcome of ``solve_affine_mod_lattice`` for ``A x = b / delta + m``.
 
     For a solvable system, ``x`` holds integer numerators over

@@ -8,7 +8,6 @@ group.  All arithmetic is in Z[i], over one common denominator, exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .exact_linear import Matrix
@@ -51,7 +50,6 @@ def _elementary_symmetric(a: Matrix, j_cleared: Matrix, d: int) -> list[tuple[in
     return [(6 * den**3, 0), e1, e2, e3]
 
 
-@dataclass(frozen=True)
 class InvariantReport:
     """Hodge and Betti numbers of the quotient.
 
@@ -59,10 +57,10 @@ class InvariantReport:
     and duality symmetries, h^{0,0} = 1.
     """
 
-    hodge: tuple[tuple[int, ...], ...]
-    betti: tuple[int, ...]
+    __slots__ = ("hodge", "betti")
 
-    def __post_init__(self) -> None:
+    def __init__(self, hodge: tuple[tuple[int, ...], ...], betti: tuple[int, ...]) -> None:
+        self.hodge, self.betti = hodge, betti
         h = self.hodge
         if len(h) != 4 or any(len(row) != 4 for row in h):
             raise RuntimeError("internal error: Hodge table must be 4 x 4")

@@ -13,7 +13,6 @@ d, so its coordinates lie in [0, 1) and its group law runs in int.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -26,26 +25,28 @@ class HolomorphyError(ValueError):
     """A lattice map does not commute with the complex structure."""
 
 
-@dataclass(frozen=True)
 class EllipticCurveParam:
     """Upper half plane parameter tau = tau_re + tau_im * i, exact: each
     part an int or a Fraction (anything else, a float or a bool
     included, raises TypeError), stored as a Fraction."""
 
-    tau_re: Fraction
-    tau_im: Fraction
+    __slots__ = ("tau_re", "tau_im")
 
-    def __post_init__(self) -> None:
-        for x in (self.tau_re, self.tau_im):
+    def __init__(self, tau_re: int | Fraction, tau_im: int | Fraction) -> None:
+        for x in (tau_re, tau_im):
             if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
                 raise TypeError(f"tau must have int or Fraction parts, not {x!r}")
-        object.__setattr__(self, "tau_re", Fraction(self.tau_re))
-        object.__setattr__(self, "tau_im", Fraction(self.tau_im))
-        if self.tau_im <= 0:
+        if tau_im <= 0:
             raise ValueError("tau must have positive imaginary part")
+        self.tau_re, self.tau_im = Fraction(tau_re), Fraction(tau_im)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is EllipticCurveParam and (self.tau_re, self.tau_im) == (other.tau_re, other.tau_im)
+
+    def __hash__(self) -> int:
+        return hash((self.tau_re, self.tau_im))
 
 
-@dataclass(frozen=True)
 class ComplexTorus:
     """Dimension g torus: lattice Z^(2g) with complex structure J.
 
@@ -54,36 +55,40 @@ class ComplexTorus:
     (identity for primitive constructions, composed through quotients).
     blocks records which reference coordinates belong to which factor
     of the underlying product.  The integer j_cleared = j_denominator * J
-    commutes with the same matrices as J, and J * J = -I is checked on it.
+    commutes with the same matrices as J, and J * J = -I is checked on it;
+    equality and hashing read g, j, basis_change and blocks.
     """
 
-    g: int
-    j: Matrix
-    basis_change: Matrix
-    blocks: tuple[tuple[int, int], ...]
-    j_cleared: Matrix = field(init=False, repr=False, compare=False)
-    j_denominator: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("g", "j", "basis_change", "blocks", "j_cleared", "j_denominator")
 
-    def __post_init__(self) -> None:
-        n = 2 * self.g
-        if self.j.rows != n or self.j.cols != n:
+    def __init__(self, g: int, j: Matrix, basis_change: Matrix, blocks: tuple[tuple[int, int], ...]) -> None:
+        n = 2 * g
+        if j.rows != n or j.cols != n:
             raise DimensionError("J must be 2g x 2g")
-        if self.basis_change.rows != n or self.basis_change.cols != n:
+        if basis_change.rows != n or basis_change.cols != n:
             raise DimensionError("basis_change must be 2g x 2g")
-        j_cleared, d = self.j.scaled_integer()
+        j_cleared, d = j.scaled_integer()
         if (j_cleared @ j_cleared).entries != Matrix.identity(n).scale(-d * d).entries:
             raise ValueError("J * J != -I")
-        if self.basis_change.det() == 0:
+        if basis_change.det() == 0:
             raise ValueError("basis_change is singular")
-        object.__setattr__(self, "j_cleared", j_cleared)
-        object.__setattr__(self, "j_denominator", d)
+        self.g, self.j, self.basis_change, self.blocks = g, j, basis_change, blocks
+        self.j_cleared, self.j_denominator = j_cleared, d
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            type(other) is ComplexTorus
+            and (self.g, self.j, self.basis_change, self.blocks) == (other.g, other.j, other.basis_change, other.blocks)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.g, self.j, self.basis_change, self.blocks))
 
     @property
     def rank(self) -> int:
         return 2 * self.g
 
 
-@dataclass(frozen=True, init=False)
 class TorsionPoint:
     """Point of finite order: integer numerators in [0, d) over its order
     d, a canonical form, so equality, hashing and the group law run in
@@ -92,8 +97,7 @@ class TorsionPoint:
     is the one way in from integers and ``scaled`` the one way out.
     """
 
-    _numerators: tuple[int, ...]
-    _order: int
+    __slots__ = ("_numerators", "_order")
 
     def __init__(self, coords: Sequence[int | Fraction]) -> None:
         coords = tuple(coords)
@@ -108,8 +112,14 @@ class TorsionPoint:
             raise ValueError("denominator must be positive")
         reduced = [x % d for x in numerators]
         g = gcd(d, *reduced)
-        object.__setattr__(self, "_numerators", tuple(x // g for x in reduced))
-        object.__setattr__(self, "_order", d // g)
+        self._numerators = tuple(x // g for x in reduced)
+        self._order = d // g
+
+    def __eq__(self, other) -> bool:
+        return type(other) is TorsionPoint and self._order == other._order and self._numerators == other._numerators
+
+    def __hash__(self) -> int:
+        return hash((self._numerators, self._order))
 
     @classmethod
     def from_scaled(cls, numerators: Sequence[int], d: int) -> "TorsionPoint":
@@ -156,23 +166,22 @@ class TorsionPoint:
         return TorsionPoint.from_scaled(m.apply(self._numerators), self._order)
 
 
-@dataclass(frozen=True)
 class FiniteSubgroup:
     """Finite subgroup of a torus, closed under the group law.
 
     The element set is computed at construction by closing the
-    generators under addition, so it is a subgroup by construction.
+    generators under addition, so it is a subgroup by construction, and
+    equal ambient tori and generators give equal subgroups.
     """
 
-    ambient: ComplexTorus
-    generators: tuple[TorsionPoint, ...]
-    elements: frozenset[TorsionPoint] = field(init=False)
+    __slots__ = ("ambient", "generators", "elements")
 
-    def __post_init__(self) -> None:
-        n = self.ambient.rank
-        for gpt in self.generators:
+    def __init__(self, ambient: ComplexTorus, generators: tuple[TorsionPoint, ...]) -> None:
+        n = ambient.rank
+        for gpt in generators:
             if len(gpt) != n:
                 raise DimensionError("generator length must be 2g")
+        self.ambient, self.generators = ambient, generators
         elems = {TorsionPoint.zero(n)}
         frontier = [TorsionPoint.zero(n)]
         while frontier:
@@ -184,7 +193,10 @@ class FiniteSubgroup:
                         elems.add(s)
                         nxt.append(s)
             frontier = nxt
-        object.__setattr__(self, "elements", frozenset(elems))
+        self.elements = frozenset(elems)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is FiniteSubgroup and (self.ambient, self.generators) == (other.ambient, other.generators)
 
     @property
     def order(self) -> int:

@@ -27,7 +27,7 @@ from hyptor.affine_actions import (
     TorusMismatchError,
 )
 from hyptor.classify import SearchSpace, enumerate_case1
-from hyptor.d4_family import CaseTag, quotient_frame
+from hyptor.d4_family import CaseTag, D4Parameters, quotient_frame
 from hyptor.exact_linear import Matrix
 from hyptor.torus import EllipticCurveParam, TorsionPoint
 
@@ -35,6 +35,11 @@ from hyptor.torus import EllipticCurveParam, TorsionPoint
 def point(*coords):
     """A torsion point from ints, Fractions and strings such as "1/2"."""
     return TorsionPoint(tuple(Fraction(c) if isinstance(c, str) else c for c in coords))
+
+
+def replace_params(params, **changes):
+    """A D4Parameters with the given fields changed and the others kept."""
+    return D4Parameters(**{**{name: getattr(params, name) for name in D4Parameters.__slots__}, **changes})
 
 
 def rand_unimodular(rng, n) -> Matrix:

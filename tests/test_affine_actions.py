@@ -9,12 +9,11 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import compose, identity_aut, point, reference_generate_group
+from conftest import compose, identity_aut, point, reference_generate_group, replace_params
 from linear_oracles import fraction_solve_affine
 
 from hyptor import affine_actions, classify
@@ -273,7 +272,7 @@ def _table_test_groups():
     tau_2i = EllipticCurveParam(Fraction(0), Fraction(2))
     distinguished = build_normal_form(tau_i, tau_2i)
     order16 = build_general(
-        CaseTag.CASE1, replace(normal_form_parameters(tau_i, tau_2i), r_shift=point("1/8", 0))
+        CaseTag.CASE1, replace_params(normal_form_parameters(tau_i, tau_2i), r_shift=point("1/8", 0))
     )
     return {
         "distinguished": ({"r": distinguished.r, "s": distinguished.s}, 8),

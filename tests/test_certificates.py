@@ -10,10 +10,10 @@ import copy
 import functools
 import json
 import operator
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from conftest import replace_params
 
 from hyptor import exact_linear
 from hyptor.certificates import (
@@ -441,7 +441,7 @@ def test_noncanonical_rational_in_document_fails_verification(cert_doc):
 
 
 def test_build_certificate_refuses_fixed_points():
-    params = replace(
+    params = replace_params(
         normal_form_parameters(TAU_I, TAU_2I),
         r_shift=TorsionPoint((Fraction(1, 2), Fraction(0))),
     )
@@ -451,7 +451,7 @@ def test_build_certificate_refuses_fixed_points():
 
 
 def test_build_certificate_refuses_broken_relations():
-    params = replace(normal_form_parameters(TAU_I, TAU_2I), subgroup_gens=())
+    params = replace_params(normal_form_parameters(TAU_I, TAU_2I), subgroup_gens=())
     built = build_general(CaseTag.CASE1, params)
     with pytest.raises(ValueError, match="dihedral|translation"):
         build_certificate(built)

@@ -6,7 +6,6 @@ against an independently derived target.
 """
 
 import collections
-import dataclasses
 import functools
 import itertools
 import json
@@ -1344,7 +1343,7 @@ def test_cross_validate_reports_a_closed_form_fault(monkeypatch):
     def faulty(elements, a1, a2, c3, scale):
         flags = original(elements, a1, a2, c3, scale)
         if tuple(a1) == (2, 0) and c3[1] == 1:
-            flags = dataclasses.replace(flags, excl_rs_free=not flags.excl_rs_free)
+            flags = flags._replace(excl_rs_free=not flags.excl_rs_free)
         return flags
 
     monkeypatch.setattr(classify, "scaled_freeness_conditions", faulty)

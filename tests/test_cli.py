@@ -618,6 +618,16 @@ def test_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # the record classes are plain slotted classes and NamedTuples:
+    # dataclasses, and the inspect module it loads, cost a fresh process
+    # tens of milliseconds at start-up
+    code = "import sys, hyptor.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hyptor", "--help"], capture_output=True, text=True

@@ -7,12 +7,11 @@ rather than in block coordinates."""
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import point, rand_unimodular, reference_generate_group
+from conftest import point, rand_unimodular, reference_generate_group, replace_params
 from linear_oracles import canonical, image_saturation, lattice_membership, rational_rank
 
 from hyptor import classify, exact_linear, torus
@@ -195,7 +194,7 @@ def test_quotient_frame_rejects_what_build_general_rejects():
     subgroups += [_gens(m) for m in range(1, 64, 5)] + [_gens(m, 0b110000) for m in range(1, 16)]
     rejected = 0
     for case, gens in itertools.product((CaseTag.CASE1, CaseTag.CASE2), subgroups):
-        params = replace(
+        params = replace_params(
             base, subgroup_gens=gens, s_shift3=point(0, 0) if case is CaseTag.CASE2 else None
         )
         frame = quotient_frame(case, TAU_I, TAU_2I, gens)
@@ -213,15 +212,15 @@ def test_frame_action_refuses_other_parameters():
     frame = quotient_frame(CaseTag.CASE1, TAU_I, TAU_2I, params.subgroup_gens)
     assert frame.action(params) == build_normal_form(TAU_I, TAU_2I)
     for other in (
-        replace(params, tau=TAU_HALF_I),
-        replace(params, tau_prime=TAU_I),
-        replace(params, subgroup_gens=()),
-        replace(params, subgroup_gens=_gens(0b000011, 0b001100)),
+        replace_params(params, tau=TAU_HALF_I),
+        replace_params(params, tau_prime=TAU_I),
+        replace_params(params, subgroup_gens=()),
+        replace_params(params, subgroup_gens=_gens(0b000011, 0b001100)),
     ):
         with pytest.raises(ValueError):
             frame.action(other)
     with pytest.raises(ValueError):
-        frame.action(replace(params, s_shift3=point("1/2", 0)))
+        frame.action(replace_params(params, s_shift3=point("1/2", 0)))
 
 
 def test_frame_action_places_shifts_as_the_block_embeddings():
@@ -295,7 +294,7 @@ def test_check_action_composes_only_in_the_closure(matmul_calls):
     params = normal_form_parameters(TAU_I, TAU_2I)
     frame = quotient_frame(CaseTag.CASE1, TAU_I, TAU_2I, params.subgroup_gens)
     first = frame.action(params)
-    second = frame.action(replace(params, r_shift=point(0, "3/4")))
+    second = frame.action(replace_params(params, r_shift=point(0, "3/4")))
     assert check_action(first).ok
     matmul_calls.clear()
     report = check_action(second)
@@ -837,7 +836,7 @@ def structure_actions(survivor_actions):
             subgroup_gens=gens,
         )
         actions.append(quotient_frame(case, TAU_HALF_I, TAU_2I, gens).action(params))
-    actions += [replace(a, r=a.s, s=a.r) for a in actions]
+    actions += [a._replace(r=a.s, s=a.r) for a in actions]
     assert len(actions) == 356
     return actions
 
@@ -847,7 +846,7 @@ def test_structure_report_matches_the_subtorus_reference(structure_actions):
     for action in structure_actions:
         got = structure_report(action)
         assert got == reference_structure_report(action), action.params
-        seen.update((field, value) for field, value in vars(got).items() if type(value) is bool)
+        seen.update((field, value) for field, value in got._asdict().items() if type(value) is bool)
         seen.add(("quotient_divisors", got.inclusion.quotient_divisors))
     flags = ("kernel_image_agree", "rotated_block_agree", "omega_matches")
     assert {(f, v) for f in flags for v in (True, False)} <= seen, seen

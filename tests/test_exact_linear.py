@@ -7,7 +7,6 @@ Gauss-Jordan elimination (linear_oracles), which the library no longer
 uses.
 """
 
-import dataclasses
 import itertools
 import math
 import random
@@ -341,8 +340,8 @@ def test_smith_views_are_read_off_d_once(monkeypatch):
     monkeypatch.setattr(Matrix, "at", refused)
     assert (dec.diagonal, dec.elementary_divisors, dec.rank, dec.zero_rows) == views
     monkeypatch.undo()
-    # a fresh decomposition without cached views equals and hashes as
-    # the one with them: both read d, u and v only
+    # a fresh decomposition equals and hashes as the first: both read
+    # d, u and v only
     fresh = snf(m)
     assert fresh == dec and hash(fresh) == hash(dec)
 
@@ -416,7 +415,7 @@ def with_fraction_witness(res: AffineSolveResult) -> AffineSolveResult:
     fraction_solve_affine."""
     if not res.solvable:
         return res
-    return dataclasses.replace(res, x=tuple(Fraction(x, res.denominator) for x in res.x), denominator=None)
+    return res._replace(x=tuple(Fraction(x, res.denominator) for x in res.x), denominator=None)
 
 
 def test_integer_obstruction_test_matches_fraction_reference():

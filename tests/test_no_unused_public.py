@@ -19,11 +19,15 @@ A private top-level function, class or constant (one leading
 underscore, dunders aside) must be read by some module of the package:
 a deleted routine's helpers and constants do not stay behind.
 
-A field of a dataclass of the package must be read as an attribute,
-``obj.name``, by a module of the package or of the tests, unless its
-class serializes itself with ``asdict``: a result field that is only
-stored is dead weight.  A method call ``obj.name(...)`` is not a read
-of a field ``name``.
+A field of a record class of the package must be read as an
+attribute, ``obj.name``, by a module of the package or of the tests,
+unless its class serializes itself with ``asdict`` or ``_asdict``: a
+result field that is only stored is dead weight.  The records are
+dataclasses and ``NamedTuple`` subclasses, whose fields are their
+annotated names, and classes with ``__slots__``, whose fields are the
+slots.  A method call ``obj.name(...)`` is not a read of a field
+``name``, and neither is a read in a class's ``__eq__``, ``__ne__`` or
+``__hash__``: a field that is only compared is only stored.
 """
 
 import ast
@@ -183,44 +187,61 @@ def test_every_private_name_is_read():
     assert unused_private_names(sources) == []
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    """Decorated with dataclass, bare or called, by name or attribute."""
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
-            return True
-    return False
+def _named(node: ast.AST) -> str | None:
+    """The name of a Name or Attribute node."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def record_fields(node: ast.ClassDef) -> list[str]:
+    """The fields of a record class: the annotated names of a class
+    decorated with dataclass, bare or called, or derived from
+    NamedTuple, by name or attribute; else the names in the class's
+    ``__slots__``; none for any other class."""
+    decorators = [_named(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list]
+    if "dataclass" in decorators or "NamedTuple" in map(_named, node.bases):
+        annotated = [item.target for item in node.body if isinstance(item, ast.AnnAssign)]
+        return [target.id for target in annotated if isinstance(target, ast.Name)]
+    for item in node.body:
+        if isinstance(item, ast.Assign) and any(_named(t) == "__slots__" for t in item.targets):
+            return [n.value for n in ast.walk(item.value) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    return []
 
 
 def _field_reads(tree: ast.AST) -> set[str]:
-    """The names read as ``x.name``, method calls ``x.name(...)`` aside."""
+    """The names read as ``x.name``, method calls ``x.name(...)`` and
+    reads in ``__eq__``, ``__ne__`` and ``__hash__`` aside."""
     called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    compared = {
+        id(node)
+        for f in ast.walk(tree)
+        if isinstance(f, _FUNCTIONS) and f.name in ("__eq__", "__ne__", "__hash__")
+        for node in ast.walk(f)
+    }
     return {
         node.attr
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in called
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in called
+        and id(node) not in compared
     }
 
 
 def stored_only_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
-    """"module.Class.field" of every field of a dataclass in sources that
-    no source or reader reads as an attribute, where the class does not
-    call asdict, sorted."""
+    """"module.Class.field" of every field of a record class in sources
+    that no source or reader reads as an attribute, where the class does
+    not call asdict or _asdict, sorted."""
     fields = []
     read: set[str] = set()
     for module, source in sources.items():
         tree = ast.parse(source)
         read |= _field_reads(tree)
         for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
+            if not isinstance(node, ast.ClassDef):
                 continue
-            if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "asdict" for n in ast.walk(node)):
+            if any(isinstance(n, ast.Call) and _named(n.func) in ("asdict", "_asdict") for n in ast.walk(node)):
                 continue
-            fields += [
-                (module, node.name, item.target.id)
-                for item in node.body
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-            ]
+            fields += [(module, node.name, name) for name in record_fields(node)]
     for source in readers:
         read |= _field_reads(ast.parse(source))
     return sorted(f"{module}.{cls}.{name}" for module, cls, name in fields if name not in read)
@@ -245,8 +266,24 @@ def test_guard_flags_each_stored_only_field():
             "class Plain:\n    unread: int = 0\n"
             "r = Result(True, 0, ())\ni = (1, 2).index(2)\nr.row = ()\n"
         ),
+        "b": (
+            "import typing\nfrom typing import NamedTuple\n"
+            "class Pair(typing.NamedTuple):\n    left: int\n    right: int\n    def total(self): return self.left\n"
+            "class Report(NamedTuple):\n    flag: bool\n    def as_dict(self): return self._asdict()\n"
+            "class Point:\n    __slots__ = ('x', 'compared')\n"
+            "    def __init__(self, x, compared): self.x, self.compared = x, compared\n"
+            "    def __eq__(self, other): return self.compared == other.compared\n"
+            "    def __hash__(self): return hash(self.compared)\n"
+            "x = Point(0, 1).x\n"
+        ),
     }
-    assert stored_only_fields(sources, ["x = r.ok.real\n"]) == ["a.Result.index", "a.Result.row", "a.Stored.kept"]
+    assert stored_only_fields(sources, ["x = r.ok.real\n"]) == [
+        "a.Result.index",
+        "a.Result.row",
+        "a.Stored.kept",
+        "b.Pair.right",
+        "b.Point.compared",
+    ]
     # the field that recorded which Smith row gave an obstruction, put
     # back on the package's Obstruction: the tuples' .index(...) calls
     # do not keep it alive
@@ -254,7 +291,13 @@ def test_guard_flags_each_stored_only_field():
     stored = "    row: tuple[int, ...]\n    value: Fraction\n"
     assert package["affine_actions"].count(stored) == 1
     package["affine_actions"] = package["affine_actions"].replace(stored, "    index: int\n" + stored)
-    assert stored_only_fields(package, tests) == ["affine_actions.Obstruction.index"]
+    # and a slot on the package's AffineAut, which its __eq__ and
+    # __hash__ read
+    slots = '__slots__ = ("torus", "a", "t")'
+    assert package["affine_actions"].count(slots) == 1
+    package["affine_actions"] = package["affine_actions"].replace(slots, slots.replace('"t"', '"t", "index"'))
+    package["affine_actions"] = package["affine_actions"].replace("self.a, self.t)", "self.a, self.t, self.index)")
+    assert stored_only_fields(package, tests) == ["affine_actions.AffineAut.index", "affine_actions.Obstruction.index"]
 
 
 def test_every_dataclass_field_is_read():
