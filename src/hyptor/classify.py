@@ -79,6 +79,7 @@ from .d4_family import (
     CaseTag,
     D4Parameters,
     QuotientFrame,
+    build_general,
     case1_subgroup_generator,
     case_matrices,
     check_action,
@@ -829,20 +830,17 @@ def _run_tasks(task_fn, tasks, workers: int):
 def _reverify_survivors(space: SearchSpace, survivors: list[Survivor]) -> bool:
     """Object-level rebuild of every survivor from its parameters.
 
-    The survivors of one subgroup H are adjacent and share its quotient
-    frame; each places its own shifts on it and passes the object-level
-    checks, and in Case 1 the closed-form conditions.
+    Each survivor is built by build_general and passes the object-level
+    checks, and in Case 1 the closed-form conditions.  The survivors of
+    one subgroup H share its quotient frame through quotient_frame's
+    memo, which builds it once.
     """
-    for gens, group in itertools.groupby(survivors, key=lambda s: s.h_generators):
-        frame = quotient_frame(space.case, space.tau, space.tau_prime, gens)
-        if isinstance(frame, BuildRejection):
+    for s in survivors:
+        action = build_general(space.case, s.parameters(space.tau, space.tau_prime))
+        if isinstance(action, BuildRejection) or not check_action(action).ok:
             return False
-        for s in group:
-            action = frame.action(s.parameters(space.tau, space.tau_prime))
-            if not check_action(action).ok:
-                return False
-            if space.case is CaseTag.CASE1 and not check_freeness_conditions(action).all_pass:
-                return False
+        if space.case is CaseTag.CASE1 and not check_freeness_conditions(action).all_pass:
+            return False
     return True
 
 

@@ -16,12 +16,23 @@ so both linear parts must preserve the enlarged lattice.
 Everything here works on the lattice presentation: one 2-dimensional
 real block per curve factor, with the swap z1 <-> z2 realized as a
 block swap and sign flips as -I on a block.
+
+Everything of a member but its shifts depends on (case, tau, tau', H)
+alone: the quotient frame.  A process builds each frame, and each
+lattice audit's block sum, once: quotient_frame and _block_sum keep
+their last 64 values in bounded memos (their docstrings give the
+keys).  The members on one frame share its torus and matrices, which
+are immutable records that no caller mutates, so sharing them changes
+no result.  Only a process that builds several members, or runs
+several commands, on one frame gains: a single construct, verify or
+invariants builds its frame and block sum once either way.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -103,8 +114,9 @@ class D4Parameters:
     s_shift1, s_shift2 are points of E (lattice coordinates of length
     2), r_shift and s_shift3 points of E'.  subgroup_gens are points of
     the product (length 6) generating the subgroup H that gets divided
-    out.  s_shift3 is only meaningful in Case 2 and must be None in
-    Case 1, where the origin normalization removes it.
+    out, stored as a tuple, the form quotient_frame's memo hashes.
+    s_shift3 is only meaningful in Case 2 and must be None in Case 1,
+    where the origin normalization removes it.
     """
 
     __slots__ = ("tau", "tau_prime", "s_shift1", "s_shift2", "r_shift", "s_shift3", "subgroup_gens")
@@ -120,7 +132,7 @@ class D4Parameters:
         subgroup_gens: tuple[TorsionPoint, ...] = (),
     ) -> None:
         self.tau, self.tau_prime, self.s_shift1, self.s_shift2 = tau, tau_prime, s_shift1, s_shift2
-        self.r_shift, self.s_shift3, self.subgroup_gens = r_shift, s_shift3, subgroup_gens
+        self.r_shift, self.s_shift3, self.subgroup_gens = r_shift, s_shift3, tuple(subgroup_gens)
         for name in ("s_shift1", "s_shift2", "r_shift"):
             if len(getattr(self, name)) != 2:
                 raise ValueError(f"{name} must be a point of a single curve")
@@ -233,6 +245,7 @@ def _check_third_shift(case: CaseTag, params: D4Parameters) -> None:
         raise ValueError("s_shift3 is required in Case 2")
 
 
+@lru_cache(maxsize=64)
 def quotient_frame(
     case: CaseTag,
     tau: EllipticCurveParam,
@@ -244,6 +257,14 @@ def quotient_frame(
     Rejections (not exceptions) cover the conditions a search has to
     filter on: subgroup generators of exponent > 2, and linear parts
     that do not preserve the enlarged lattice.
+
+    Memoized on (case, tau, tau', subgroup_gens), the last 64 keys: a
+    repeat returns the same frame, or the same rejection, and every
+    member built on it shares its torus and matrices.  The key hashes
+    two curve parameters and a few int points, not the torus, whose
+    Fraction matrices cost several times more.  Exceptions, such as the
+    DimensionError of a generator of the wrong length, are not kept and
+    are raised again on every call.
     """
     for gpt in subgroup_gens:
         if not gpt.scale(2).is_zero():
@@ -445,27 +466,37 @@ class LatticeInclusionReport(NamedTuple):
     exponent_ok: bool
 
 
-def block_sublattices(t_quot: ComplexTorus) -> tuple[Matrix, ...]:
+def block_sublattices(basis_change: Matrix, blocks: tuple[tuple[int, int], ...]) -> tuple[Matrix, ...]:
     """Bases of the lattices of the coordinate subtori inside the
-    quotient lattice, as integer basis columns.
+    lattice of a quotient torus with this basis_change and these
+    blocks, as integer basis columns.
 
     A lattice vector x lies in block i's subtorus exactly when
     basis_change @ x vanishes on the reference coordinates of the other
     blocks, so block i's lattice is the integer kernel of those rows of
     basis_change, scaled to integers: one Smith form per block.
     """
-    bc = t_quot.basis_change
     out = []
-    for off, length in t_quot.blocks:
-        rows = [bc.row(i) for i in range(bc.rows) if not off <= i < off + length]
+    for off, length in blocks:
+        rows = [basis_change.row(i) for i in range(basis_change.rows) if not off <= i < off + length]
         out.append(kernel_sublattice(Matrix.from_rows(rows).scaled_integer()[0]))
     return tuple(out)
 
 
-def _block_sum(t_quot: ComplexTorus) -> tuple[tuple[Matrix, ...], tuple[Matrix, int, tuple[int, ...]]]:
+@lru_cache(maxsize=64)
+def _block_sum(
+    basis_change: Matrix, blocks: tuple[tuple[int, int], ...]
+) -> tuple[tuple[Matrix, ...], tuple[Matrix, int, tuple[int, ...]]]:
     """The block lattices, and inverse_numerators of a basis of their
-    sum, block by block."""
-    lams = block_sublattices(t_quot)
+    sum, block by block.
+
+    Memoized on the last 64 (basis_change, blocks), the torus data the
+    block lattices read: J is left out of the key, since hashing its
+    Fraction entries is most of the cost of hashing a torus.
+    basis_change depends on H alone, not on tau or tau', so members
+    with other curves on the same H share one block sum.
+    """
+    lams = block_sublattices(basis_change, blocks)
     basis = Matrix.from_columns([lam.column(k) for lam in lams for k in range(lam.cols)])
     return lams, inverse_numerators(basis)
 
@@ -494,7 +525,8 @@ def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
     block's largest denominator is then the lcm of its denominators,
     which a unimodular change of that block's basis keeps.
     """
-    return _inclusion_report(action, *_block_sum(action.torus))
+    t = action.torus
+    return _inclusion_report(action, *_block_sum(t.basis_change, t.blocks))
 
 
 def _block_spans(lams) -> list[range]:
@@ -579,7 +611,7 @@ def structure_report(action: D4Action) -> StructureReport:
     coordinates are not all integers.
     """
     t = action.torus
-    lams, inverse = _block_sum(t)
+    lams, inverse = _block_sum(t.basis_change, t.blocks)
     inclusion = _inclusion_report(action, lams, inverse)
     rotated_block_agree = _in_block(inverse, _block_spans(lams), action.r.a @ lams[0], 1)
 

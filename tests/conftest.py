@@ -27,7 +27,7 @@ from hyptor.affine_actions import (
     TorusMismatchError,
 )
 from hyptor.classify import SearchSpace, enumerate_case1
-from hyptor.d4_family import CaseTag, D4Parameters, quotient_frame
+from hyptor.d4_family import CaseTag, D4Parameters, build_general
 from hyptor.exact_linear import Matrix
 from hyptor.torus import EllipticCurveParam, TorsionPoint
 
@@ -160,15 +160,8 @@ def direct_relations():
 
 @pytest.fixture(scope="session")
 def survivor_actions():
-    """The 72 Case-1 census survivors built at (i, 2i), one frame per H."""
+    """The 72 Case-1 census survivors built at (i, 2i)."""
     tau, tau_prime = EllipticCurveParam(0, 1), EllipticCurveParam(0, 2)
     report = enumerate_case1(SearchSpace(CaseTag.CASE1, tau=tau, tau_prime=tau_prime))
     assert len(report.survivors) == 72
-    frames = {}
-    actions = []
-    for survivor in report.survivors:
-        gens = survivor.h_generators
-        if gens not in frames:
-            frames[gens] = quotient_frame(CaseTag.CASE1, tau, tau_prime, gens)
-        actions.append(frames[gens].action(survivor.parameters(tau, tau_prime)))
-    return actions
+    return [build_general(CaseTag.CASE1, survivor.parameters(tau, tau_prime)) for survivor in report.survivors]

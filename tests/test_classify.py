@@ -255,16 +255,18 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_case1_census_builds_one_quotient_frame_per_subgroup(monkeypatch):
+    d4_family.quotient_frame.cache_clear()
     builds = _count_calls(monkeypatch, d4_family, "build_general")
-    frames = _count_calls(monkeypatch, d4_family, "quotient_frame")
+    quotients = _count_calls(monkeypatch, d4_family, "quotient_by_finite_subgroup")
     rep = enumerate_case1(SearchSpace(case=CaseTag.CASE1, shift_denominator=4, third_denominator=4))
     assert len(rep.survivors) == 72
     assert len({s.h_generators for s in rep.survivors}) == 3
     assert rep.stats.engine_builds == 50
-    # the 50 engines come from bitmasks; the one frame for each of the
-    # survivors' 3 subgroups is the re-verification's
-    assert len(frames) == 3
-    assert builds == []
+    # the 50 engines come from bitmasks; the re-verification builds each
+    # survivor, and the frame memo builds one quotient for each of the
+    # survivors' 3 subgroups
+    assert len(builds) == 72
+    assert len(quotients) == 3
 
 
 def test_invalid_space_arguments():

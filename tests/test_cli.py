@@ -6,12 +6,14 @@ checked-and-failed, 2 invalid input.
 """
 
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from hyptor import affine_actions, classify, cli
+from hyptor import affine_actions, classify, cli, d4_family
 from hyptor.cli import main
 
 TAU = "0/1+1/1i"
@@ -592,6 +594,92 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
     assert [run(capsys, argv) for argv in calls[:2]] == first[:2]
     assert cert.read_text() == certificate
     assert cli._build_parser.cache_info().misses == 1
+
+
+def _clear_frame_memos():
+    d4_family.quotient_frame.cache_clear()
+    d4_family._block_sum.cache_clear()
+
+
+def _count_frame_work(monkeypatch):
+    """The quotients and block sums built, by the calls of the functions
+    that build them, as d4_family reads them."""
+    built = {"quotients": [], "block_sums": []}
+    for key, name in (("quotients", "quotient_by_finite_subgroup"), ("block_sums", "block_sublattices")):
+        original = getattr(d4_family, name)
+
+        def counting(*args, calls=built[key], original=original):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(d4_family, name, counting)
+    return built
+
+
+def test_one_certificate_builds_one_quotient_and_one_block_sum(tmp_path, capsys, monkeypatch):
+    cert, inv = tmp_path / "cert.json", tmp_path / "inv.json"
+    _clear_frame_memos()
+    built = _count_frame_work(monkeypatch)
+    construct = ["construct", "--tau", "2/3+3/4i", "--tau-prime", TAU_PRIME, "--out", str(cert)]
+    codes = [run(capsys, argv)[0] for argv in (construct, ["verify", str(cert)], ["invariants", str(cert), "--out", str(inv)])]
+    assert codes == [0, 0, 0]
+    assert {key: len(calls) for key, calls in built.items()} == {"quotients": 1, "block_sums": 1}
+
+
+def _seeded_calls(tmp_path, rng, members):
+    """construct, verify and invariants of seeded family members, a
+    non-free tuple, and both censuses, with their --out files."""
+    def rational(x):
+        return f"{x.numerator}/{x.denominator}"
+
+    def tau():
+        re, im = Fraction(rng.randint(-3, 3), rng.randint(1, 5)), Fraction(rng.randint(1, 6), rng.randint(1, 5))
+        return f"{rational(re)}+{rational(im)}i"
+
+    two = ["1/2,0/1", "0/1,1/2", "1/2,1/2"]
+    four = [f"{rational(Fraction(a, 4))},{rational(Fraction(b, 4))}" for a in range(4) for b in range(4) if a % 2 or b % 2]
+    calls = []
+    for i in range(members):
+        taus = [tau(), tau()]
+        h, k = rng.sample(two, 2)
+        cert, inv = tmp_path / f"cert{i}.json", tmp_path / f"inv{i}.json"
+        member = ["--tau", taus[0], "--tau-prime", taus[1], "--h", h, "--k", k, "--h-prime", rng.choice(four)]
+        calls += [
+            ["construct", *member, "--out", str(cert)],
+            ["construct", *member, "--format", "text"],
+            ["verify", str(cert), "--format", "text"],
+            ["invariants", str(cert), "--out", str(inv)],
+        ]
+    calls.append(["construct", "--tau", TAU, "--tau-prime", TAU_PRIME, "--h", "1/2,0/1", "--k", "1/2,0/1"])
+    for case, q in (("1", "4"), ("2", "8")):
+        out = tmp_path / f"census{case}.json"
+        calls += [
+            ["classify", "--case", case, "--max-denominator", q, "--out", str(out)],
+            ["classify", "--case", case, "--max-denominator", q, "--format", "text"],
+        ]
+    return calls
+
+
+def _outputs(capsys, tmp_path, calls, clear):
+    """Exit code, stdout and stderr of each call, then every file written."""
+    results = []
+    for argv in calls:
+        if clear:
+            _clear_frame_memos()
+        results.append(run(capsys, argv))
+    return results, {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+
+
+def test_warm_and_cold_frames_give_the_same_bytes(tmp_path, capsys, monkeypatch):
+    calls = _seeded_calls(tmp_path, random.Random(2519), 4)
+    cold = _outputs(capsys, tmp_path, calls, clear=True)
+    assert [code for code, _, _ in cold[0]] == [0, 0, 0, 0] * 4 + [1, 0, 0, 0, 0]
+    assert len(cold[1]) == 10
+    _outputs(capsys, tmp_path, calls, clear=False)
+    # warm: every frame and block sum is a memo hit
+    built = _count_frame_work(monkeypatch)
+    assert _outputs(capsys, tmp_path, calls, clear=False) == cold
+    assert built == {"quotients": [], "block_sums": []}
 
 
 def test_import_builds_no_parser():

@@ -585,15 +585,30 @@ def _count_smith_forms(monkeypatch) -> list:
     return calls
 
 
-def test_structure_report_finds_the_block_lattices_once(monkeypatch):
+def _clear_frame_memos() -> None:
+    """Put the next frame and block sum on the cold path."""
+    d4_family.quotient_frame.cache_clear()
+    d4_family._block_sum.cache_clear()
+
+
+def _count_calls(monkeypatch, name) -> list:
+    """The calls of d4_family's global name, by the functions that read
+    it there: block_sublattices, or quotient_by_finite_subgroup, which
+    quotient_frame imports by name."""
     calls = []
-    original = d4_family.block_sublattices
+    original = getattr(d4_family, name)
 
-    def counting(t):
-        calls.append(t)
-        return original(t)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(d4_family, "block_sublattices", counting)
+    monkeypatch.setattr(d4_family, name, counting)
+    return calls
+
+
+def test_structure_report_finds_the_block_lattices_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "block_sublattices")
+    _clear_frame_memos()
     action = build_normal_form(TAU_I, TAU_2I)
     inverses = _count_inverses(monkeypatch)
     smith = _count_smith_forms(monkeypatch)
@@ -605,8 +620,12 @@ def test_structure_report_finds_the_block_lattices_once(monkeypatch):
     # 3 block kernels and the inverse: the block-sum basis's one Smith
     # form also gives the component group's divisors
     assert len(smith) == 4
+    # warm: the audit and a rebuilt member reuse the block sum and the
+    # frame, and build no quotient
+    quotients = _count_calls(monkeypatch, "quotient_by_finite_subgroup")
     assert rep.inclusion == lattice_inclusion_check(action)
-    assert len(calls) == 2
+    assert structure_report(build_normal_form(TAU_I, TAU_2I)) == rep
+    assert (len(calls), len(inverses), len(smith), quotients) == (1, 1, 4, [])
 
 
 def test_lattice_audit_solves_no_memberships(monkeypatch):
@@ -616,25 +635,34 @@ def test_lattice_audit_solves_no_memberships(monkeypatch):
         assert not hasattr(module, "lattice_membership")
     action = build_normal_form(TAU_I, TAU_2I)
     doc = build_certificate(action)
+    _clear_frame_memos()
     inverses = _count_inverses(monkeypatch)
     lattice_inclusion_check(action)
     # only the block-sum basis is inverted
     assert len(inverses) == 1
     inverses.clear()
+    _clear_frame_memos()
     assert verify_certificate(doc).ok
     # the quotient basis once, in the quotient itself, which hands the
     # product-to-quotient change to the frame, and the block-sum basis
     assert len(inverses) == 2
     assert len({m.entries for m in inverses}) == 2
+    # warm: a repeat builds no quotient and no block sum
+    quotients = _count_calls(monkeypatch, "quotient_by_finite_subgroup")
+    blocks = _count_calls(monkeypatch, "block_sublattices")
+    assert verify_certificate(doc).ok
+    assert (len(inverses), quotients, blocks) == (2, [], [])
 
 
 def test_verify_certificate_smith_forms(monkeypatch):
-    # with the solver's memo cleared: 7 fixed-point solves, 3 block
-    # kernels, the quotient basis's inverse, and the block-sum
-    # basis's inverse, whose Smith form also gives the inclusion bound
+    # with the solver's, frame and block-sum memos cleared: 7
+    # fixed-point solves, 3 block kernels, the quotient basis's inverse,
+    # and the block-sum basis's inverse, whose Smith form also gives the
+    # inclusion bound
     action = build_normal_form(TAU_I, TAU_2I)
     doc = build_certificate(action)
     exact_linear._system_smith_form.cache_clear()
+    _clear_frame_memos()
     calls = _count_smith_forms(monkeypatch)
     hermite = []
     original = exact_linear.column_hnf
@@ -649,6 +677,65 @@ def test_verify_certificate_smith_forms(monkeypatch):
     assert len(calls) == 12
     # the quotient basis only: the block kernels are read off V as they are
     assert len(hermite) == 1
+    # warm: a repeat builds no quotient and no block sum, so it takes
+    # neither a Smith form nor a Hermite form
+    quotients = _count_calls(monkeypatch, "quotient_by_finite_subgroup")
+    blocks = _count_calls(monkeypatch, "block_sublattices")
+    assert verify_certificate(doc).ok
+    assert (len(calls), len(hermite), quotients, blocks) == (12, 1, [], [])
+
+
+def test_equal_keys_share_one_frame(monkeypatch):
+    # two equal keys built apart, sharing no object: one quotient, and
+    # one frame object, whose torus every member built on it shares
+    def key():
+        tau = EllipticCurveParam(Fraction(1, 3), Fraction(2))
+        return CaseTag.CASE1, tau, EllipticCurveParam(0, 2), (point("1/2", "1/2", "1/2", "1/2", 0, 0),)
+
+    first, second = key(), key()
+    assert first == second and all(a is not b for a, b in zip(first[1:], second[1:]))
+    _clear_frame_memos()
+    quotients = _count_calls(monkeypatch, "quotient_by_finite_subgroup")
+    frame = quotient_frame(*first)
+    assert quotient_frame(*second) is frame
+    built = build_general(CaseTag.CASE1, normal_form_parameters(*key()[1:3]))
+    assert built.torus is frame.torus and built.to_quotient is frame.to_quotient
+    # generators given as a list are kept as the tuple the key hashes
+    listed = replace_params(built.params, subgroup_gens=list(first[3]))
+    assert listed.subgroup_gens == first[3]
+    assert build_general(CaseTag.CASE1, listed).torus is frame.torus
+    assert len(quotients) == 1
+    assert quotient_frame.cache_info().maxsize == d4_family._block_sum.cache_info().maxsize == 64
+
+
+def test_frame_memo_keeps_rejections_but_no_exceptions(monkeypatch):
+    _clear_frame_memos()
+    quotients = _count_calls(monkeypatch, "quotient_by_finite_subgroup")
+    # a generator of the wrong length raises on every call
+    for _ in range(3):
+        with pytest.raises(exact_linear.DimensionError, match="generator length"):
+            quotient_frame(CaseTag.CASE1, TAU_I, TAU_2I, (point("1/2", 0, 0, 0),))
+    assert quotient_frame.cache_info().currsize == 0
+    # an exponent-4 generator is rejected on every call, repeats included
+    order4 = (point("1/4", 0, 0, 0, 0, 0),)
+    params = replace_params(normal_form_parameters(TAU_I, TAU_2I), subgroup_gens=order4)
+    for _ in range(3):
+        assert quotient_frame(CaseTag.CASE1, TAU_I, TAU_2I, order4) == BuildRejection("subgroup_not_exponent_two")
+        assert build_general(CaseTag.CASE1, params) == BuildRejection("subgroup_not_exponent_two")
+    assert quotients == []
+
+
+def test_members_on_one_h_share_one_block_sum(monkeypatch):
+    # basis_change depends on H alone: members with other curves on the
+    # same H have frames of their own and one block sum between them
+    _clear_frame_memos()
+    quotients = _count_calls(monkeypatch, "quotient_by_finite_subgroup")
+    blocks = _count_calls(monkeypatch, "block_sublattices")
+    first = build_normal_form(TAU_I, TAU_2I)
+    other = build_normal_form(EllipticCurveParam(Fraction(-1, 2), Fraction(1, 5)), EllipticCurveParam(Fraction(1, 3), 2))
+    assert first.torus != other.torus and first.torus.basis_change == other.torus.basis_change
+    assert lattice_inclusion_check(first) == lattice_inclusion_check(other)
+    assert (len(quotients), len(blocks)) == (2, 1)
 
 
 def _reference_block_sublattices(t_quot):
@@ -708,7 +795,7 @@ def test_block_lattices_are_the_subspace_intersections():
     ):
         frame = quotient_frame(case, tau, tau_prime, classify._subgroup_generator_points(key))
         assert not isinstance(frame, BuildRejection)
-        got = d4_family.block_sublattices(frame.torus)
+        got = d4_family.block_sublattices(frame.torus.basis_change, frame.torus.blocks)
         want = _reference_block_sublattices(frame.torus)
         assert [canonical(lam).entries for lam in got] == [lam.entries for lam in want]
         compared += 1
@@ -746,7 +833,7 @@ def test_check_action_builds_no_fraction_but_the_obstruction_values(survivor_act
 def test_splitting_check_agrees_with_the_membership_loop(survivor_actions):
     outcomes = {True: 0, False: 0}
     for action in survivor_actions:
-        lams, _ = d4_family._block_sum(action.torus)
+        lams, _ = d4_family._block_sum(action.torus.basis_change, action.torus.blocks)
         for order in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
             blocks = tuple(lams[b] for b in order)
             basis = Matrix.from_columns([lam.column(k) for lam in blocks for k in range(lam.cols)])
@@ -855,18 +942,28 @@ def test_structure_report_matches_the_subtorus_reference(structure_actions):
 
 def _audits(actions, monkeypatch, rebase) -> list:
     """lattice_inclusion_check and structure_report of each action, with
-    every block lattice basis replaced by rebase(basis)."""
+    every block lattice basis replaced by rebase(basis); the block-sum
+    memo is cleared before each report, so that each finds its own, and
+    after the last, so that no rebased block sum outlives the pass."""
     original = d4_family.block_sublattices
-    with monkeypatch.context() as m:
-        m.setattr(d4_family, "block_sublattices", lambda t: tuple(rebase(lam) for lam in original(t)))
-        return [(lattice_inclusion_check(a), structure_report(a)) for a in actions]
+
+    def cold(report, action):
+        d4_family._block_sum.cache_clear()
+        return report(action)
+
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(d4_family, "block_sublattices", lambda *key: tuple(rebase(lam) for lam in original(*key)))
+            return [(cold(lattice_inclusion_check, a), cold(structure_report, a)) for a in actions]
+    finally:
+        d4_family._block_sum.cache_clear()
 
 
 def test_lattice_audit_does_not_depend_on_the_block_bases(structure_actions, monkeypatch):
     # the premise of the denominators' invariance: the block sum's
     # index group has exponent dividing 2 on every action
     for action in structure_actions:
-        assert d4_family._block_sum(action.torus)[1][1] in (1, 2)
+        assert d4_family._block_sum(action.torus.basis_change, action.torus.blocks)[1][1] in (1, 2)
     rng = random.Random(2020)
     scrambled = []
 
@@ -881,6 +978,13 @@ def test_lattice_audit_does_not_depend_on_the_block_bases(structure_actions, mon
     # scrambled bases differ from the Hermite ones
     assert len(scrambled) == 6 * len(structure_actions)
     assert sum(scrambled) > len(scrambled) // 2
+    # warm: a repeated audit of an action builds no block sum
+    calls = _count_calls(monkeypatch, "block_sublattices")
+    for action, reports in zip(structure_actions, hermite):
+        lattice_inclusion_check(action)
+        built = len(calls)
+        assert (lattice_inclusion_check(action), structure_report(action)) == reports
+        assert len(calls) == built
 
 
 def test_case1_subgroup_is_the_shift_sum_on_two_factors():

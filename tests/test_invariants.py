@@ -10,7 +10,7 @@ import pytest
 
 from hyptor.affine_actions import generate_group
 from hyptor.classify import SearchSpace, enumerate_case1
-from hyptor.d4_family import CaseTag, build_normal_form, quotient_frame
+from hyptor.d4_family import CaseTag, build_general, build_normal_form
 from hyptor.exact_linear import Matrix
 from hyptor.invariants import _holomorphic_power_sums, hodge_numbers
 from hyptor.torus import EllipticCurveParam
@@ -142,12 +142,8 @@ def test_power_sums_form_two_products_per_element(monkeypatch):
 def test_hodge_numbers_match_the_fraction_oracle_on_the_survivors(tau, tau_prime):
     report = enumerate_case1(SearchSpace(CaseTag.CASE1, tau=tau, tau_prime=tau_prime))
     assert len(report.survivors) == 72
-    frames = {}
     for survivor in report.survivors:
-        gens = survivor.h_generators
-        if gens not in frames:
-            frames[gens] = quotient_frame(CaseTag.CASE1, tau, tau_prime, gens)
-        action = frames[gens].action(survivor.parameters(tau, tau_prime))
+        action = build_general(CaseTag.CASE1, survivor.parameters(tau, tau_prime))
         linear_parts = _linear_parts(action)
         got = hodge_numbers(linear_parts, action.torus)
         assert got.hodge == reference_hodge_numbers(linear_parts, action.torus.j)
