@@ -114,23 +114,10 @@ CASE1_REASONS = (
 # In Case 2 a tuple that reaches the freeness stages with both
 # relations satisfied provably carries the H-element
 # (a2 - a1, -(a1 + a2), 2*c3), which hands the half-turn a fixed
-# point; that stage is named after the conflict rather than the
-# element.
+# point; that stage takes fixed_point:r2's place and is named after
+# the conflict rather than the element.
 RS_R2_CONFLICT = "rs_r2_conflict"
-CASE2_REASONS = (
-    "lattice:r",
-    "lattice:s",
-    "relation:r4",
-    "relation:s2",
-    "relation:rsrs",
-    "translation",
-    "fixed_point:r",
-    RS_R2_CONFLICT,
-    "fixed_point:s",
-    "fixed_point:rs",
-    "fixed_point:r2s",
-    "fixed_point:r3s",
-)
+CASE2_REASONS = tuple(RS_R2_CONFLICT if r == "fixed_point:r2" else r for r in CASE1_REASONS)
 
 _REASONS = {CaseTag.CASE1: CASE1_REASONS, CaseTag.CASE2: CASE2_REASONS}
 
@@ -811,8 +798,11 @@ def _sweep_task(task):
 
 
 def _worker_count(requested: int, tasks: int) -> int:
-    """Processes worth starting: no more than the tasks or the cores."""
-    return min(requested, tasks, os.cpu_count() or 1)
+    """Processes worth starting: no more than the tasks or the cores
+    this process may run on, which taskset or a cpuset can make fewer
+    than the machine's."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(requested, tasks, cores)
 
 
 def _run_tasks(task_fn, tasks, workers: int):

@@ -567,66 +567,3 @@ def _inclusion_report(action: D4Action, lams, inverse) -> LatticeInclusionReport
         quotient_exponent=exponent,
         exponent_ok=exponent in (1, 2),
     )
-
-
-class StructureReport(NamedTuple):
-    """Structural facts about a constructed action used for auditing.
-
-    kernel_image_agree: the connected fixed locus of the reflection
-    equals the image of (I + S) as a subtorus (first factor).
-    rotated_block_agree: the rotation carries the first block lattice
-    onto the second block, which equals the intersection of the second
-    coordinate subspace with the lattice.
-    omega_matches: whether the component group of the block sum, whose
-    divisors are inclusion.quotient_divisors, is generated by the image
-    of the expected 2-torsion point.
-
-    kernel_image_agree and rotated_block_agree hold on every action that
-    can be built: S is an integral involution, and quotient_frame
-    rejects any H that is not r-stable.  They can fail only on actions
-    put together by hand, such as one with r and s swapped.
-    """
-
-    kernel_image_agree: bool
-    rotated_block_agree: bool
-    omega_matches: bool
-    inclusion: LatticeInclusionReport
-
-
-def structure_report(action: D4Action) -> StructureReport:
-    """The structural facts, read in block coordinates.
-
-    The fixed locus of S and the image of I + S are saturated lattices,
-    so they agree exactly when their rational spans do, which is when
-    S * S = I: an involution has eigenvalues +-1 only and is
-    diagonalizable, so the image of I + S is the kernel of S - I, and
-    equal spans give (S - I)(I + S) = 0.  R is unimodular and Lambda_1,
-    Lambda_2 are the lattice points of two subspaces of equal dimension,
-    so R carries Lambda_1 onto Lambda_2 as soon as R Lambda_1 lies in
-    Lambda_2.  The component group is the quotient of the lattice by
-    the block sum, so its divisors are the inclusion report's; its
-    elements are the block coordinates of lattice vectors mod 1, so
-    omega's class generates it when the group is Z/2, omega's lift to
-    quotient coordinates is a lattice vector, and the lift's block
-    coordinates are not all integers.
-    """
-    t = action.torus
-    lams, inverse = _block_sum(t.basis_change, t.blocks)
-    inclusion = _inclusion_report(action, lams, inverse)
-    rotated_block_agree = _in_block(inverse, _block_spans(lams), action.r.a @ lams[0], 1)
-
-    # omega's raw lift to quotient coordinates, not a torsion point:
-    # reduction mod 1 would kill it too early
-    omega_matches = False
-    if inclusion.quotient_divisors == (2,):
-        omega_prod = case1_subgroup_generator(action.params.s_shift1, action.params.s_shift2)
-        omega_lift = action.to_quotient @ Matrix.from_columns([omega_prod.coords])
-        numerators, e, _ = inverse
-        omega_matches = omega_lift.is_integral() and any(x % e for x in (numerators @ omega_lift).entries)
-
-    return StructureReport(
-        kernel_image_agree=(action.s.a @ action.s.a).is_identity(),
-        rotated_block_agree=rotated_block_agree,
-        omega_matches=omega_matches,
-        inclusion=inclusion,
-    )

@@ -168,9 +168,6 @@ class Matrix:
             raise DimensionError("shape mismatch")
         return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
     def scale(self, c: Entry) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
 

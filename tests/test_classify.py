@@ -302,11 +302,19 @@ def test_search_space_refuses_non_int_bounds():
 def test_worker_count_is_bounded(monkeypatch):
     # never start processes here: the bound is what keeps a huge
     # request from asking the system for that many
-    cores = os.cpu_count() or 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     assert classify._worker_count(10**9, 10**9) == cores
     assert classify._worker_count(10**9, 1) == 1
     assert classify._worker_count(1, 10**9) == 1
     assert classify._worker_count(10**9, 0) == 0
+    # pinned to one CPU of a larger machine, as under taskset -c 0: a
+    # pool of two would share one core, so the census runs in process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert classify._worker_count(2, 50) == 1
+    # without an affinity mask, the machine's count, or 1 if unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert classify._worker_count(10**9, 10**9) == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert classify._worker_count(10**9, 10**9) == 1
 

@@ -1,9 +1,9 @@
 """Family construction tests: case matrices, normal form, freeness
-conditions, lattice inclusion bounds, structure report.
+conditions, lattice inclusion bounds.
 
-The structure report is checked against reference_structure_report,
-which computes it through saturated subtori and the component group
-rather than in block coordinates."""
+The lattice audit is checked against structure_oracles'
+reference_structure, which computes it through saturated subtori and
+the component group rather than in block coordinates."""
 
 import itertools
 import random
@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import point, rand_unimodular, reference_generate_group, replace_params
-from linear_oracles import canonical, image_saturation, lattice_membership, rational_rank
+from linear_oracles import canonical, lattice_membership
+from structure_oracles import product_torus, reference_block_sublattices, reference_structure
 
 from hyptor import classify, exact_linear, torus
 from hyptor.affine_actions import (
@@ -28,7 +29,6 @@ from hyptor.d4_family import (
     D4Action,
     D4Parameters,
     FreenessConditionReport,
-    StructureReport,
     build_general,
     build_normal_form,
     case1_parameters,
@@ -40,11 +40,10 @@ from hyptor.d4_family import (
     lattice_inclusion_check,
     normal_form_parameters,
     quotient_frame,
-    structure_report,
 )
 from hyptor.certificates import build_certificate, verify_certificate
 from hyptor.classify import subgroup_family
-from hyptor.exact_linear import Matrix, kernel_sublattice, snf
+from hyptor.exact_linear import Matrix
 from hyptor.torus import (
     ComplexTorus,
     EllipticCurveParam,
@@ -122,15 +121,11 @@ def test_normal_form_free_on_tau_grid(direct_relations):
         assert contains_no_translations(grp).ok
 
 
-def _product_torus(params: D4Parameters) -> ComplexTorus:
-    return product([elliptic_curve(params.tau), elliptic_curve(params.tau), elliptic_curve(params.tau_prime)])
-
-
 def test_normal_form_quotient_has_integer_inclusion():
     from hyptor.torus import coordinate_change
 
     action = build_normal_form(TAU_I, TAU_2I)
-    c = coordinate_change(_product_torus(action.params), action.torus)
+    c = coordinate_change(product_torus(action.params), action.torus)
     assert c.is_integral()
     assert c == action.to_quotient
     assert abs(action.torus.basis_change.det()) == Fraction(1, 2)
@@ -541,17 +536,18 @@ def test_lattice_inclusion_normal_form():
     assert rep.exponent_ok
 
 
-def test_structure_report_normal_form():
+def test_structure_facts_normal_form():
     for tau, tau_prime in TAU_GRID[:3]:
         action = build_normal_form(tau, tau_prime)
-        rep = structure_report(action)
-        assert rep.kernel_image_agree
-        assert rep.rotated_block_agree
-        assert rep.inclusion.quotient_divisors == (2,)
-        assert rep.omega_matches
-        assert rep.inclusion.splitting_ok
-        assert rep.inclusion.denominator_bound_ok
-        assert rep.inclusion.exponent_ok
+        ref = reference_structure(action)
+        assert ref.kernel_image_agree
+        assert ref.rotated_block_agree
+        assert ref.omega_matches
+        inc = lattice_inclusion_check(action)
+        assert inc.quotient_divisors == (2,)
+        assert inc.splitting_ok
+        assert inc.denominator_bound_ok
+        assert inc.exponent_ok
 
 
 def _count_inverses(monkeypatch) -> list:
@@ -606,25 +602,24 @@ def _count_calls(monkeypatch, name) -> list:
     return calls
 
 
-def test_structure_report_finds_the_block_lattices_once(monkeypatch):
+def test_lattice_audit_finds_the_block_lattices_once(monkeypatch):
     calls = _count_calls(monkeypatch, "block_sublattices")
     _clear_frame_memos()
     action = build_normal_form(TAU_I, TAU_2I)
     inverses = _count_inverses(monkeypatch)
     smith = _count_smith_forms(monkeypatch)
-    rep = structure_report(action)
+    rep = lattice_inclusion_check(action)
     assert len(calls) == 1
-    # only the block-sum basis: the omega lift reads the frame's
-    # product-to-quotient change
+    # only the block-sum basis
     assert len(inverses) == 1
     # 3 block kernels and the inverse: the block-sum basis's one Smith
-    # form also gives the component group's divisors
+    # form also gives the quotient's divisors
     assert len(smith) == 4
-    # warm: the audit and a rebuilt member reuse the block sum and the
+    # warm: a repeat and a rebuilt member reuse the block sum and the
     # frame, and build no quotient
     quotients = _count_calls(monkeypatch, "quotient_by_finite_subgroup")
-    assert rep.inclusion == lattice_inclusion_check(action)
-    assert structure_report(build_normal_form(TAU_I, TAU_2I)) == rep
+    assert lattice_inclusion_check(action) == rep
+    assert lattice_inclusion_check(build_normal_form(TAU_I, TAU_2I)) == rep
     assert (len(calls), len(inverses), len(smith), quotients) == (1, 1, 4, [])
 
 
@@ -738,18 +733,6 @@ def test_members_on_one_h_share_one_block_sum(monkeypatch):
     assert (len(quotients), len(blocks)) == (2, 1)
 
 
-def _reference_block_sublattices(t_quot):
-    """The block lattices as the saturated intersection of each block's
-    subspace, spanned by columns of basis_change^-1, with Z^(2g)."""
-    basis_inv = t_quot.basis_change.inverse()
-    out = []
-    for off, length in t_quot.blocks:
-        w = Matrix.from_columns([basis_inv.column(off + k) for k in range(length)])
-        assert rational_rank(w) == length
-        out.append(image_saturation(w.scaled_integer()[0]))
-    return tuple(out)
-
-
 def _reference_splitting(action, lams) -> bool:
     """The splitting identities checked vector by vector, by membership
     solves against the block lattices in the order given."""
@@ -796,7 +779,7 @@ def test_block_lattices_are_the_subspace_intersections():
         frame = quotient_frame(case, tau, tau_prime, classify._subgroup_generator_points(key))
         assert not isinstance(frame, BuildRejection)
         got = d4_family.block_sublattices(frame.torus.basis_change, frame.torus.blocks)
-        want = _reference_block_sublattices(frame.torus)
+        want = reference_block_sublattices(frame.torus)
         assert [canonical(lam).entries for lam in got] == [lam.entries for lam in want]
         compared += 1
     assert compared == 300
@@ -846,56 +829,6 @@ def test_splitting_check_agrees_with_the_membership_loop(survivor_actions):
     assert outcomes[True] >= 20 and outcomes[False] >= 20, outcomes
 
 
-def _reference_component_group(t: ComplexTorus, m: Matrix):
-    """The lattice of t modulo the full sublattice spanned by m's
-    columns, as torsion points in m's coordinates, with its elementary
-    divisors > 1."""
-    dec = snf(m)
-    gens, divisors = [], []
-    for i in range(t.rank):
-        d = dec.d.at(i, i)
-        if d > 1:
-            divisors.append(d)
-            gens.append(TorsionPoint(tuple(Fraction(x, d) for x in dec.v.column(i))))
-    sub_torus = ComplexTorus(t.g, m.inverse() @ t.j @ m, t.basis_change @ m, t.blocks)
-    return FiniteSubgroup(sub_torus, tuple(gens)), tuple(sorted(divisors))
-
-
-def reference_structure_report(action: D4Action) -> StructureReport:
-    """The structure report through saturated subtori and the component
-    group, compared as canonical lattice bases."""
-    t = action.torus
-    s_cur = action.s.a
-    ident = Matrix.identity(t.rank)
-    for a in (s_cur - ident, s_cur + ident):
-        assert (a @ t.j).entries == (t.j @ a).entries
-    ker = kernel_sublattice(s_cur - ident)
-    img = image_saturation(s_cur + ident)
-    kernel_image_agree = canonical(ker).entries == img.entries
-
-    lams = _reference_block_sublattices(t)
-    block_basis = Matrix.from_columns([lam.column(k) for lam in lams for k in range(lam.cols)])
-    block_inv = block_basis.inverse()
-    rotated_block_agree = canonical(action.r.a @ lams[0]).entries == lams[1].entries
-
-    cg, divisors = _reference_component_group(t, block_basis)
-    omega_matches = False
-    if divisors == (2,):
-        omega_prod = case1_subgroup_generator(action.params.s_shift1, action.params.s_shift2)
-        omega_lift = (t.basis_change.inverse() @ _product_torus(action.params).basis_change).apply(omega_prod.coords)
-        omega_block = TorsionPoint(tuple(block_inv.apply(omega_lift)))
-        omega_matches = omega_block in cg.elements and not omega_block.is_zero()
-
-    inclusion = d4_family._inclusion_report(action, lams, exact_linear.inverse_numerators(block_basis))
-    assert inclusion.quotient_divisors == divisors
-    return StructureReport(
-        kernel_image_agree=kernel_image_agree,
-        rotated_block_agree=rotated_block_agree,
-        omega_matches=omega_matches,
-        inclusion=inclusion,
-    )
-
-
 @pytest.fixture(scope="module")
 def structure_actions(survivor_actions):
     """The normal form over TAU_GRID, the 72 survivors, and the frame
@@ -928,33 +861,33 @@ def structure_actions(survivor_actions):
     return actions
 
 
-def test_structure_report_matches_the_subtorus_reference(structure_actions):
+def test_lattice_audit_matches_the_subtorus_reference(structure_actions):
     seen = set()
     for action in structure_actions:
-        got = structure_report(action)
-        assert got == reference_structure_report(action), action.params
-        seen.update((field, value) for field, value in got._asdict().items() if type(value) is bool)
-        seen.add(("quotient_divisors", got.inclusion.quotient_divisors))
+        ref = reference_structure(action)
+        assert lattice_inclusion_check(action) == ref.inclusion, action.params
+        seen.update((field, value) for field, value in ref._asdict().items() if type(value) is bool)
+        seen.add(("quotient_divisors", ref.inclusion.quotient_divisors))
     flags = ("kernel_image_agree", "rotated_block_agree", "omega_matches")
     assert {(f, v) for f in flags for v in (True, False)} <= seen, seen
     assert sum(field == "quotient_divisors" for field, _ in seen) > 1
 
 
 def _audits(actions, monkeypatch, rebase) -> list:
-    """lattice_inclusion_check and structure_report of each action, with
-    every block lattice basis replaced by rebase(basis); the block-sum
-    memo is cleared before each report, so that each finds its own, and
-    after the last, so that no rebased block sum outlives the pass."""
+    """lattice_inclusion_check of each action, with every block lattice
+    basis replaced by rebase(basis); the block-sum memo is cleared
+    before each report, so that each finds its own, and after the last,
+    so that no rebased block sum outlives the pass."""
     original = d4_family.block_sublattices
 
-    def cold(report, action):
+    def cold(action):
         d4_family._block_sum.cache_clear()
-        return report(action)
+        return lattice_inclusion_check(action)
 
     try:
         with monkeypatch.context() as m:
             m.setattr(d4_family, "block_sublattices", lambda *key: tuple(rebase(lam) for lam in original(*key)))
-            return [(cold(lattice_inclusion_check, a), cold(structure_report, a)) for a in actions]
+            return [cold(a) for a in actions]
     finally:
         d4_family._block_sum.cache_clear()
 
@@ -974,16 +907,16 @@ def test_lattice_audit_does_not_depend_on_the_block_bases(structure_actions, mon
 
     hermite = _audits(structure_actions, monkeypatch, canonical)
     assert _audits(structure_actions, monkeypatch, scramble) == hermite
-    # two reports per action, three blocks per report, and most of the
-    # scrambled bases differ from the Hermite ones
-    assert len(scrambled) == 6 * len(structure_actions)
+    # three blocks per action, and most of the scrambled bases differ
+    # from the Hermite ones
+    assert len(scrambled) == 3 * len(structure_actions)
     assert sum(scrambled) > len(scrambled) // 2
     # warm: a repeated audit of an action builds no block sum
     calls = _count_calls(monkeypatch, "block_sublattices")
-    for action, reports in zip(structure_actions, hermite):
+    for action, report in zip(structure_actions, hermite):
         lattice_inclusion_check(action)
         built = len(calls)
-        assert (lattice_inclusion_check(action), structure_report(action)) == reports
+        assert lattice_inclusion_check(action) == report
         assert len(calls) == built
 
 
