@@ -6,7 +6,14 @@ product of elliptic curves by a finite translation subgroup, equips
 them with an order-8 dihedral group of affine automorphisms, proves
 freeness of the action by integer certificates, and sweeps the whole
 parameter grid to classify which tuples give free actions.
+
+The census module, `classify`, is loaded on first use: only the
+`classify` command runs it, and compiling it would slow the start of
+every other command.
 """
+
+import importlib.util
+import sys
 
 from .affine_actions import (
     AffineAut,
@@ -28,17 +35,6 @@ from .certificates import (
     VerificationResult,
     build_certificate,
     verify_certificate,
-)
-from .classify import (
-    AgreementReport,
-    CensusReport,
-    SearchSpace,
-    Survivor,
-    cross_validate,
-    enumerate_case1,
-    enumerate_case2,
-    is_expected_survivor,
-    subgroup_family,
 )
 from .d4_family import (
     ActionReport,
@@ -138,3 +134,25 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def _lazy_module(name: str):
+    """Register the submodule `name` without running it: its code runs
+    the first time an attribute of it is read.  The loader is not
+    thread-safe; the CLI runs in one thread and its pool uses processes."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+classify = _lazy_module("classify")
+
+
+def __getattr__(name: str):
+    # every export but the census ones is bound above
+    if name in __all__:
+        return getattr(classify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -173,7 +173,7 @@ class SearchSpace:
         if max(self.shift_denominator, self.third_denominator) > MAX_DENOMINATOR:
             raise ValueError(f"denominator bounds must be at most {MAX_DENOMINATOR}")
         if not 0 <= self.h_generators_max <= 4:
-            raise ValueError("subgroup family supports at most 4 generators")
+            raise ValueError(f"h_generators_max must be from 0 to 4, not {self.h_generators_max}")
 
     def _key(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)

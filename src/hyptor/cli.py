@@ -18,6 +18,7 @@ import re
 import sys
 import tempfile
 
+from . import classify  # loaded on first use, by the classify command
 from .certificates import (
     CertificateFormatError,
     VerificationResult,
@@ -27,12 +28,6 @@ from .certificates import (
     parse_field,
     parse_rational,
     verify_certificate,
-)
-from .classify import (
-    SearchSpace,
-    enumerate_case1,
-    enumerate_case2,
-    is_expected_survivor,
 )
 from .d4_family import (
     BuildRejection,
@@ -222,7 +217,7 @@ def cmd_classify(args) -> int:
     try:
         if args.workers < 1:
             raise ValueError("workers must be at least 1")
-        space = SearchSpace(
+        space = classify.SearchSpace(
             case=case,
             shift_denominator=args.max_denominator,
             third_denominator=args.max_denominator,
@@ -235,12 +230,12 @@ def cmd_classify(args) -> int:
         return 2
 
     if case is CaseTag.CASE1:
-        report = enumerate_case1(space, workers=args.workers)
+        report = classify.enumerate_case1(space, workers=args.workers)
         expected = bool(report.survivors) and all(
-            is_expected_survivor(s) for s in report.survivors
+            classify.is_expected_survivor(s) for s in report.survivors
         )
     else:
-        report = enumerate_case2(space, workers=args.workers)
+        report = classify.enumerate_case2(space, workers=args.workers)
         expected = not report.survivors
 
     if args.stats:

@@ -279,7 +279,7 @@ def test_invalid_space_arguments():
     # a space at the bound is accepted; building it allocates nothing
     SearchSpace(case=CaseTag.CASE2, shift_denominator=classify.MAX_DENOMINATOR, third_denominator=classify.MAX_DENOMINATOR)
     SearchSpace(case=CaseTag.CASE1, h_generators_max=4)
-    with pytest.raises(ValueError, match="at most 4"):
+    with pytest.raises(ValueError, match="from 0 to 4, not 5"):
         SearchSpace(case=CaseTag.CASE1, h_generators_max=5)
     with pytest.raises(ValueError):
         enumerate_case1(SearchSpace(case=CaseTag.CASE2, shift_denominator=2))

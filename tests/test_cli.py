@@ -501,6 +501,13 @@ def test_classify_denominator_past_the_bound_exits_2(monkeypatch, capsys):
         assert f"at most {bound}" in err
 
 
+@pytest.mark.parametrize("g", ["-1", "5"])
+def test_classify_generators_out_of_range_exits_2(capsys, g):
+    code, out, err = run(capsys, ["classify", "--case", "1", "--h-generators-max", g])
+    assert (code, out) == (2, "")
+    assert err == f"error: h_generators_max must be from 0 to 4, not {g}\n"
+
+
 @pytest.mark.parametrize("spelling", ["1_2", "٢", "+2", " 2 ", "2 ", "１", "2\n", "²"])
 @pytest.mark.parametrize("target", ["--max-denominator", "--h-generators-max", "--workers"])
 def test_integers_have_one_spelling(capsys, target, spelling):
@@ -517,13 +524,13 @@ def test_classify_workers_env(monkeypatch, capsys):
     # --workers alone sets the worker count, 1 by default: the retired
     # HYPTOR_WORKERS variable is not read, whatever it holds
     requested = []
-    census = cli.enumerate_case2
+    census = classify.enumerate_case2
 
     def recording(space, workers):
         requested.append(workers)
         return census(space, workers=workers)
 
-    monkeypatch.setattr(cli, "enumerate_case2", recording)
+    monkeypatch.setattr(classify, "enumerate_case2", recording)
     argv = ["classify", "--case", "2", "--max-denominator", "1"]
     monkeypatch.delenv("HYPTOR_WORKERS", raising=False)
     want = run(capsys, argv)
@@ -714,6 +721,24 @@ def test_import_loads_no_dataclasses_or_inspect():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("statement", ["import hyptor.cli", "import hyptor"])
+def test_import_leaves_the_census_unloaded(statement):
+    # classify.py is registered lazily: importing the CLI or the package
+    # runs no line of it, and the first name read from it loads it
+    code = (
+        f"import sys, types\n{statement}\n"
+        "print(type(sys.modules['hyptor.classify']) is not types.ModuleType)\n"
+        "import hyptor\n"
+        "print(hyptor.enumerate_case1 is hyptor.classify.enumerate_case1)\n"
+        "names = {}\n"
+        "exec('from hyptor import *', names)\n"
+        "print(set(hyptor.__all__) <= names.keys())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * 3
 
 
 def test_module_entry_point():

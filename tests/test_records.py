@@ -238,7 +238,7 @@ J1 = elliptic_curve(TAU_I).j
         (ValueError, "denominator bounds must be at most 128", lambda: SearchSpace(CaseTag.CASE2, 129)),
         (
             ValueError,
-            "subgroup family supports at most 4 generators",
+            "h_generators_max must be from 0 to 4, not -1",
             lambda: SearchSpace(CaseTag.CASE1, h_generators_max=-1),
         ),
         (
