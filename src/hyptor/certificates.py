@@ -3,21 +3,24 @@
 A certificate records the quotient torus presentation, both generators,
 the group relation checks, and one obstruction row per nonidentity
 element proving that element has no fixed point.  The verifier trusts
-nothing but the parameters: it rebuilds the torus and generators from
-them, recomputes every linear part and translation, and checks each
-stated obstruction row u against the rebuilt data (u integral,
-u @ (A - I) = 0 and u . t not integral certify emptiness of the fixed
-locus).  Stored witnesses must also coincide with the recomputed
-canonical ones, so even a swap for a different valid obstruction row
-is reported.  Any single mutated field therefore fails verification,
-with one exception: a subgroup generator repeated, or a zero one added,
-generates the same H, so every recomputed field is unchanged and the
-certificate still verifies.
+nothing but the parameters: it rebuilds the action from them,
+serializes the rebuild with the same code that writes certificates, and
+requires every derived field to equal that serialization as JSON.  It
+also checks each stated obstruction row u against the rebuilt data in
+plain arithmetic (u integral, u @ (A - I) = 0 and u . t not integral
+certify emptiness of the fixed locus).  Stored witnesses must also
+coincide with the recomputed canonical ones, so even a swap for a
+different valid obstruction row is reported.  Any single mutated field
+therefore fails verification, with one exception: a subgroup generator
+repeated, or a zero one added, generates the same H, so every
+recomputed field is unchanged and the certificate still verifies.
 
 Serialized rationals are canonical "p/q" in ASCII digits, with positive
 denominator, coprime entries, no leading zeros and no "-0"; a string
 is accepted only when it is rational_str of its value, so every value
-has exactly one spelling.  Point coordinates must lie in [0, 1).
+has exactly one spelling.  Point coordinates must lie in [0, 1).  The
+parsers read only the parameters and the witness values; every other
+field is compared with the rebuild's spelling.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .affine_actions import GeneratedGroup, evaluate_word
 from .d4_family import (
     GROUP_WORDS,
     RELATION_WORDS,
+    ActionReport,
     BuildRejection,
     CaseTag,
     D4Action,
@@ -113,30 +117,8 @@ def integer_matrix_json(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": list(m.entries)}
 
 
-def parse_integer_matrix(data) -> Matrix:
-    if not isinstance(data, dict):
-        raise ValueError("expected matrix object")
-    rows, cols, entries = data.get("rows"), data.get("cols"), data.get("entries")
-    if not isinstance(rows, int) or not isinstance(cols, int) or not isinstance(entries, list):
-        raise ValueError("malformed matrix object")
-    if len(entries) != rows * cols or not all(isinstance(e, int) and not isinstance(e, bool) for e in entries):
-        raise ValueError("malformed matrix entries")
-    return Matrix(rows, cols, tuple(entries))
-
-
 def rational_matrix_json(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": [rational_str(e) for e in m.entries]}
-
-
-def parse_rational_matrix(data) -> Matrix:
-    if not isinstance(data, dict):
-        raise ValueError("expected matrix object")
-    rows, cols, entries = data.get("rows"), data.get("cols"), data.get("entries")
-    if not isinstance(rows, int) or not isinstance(cols, int) or not isinstance(entries, list):
-        raise ValueError("malformed matrix object")
-    if len(entries) != rows * cols:
-        raise ValueError("malformed matrix entries")
-    return Matrix(rows, cols, tuple(parse_rational(e) for e in entries))
 
 
 def _parameters_json(params: D4Parameters) -> dict:
@@ -184,18 +166,18 @@ def build_certificate(action: D4Action) -> dict:
     report = check_action(action)
     if not report.ok:
         raise ValueError(report.failure)
-    grp = report.group
+    return _document(action, report)
 
-    witnesses = []
-    for w in report.freeness.witnesses:
-        witnesses.append(
-            {
-                "word": w.word,
-                "row": list(w.obstruction.row),
-                "value": rational_str(w.obstruction.value),
-            }
-        )
+
+def _document(action: D4Action, report: ActionReport) -> dict:
+    """The certificate document of action as its report finds it.
+
+    Needs only a generated group: a failing report is serialized as it
+    stands, so the verifier can compare a document with any rebuild.
+    """
+    grp = report.group
     torus = action.torus
+    inclusion = lattice_inclusion_check(action)
     doc = {
         "schema": SCHEMA_VERSION,
         "case": action.case.value,
@@ -227,27 +209,29 @@ def build_certificate(action: D4Action) -> dict:
             ],
             "relations": {w: bool(v) for w, v in report.relations.items()},
         },
-        "fixed_point_witnesses": witnesses,
+        "fixed_point_witnesses": [
+            {
+                "word": w.word,
+                "row": list(w.obstruction.row),
+                "value": rational_str(w.obstruction.value),
+            }
+            for w in report.freeness.witnesses
+        ],
         "no_translations": True,
-        "lattice_inclusion": _inclusion_json(action),
+        "lattice_inclusion": {
+            "splitting_ok": bool(inclusion.splitting_ok),
+            "block_denominators": list(inclusion.block_denominators),
+            "denominator_bound_ok": bool(inclusion.denominator_bound_ok),
+            "quotient_divisors": list(inclusion.quotient_divisors),
+            "quotient_exponent": inclusion.quotient_exponent,
+            "exponent_ok": bool(inclusion.exponent_ok),
+        },
     }
     if action.case is CaseTag.CASE1:
         doc["freeness_conditions"] = {
             k: bool(v) for k, v in check_freeness_conditions(action).as_dict().items()
         }
     return doc
-
-
-def _inclusion_json(action: D4Action) -> dict:
-    rep = lattice_inclusion_check(action)
-    return {
-        "splitting_ok": bool(rep.splitting_ok),
-        "block_denominators": list(rep.block_denominators),
-        "denominator_bound_ok": bool(rep.denominator_bound_ok),
-        "quotient_divisors": list(rep.quotient_divisors),
-        "quotient_exponent": rep.quotient_exponent,
-        "exponent_ok": bool(rep.exponent_ok),
-    }
 
 
 class VerificationResult(NamedTuple):
@@ -304,64 +288,46 @@ def verify_certificate(doc) -> VerificationResult:
         return VerificationResult(False, (f"group: {report.failure}",))
     grp = report.group
 
-    # Stored presentation must match the rebuild exactly.
+    # Every derived field must equal the rebuild's serialization exactly;
+    # with one spelling per value, that is equality of the values.
+    expected = _document(built, report)
     torus_doc = doc.get("torus")
     if not isinstance(torus_doc, dict):
         failures.append("torus: missing")
     else:
-        try:
-            if not _same_json(torus_doc.get("rank"), built.torus.rank):
-                failures.append("torus: rank mismatch")
-            if parse_rational_matrix(torus_doc.get("complex_structure")) != built.torus.j:
-                failures.append("torus: complex structure mismatch")
-            if parse_rational_matrix(torus_doc.get("basis_change")) != built.torus.basis_change:
-                failures.append("torus: basis change mismatch")
-        except ValueError as exc:
-            failures.append(f"torus: {exc}")
+        for key in ("rank", "complex_structure", "basis_change"):
+            if not _same_json(torus_doc.get(key), expected["torus"][key]):
+                failures.append(f"torus: {key.replace('_', ' ')} mismatch")
 
     gens_doc = doc.get("generators")
-    rebuilt = {"r": built.r, "s": built.s}
     if not isinstance(gens_doc, dict):
         failures.append("generators: missing")
     else:
-        for name in ("r", "s"):
+        for name, gen in expected["generators"].items():
             g_doc = gens_doc.get(name)
             if not isinstance(g_doc, dict):
                 failures.append(f"generators: {name} missing")
                 continue
-            try:
-                lin = parse_integer_matrix(g_doc.get("linear"))
-                trans = parse_field("translation", parse_point, g_doc.get("translation"), built.torus.rank)
-            except ValueError as exc:
-                failures.append(f"generators: {name}: {exc}")
-                continue
-            if lin != rebuilt[name].a:
+            if not _same_json(g_doc.get("linear"), gen["linear"]):
                 failures.append(f"generators: {name}: linear part mismatch")
-            if trans != rebuilt[name].t:
+            if not _same_json(g_doc.get("translation"), gen["translation"]):
                 failures.append(f"generators: {name}: translation mismatch")
 
     group_doc = doc.get("group")
     if not isinstance(group_doc, dict):
         failures.append("group: missing")
     else:
-        if not _same_json(group_doc.get("order"), grp.order):
+        if not _same_json(group_doc.get("order"), expected["group"]["order"]):
             failures.append("group: order mismatch")
         elems_doc = group_doc.get("elements")
         if not isinstance(elems_doc, list) or len(elems_doc) != len(grp.elements):
             failures.append("group: elements missing or wrong count")
         else:
-            for entry, rebuilt_elem in zip(elems_doc, grp.elements):
+            for entry, elem in zip(elems_doc, expected["group"]["elements"]):
                 word = entry.get("word") if isinstance(entry, dict) else None
-                if word != rebuilt_elem.word:
+                if word != elem["word"]:
                     failures.append(f"group: element word mismatch ({word!r})")
-                    continue
-                try:
-                    lin = parse_integer_matrix(entry.get("linear"))
-                    trans = parse_field("translation", parse_point, entry.get("translation"), built.torus.rank)
-                except ValueError as exc:
-                    failures.append(f"group: element {word}: {exc}")
-                    continue
-                if lin != rebuilt_elem.aut.a or trans != rebuilt_elem.aut.t:
+                elif not all(_same_json(entry.get(k), elem[k]) for k in ("linear", "translation")):
                     failures.append(f"group: element {word} does not match the rebuild")
         rel_doc = group_doc.get("relations")
         if not _same_json(rel_doc, {w: True for _, w in RELATION_WORDS}):
@@ -428,13 +394,11 @@ def verify_certificate(doc) -> VerificationResult:
     if sorted(words_seen) != sorted(GROUP_WORDS):
         failures.append("witnesses: words do not cover the seven nonidentity elements")
 
-    if not _same_json(doc.get("lattice_inclusion"), _inclusion_json(built)):
+    if not _same_json(doc.get("lattice_inclusion"), expected["lattice_inclusion"]):
         failures.append("lattice_inclusion: does not match the rebuild")
 
     if case is CaseTag.CASE1:
-        expected_flags = {
-            k: bool(v) for k, v in check_freeness_conditions(built).as_dict().items()
-        }
+        expected_flags = expected["freeness_conditions"]
         if not _same_json(doc.get("freeness_conditions"), expected_flags):
             failures.append("freeness_conditions: do not match the rebuild")
         elif not all(expected_flags.values()):

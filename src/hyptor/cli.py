@@ -86,17 +86,13 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
     payload = json.dumps(doc, indent=2) + "\n"
     if args.out:
         _atomic_write(args.out, payload)
-        if args.format == "text":
-            for line in text_lines:
-                print(line)
-        else:
-            print(json.dumps({"ok": True, "out": args.out}))
+    if args.format == "text":
+        for line in text_lines:
+            print(line)
+    elif args.out:
+        print(json.dumps({"ok": True, "out": args.out}))
     else:
-        if args.format == "text":
-            for line in text_lines:
-                print(line)
-        else:
-            sys.stdout.write(payload)
+        sys.stdout.write(payload)
 
 
 def _parse_point2(text: str) -> TorsionPoint:
