@@ -31,7 +31,8 @@ as an independent check in Case 1.  cross_validate runs both routes on
 every grid tuple and reports disagreements: the closed-form conditions
 tuple by tuple, and on the engine side the sweep's membership test and
 the same truth tables the sweep reads, taken over the grid as a finite
-group.
+group, from the sweep's own engines.  The tuples it samples for an
+object-level check are rebuilt by build_general, as survivors are.
 
 The lattice:r stage is decided on bitmasks, before any engine is
 built: a subgroup passes it exactly when its span is closed under the
@@ -78,13 +79,11 @@ from .d4_family import (
     BuildRejection,
     CaseTag,
     D4Parameters,
-    QuotientFrame,
     build_general,
     case1_subgroup_generator,
     case_matrices,
     check_action,
     check_freeness_conditions,
-    quotient_frame,
     scaled_freeness_conditions,
 )
 from .exact_linear import Matrix, snf
@@ -591,13 +590,6 @@ class _Engine(dict):
         return built
 
 
-def _build_h_engine(forms: _CaseForms, gens: tuple[int, ...]) -> dict[str, tuple[tuple[int, ...], ...]]:
-    """The word forms of every group word of the case's forms for one
-    rotation-stable subgroup, given by its basis; raises as _Engine."""
-    engine = _Engine(forms, gens)
-    return {word: engine[word] for word in forms.words}
-
-
 # ---------------------------------------------------------------------------
 # The sweep: the relations by membership in the enlarged lattice.
 # ---------------------------------------------------------------------------
@@ -967,12 +959,13 @@ def _cross_validate_h(task):
     census's truth tables of the obstruction forms over the grid, kept
     in memo, one per call of cross_validate, by rows and grid.  A
     deterministic thin sample, spread over the whole family by absolute
-    tuple index, is additionally rebuilt object-level.
+    tuple index, is additionally rebuilt object-level by build_general,
+    as the survivors are.
     """
     space, forms, parities, basis, base_index, sample_step, memo = task
     scale = space.scale
-    words = _build_h_engine(forms, basis)
-    frame = quotient_frame(space.case, space.tau, space.tau_prime, _subgroup_generator_points(basis))
+    engine = _Engine(forms, basis)
+    gens = _subgroup_generator_points(basis)
     # H's elements from their bitmasks, in coordinates times scale
     span = tuple(sorted(_span(basis)))
     elements = tuple(tuple(scale // 2 if (m >> i) & 1 else 0 for i in range(6)) for m in span)
@@ -991,7 +984,7 @@ def _cross_validate_h(task):
     for name, masks in parities.items():
         in_h = {m: m >= 0 and not _coset(m, basis) for m in set(masks)}
         rel[name] = [in_h[m] for m in masks]
-    fixed = {w: table(f) for w, f in words.items()}
+    fixed = {w: table(engine[w]) for w in forms.words}
     # the scaled coordinates of every grid point
     coords = [_values(tuple(int(i == j) for i in range(len(cols))), grid) for j in range(len(cols))]
 
@@ -1026,26 +1019,27 @@ def _cross_validate_h(task):
         if (base_index + p) % sample_step == 0:
             object_samples += 1
             eng_ok = all(v[p] for v in rel.values()) and not any(v[p] for v in fixed.values())
-            if not _object_sample_agrees(frame, a1, a2, c3, scale, flags, eng_ok):
+            if not _object_sample_agrees(space, gens, a1, a2, c3, flags, eng_ok):
                 object_bad += 1
     return len(coords[0]), disagreements, tuple(examples), object_samples, object_bad
 
 
-def _object_sample_agrees(frame: QuotientFrame | BuildRejection, a1, a2, c3, scale, flags, eng_ok: bool) -> bool:
-    """Full-arithmetic rebuild of one tuple agrees with both routes, the
-    engine's verdict eng_ok included; a subgroup whose frame is rejected
-    disagrees with the engine."""
-    if isinstance(frame, BuildRejection):
-        return False
+def _object_sample_agrees(space: SearchSpace, gens, a1, a2, c3, flags, eng_ok: bool) -> bool:
+    """Full-arithmetic rebuild of one tuple, by build_general as a
+    survivor's, agrees with both routes, the engine's verdict eng_ok
+    included; a tuple whose build is rejected disagrees with the
+    engine."""
     params = D4Parameters(
-        tau=frame.tau,
-        tau_prime=frame.tau_prime,
-        s_shift1=TorsionPoint.from_scaled(a1, scale),
-        s_shift2=TorsionPoint.from_scaled(a2, scale),
-        r_shift=TorsionPoint.from_scaled(c3, scale),
-        subgroup_gens=frame.subgroup.generators,
+        tau=space.tau,
+        tau_prime=space.tau_prime,
+        s_shift1=TorsionPoint.from_scaled(a1, space.scale),
+        s_shift2=TorsionPoint.from_scaled(a2, space.scale),
+        r_shift=TorsionPoint.from_scaled(c3, space.scale),
+        subgroup_gens=gens,
     )
-    built = frame.action(params)
+    built = build_general(space.case, params)
+    if isinstance(built, BuildRejection):
+        return False
     obj_ok = check_action(built).ok
     if check_freeness_conditions(built) != flags or not flags.factors_embed:
         return False

@@ -18,12 +18,13 @@ real block per curve factor, with the swap z1 <-> z2 realized as a
 block swap and sign flips as -I on a block.
 
 Everything of a member but its shifts depends on (case, tau, tau', H)
-alone: the quotient frame.  A process builds each frame, and each
-lattice audit's block sum, once: quotient_frame and _block_sum keep
-their last 64 values in bounded memos (their docstrings give the
-keys).  The members on one frame share its torus and matrices, which
-are immutable records that no caller mutates, so sharing them changes
-no result.  Only a process that builds several members, or runs
+alone: the quotient frame.  build_general is the one way to build a
+member: it takes the tuple's frame and places the tuple's shifts on
+it.  A process builds each frame, and each lattice audit's block sum,
+once: quotient_frame and _block_sum keep their last 64 values in
+bounded memos (their docstrings give the keys).  The members on one
+frame share its torus and matrices, which are immutable records that
+no caller mutates, so sharing them changes no result.  Only a process that builds several members, or runs
 several commands, on one frame gains: a single construct, verify or
 invariants builds its frame and block sum once either way.
 """
@@ -203,39 +204,16 @@ class QuotientFrame(NamedTuple):
 
     The subgroup H of the product E x E x E', the quotient T = product/H,
     the product-to-quotient change of basis and the linear parts of r
-    and s on T depend on (case, tau, tau', H) alone, so the members that
-    share them share one frame.
+    and s on T depend on (case, tau, tau', H) alone, the key of
+    quotient_frame's memo, so the members that share them share one
+    frame; build_general places each member's shifts on it.
     """
 
-    case: CaseTag
-    tau: EllipticCurveParam
-    tau_prime: EllipticCurveParam
     subgroup: FiniteSubgroup
     torus: ComplexTorus
     to_quotient: Matrix
     r_linear: Matrix
     s_linear: Matrix
-
-    def action(self, params: D4Parameters) -> D4Action:
-        """Place the shifts of params on the frame.
-
-        Raises ValueError when params name another tau, tau' or H
-        generator tuple than the frame was built for.
-        """
-        if (params.tau, params.tau_prime, params.subgroup_gens) != (
-            self.tau,
-            self.tau_prime,
-            self.subgroup.generators,
-        ):
-            raise ValueError("parameters name another tau, tau' or H than the frame")
-        _check_third_shift(self.case, params)
-        t_s = embed_block(params.s_shift1, 0).add(embed_block(params.s_shift2, 1))
-        if params.s_shift3 is not None:
-            t_s = t_s.add(embed_block(params.s_shift3, 2))
-        # to_quotient is integral: the product lattice lies in the quotient's
-        r = AffineAut(self.torus, self.r_linear, embed_block(params.r_shift, 2).image(self.to_quotient))
-        s = AffineAut(self.torus, self.s_linear, t_s.image(self.to_quotient))
-        return D4Action(self.case, params, self.to_quotient, self.subgroup, self.torus, r, s)
 
 
 def _check_third_shift(case: CaseTag, params: D4Parameters) -> None:
@@ -285,7 +263,7 @@ def quotient_frame(
         if any(x % d for x in num.entries):
             return BuildRejection(f"lattice_not_preserved:{name}")
         linear[name] = Matrix(num.rows, num.cols, tuple(x // d for x in num.entries))
-    return QuotientFrame(case, tau, tau_prime, h, t_quot, c, linear["r"], linear["s"])
+    return QuotientFrame(h, t_quot, c, linear["r"], linear["s"])
 
 
 def build_general(case: CaseTag, params: D4Parameters) -> D4Action | BuildRejection:
@@ -296,7 +274,13 @@ def build_general(case: CaseTag, params: D4Parameters) -> D4Action | BuildReject
     frame = quotient_frame(case, params.tau, params.tau_prime, params.subgroup_gens)
     if isinstance(frame, BuildRejection):
         return frame
-    return frame.action(params)
+    t_s = embed_block(params.s_shift1, 0).add(embed_block(params.s_shift2, 1))
+    if params.s_shift3 is not None:
+        t_s = t_s.add(embed_block(params.s_shift3, 2))
+    # to_quotient is integral: the product lattice lies in the quotient's
+    r = AffineAut(frame.torus, frame.r_linear, embed_block(params.r_shift, 2).image(frame.to_quotient))
+    s = AffineAut(frame.torus, frame.s_linear, t_s.image(frame.to_quotient))
+    return D4Action(case, params, frame.to_quotient, frame.subgroup, frame.torus, r, s)
 
 
 def build_normal_form(tau: EllipticCurveParam, tau_prime: EllipticCurveParam) -> D4Action:

@@ -301,8 +301,7 @@ def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
         for r in range(piv_r):
             q = a[r][col] // p
             if q != 0:
-                a[r] = [s - q * t for s, t in zip(a[r], a[piv_r])]
-                u[r] = [s - q * t for s, t in zip(u[r], u[piv_r])]
+                _add_row(a, u, piv_r, r, -q)
         piv_r += 1
     h = Matrix.from_rows(a) if c else Matrix(n, 0, ())
     uu = Matrix.from_rows(u)

@@ -53,15 +53,16 @@ def _elementary_symmetric(a: Matrix, j_cleared: Matrix, d: int) -> list[tuple[in
 class InvariantReport:
     """Hodge and Betti numbers of the quotient.
 
-    Validated at construction: integrality, nonnegativity, conjugation
-    and duality symmetries, h^{0,0} = 1.
+    The Hodge table is validated at construction: integrality,
+    nonnegativity, conjugation and duality symmetries, h^{0,0} = 1.
+    The Betti numbers are derived from it, b_k the sum of h^{p,q} over
+    p + q = k.
     """
 
     __slots__ = ("hodge", "betti")
 
-    def __init__(self, hodge: tuple[tuple[int, ...], ...], betti: tuple[int, ...]) -> None:
-        self.hodge, self.betti = hodge, betti
-        h = self.hodge
+    def __init__(self, hodge: tuple[tuple[int, ...], ...]) -> None:
+        self.hodge = h = hodge
         if len(h) != 4 or any(len(row) != 4 for row in h):
             raise RuntimeError("internal error: Hodge table must be 4 x 4")
         for p in range(4):
@@ -74,11 +75,7 @@ class InvariantReport:
                     raise RuntimeError("internal error: Hodge duality symmetry fails")
         if h[0][0] != 1:
             raise RuntimeError("internal error: h^{0,0} must be 1")
-        expected = tuple(
-            sum(h[p][k - p] for p in range(4) if 0 <= k - p <= 3) for k in range(7)
-        )
-        if self.betti != expected:
-            raise RuntimeError("internal error: Betti numbers inconsistent with Hodge table")
+        self.betti = tuple(sum(h[p][k - p] for p in range(4) if 0 <= k - p <= 3) for k in range(7))
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,8 +111,4 @@ def hodge_numbers(linear_parts: list[Matrix], torus: ComplexTorus) -> InvariantR
                 )
             row.append(re // denominator)
         hodge_rows.append(tuple(row))
-    hodge = tuple(hodge_rows)
-    betti = tuple(
-        sum(hodge[p][k - p] for p in range(4) if 0 <= k - p <= 3) for k in range(7)
-    )
-    return InvariantReport(hodge=hodge, betti=betti)
+    return InvariantReport(tuple(hodge_rows))

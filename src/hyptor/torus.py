@@ -182,12 +182,14 @@ class FiniteSubgroup:
             if len(gpt) != n:
                 raise DimensionError("generator length must be 2g")
         self.ambient, self.generators = ambient, generators
+        # a repeated generator adds nothing to the closure
+        distinct = dict.fromkeys(generators)
         elems = {TorsionPoint.zero(n)}
         frontier = [TorsionPoint.zero(n)]
         while frontier:
             nxt = []
             for e in frontier:
-                for gpt in self.generators:
+                for gpt in distinct:
                     s = e.add(gpt)
                     if s not in elems:
                         elems.add(s)
@@ -252,12 +254,13 @@ def quotient_by_finite_subgroup(t: ComplexTorus, h: FiniteSubgroup) -> tuple[Com
     if h.ambient != t:
         raise ValueError("subgroup does not live on this torus")
     # Hermite forms of d Z^n and one lift at a time, d the lcm of the
-    # orders, so the cost is linear in the number of generators; d Z^n
-    # lies in the lattice, so each form's last column is zero
+    # orders, so the cost is linear in the number of distinct generators
+    # (a repeated lift spans nothing new, and a lattice has one Hermite
+    # basis); d Z^n lies in the lattice, so each form's last column is zero
     n = t.rank
     d = lcm(*(gpt.order() for gpt in h.generators))
     basis = Matrix.identity(n).scale(d)
-    for gpt in h.generators:
+    for gpt in dict.fromkeys(h.generators):
         cols = [basis.column(j) for j in range(n)]
         basis = column_hnf(Matrix.from_columns([*cols, gpt.scaled(d)]))[0].submatrix_columns(range(n))
     if abs(basis.det()) * h.order != d**n:

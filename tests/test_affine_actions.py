@@ -38,7 +38,6 @@ from hyptor.d4_family import (
     build_general,
     build_normal_form,
     normal_form_parameters,
-    quotient_frame,
 )
 from hyptor.exact_linear import Matrix, NotUnimodularError
 from hyptor.torus import (
@@ -370,7 +369,6 @@ def _stable_frame_actions(seed):
     for case in (CaseTag.CASE1, CaseTag.CASE2):
         for key in stable:
             gens = classify._subgroup_generator_points(key)
-            frame = quotient_frame(case, tau, tau_prime, gens)
             for q in (2, 4, 8, 17):
                 params = D4Parameters(
                     tau=tau,
@@ -381,7 +379,7 @@ def _stable_frame_actions(seed):
                     s_shift3=shift(min(q, 4)) if case is CaseTag.CASE2 else None,
                     subgroup_gens=gens,
                 )
-                yield frame.action(params)
+                yield build_general(case, params)
 
 
 def test_closure_matches_the_reference_on_every_stable_frame():

@@ -745,11 +745,17 @@ def _stable_keys(g_max):
     return [key for key in family if classify._span_rotation_stable(key)]
 
 
+def _all_word_forms(forms, key):
+    """Every word's forms from the census's engine for one subgroup."""
+    engine = classify._Engine(forms, key)
+    return {w: engine[w] for w in forms.words}
+
+
 def _mask_engines(case, keys):
     """The census's word forms of each subgroup, with the dual-lattice
     relation forms the enumerating sweep reads."""
     forms = classify._case_forms(case)
-    return [Engine(_dual_relation_forms(forms.relations, key), classify._build_h_engine(forms, key)) for key in keys]
+    return [Engine(_dual_relation_forms(forms.relations, key), _all_word_forms(forms, key)) for key in keys]
 
 
 @pytest.fixture(scope="module")
@@ -950,7 +956,7 @@ def test_engine_refuses_a_rotation_unstable_span():
         forms = classify._case_forms(case)
         for key in unstable:
             with pytest.raises(RuntimeError, match="does not preserve the enlarged lattice"):
-                classify._build_h_engine(forms, key)
+                classify._Engine(forms, key)
 
 
 def test_case_forms_refuse_a_family_that_is_not_dihedral(monkeypatch):
@@ -1091,7 +1097,7 @@ def test_relation_solutions_do_not_depend_on_the_grid(stable_engines):
 
 
 def _relation_solution_actions(case, keys, step):
-    """Every step-th point of each R_H, rebuilt on H's quotient frame:
+    """Every step-th point of each R_H, rebuilt by build_general:
     yields (key, point index, action, the engine's truth table of each
     of the seven group words over R_H, as the census's bitmask)."""
     forms = classify._case_forms(case)
@@ -1100,11 +1106,10 @@ def _relation_solution_actions(case, keys, step):
     for key in keys:
         rel = _dual_relation_forms(forms.relations, key)
         solutions = classify._relation_solutions(classify._restrict(rel["r4"] + rel["s2"] + rel["rsrs"], cols), len(cols))
-        words = classify._build_h_engine(forms, key)
+        words = _all_word_forms(forms, key)
         fixed = {w: classify._table(classify._restrict(f, cols), solutions) for w, f in words.items()}
         coords = [classify._values(e, solutions) for e in unit]
-        frame = quotient_frame(case, TAU_I, TAU_2I, classify._subgroup_generator_points(key))
-        assert not isinstance(frame, BuildRejection)
+        gens = classify._subgroup_generator_points(key)
         for p in range(0, len(coords[0]), step):
             x = {c: Fraction(v[p], solutions[0]) for c, v in zip(cols, coords)}
 
@@ -1112,12 +1117,14 @@ def _relation_solution_actions(case, keys, step):
                 return TorsionPoint((x.get(c, 0), x.get(c + 1, 0)))
 
             a3 = shift(4) if case is CaseTag.CASE2 else None
-            params = d4_family.D4Parameters(TAU_I, TAU_2I, shift(0), shift(2), shift(6), a3, frame.subgroup.generators)
-            yield key, p, frame.action(params), fixed
+            params = d4_family.D4Parameters(TAU_I, TAU_2I, shift(0), shift(2), shift(6), a3, gens)
+            action = d4_family.build_general(case, params)
+            assert not isinstance(action, BuildRejection)
+            yield key, p, action, fixed
 
 
 def _object_level_disagreements(case, keys, step):
-    """Every step-th point of each R_H, rebuilt on H's quotient frame:
+    """Every step-th point of each R_H, rebuilt by build_general:
     the relations hold, and each group word has a fixed point exactly
     where the engine's truth table says so.  Returns the points checked,
     the disagreeing (key, point, word) triples, and the free points."""
@@ -1318,6 +1325,17 @@ def test_cross_validate_worker_invariance():
     assert one == two
 
 
+def test_cross_validate_builds_frames_only_for_sampled_subgroups():
+    # at (2, 2, g <= 1) the 9 object-level samples fall on 9 of the 13
+    # stable subgroups; each sample is rebuilt by build_general, so the
+    # other 4 subgroups never get a quotient frame
+    d4_family.quotient_frame.cache_clear()
+    report = cross_validate(SearchSpace(CaseTag.CASE1, 2, 2, h_generators_max=1), object_sample_target=8)
+    assert (report.total, report.object_samples) == (13 * 64, 9) and report.all_agree
+    info = d4_family.quotient_frame.cache_info()
+    assert (info.hits, info.misses) == (0, 9)
+
+
 def test_cross_validate_builds_each_distinct_table_once(monkeypatch):
     # at (2, 4, g <= 2) the 50 stable subgroups ask for 350 word tables,
     # of which 32 are distinct, and decide the relations by membership,
@@ -1367,13 +1385,12 @@ def test_cross_validate_reports_a_closed_form_fault(monkeypatch):
 
 def test_cross_validate_reports_an_engine_fault(monkeypatch):
     # the engine with the obstruction forms of s and rs swapped
-    original = classify._build_h_engine
+    original = classify._word_forms
 
-    def swapped(forms, span_key):
-        words = original(forms, span_key)
-        return dict(words, s=words["rs"], rs=words["s"])
+    def swapped(forms, word, gens):
+        return original(forms, {"s": "rs", "rs": "s"}.get(word, word), gens)
 
-    monkeypatch.setattr(classify, "_build_h_engine", swapped)
+    monkeypatch.setattr(classify, "_word_forms", swapped)
     report = cross_validate(SearchSpace(CaseTag.CASE1, 2, 4, h_generators_max=1), workers=1)
     assert report.disagreements > 0
     assert not report.all_agree

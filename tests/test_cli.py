@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyptor import affine_actions, classify, cli, d4_family
+from hyptor import affine_actions, classify, cli, d4_family, torus
 from hyptor.cli import main
 
 TAU = "0/1+1/1i"
@@ -631,6 +631,25 @@ def test_one_certificate_builds_one_quotient_and_one_block_sum(tmp_path, capsys,
     codes = [run(capsys, argv)[0] for argv in (construct, ["verify", str(cert)], ["invariants", str(cert), "--out", str(inv)])]
     assert codes == [0, 0, 0]
     assert {key: len(calls) for key, calls in built.items()} == {"quotients": 1, "block_sums": 1}
+
+
+def test_verify_takes_a_repeated_generator_once(cert_path, capsys, monkeypatch):
+    # H given by one generator listed 50 times: the closure and the
+    # quotient's Hermite loop each take the generator once
+    doc = json.loads(cert_path.read_text())
+    doc["parameters"]["subgroup_generators"] *= 50
+    cert_path.write_text(json.dumps(doc))
+    _clear_frame_memos()
+    calls = []
+    original = torus.column_hnf
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(torus, "column_hnf", counting)
+    assert run(capsys, ["verify", str(cert_path)]) == (0, '{"ok": true, "failures": []}\n', "")
+    assert len(calls) == 1
 
 
 def _seeded_calls(tmp_path, rng, members):

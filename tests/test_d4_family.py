@@ -198,27 +198,15 @@ def test_quotient_frame_rejects_what_build_general_rejects():
             rejected += 1
             assert built == frame
         else:
-            assert built == frame.action(params)
+            # the member sits on its frame: H, T, to_quotient and both
+            # linear parts are the frame's own records
+            assert (built.case, built.params) == (case, params)
+            on_frame = (built.subgroup, built.torus, built.to_quotient, built.r.a, built.s.a)
+            assert all(x is y for x, y in zip(on_frame, frame, strict=True))
     assert 0 < rejected < len(subgroups) * 2
 
 
-def test_frame_action_refuses_other_parameters():
-    params = normal_form_parameters(TAU_I, TAU_2I)
-    frame = quotient_frame(CaseTag.CASE1, TAU_I, TAU_2I, params.subgroup_gens)
-    assert frame.action(params) == build_normal_form(TAU_I, TAU_2I)
-    for other in (
-        replace_params(params, tau=TAU_HALF_I),
-        replace_params(params, tau_prime=TAU_I),
-        replace_params(params, subgroup_gens=()),
-        replace_params(params, subgroup_gens=_gens(0b000011, 0b001100)),
-    ):
-        with pytest.raises(ValueError):
-            frame.action(other)
-    with pytest.raises(ValueError):
-        frame.action(replace_params(params, s_shift3=point("1/2", 0)))
-
-
-def test_frame_action_places_shifts_as_the_block_embeddings():
+def test_build_general_places_shifts_as_the_block_embeddings():
     # reference: each shift embedded in its block, the embeddings added
     # as torsion points, to_quotient applied to the Fraction coordinates
     rng = random.Random(5)
@@ -238,7 +226,7 @@ def test_frame_action_places_shifts_as_the_block_embeddings():
             t_r = embed_block(params.r_shift, 2)
             t_s = embed_block(shifts[0], 0).add(embed_block(shifts[1], 1))
             t_s = t_s.add(embed_block(s3 if s3 is not None else TorsionPoint.zero(2), 2))
-            action = frame.action(params)
+            action = build_general(case, params)
             assert action.r.t == TorsionPoint(frame.to_quotient.apply(t_r.coords))
             assert action.s.t == TorsionPoint(frame.to_quotient.apply(t_s.coords))
             assert all(type(c) is Fraction for c in action.r.t.coords + action.s.t.coords)
@@ -287,9 +275,8 @@ def test_check_action_composes_only_in_the_closure(matmul_calls):
     # a second action on the same frame shares the first one's linear
     # parts: its whole check multiplies no matrix
     params = normal_form_parameters(TAU_I, TAU_2I)
-    frame = quotient_frame(CaseTag.CASE1, TAU_I, TAU_2I, params.subgroup_gens)
-    first = frame.action(params)
-    second = frame.action(replace_params(params, r_shift=point(0, "3/4")))
+    first = build_general(CaseTag.CASE1, params)
+    second = build_general(CaseTag.CASE1, replace_params(params, r_shift=point(0, "3/4")))
     assert check_action(first).ok
     matmul_calls.clear()
     report = check_action(second)
@@ -855,7 +842,7 @@ def structure_actions(survivor_actions):
             s_shift3=shift(4) if case is CaseTag.CASE2 else None,
             subgroup_gens=gens,
         )
-        actions.append(quotient_frame(case, TAU_HALF_I, TAU_2I, gens).action(params))
+        actions.append(build_general(case, params))
     actions += [a._replace(r=a.s, s=a.r) for a in actions]
     assert len(actions) == 356
     return actions

@@ -144,7 +144,8 @@ def test_worker_tasks_and_results_survive_pickling(monkeypatch, run):
 def test_value_types_survive_pickling():
     for first, _, _ in EQUAL_VALUES.values():
         assert pickle.loads(pickle.dumps(first)) == first
-    report = InvariantReport(((1, 0, 0, 1), (0, 2, 2, 0), (0, 2, 2, 0), (1, 0, 0, 1)), (1, 0, 2, 6, 2, 0, 1))
+    report = InvariantReport(((1, 0, 0, 1), (0, 2, 2, 0), (0, 2, 2, 0), (1, 0, 0, 1)))
+    assert report.betti == (1, 0, 2, 6, 2, 0, 1)
     copy = pickle.loads(pickle.dumps(report))
     assert (copy.hodge, copy.betti) == (report.hodge, report.betti)
 
@@ -244,32 +245,27 @@ J1 = elliptic_curve(TAU_I).j
         (
             RuntimeError,
             "internal error: Hodge table must be 4 x 4",
-            lambda: InvariantReport(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 0, 1)),
+            lambda: InvariantReport(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
         ),
         (
             RuntimeError,
             "internal error: negative Hodge number",
-            lambda: InvariantReport(((1, 0, 0, 1), (0, -1, 0, 0), (0, 0, -1, 0), (1, 0, 0, 1)), (1, 0, 0, 0, 0, 0, 1)),
+            lambda: InvariantReport(((1, 0, 0, 1), (0, -1, 0, 0), (0, 0, -1, 0), (1, 0, 0, 1))),
         ),
         (
             RuntimeError,
             "internal error: Hodge conjugation symmetry fails",
-            lambda: InvariantReport(((1, 1, 0, 1), (0, 2, 2, 0), (0, 2, 2, 0), (1, 0, 0, 1)), (1, 1, 4, 8, 4, 0, 1)),
+            lambda: InvariantReport(((1, 1, 0, 1), (0, 2, 2, 0), (0, 2, 2, 0), (1, 0, 0, 1))),
         ),
         (
             RuntimeError,
             "internal error: Hodge duality symmetry fails",
-            lambda: InvariantReport(((1, 0, 0, 1), (0, 3, 2, 0), (0, 2, 2, 0), (1, 0, 0, 1)), (1, 0, 5, 8, 4, 0, 1)),
+            lambda: InvariantReport(((1, 0, 0, 1), (0, 3, 2, 0), (0, 2, 2, 0), (1, 0, 0, 1))),
         ),
         (
             RuntimeError,
             "internal error: h^{0,0} must be 1",
-            lambda: InvariantReport(((2, 0, 0, 1), (0, 2, 2, 0), (0, 2, 2, 0), (1, 0, 0, 2)), (2, 0, 4, 8, 4, 0, 2)),
-        ),
-        (
-            RuntimeError,
-            "internal error: Betti numbers inconsistent with Hodge table",
-            lambda: InvariantReport(((1, 0, 0, 1), (0, 2, 2, 0), (0, 2, 2, 0), (1, 0, 0, 1)), (1, 0, 2, 6, 2, 0, 2)),
+            lambda: InvariantReport(((2, 0, 0, 1), (0, 2, 2, 0), (0, 2, 2, 0), (1, 0, 0, 2))),
         ),
     ],
 )
