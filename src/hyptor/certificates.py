@@ -218,19 +218,10 @@ def _document(action: D4Action, report: ActionReport) -> dict:
             for w in report.freeness.witnesses
         ],
         "no_translations": True,
-        "lattice_inclusion": {
-            "splitting_ok": bool(inclusion.splitting_ok),
-            "block_denominators": list(inclusion.block_denominators),
-            "denominator_bound_ok": bool(inclusion.denominator_bound_ok),
-            "quotient_divisors": list(inclusion.quotient_divisors),
-            "quotient_exponent": inclusion.quotient_exponent,
-            "exponent_ok": bool(inclusion.exponent_ok),
-        },
+        "lattice_inclusion": {k: list(v) if type(v) is tuple else v for k, v in inclusion._asdict().items()},
     }
     if action.case is CaseTag.CASE1:
-        doc["freeness_conditions"] = {
-            k: bool(v) for k, v in check_freeness_conditions(action).as_dict().items()
-        }
+        doc["freeness_conditions"] = check_freeness_conditions(action)._asdict()
     return doc
 
 
@@ -330,7 +321,7 @@ def verify_certificate(doc) -> VerificationResult:
                 elif not all(_same_json(entry.get(k), elem[k]) for k in ("linear", "translation")):
                     failures.append(f"group: element {word} does not match the rebuild")
         rel_doc = group_doc.get("relations")
-        if not _same_json(rel_doc, {w: True for _, w in RELATION_WORDS}):
+        if not _same_json(rel_doc, dict.fromkeys(RELATION_WORDS, True)):
             failures.append("group: relations not all satisfied")
         if not report.relations_ok:
             failures.append("group: rebuilt action violates the relations")

@@ -29,10 +29,12 @@ re-verify every survivor object-level, each from its own shifts on
 the quotient frame of its subgroup, with the closed-form conditions
 as an independent check in Case 1.  cross_validate runs both routes on
 every grid tuple and reports disagreements: the closed-form conditions
-tuple by tuple, and on the engine side the sweep's membership test and
-the same truth tables the sweep reads, taken over the grid as a finite
-group, from the sweep's own engines.  The tuples it samples for an
-object-level check are rebuilt by build_general, as survivors are.
+tuple by tuple, and on the engine side one truth table per word from
+the sweep's own engines, taken over the grid as a finite group.  A
+relation word is read as a group word is: its M_w is I, so K_w = Z^6,
+and the relation holds exactly where the word has a fixed point.  The
+tuples it samples for an object-level check are rebuilt by
+build_general, as survivors are.
 
 The lattice:r stage is decided on bitmasks, before any engine is
 built: a subgroup passes it exactly when its span is closed under the
@@ -482,49 +484,48 @@ class _WordKernel(NamedTuple):
 
 
 class _CaseForms(NamedTuple):
-    """What the engines of one case share: each relation word's
-    translation, one flat form per product coordinate; every group
-    word's kernel; and the generators' linear parts as integer rows."""
+    """What the engines of one case share: the kernel of each relation
+    word and each group word it decides, and the generators' linear
+    parts as integer rows.  A relation word has M_w = I, so its K_w is
+    Z^6, with the unit rows' masks, and its flats are its translation,
+    one flat form per product coordinate."""
 
-    relations: dict[str, tuple[tuple[int, ...], ...]]
     words: dict[str, _WordKernel]
     generators: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def _case_forms(case: CaseTag, words: tuple[str, ...] = GROUP_WORDS) -> _CaseForms:
-    """One prefix pass, and one Smith form of M_w - I per group word in
-    words: all seven by default, the census's four stage words in a
-    census.
+    """One prefix pass, the three relation words' kernels, Z^6, with no
+    Smith form, and one Smith form of M_w - I per group word in words:
+    all seven by default, the census's four stage words in a census.
 
     Raises RuntimeError unless the relation words have identity linear
     part and all seven group words pairwise distinct nonidentity ones.
     """
-    matrices = _word_matrices(case, [w for _, w in RELATION_WORDS] + list(GROUP_WORDS))
+    matrices = _word_matrices(case, list(RELATION_WORDS + GROUP_WORDS))
     ident = Matrix.identity(6)
 
-    def flats(word, rows) -> tuple[tuple[int, ...], ...]:
+    def kernel(word, rows) -> _WordKernel:
         _, p, q = matrices[word]
-        return tuple(_flat_form(k, p, q) for k in rows)
+        return _WordKernel(tuple(map(_odd_mask, rows)), tuple(_flat_form(k, p, q) for k in rows))
 
-    relations = {}
-    for name, word in RELATION_WORDS:
+    kernels = {}
+    for word in RELATION_WORDS:
         if not matrices[word][0].is_identity():
             raise RuntimeError(f"internal error: relation word {word} has nonidentity linear part")
-        relations[name] = flats(word, ident.to_rows())
+        kernels[word] = kernel(word, ident.to_rows())
     seen_linear = {ident.entries}
     for word in GROUP_WORDS:
         m = matrices[word][0]
         if m.entries in seen_linear:
             raise RuntimeError("internal error: repeated linear part in the dihedral family")
         seen_linear.add(m.entries)
-    kernels = {}
     for word in words:
         dec = snf(matrices[word][0] - ident)
-        rows = [dec.u.row(i) for i in dec.zero_rows]
-        kernels[word] = _WordKernel(tuple(map(_odd_mask, rows)), flats(word, rows))
+        kernels[word] = kernel(word, [dec.u.row(i) for i in dec.zero_rows])
     mats = case_matrices(case)
     generators = tuple(tuple(map(tuple, g.to_rows())) for g in (mats.rotation_lattice, mats.reflection_lattice))
-    return _CaseForms(relations, kernels, generators)
+    return _CaseForms(kernels, generators)
 
 
 def _parities(mask: int, gens: tuple[int, ...]) -> int:
@@ -665,9 +666,9 @@ def _coset(mask: int, basis: tuple[int, ...]) -> int:
     return mask
 
 
-# The relation stages in canonical order, each with the relations a
-# point must satisfy to pass it.
-_RELATION_STACKS = (("r4",), ("r4", "s2"), ("r4", "s2", "rsrs"))
+# The relation stages in canonical order, each with the relation words
+# a point must satisfy to pass it.
+_RELATION_STACKS = (RELATION_WORDS[:1], RELATION_WORDS[:2], RELATION_WORDS)
 
 
 def _relation_groups(forms: _CaseForms, space: SearchSpace):
@@ -679,13 +680,13 @@ def _relation_groups(forms: _CaseForms, space: SearchSpace):
     many solutions on the real torus."""
     cols = _COLUMNS[space.case]
     n = len(cols)
-    full = Matrix.from_rows([[f[c] for c in cols] for name in _RELATION_STACKS[-1] for f in forms.relations[name]])
+    full = Matrix.from_rows([[f[c] for c in cols] for w in RELATION_WORDS for f in forms.words[w].flats])
     if (full.transpose() @ full).det() == 0:
         raise RuntimeError("internal error: the relations have infinitely many solutions")
     grid = tuple(tuple(q * (i == j) for i in range(n)) for j, q in enumerate(space.moduli))
     groups = []
     for stack in _RELATION_STACKS:
-        flats = [f for name in stack for f in forms.relations[name]]
+        flats = [f for w in stack for f in forms.words[w].flats]
         big, gens = _relation_solutions(_restrict([[2 * x for x in f] for f in flats], cols) + grid, n)
         rows = [[f[c] for c in cols] for f in flats]
         masks = tuple(sum((2 * sum(map(mul, r, g)) // big & 1) << i for i, r in enumerate(rows)) for _, g in gens)
@@ -863,7 +864,7 @@ def _run_sweep(space: SearchSpace, workers: int) -> CensusReport:
         subgroups=len(family),
         lattice_r_by_mask=len(family) - len(stable),
         engine_builds=len(stable),
-        smith_forms=len(forms.words) + len(groups),
+        smith_forms=len(_STAGE_WORDS) + len(groups),
         truth_tables=sum(tables for _, _, tables, _ in results),
         relation_solutions=len(stable) * space.grid_size() - sum(counts[r] for r in _REASONS[space.case][2:5]),
         survivors_reverified=len(survivors),
@@ -932,37 +933,23 @@ def _grid_group(space: SearchSpace):
     return scale, tuple((moduli[c], tuple(scale // moduli[c] * (j == c) for j in cols)) for c in order if c in moduli)
 
 
-def _grid_parity_masks(forms: _CaseForms, space: SearchSpace) -> dict[str, list[int]]:
-    """Each relation's parity mask 2t mod 2 at every point of
-    _grid_group, or -1 where 2t is not integral: the part of the
-    membership test that does not depend on H."""
-    cols, (big, gens) = _COLUMNS[space.case], _grid_group(space)
-    out = {}
-    for name, flats in forms.relations.items():
-        values = zip(*(_values([f[c] for c in cols], (big, gens)) for f in flats))
-        out[name] = [
-            sum(2 * v // big << i for i, v in enumerate(p)) if not any(2 * v % big for v in p) else -1 for p in values
-        ]
-    return out
-
-
 def _cross_validate_h(task):
     """Worker entry point: both routes on every tuple of one subgroup's
-    slice, for a task (space, forms, parities, basis, base_index,
-    sample_step, memo).
+    slice, for a task (space, forms, basis, base_index, sample_step,
+    memo).
 
     Returns (tuples, disagreements, examples, object_samples,
     object_disagreements).  The closed-form route evaluates the
     membership and exclusion conditions on H's elements, tuple by tuple.
-    The engine route decides the relations by the census's membership
-    test, a grid point's parity mask reduced modulo H, and reads the
-    census's truth tables of the obstruction forms over the grid, kept
-    in memo, one per call of cross_validate, by rows and grid.  A
-    deterministic thin sample, spread over the whole family by absolute
-    tuple index, is additionally rebuilt object-level by build_general,
-    as the survivors are.
+    The engine route reads, for every word of forms, relation words
+    included, the census's truth table of its obstruction forms over
+    the grid, kept in memo, one per call of cross_validate, by rows and
+    grid: a relation holds, and a group word has a fixed point, where
+    its table's bit is set.  A deterministic thin sample, spread over
+    the whole family by absolute tuple index, is additionally rebuilt
+    object-level by build_general, as the survivors are.
     """
-    space, forms, parities, basis, base_index, sample_step, memo = task
+    space, forms, basis, base_index, sample_step, memo = task
     scale = space.scale
     engine = _Engine(forms, basis)
     gens = _subgroup_generator_points(basis)
@@ -980,11 +967,7 @@ def _cross_validate_h(task):
             memo[key] = [b == "1" for b in reversed(f"{_table(*key):0{space.grid_size()}b}")]
         return memo[key]
 
-    rel = {}
-    for name, masks in parities.items():
-        in_h = {m: m >= 0 and not _coset(m, basis) for m in set(masks)}
-        rel[name] = [in_h[m] for m in masks]
-    fixed = {w: table(engine[w]) for w in forms.words}
+    held = {w: table(engine[w]) for w in forms.words}
     # the scaled coordinates of every grid point
     coords = [_values(tuple(int(i == j) for i in range(len(cols))), grid) for j in range(len(cols))]
 
@@ -996,21 +979,21 @@ def _cross_validate_h(task):
         a1, a2, c3 = x[0:2], x[2:4], x[4:6]
         flags = scaled_freeness_conditions(elements, a1, a2, c3, scale)
         pairs = (
-            ("rel_r4_member", flags.rel_r4_member, rel["r4"][p]),
-            ("rel_s2_member", flags.rel_s2_member, rel["s2"][p]),
-            ("rel_rs2_member", flags.rel_rs2_member, rel["rsrs"][p]),
-            ("excl_r_free", flags.excl_r_free, not fixed["r"][p]),
-            ("excl_r_free/r3", flags.excl_r_free, not fixed["rrr"][p]),
-            ("excl_r2_free", flags.excl_r2_free, not fixed["rr"][p]),
-            ("excl_s_free", flags.excl_s_free, not fixed["s"][p]),
-            ("excl_rs_free", flags.excl_rs_free, not fixed["rs"][p]),
+            ("rel_r4_member", flags.rel_r4_member, held["rrrr"][p]),
+            ("rel_s2_member", flags.rel_s2_member, held["ss"][p]),
+            ("rel_rs2_member", flags.rel_rs2_member, held["rsrs"][p]),
+            ("excl_r_free", flags.excl_r_free, not held["r"][p]),
+            ("excl_r_free/r3", flags.excl_r_free, not held["rrr"][p]),
+            ("excl_r2_free", flags.excl_r2_free, not held["rr"][p]),
+            ("excl_s_free", flags.excl_s_free, not held["s"][p]),
+            ("excl_rs_free", flags.excl_rs_free, not held["rs"][p]),
         )
         bad = [name for name, closed, eng in pairs if closed != eng]
         if flags.equivalence_flags_pass:
             # The remaining two reflections must then be free too.
-            if fixed["rrs"][p]:
+            if held["rrs"][p]:
                 bad.append("r2s_free_implied")
-            if fixed["sr"][p]:
+            if held["sr"][p]:
                 bad.append("r3s_free_implied")
         if bad:
             disagreements += 1
@@ -1018,7 +1001,7 @@ def _cross_validate_h(task):
                 examples.append(f"H={span} a1={a1} a2={a2} c3={c3}: {', '.join(bad)}")
         if (base_index + p) % sample_step == 0:
             object_samples += 1
-            eng_ok = all(v[p] for v in rel.values()) and not any(v[p] for v in fixed.values())
+            eng_ok = all(held[w][p] for w in RELATION_WORDS) and not any(held[w][p] for w in GROUP_WORDS)
             if not _object_sample_agrees(space, gens, a1, a2, c3, flags, eng_ok):
                 object_bad += 1
     return len(coords[0]), disagreements, tuple(examples), object_samples, object_bad
@@ -1064,10 +1047,9 @@ def cross_validate(
     stable = [(i, basis) for i, basis in enumerate(family) if _span_rotation_stable(basis)]
     sample_step = max(1, (len(stable) * grid) // object_sample_target)
     forms = _case_forms(space.case)
-    parities = _grid_parity_masks(forms, space)
     # truth tables for this call; worker processes get copies
     memo: dict = {}
-    tasks = [(space, forms, parities, basis, i * grid, sample_step, memo) for i, basis in stable]
+    tasks = [(space, forms, basis, i * grid, sample_step, memo) for i, basis in stable]
     results = _run_tasks(_cross_validate_h, tasks, workers)
     total = 0
     disagreements = 0

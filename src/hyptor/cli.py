@@ -129,7 +129,7 @@ def cmd_construct(args) -> int:
     except ValueError as exc:
         _err(f"construction failed: {exc}")
         report = check_freeness_conditions(built)
-        for flag, value in report.as_dict().items():
+        for flag, value in report._asdict().items():
             if not value:
                 _err(f"violated condition: {_CONDITION_PHRASES[flag]}")
         return 1

@@ -59,8 +59,8 @@ from .affine_actions import (
     is_free_action,
 )
 
-# The defining relations of the group, by stage name and word.
-RELATION_WORDS = (("r4", "rrrr"), ("s2", "ss"), ("rsrs", "rsrs"))
+# The defining relations of the group, as words.
+RELATION_WORDS = ("rrrr", "ss", "rsrs")
 
 # Nonidentity elements by their shortest generator words ("sr" is the
 # reflection times the inverse rotation, "rrs" the half-turn times the
@@ -80,15 +80,11 @@ class CaseTag(enum.Enum):
 
 
 class CaseMatrices(NamedTuple):
-    """Complex 3x3 and lattice 6x6 matrices of the two generators."""
+    """Lattice 6x6 matrices of the two generators."""
 
-    rotation_complex: tuple[tuple[int, ...], ...]
-    reflection_complex: tuple[tuple[int, ...], ...]
     rotation_lattice: Matrix
     reflection_lattice: Matrix
 
-
-_ROTATION_COMPLEX = ((0, 1, 0), (-1, 0, 0), (0, 0, 1))
 
 _ROTATION_LATTICE = Matrix.from_rows(
     [
@@ -104,9 +100,7 @@ _ROTATION_LATTICE = Matrix.from_rows(
 
 def case_matrices(case: CaseTag) -> CaseMatrices:
     eps = -1 if case is CaseTag.CASE1 else 1
-    refl_complex = ((1, 0, 0), (0, -1, 0), (0, 0, eps))
-    refl_lattice = Matrix.diagonal([1, 1, -1, -1, eps, eps])
-    return CaseMatrices(_ROTATION_COMPLEX, refl_complex, _ROTATION_LATTICE, refl_lattice)
+    return CaseMatrices(_ROTATION_LATTICE, Matrix.diagonal([1, 1, -1, -1, eps, eps]))
 
 
 class D4Parameters:
@@ -324,7 +318,7 @@ def check_action(action: D4Action) -> ActionReport:
         grp = generate_group({"r": action.r, "s": action.s})
     except GroupGenerationError as exc:
         return ActionReport(None, {}, False, None, None, str(exc))
-    relations = check_relations(grp, [w for _, w in RELATION_WORDS])
+    relations = check_relations(grp, RELATION_WORDS)
     relations_ok = grp.order == 8 and all(relations.values())
     freeness = is_free_action(grp)
     translations = contains_no_translations(grp)
@@ -374,9 +368,6 @@ class FreenessConditionReport(NamedTuple):
     @property
     def all_pass(self) -> bool:
         return self.factors_embed and self.equivalence_flags_pass
-
-    def as_dict(self) -> dict[str, bool]:
-        return self._asdict()
 
 
 def check_freeness_conditions(action: D4Action) -> FreenessConditionReport:

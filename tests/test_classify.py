@@ -420,8 +420,8 @@ def _reference_sweep(engine, space):
     counts = {r: 0 for r in reasons}
     survivors = []
 
-    rel_r4 = engine.relation_forms["r4"]
-    rel_s2 = engine.relation_forms["s2"]
+    rel_r4 = engine.relation_forms["rrrr"]
+    rel_s2 = engine.relation_forms["ss"]
     rel_rs2 = engine.relation_forms["rsrs"]
     fw = engine.word_forms
     r2_stage = reasons[7]
@@ -484,12 +484,13 @@ def _dual_basis(basis):
     return odd + [tuple(2 * (i == j) for i in range(6)) for j in range(6) if j not in pivots]
 
 
-def _dual_relation_forms(relations, basis):
-    """The relation forms v . t_rho, v in a basis of Lambda'*, that the
-    census solved by Smith form before it decided membership."""
+def _dual_relation_forms(words, basis):
+    """The relation forms v . t_rho, v in a basis of Lambda'*, from the
+    flats of each relation word's kernel in words, that the census
+    solved by Smith form before it decided membership."""
     return {
-        name: tuple(tuple(sum(x * f[j] for x, f in zip(v, flats)) for j in range(8)) for v in _dual_basis(basis))
-        for name, flats in relations.items()
+        w: tuple(tuple(sum(x * f[j] for x, f in zip(v, words[w].flats)) for j in range(8)) for v in _dual_basis(basis))
+        for w in d4_family.RELATION_WORDS
     }
 
 
@@ -519,9 +520,9 @@ def _old_relation_stage(relation_forms, space):
     on the full stack with the indices of its points on the grid."""
     cols = classify._COLUMNS[space.case]
     rel = relation_forms
-    counts = [grid_count(classify._restrict(rel["r4"], cols), space.moduli)]
-    counts.append(grid_count(classify._restrict(rel["r4"] + rel["s2"], cols), space.moduli))
-    solutions = classify._relation_solutions(classify._restrict(rel["r4"] + rel["s2"] + rel["rsrs"], cols), len(cols))
+    counts = [grid_count(classify._restrict(rel["rrrr"], cols), space.moduli)]
+    counts.append(grid_count(classify._restrict(rel["rrrr"] + rel["ss"], cols), space.moduli))
+    solutions = classify._relation_solutions(classify._restrict(rel["rrrr"] + rel["ss"] + rel["rsrs"], cols), len(cols))
     grid = [tuple(q * (i == j) for i in range(len(cols))) for j, q in enumerate(space.moduli)]
     on_grid = classify._table(grid, solutions)
     return counts, solutions, [p for p in range(on_grid.bit_length()) if on_grid >> p & 1]
@@ -668,9 +669,10 @@ def _random_case(rng, case):
     """Random relation translations and word forms with the engine's
     support: r^4, r and r^3 on c3 alone, s^2 on a1 and a3, the rest on
     every parameter (Case 1 has no a3), as the enumerating sweep
-    expects.  A relation gets one flat form per product coordinate:
-    half of them zero, the rest even, and in half the relations one
-    entry made odd, so that 2t mod 2 must lie in H on the half-points."""
+    expects.  A relation word's kernel is Z^6, with one flat form per
+    product coordinate: half of them zero, the rest even, and in half
+    the relations one entry made odd, so that 2t mod 2 must lie in H on
+    the half-points."""
     slots = {"c3": (6, 7), "s2": (0, 1, 4, 5), "all": tuple(range(8))}
     if case is CaseTag.CASE1:
         slots = {k: tuple(j for j in v if j not in (4, 5)) for k, v in slots.items()}
@@ -684,7 +686,11 @@ def _random_case(rng, case):
             rows[rng.randrange(6)][rng.choice(support)] += 1
         return tuple(map(tuple, rows))
 
-    relations = {name: flats(slots[support]) for name, support in (("r4", "c3"), ("s2", "s2"), ("rsrs", "all"))}
+    units = tuple(1 << i for i in range(6))
+    relations = {
+        w: classify._WordKernel(units, flats(slots[support]))
+        for w, support in zip(d4_family.RELATION_WORDS, ("c3", "s2", "all"))
+    }
     words = {
         w: forms(slots["c3"] if w == "r" else slots["all"], rng.randint(1, 2), range(-3, 4))
         for w in ("r", "rr", "s", "rs")
@@ -715,7 +721,7 @@ def test_smith_sweep_matches_enumerating_sweep_on_random_forms():
         while seen[case] < 24:
             relations, words = _random_case(rng, case)
             basis = _random_h(rng)
-            forms = classify._CaseForms(relations, {}, ())
+            forms = classify._CaseForms(relations, ())
             engine = Engine(_dual_relation_forms(relations, basis), words)
             cols = classify._COLUMNS[case]
             rows = classify._restrict(sum(engine.relation_forms.values(), ()), cols)
@@ -752,10 +758,11 @@ def _all_word_forms(forms, key):
 
 
 def _mask_engines(case, keys):
-    """The census's word forms of each subgroup, with the dual-lattice
-    relation forms the enumerating sweep reads."""
+    """The census's word forms of each subgroup, relation words
+    included, with the dual-lattice relation forms the enumerating sweep
+    reads."""
     forms = classify._case_forms(case)
-    return [Engine(_dual_relation_forms(forms.relations, key), _all_word_forms(forms, key)) for key in keys]
+    return [Engine(_dual_relation_forms(forms.words, key), _all_word_forms(forms, key)) for key in keys]
 
 
 @pytest.fixture(scope="module")
@@ -794,8 +801,8 @@ def test_membership_decides_the_relations_as_the_dual_lattice_forms(case):
     count = functools.lru_cache(maxsize=None)(grid_count)
     dual = []
     for key in keys:
-        rel = _dual_relation_forms(forms.relations, key)
-        stacks = [classify._restrict([f for n in names for f in rel[n]], cols) for names in classify._RELATION_STACKS]
+        rel = _dual_relation_forms(forms.words, key)
+        stacks = [classify._restrict([f for w in words for f in rel[w]], cols) for words in classify._RELATION_STACKS]
         dual.append((stacks, classify._relation_solutions(stacks[-1], n)))
     for q_a, q_t in _MEMBERSHIP_GRIDS:
         space = SearchSpace(case=case, shift_denominator=q_a, third_denominator=q_t)
@@ -835,7 +842,7 @@ def _word_matrices_per_word(case, a_quot, word):
     return aq, p, q
 
 
-_ALL_WORDS = [w for _, w in d4_family.RELATION_WORDS] + list(d4_family.GROUP_WORDS)
+_ALL_WORDS = list(d4_family.RELATION_WORDS + d4_family.GROUP_WORDS)
 
 
 def _frame_engine(case, span_key):
@@ -855,10 +862,10 @@ def _frame_engine(case, span_key):
         return vs + vr[4:]
 
     relation_forms = {}
-    for name, word in d4_family.RELATION_WORDS:
+    for word in d4_family.RELATION_WORDS:
         aq, p, q = _word_matrices_per_word(case, a_quot, word)
         assert aq.is_identity()
-        relation_forms[name] = tuple(flat(b_inv.row(i), p, q) for i in range(6))
+        relation_forms[word] = tuple(flat(b_inv.row(i), p, q) for i in range(6))
     word_forms = {}
     for word in d4_family.GROUP_WORDS:
         aq, p, q = _word_matrices_per_word(case, a_quot, word)
@@ -888,12 +895,15 @@ def frame_engines():
 def test_mask_engine_spans_the_frame_engine_lattices(frame_engines, case):
     reference = frame_engines[case]
     assert len(_stable_keys(2)) == 50 and set(_stable_keys(2)) <= set(reference)
-    # the relation forms of the frame against the brute-force dual basis,
-    # and the word forms of the frame against the census's
+    # the relation forms of the frame against the brute-force dual basis
+    # and against the census's relation words, whose K_w is Z^6, and the
+    # word forms of the frame against the census's: cross_validate reads
+    # a relation where its word's forms are integral
     for key, engine in zip(reference, _mask_engines(case, list(reference)), strict=True):
-        for name, forms in reference[key].relation_forms.items():
-            assert _row_lattice(engine.relation_forms[name]) == _row_lattice(forms), (key, name)
-        assert engine.word_forms.keys() == reference[key].word_forms.keys()
+        for word, forms in reference[key].relation_forms.items():
+            assert _row_lattice(engine.relation_forms[word]) == _row_lattice(forms), (key, word)
+            assert _row_lattice(engine.word_forms[word]) == _row_lattice(forms), (key, word)
+        assert engine.word_forms.keys() - set(d4_family.RELATION_WORDS) == reference[key].word_forms.keys()
         for word, forms in reference[key].word_forms.items():
             assert _row_lattice(engine.word_forms[word]) == _row_lattice(forms), (key, word)
 
@@ -968,7 +978,7 @@ def test_case_forms_refuse_a_family_that_is_not_dihedral(monkeypatch):
         (mats.rotation_lattice @ mats.rotation_lattice, mats.reflection_lattice, "repeated linear part"),
         (mats.rotation_lattice, mats.rotation_lattice, "relation word ss"),
     ):
-        fake = d4_family.CaseMatrices(mats.rotation_complex, mats.reflection_complex, rotation, reflection)
+        fake = d4_family.CaseMatrices(rotation, reflection)
         monkeypatch.setattr(classify, "case_matrices", lambda case, fake=fake: fake)
         with pytest.raises(RuntimeError, match=message):
             classify._case_forms(CaseTag.CASE1)
@@ -1104,10 +1114,10 @@ def _relation_solution_actions(case, keys, step):
     cols = classify._COLUMNS[case]
     unit = [tuple(int(i == j) for i in range(len(cols))) for j in range(len(cols))]
     for key in keys:
-        rel = _dual_relation_forms(forms.relations, key)
-        solutions = classify._relation_solutions(classify._restrict(rel["r4"] + rel["s2"] + rel["rsrs"], cols), len(cols))
-        words = _all_word_forms(forms, key)
-        fixed = {w: classify._table(classify._restrict(f, cols), solutions) for w, f in words.items()}
+        rel = _dual_relation_forms(forms.words, key)
+        solutions = classify._relation_solutions(classify._restrict(rel["rrrr"] + rel["ss"] + rel["rsrs"], cols), len(cols))
+        engine = classify._Engine(forms, key)
+        fixed = {w: classify._table(classify._restrict(engine[w], cols), solutions) for w in d4_family.GROUP_WORDS}
         coords = [classify._values(e, solutions) for e in unit]
         gens = classify._subgroup_generator_points(key)
         for p in range(0, len(coords[0]), step):
@@ -1132,7 +1142,7 @@ def _object_level_disagreements(case, keys, step):
     for key, p, action, fixed in _relation_solution_actions(case, keys, step):
         group = generate_group({"r": action.r, "s": action.s})
         assert group.order == 8, (key, p)
-        assert all(check_relations(group, [w for _, w in d4_family.RELATION_WORDS]).values()), (key, p)
+        assert all(check_relations(group, d4_family.RELATION_WORDS).values()), (key, p)
         has_fixed = {w: has_fixed_point(evaluate_word(group, w)).exists for w in d4_family.GROUP_WORDS}
         bad += [(key, p, w) for w, f in has_fixed.items() if f != fixed[w] >> p & 1]
         free += not any(has_fixed.values())
@@ -1337,9 +1347,10 @@ def test_cross_validate_builds_frames_only_for_sampled_subgroups():
 
 
 def test_cross_validate_builds_each_distinct_table_once(monkeypatch):
-    # at (2, 4, g <= 2) the 50 stable subgroups ask for 350 word tables,
-    # of which 32 are distinct, and decide the relations by membership,
-    # with no table; the memo lives for one call
+    # at (2, 4, g <= 2) the 50 stable subgroups ask for 500 word tables,
+    # of which 58 are distinct: 32 of the seven group words, and 26 of
+    # the three relation words, read as words; the memo lives for one
+    # call
     tables = []
     original = classify._table
 
@@ -1351,10 +1362,10 @@ def test_cross_validate_builds_each_distinct_table_once(monkeypatch):
     space = SearchSpace(CaseTag.CASE1, 2, 4, h_generators_max=2)
     first = cross_validate(space)
     assert first.all_agree and first.total == 12800
-    assert len(tables) == len(set(tables)) == 32
+    assert len(tables) == len(set(tables)) == 58
     tables.clear()
     assert cross_validate(space) == first
-    assert len(tables) == 32
+    assert len(tables) == 58
 
 
 def test_cross_validate_rejects_case2():

@@ -69,7 +69,7 @@ def mat_pow(m: Matrix, k: int) -> Matrix:
 
 
 def test_case_matrices_orders_and_relations():
-    for case in (CaseTag.CASE1, CaseTag.CASE2):
+    for case, eps in ((CaseTag.CASE1, -1), (CaseTag.CASE2, 1)):
         mats = case_matrices(case)
         r, s = mats.rotation_lattice, mats.reflection_lattice
         ident = Matrix.identity(6).entries
@@ -78,8 +78,11 @@ def test_case_matrices_orders_and_relations():
         assert (s @ s).entries == ident
         rs = r @ s
         assert (rs @ rs).entries == ident
-        # lattice trace doubles the complex trace (entries here are real)
-        for cm, lm in ((mats.rotation_complex, r), (mats.reflection_complex, s)):
+        # lattice trace doubles the trace of the complex 3x3 form
+        # (entries here are real)
+        rotation_complex = ((0, 1, 0), (-1, 0, 0), (0, 0, 1))
+        reflection_complex = ((1, 0, 0), (0, -1, 0), (0, 0, eps))
+        for cm, lm in ((rotation_complex, r), (reflection_complex, s)):
             complex_tr = sum(cm[i][i] for i in range(3))
             lattice_tr = sum(lm.at(i, i) for i in range(6))
             assert lattice_tr == 2 * complex_tr
@@ -332,7 +335,7 @@ def test_case2_never_free_at_normal_form_shifts(direct_relations):
 def test_freeness_conditions_normal_form_all_pass():
     report = check_freeness_conditions(build_normal_form(TAU_I, TAU_2I))
     assert report.all_pass
-    assert report.as_dict() == {
+    assert report._asdict() == {
         "factors_embed": True,
         "rel_r4_member": True,
         "rel_s2_member": True,
@@ -428,10 +431,11 @@ def test_freeness_conditions_match_object_level(direct_relations):
 
 def test_freeness_report_summaries_match_its_dict():
     # all_pass and equivalence_flags_pass read the eight fields
-    # directly; as_dict, which the CLI serializes, is the oracle
+    # directly; _asdict, which the CLI and certificates serialize, is
+    # the oracle
     for flags in itertools.product((False, True), repeat=8):
         report = FreenessConditionReport(*flags)
-        as_dict = report.as_dict()
+        as_dict = report._asdict()
         assert report.all_pass is all(as_dict.values())
         assert report.equivalence_flags_pass is all(v for k, v in as_dict.items() if k != "factors_embed")
 
@@ -506,7 +510,7 @@ def test_freeness_conditions_match_torsion_point_reference():
             assert isinstance(built, D4Action)
             report = check_freeness_conditions(built)
             assert report == reference_freeness_conditions(params), params
-            for flag, value in report.as_dict().items():
+            for flag, value in report._asdict().items():
                 counts[flag, value] = counts.get((flag, value), 0) + 1
     # every flag is seen both holding and failing
     assert len(counts) == 16
