@@ -22,8 +22,8 @@ D.  Every automorphism built gets a verdict on its linear part
 the linear part and J alone, so it is computed once per pair and kept
 in a small bounded memo keyed on the torus's denominator-cleared J,
 whose key hashes ints; a failing matrix raises on every construction,
-since the memo keeps no exceptions.  The fixed-point test reads A - I
-from a memo keyed on the linear part as well.
+since the memo keeps no exceptions.  The same memo returns A - I,
+which each automorphism keeps for its fixed-point test.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ from .torus import ComplexTorus, HolomorphyError, TorsionPoint
 
 
 @lru_cache(maxsize=256)
-def _linear_part_verdict(a: Matrix, j_cleared: Matrix) -> None:
-    """Raise unless a is an integer, unimodular matrix commuting with J.
+def _linear_part_verdict(a: Matrix, j_cleared: Matrix) -> Matrix:
+    """Raise unless a is an integer, unimodular matrix commuting with J;
+    return A - I, the matrix of a's fixed-point systems.
 
     The key is the torus's denominator-cleared J: commuting with it is
     the same condition, the check stays in integer arithmetic, and the
@@ -57,6 +58,7 @@ def _linear_part_verdict(a: Matrix, j_cleared: Matrix) -> None:
         raise NotUnimodularError("linear part must be unimodular")
     if (a @ j_cleared).entries != (j_cleared @ a).entries:
         raise HolomorphyError("linear part does not commute with J")
+    return a - Matrix.identity(a.rows)
 
 
 class TorusMismatchError(ValueError):
@@ -72,9 +74,10 @@ class UnknownLetterError(KeyError):
 
 
 class AffineAut:
-    """Affine automorphism z -> A z + t of a torus."""
+    """Affine automorphism z -> A z + t of a torus, keeping A - I for
+    its fixed-point test; equality and hashing read torus, a and t."""
 
-    __slots__ = ("torus", "a", "t")
+    __slots__ = ("torus", "a", "t", "minus_identity")
 
     def __init__(self, torus: ComplexTorus, a: Matrix, t: TorsionPoint) -> None:
         n = torus.rank
@@ -82,7 +85,7 @@ class AffineAut:
             raise DimensionError("linear part must be 2g x 2g")
         if len(t) != n:
             raise DimensionError("translation part must have length 2g")
-        _linear_part_verdict(a, torus.j_cleared)
+        self.minus_identity = _linear_part_verdict(a, torus.j_cleared)
         self.torus, self.a, self.t = torus, a, t
 
     def __eq__(self, other) -> bool:
@@ -117,12 +120,6 @@ class FixedPointResult(NamedTuple):
     obstruction: Obstruction | None = None
 
 
-@lru_cache(maxsize=256)
-def _minus_identity(a: Matrix) -> Matrix:
-    """A - I, once per linear part: a group's elements repeat few."""
-    return a - Matrix.identity(a.rows)
-
-
 def has_fixed_point(f: AffineAut) -> FixedPointResult:
     """Exact fixed-point decision for an affine automorphism.
 
@@ -131,7 +128,7 @@ def has_fixed_point(f: AffineAut) -> FixedPointResult:
     int; a negative answer carries the Smith-form obstruction row.
     """
     d = f.t.order()
-    res = solve_affine_mod_lattice(_minus_identity(f.a), tuple(-x for x in f.t.scaled(d)), d)
+    res = solve_affine_mod_lattice(f.minus_identity, tuple(-x for x in f.t.scaled(d)), d)
     if not res.solvable:
         return FixedPointResult(
             exists=False,

@@ -697,7 +697,10 @@ def _relation_groups(forms: _CaseForms, space: SearchSpace):
 def _order(group, basis: tuple[int, ...]) -> int:
     """The number of points of G_S at which every relation of S holds
     on T_H: |G_S| over the size of the parity map's image in
-    (F2^6 / H)^S, 2 to the rank of the generators' cosets."""
+    (F2^6 / H)^S, 2 to the rank of the generators' cosets.  The first
+    two relation stacks need only this count; reading it off _members
+    builds points no one reads, and measured about 18% slower on the
+    Case-2 census."""
     (_, gens), masks = group
     pivots: list[int] = []
     for m in masks:

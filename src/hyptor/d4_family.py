@@ -24,9 +24,10 @@ it.  A process builds each frame, and each lattice audit's block sum,
 once: quotient_frame and _block_sum keep their last 64 values in
 bounded memos (their docstrings give the keys).  The members on one
 frame share its torus and matrices, which are immutable records that
-no caller mutates, so sharing them changes no result.  Only a process that builds several members, or runs
-several commands, on one frame gains: a single construct, verify or
-invariants builds its frame and block sum once either way.
+no caller mutates, so sharing them changes no result.  Only a process
+that builds several members, or runs several commands, on one frame
+gains: a single construct, verify or invariants builds its frame and
+block sum once either way.
 """
 
 from __future__ import annotations
@@ -459,11 +460,9 @@ def block_sublattices(basis_change: Matrix, blocks: tuple[tuple[int, int], ...])
 
 
 @lru_cache(maxsize=64)
-def _block_sum(
-    basis_change: Matrix, blocks: tuple[tuple[int, int], ...]
-) -> tuple[tuple[Matrix, ...], tuple[Matrix, int, tuple[int, ...]]]:
-    """The block lattices, and inverse_numerators of a basis of their
-    sum, block by block.
+def _block_sum(basis_change: Matrix, blocks: tuple[tuple[int, int], ...]) -> tuple[Matrix, int, tuple[int, ...]]:
+    """inverse_numerators of a basis of the sum of the block lattices,
+    block by block.
 
     Memoized on the last 64 (basis_change, blocks), the torus data the
     block lattices read: J is left out of the key, since hashing its
@@ -472,8 +471,7 @@ def _block_sum(
     with other curves on the same H share one block sum.
     """
     lams = block_sublattices(basis_change, blocks)
-    basis = Matrix.from_columns([lam.column(k) for lam in lams for k in range(lam.cols)])
-    return lams, inverse_numerators(basis)
+    return inverse_numerators(Matrix.from_columns([lam.column(k) for lam in lams for k in range(lam.cols)]))
 
 
 def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
@@ -491,7 +489,9 @@ def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
     the largest denominator e / gcd(x, e) in block b's rows x of the
     inverse N / e of the block-sum basis; it is bounded by 2 on each
     block, and the component group of the block sum, read off the same
-    Smith form, has exponent dividing 2.
+    Smith form, has exponent dividing 2.  Block b's rows are the
+    torus's own block b in torus.blocks: as basis_change is nonsingular,
+    Lambda_b has the rank of its block.
 
     No field depends on the bases chosen for the block lattices.  The
     memberships and the Smith divisors of the block sum are lattice
@@ -501,16 +501,7 @@ def lattice_inclusion_check(action: D4Action) -> LatticeInclusionReport:
     which a unimodular change of that block's basis keeps.
     """
     t = action.torus
-    return _inclusion_report(action, *_block_sum(t.basis_change, t.blocks))
-
-
-def _block_spans(lams) -> list[range]:
-    """The rows of each block in block coordinates."""
-    spans, start = [], 0
-    for lam in lams:
-        spans.append(range(start, start + lam.cols))
-        start += lam.cols
-    return spans
+    return _inclusion_report(action, _block_sum(t.basis_change, t.blocks))
 
 
 def _in_block(inverse, spans, m: Matrix, b: int) -> bool:
@@ -522,13 +513,13 @@ def _in_block(inverse, spans, m: Matrix, b: int) -> bool:
     return not any(x % e for x in coords.entries) and not any(off_block)
 
 
-def _inclusion_report(action: D4Action, lams, inverse) -> LatticeInclusionReport:
+def _inclusion_report(action: D4Action, inverse) -> LatticeInclusionReport:
     ident = Matrix.identity(action.torus.rank)
     s_cur = action.s.a
     r2_cur = action.r.a @ action.r.a
     w = ident - s_cur
     targets = (ident + s_cur, (ident - r2_cur) @ w, (ident + r2_cur) @ w)
-    spans = _block_spans(lams)
+    spans = [range(off, off + length) for off, length in action.torus.blocks]
     splitting_ok = all(_in_block(inverse, spans, m, b) for b, m in enumerate(targets))
     numerators, e, diagonal = inverse
     denoms = [max((e // gcd(x, e) for i in span for x in numerators.row(i)), default=1) for span in spans]

@@ -20,7 +20,9 @@ Provided here:
 * ``hnf`` / ``column_hnf``: row and column Hermite normal forms with the
   unimodular transform (``U @ M == H`` resp. ``M @ V == H``).
 * ``snf``: Smith normal form ``U @ M @ V == D`` with nonnegative diagonal
-  in divisibility order and zero entries trailing.
+  in divisibility order and zero entries trailing.  Both normal forms
+  share one set of row steps: a column step is the row step on the
+  transposes, as ``column_hnf`` is ``hnf`` of the transpose.
 * ``solve_affine_mod_lattice``: decides whether ``A x = b / delta + m``
   has a rational solution ``x`` with integral ``m``, for an integer
   matrix A and integers b over an int delta, returning either a witness
@@ -115,13 +117,8 @@ class Matrix:
         return cls(r, c, tuple(flat))
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[Entry]], rows: int | None = None) -> "Matrix":
-        if not cols:
-            if rows is None:
-                raise DimensionError("empty column list needs explicit row count")
-            return cls(rows, 0, ())
-        r = len(cols[0])
-        return cls.from_rows([[col[i] for col in cols] for i in range(r)])
+    def from_columns(cls, cols: Sequence[Sequence[Entry]]) -> "Matrix":
+        return cls.from_rows(cols).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -235,6 +232,10 @@ class Matrix:
         scaled, d = self.scaled_integer()
         numerators, e, _ = inverse_numerators(scaled)
         return numerators.scale(_entry(Fraction(d, e)))
+
+
+def _transpose(a: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*a)]
 
 
 def _add_row(a: list[list[int]], u: list[list[int]], src: int, dst: int, f: int) -> None:
@@ -355,43 +356,15 @@ def snf(m: Matrix) -> SmithDecomposition:
 
     Deterministic pivoting: among the remaining submatrix entries the
     one of minimal absolute value, earliest in row-major order, wins.
+    A column step is the same row step on the transposes of the matrix
+    and of V, which is kept transposed throughout.
     """
     if not m.is_integral():
         raise ValueError("Smith normal form needs an integer matrix")
     rows, cols = m.rows, m.cols
     a = m.to_rows()
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def add_col(src: int, dst: int, f: int) -> None:
-        for r in range(rows):
-            a[r][dst] += f * a[r][src]
-        for r in range(cols):
-            v[r][dst] += f * v[r][src]
-
-    def combine_cols(i: int, j: int, row: int) -> None:
-        p, q = a[row][i], a[row][j]
-        if p != 0 and q % p == 0:
-            add_col(i, j, -(q // p))
-            return
-        g, x, y = _ext_gcd(p, q)
-        p_, q_ = p // g, q // g
-        for r in range(rows):
-            s, t = a[r][i], a[r][j]
-            a[r][i], a[r][j] = x * s + y * t, -q_ * s + p_ * t
-        for r in range(cols):
-            s, t = v[r][i], v[r][j]
-            v[r][i], v[r][j] = x * s + y * t, -q_ * s + p_ * t
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     n = min(rows, cols)
     for t in range(n):
@@ -406,9 +379,13 @@ def snf(m: Matrix) -> SmithDecomposition:
             break
         bi, bj = best
         if bi != t:
-            swap_rows(t, bi)
+            a[t], a[bi] = a[bi], a[t]
+            u[t], u[bi] = u[bi], u[t]
         if bj != t:
-            swap_cols(t, bj)
+            at = _transpose(a)
+            at[t], at[bj] = at[bj], at[t]
+            vt[t], vt[bj] = vt[bj], vt[t]
+            a = _transpose(at)
         guard = 0
         while True:
             guard += 1
@@ -417,12 +394,14 @@ def snf(m: Matrix) -> SmithDecomposition:
             for r in range(t + 1, rows):
                 if a[r][t] != 0:
                     _combine_rows(a, u, t, r, t)
-            for c in range(t + 1, cols):
-                if a[t][c] != 0:
-                    combine_cols(t, c, t)
-            if any(a[r][t] != 0 for r in range(t + 1, rows)):
-                continue
             if any(a[t][c] != 0 for c in range(t + 1, cols)):
+                at = _transpose(a)
+                for c in range(t + 1, cols):
+                    if at[c][t] != 0:
+                        _combine_rows(at, vt, t, c, t)
+                a = _transpose(at)
+            # the column steps cleared row t; they may refill column t
+            if any(a[r][t] != 0 for r in range(t + 1, rows)):
                 continue
             # make the pivot divide the rest of the submatrix
             offender = None
@@ -446,7 +425,7 @@ def snf(m: Matrix) -> SmithDecomposition:
 
     d = Matrix.from_rows(a)
     uu = Matrix.from_rows(u)
-    vv = Matrix.from_rows(v)
+    vv = Matrix.from_rows(vt).transpose()
     check = uu @ m @ vv
     if check.entries != d.entries:
         raise RuntimeError("internal error: U @ M @ V != D")

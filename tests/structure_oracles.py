@@ -108,7 +108,7 @@ def reference_structure(action: D4Action) -> ReferenceStructure:
         omega_block = TorsionPoint(tuple(block_inv.apply(omega_lift)))
         omega_matches = omega_block in cg.elements and not omega_block.is_zero()
 
-    inclusion = d4_family._inclusion_report(action, lams, exact_linear.inverse_numerators(block_basis))
+    inclusion = d4_family._inclusion_report(action, exact_linear.inverse_numerators(block_basis))
     assert inclusion.quotient_divisors == divisors
     return ReferenceStructure(
         kernel_image_agree=kernel_image_agree,

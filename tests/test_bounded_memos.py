@@ -15,6 +15,7 @@ call, and ``cached_property``, which keeps a value per instance.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyptor"
@@ -114,3 +115,38 @@ def test_every_memo_in_the_package_is_bounded():
     assert sources["d4_family"].count(bounded) == 1
     sources["d4_family"] = sources["d4_family"].replace(bounded, bounded.replace("64", "None"))
     assert [m.split()[1] for m in unbounded_memos(sources)] == ["lru_cache"]
+
+
+def memo_functions(sources: dict[str, str]) -> list[str]:
+    """"module.function" of every function in sources that an
+    ``lru_cache`` decorates, sorted."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        names, modules = _memo_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    if _memo(d.func if isinstance(d, ast.Call) else d, names, modules) == "lru_cache":
+                        found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def readme_memo_rows(readme: str) -> list[str]:
+    """The memos the README's "Performance" memo table names, from the
+    first cell of each row, sorted."""
+    section = readme.split("\n## Performance\n", 1)[1].split("\n## ", 1)[0]
+    return sorted(re.findall(r"^\| `(\w+\.\w+)` \(\d+\) \|", section, flags=re.M))
+
+
+def test_readme_memo_table_names_every_memo():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    memos = memo_functions(sources)
+    assert "d4_family.quotient_frame" in memos
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert readme_memo_rows(readme) == memos
+    # a row left behind by a deleted memo is caught
+    row = "| `d4_family.quotient_frame` (64) |"
+    assert readme.count(row) == 1
+    stale = "| `affine_actions._dropped` (256) | a linear part | 0/7 | 485/19 | 0/0 |\n"
+    assert readme_memo_rows(readme.replace(row, stale + row)) == sorted([*memos, "affine_actions._dropped"])

@@ -1027,9 +1027,9 @@ def test_case2_census_solves_each_relation_system_once(monkeypatch):
 
 @pytest.mark.parametrize("case", [CaseTag.CASE1, CaseTag.CASE2])
 @pytest.mark.parametrize("q, g", [(1, 0), (2, 1), (3, 2), (8, 3), (4, 4)])
-def test_every_census_takes_ten_smith_forms(monkeypatch, case, q, g):
-    # named when a census took ten: the kernels of r^3, r^2 s and r^3 s
-    # are no longer taken, which leaves seven
+def test_every_census_takes_seven_smith_forms(monkeypatch, case, q, g):
+    # the kernels of r^3, r^2 s and r^3 s are not taken, which leaves
+    # seven of the ten a census once took
     calls, tables, report = _census_work(monkeypatch, case, q, g)
     assert (report.stats.smith_forms, report.stats.truth_tables) == (calls, tables)
     assert calls == 7

@@ -807,12 +807,12 @@ def test_check_action_builds_no_fraction_but_the_obstruction_values(survivor_act
 def test_splitting_check_agrees_with_the_membership_loop(survivor_actions):
     outcomes = {True: 0, False: 0}
     for action in survivor_actions:
-        lams, _ = d4_family._block_sum(action.torus.basis_change, action.torus.blocks)
+        lams = d4_family.block_sublattices(action.torus.basis_change, action.torus.blocks)
         for order in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
             blocks = tuple(lams[b] for b in order)
             basis = Matrix.from_columns([lam.column(k) for lam in blocks for k in range(lam.cols)])
             block_inv = basis.inverse()
-            rep = d4_family._inclusion_report(action, blocks, exact_linear.inverse_numerators(basis))
+            rep = d4_family._inclusion_report(action, exact_linear.inverse_numerators(basis))
             want = _reference_splitting(action, blocks)
             assert rep.splitting_ok == want, (action.params, order)
             assert list(rep.block_denominators) == _reference_block_denominators(blocks, block_inv)
@@ -887,7 +887,7 @@ def test_lattice_audit_does_not_depend_on_the_block_bases(structure_actions, mon
     # the premise of the denominators' invariance: the block sum's
     # index group has exponent dividing 2 on every action
     for action in structure_actions:
-        assert d4_family._block_sum(action.torus.basis_change, action.torus.blocks)[1][1] in (1, 2)
+        assert d4_family._block_sum(action.torus.basis_change, action.torus.blocks)[1] in (1, 2)
     rng = random.Random(2020)
     scrambled = []
 

@@ -7,6 +7,7 @@ Gauss-Jordan elimination (linear_oracles), which the library no longer
 uses.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -209,6 +210,15 @@ def test_integral_results_are_stored_as_int():
     assert Matrix.identity(2).scaled_integer() == (Matrix.identity(2), 1)
 
 
+def test_from_columns_refuses_ragged_and_empty_columns():
+    assert Matrix.from_columns([[1, 2], [3, 4], [5, 6]]) == Matrix.from_rows([[1, 3, 5], [2, 4, 6]])
+    # a longer later column must not lose its tail, and a shorter one
+    # must not index past its end
+    for cols in ([[1], [2, 3]], [[1, 2], [3]], [], [[]]):
+        with pytest.raises(DimensionError):
+            Matrix.from_columns(cols)
+
+
 def test_integer_only_routines_reject_fractions():
     half = Matrix.from_rows([[Fraction(1, 2), 0], [0, 1]])
     for fn in (hnf, column_hnf, snf, kernel_sublattice, inverse_numerators):
@@ -326,6 +336,39 @@ def test_snf_regression_cycling_matrix():
     assert dec.elementary_divisors == (1, 1, 2, 2)
     assert dec.zero_rows == (4, 5)
     assert dec.elementary_divisors == minor_gcd_divisors(m)
+
+
+def _pinned_matrices() -> list[Matrix]:
+    """500 seeded integer matrices from 1 x 1 to 9 x 9 with negative
+    entries, a factor shared by every entry, and some zero rows and
+    columns."""
+    rng = random.Random(3107)
+    out = []
+    for _ in range(500):
+        n, c = rng.randint(1, 9), rng.randint(1, 9)
+        f = rng.choice((1, 1, 2, 3, 4, 6))
+        rows = [[f * rng.randint(-6, 6) for _ in range(c)] for _ in range(n)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(n)] = [0] * c
+        if rng.random() < 0.3:
+            j = rng.randrange(c)
+            for row in rows:
+                row[j] = 0
+        out.append(Matrix.from_rows(rows))
+    return out
+
+
+def test_smith_and_hermite_transforms_are_pinned():
+    # certificate witness rows are rows of the Smith transform U, so the
+    # transforms themselves, not only D and H, must not drift
+    smith, hermite = hashlib.sha256(), hashlib.sha256()
+    for m in _pinned_matrices():
+        dec = snf(m)
+        smith.update(repr((m.rows, m.cols, dec.d.entries, dec.u.entries, dec.v.entries)).encode())
+        h, u = hnf(m)
+        hermite.update(repr((m.rows, m.cols, h.entries, u.entries)).encode())
+    assert smith.hexdigest() == "f311acaaa5df515f339154a55a0fb7181a5fa1d868f62c0eda0fa3647778f261"
+    assert hermite.hexdigest() == "87f8d3f6b59d51a2532db82ae4ccf2549fdbbb650951666d0d17b173151308e1"
 
 
 def test_smith_views_are_read_off_d_once(monkeypatch):

@@ -293,7 +293,7 @@ def test_guard_flags_each_stored_only_field():
     package["affine_actions"] = package["affine_actions"].replace(stored, "    index: int\n" + stored)
     # and a slot on the package's AffineAut, which its __eq__ and
     # __hash__ read
-    slots = '__slots__ = ("torus", "a", "t")'
+    slots = '__slots__ = ("torus", "a", "t", "minus_identity")'
     assert package["affine_actions"].count(slots) == 1
     package["affine_actions"] = package["affine_actions"].replace(slots, slots.replace('"t"', '"t", "index"'))
     package["affine_actions"] = package["affine_actions"].replace("self.a, self.t)", "self.a, self.t, self.index)")
