@@ -239,7 +239,7 @@ def generate_group(gens: Mapping[str, AffineAut], cap: int = 64) -> GeneratedGro
         nxt: list[str] = []
         for word in frontier:
             lin, t = keys[word]
-            rows = [core.matrices[lin].row(i) for i in range(torus.rank)]
+            rows = core.matrices[lin].row_tuples()
             after = core.after[lin]
             row = products[word] = []
             for k, name in enumerate(names):

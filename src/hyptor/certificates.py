@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .affine_actions import GeneratedGroup, evaluate_word
@@ -100,7 +101,10 @@ def parse_field(name: str, parse, *args):
 
 
 def point_json(p: TorsionPoint) -> list[str]:
-    return [rational_str(c) for c in p.coords]
+    """rational_str of each coordinate, spelled from the point's integers:
+    x over the order d is (x / g)/(d / g) for g = gcd(x, d)."""
+    d = p.order()
+    return [f"{x // g}/{d // g}" for x in p.scaled(d) for g in (gcd(x, d),)]
 
 
 def parse_point(data, length: int) -> TorsionPoint:

@@ -27,9 +27,11 @@ Provided here:
   has a rational solution ``x`` with integral ``m``, for an integer
   matrix A and integers b over an int delta, returning either a witness
   pair or a one-row unimodular obstruction certificate.  It runs in
-  integers; only the obstruction value is a Fraction.  The Smith form
-  of each A comes from a small bounded memo private to this function;
-  ``snf`` itself keeps no memo.
+  integers; only the obstruction value is a Fraction.  It reads D's
+  zero rows first, forming U b on them alone and stopping at the first
+  that fails, and forms the whole of U b only for a solvable system.
+  The Smith form of each A comes from a small bounded memo private to
+  this function; ``snf`` itself keeps no memo.
 * ``kernel_sublattice``: a basis of the saturated integer kernel of a
   matrix, read off its Smith form (H. Cohen, *A Course in Computational
   Algebraic Number Theory*, 2.4).  A lattice is passed around as a
@@ -86,9 +88,10 @@ def _entry(x) -> Entry:
 
 class Matrix:
     """Immutable exact matrix stored row-major; see the module docstring
-    for the entry rule."""
+    for the entry rule.  Its rows as tuples are sliced on first read and
+    kept: hot loops read the rows of the same matrices many times."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_row_tuples")
 
     def __init__(self, rows: int, cols: int, entries: tuple[Entry, ...]) -> None:
         if rows < 1 or cols < 0:
@@ -98,6 +101,7 @@ class Matrix:
         if not all(type(e) is int for e in entries):
             entries = tuple(map(_entry, entries))
         self.rows, self.cols, self.entries = rows, cols, entries
+        self._row_tuples = None
 
     def __eq__(self, other) -> bool:
         return type(other) is Matrix and (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
@@ -137,13 +141,21 @@ class Matrix:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[Entry, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return self.row_tuples()[i]
+
+    def row_tuples(self) -> tuple[tuple[Entry, ...], ...]:
+        """Every row, as a tuple of tuples, sliced once per matrix."""
+        rows = self._row_tuples
+        if rows is None:
+            c = self.cols
+            rows = self._row_tuples = tuple(self.entries[i * c : (i + 1) * c] for i in range(self.rows))
+        return rows
 
     def column(self, j: int) -> tuple[Entry, ...]:
         return self.entries[j :: self.cols]
 
     def to_rows(self) -> list[list[Entry]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [list(r) for r in self.row_tuples()]
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, tuple(e for j in range(self.cols) for e in self.column(j)))
@@ -152,8 +164,7 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionError("inner dimensions differ")
         cols = [other.column(j) for j in range(other.cols)]
-        rows = [self.row(i) for i in range(self.rows)]
-        return Matrix(self.rows, other.cols, tuple(sum(map(mul, r, c)) for r in rows for c in cols))
+        return Matrix(self.rows, other.cols, tuple(sum(map(mul, r, c)) for r in self.row_tuples() for c in cols))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -172,7 +183,7 @@ class Matrix:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise DimensionError("vector length mismatch")
-        return tuple(sum(map(mul, self.row(i), vec)) for i in range(self.rows))
+        return tuple(sum(map(mul, r, vec)) for r in self.row_tuples())
 
     def submatrix_columns(self, idx: Sequence[int]) -> "Matrix":
         return Matrix(
@@ -234,17 +245,19 @@ class Matrix:
         return numerators.scale(_entry(Fraction(d, e)))
 
 
-def _transpose(a: list[list[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*a)]
+def _transpose(a: list[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The columns of a as rows: tuples, since a step replaces whole
+    rows and never writes into one."""
+    return list(zip(*a))
 
 
-def _add_row(a: list[list[int]], u: list[list[int]], src: int, dst: int, f: int) -> None:
+def _add_row(a: list[Sequence[int]], u: list[Sequence[int]], src: int, dst: int, f: int) -> None:
     """Add f times row src to row dst, in a and in its transform u."""
     a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
     u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
 
 
-def _combine_rows(a: list[list[int]], u: list[list[int]], i: int, j: int, col: int) -> None:
+def _combine_rows(a: list[Sequence[int]], u: list[Sequence[int]], i: int, j: int, col: int) -> None:
     """Clear a[j][col] against a[i][col] by a unimodular step on rows i
     and j, repeated on the transform u.
 
@@ -381,25 +394,31 @@ def snf(m: Matrix) -> SmithDecomposition:
         if bi != t:
             a[t], a[bi] = a[bi], a[t]
             u[t], u[bi] = u[bi], u[t]
-        if bj != t:
-            at = _transpose(a)
-            at[t], at[bj] = at[bj], at[t]
-            vt[t], vt[bj] = vt[bj], vt[t]
-            a = _transpose(at)
+        # row steps commute with the column swap, so the first row pass
+        # clears the pivot's own column bj and the swap waits for the
+        # transpose the column pass takes anyway
+        col = bj
         guard = 0
         while True:
             guard += 1
             if guard > 10_000:
                 raise RuntimeError("internal error: Smith reduction failed to converge")
             for r in range(t + 1, rows):
-                if a[r][t] != 0:
-                    _combine_rows(a, u, t, r, t)
-            if any(a[t][c] != 0 for c in range(t + 1, cols)):
-                at = _transpose(a)
+                if a[r][col] != 0:
+                    _combine_rows(a, u, t, r, col)
+            if col != t or any(a[t][c] != 0 for c in range(t + 1, cols)):
+                # rows above t are finished: zero in every column >= t,
+                # so the column steps only move rows t onward, and row t
+                # is the first row of the transposed block
+                at = _transpose(a[t:])
+                if col != t:
+                    at[t], at[col] = at[col], at[t]
+                    vt[t], vt[col] = vt[col], vt[t]
+                    col = t
                 for c in range(t + 1, cols):
-                    if at[c][t] != 0:
-                        _combine_rows(at, vt, t, c, t)
-                a = _transpose(at)
+                    if at[c][0] != 0:
+                        _combine_rows(at, vt, t, c, 0)
+                a[t:] = _transpose(at)
             # the column steps cleared row t; they may refill column t
             if any(a[r][t] != 0 for r in range(t + 1, rows)):
                 continue
@@ -425,7 +444,7 @@ def snf(m: Matrix) -> SmithDecomposition:
 
     d = Matrix.from_rows(a)
     uu = Matrix.from_rows(u)
-    vv = Matrix.from_rows(vt).transpose()
+    vv = Matrix.from_rows(_transpose(vt))
     check = uu @ m @ vv
     if check.entries != d.entries:
         raise RuntimeError("internal error: U @ M @ V != D")
@@ -485,10 +504,11 @@ def solve_affine_mod_lattice(a: Matrix, b: Sequence[int], delta: int) -> AffineS
 
     Method: take the Smith form U A V = D and inspect c = U b.  The
     system is solvable iff delta divides c_i for every zero row i of D;
-    the first failing row is returned as the obstruction certificate.
-    Otherwise y_i = c_i / (delta d_i) on the nonzero rows, and x = V y
-    is kept as integers over delta e, e the last nonzero d_i, which
-    every d_i divides.
+    those rows of c are formed first, in order, and the first failing
+    row is returned as the obstruction certificate.  Otherwise
+    y_i = c_i / (delta d_i) on the nonzero rows, and x = V y is kept as
+    integers over delta e, e the last nonzero d_i, which every d_i
+    divides.
     """
     if a.rows != a.cols:
         raise DimensionError("square matrix required")
@@ -499,14 +519,16 @@ def solve_affine_mod_lattice(a: Matrix, b: Sequence[int], delta: int) -> AffineS
         raise TypeError("the right-hand side must be ints over a positive int denominator")
     # snf refuses a rational A, and the memo keeps no exceptions
     dec = _system_smith_form(a)
-    c = dec.u.apply(b)
+    u = dec.u.row_tuples()
     for i in dec.zero_rows:
-        if c[i] % delta:
+        ci = sum(map(mul, u[i], b))
+        if ci % delta:
             return AffineSolveResult(
                 solvable=False,
-                obstruction_row=dec.u.row(i),
-                obstruction_value=Fraction(c[i], delta),
+                obstruction_row=u[i],
+                obstruction_value=Fraction(ci, delta),
             )
+    c = dec.u.apply(b)
     divisors = dec.elementary_divisors
     e = divisors[-1] if divisors else 1
     denominator = delta * e

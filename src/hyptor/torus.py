@@ -110,9 +110,9 @@ class TorsionPoint:
     def _set(self, numerators: Sequence[int], d: int) -> None:
         if d < 1:
             raise ValueError("denominator must be positive")
-        reduced = [x % d for x in numerators]
+        reduced = tuple([x % d for x in numerators])
         g = gcd(d, *reduced)
-        self._numerators = tuple(x // g for x in reduced)
+        self._numerators = reduced if g == 1 else tuple(x // g for x in reduced)
         self._order = d // g
 
     def __eq__(self, other) -> bool:

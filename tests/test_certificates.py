@@ -10,6 +10,7 @@ import copy
 import functools
 import json
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from hyptor.certificates import (
     parse_parameters,
     parse_point,
     parse_rational,
+    point_json,
     rational_str,
     verify_certificate,
 )
@@ -96,6 +98,22 @@ def test_complex_str_roundtrip():
 def test_parse_complex_rejects(bad):
     with pytest.raises(ValueError):
         parse_complex(bad)
+
+
+def fraction_point_json(p: TorsionPoint) -> list[str]:
+    """Reference for point_json: rational_str of each Fraction coordinate."""
+    return [rational_str(c) for c in p.coords]
+
+
+def test_point_json_matches_the_fraction_spelling():
+    points = [TorsionPoint((Fraction(x, d),)) for d in range(1, 17) for x in range(d)]
+    rng = random.Random(3201)
+    for _ in range(500):
+        q = rng.choice((1, 2, 3, 4, 6, 8, 12, 16, 30, 97))
+        points.append(TorsionPoint(tuple(Fraction(rng.randrange(-2 * q, 2 * q), rng.randint(1, q)) for _ in range(6))))
+    for p in points:
+        assert point_json(p) == fraction_point_json(p)
+        assert parse_point(point_json(p), len(p)) == p
 
 
 def test_parse_point_checks_length():

@@ -485,6 +485,28 @@ def test_integer_obstruction_test_matches_fraction_reference():
             assert type(got.obstruction_value) is Fraction
         outcomes[got.solvable] += 1
     assert min(outcomes.values()) >= 100, outcomes
+    # two or more zero rows of D, where only a later one fails: the
+    # obstruction is still the first failing zero row, not the first
+    # zero row nor the last
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        diag = [rng.choice((1, 2, 3, 4, 6)) for _ in range(n)]
+        for i in rng.sample(range(n), rng.randint(2, n)):
+            diag[i] = 0
+        a = rand_unimodular(rng, n) @ Matrix.diagonal(diag) @ rand_unimodular(rng, n)
+        dec = snf(a)
+        zero = dec.zero_rows
+        fails = rng.randrange(1, len(zero))
+        den = rng.randint(2, 12)
+        c = [rng.randint(-3 * den, 3 * den) for _ in range(n)]
+        for i in zero[:fails]:
+            c[i] = den * rng.randint(-3, 3)
+        c[zero[fails]] = den * rng.randint(-3, 3) + rng.randint(1, den - 1)
+        b = dec.u.inverse().apply(c)
+        got = solve_affine_mod_lattice(a, b, den)
+        assert got.obstruction_row == dec.u.row(zero[fails])
+        assert got.obstruction_value == Fraction(c[zero[fails]], den)
+        assert got == fraction_solve_affine(a, tuple(Fraction(x, den) for x in b)), (a, b)
 
 
 def test_smith_form_memo_is_bounded_and_private():
